@@ -105,6 +105,75 @@ def test_profile_earliest_fit_under_load(benchmark):
     )
 
 
+@pytest.mark.benchmark(group="kernel")
+def test_profile_earliest_fit_shard_rounds(benchmark):
+    """The static pass's reservation loop at the shape replays produce: one
+    16-node shard profile with 12 breakpoints, five blocked jobs each
+    reserved (``earliest_fit`` without the start probe) and claimed."""
+    nodes = list(range(16))
+    full = {i: 8 for i in nodes}
+    base = AvailabilityProfile(nodes, {i: 0 for i in nodes}, 0.0, full)
+    # 11 running jobs of 1-2 nodes release at distinct walltime ends
+    releases = [(0, 1), (2,), (3, 4), (5,), (6, 7), (8,), (9, 10), (11,),
+                (12, 13), (14,), (15,)]
+    for k, held in enumerate(releases):
+        base.add_release(600.0 * (k + 1), Allocation({n: 8 for n in held}))
+    assert len(base.breakpoints) == 12
+    blocked = [
+        (ResourceRequest(cores=24), 3600.0),
+        (ResourceRequest(cores=40), 1800.0),
+        (ResourceRequest(nodes=2, ppn=8), 7200.0),
+        (ResourceRequest(cores=12), 900.0),
+        (ResourceRequest(cores=64), 3600.0),
+    ]
+
+    def rounds():
+        prof = base.copy()
+        starts = []
+        for request, walltime in blocked:
+            start, alloc = prof.earliest_fit(
+                request, walltime, after=0.0, probe_start=False
+            )
+            prof.add_claim(start, start + walltime, alloc)
+            starts.append(start)
+        return starts
+
+    starts = benchmark(rounds)
+    assert len(starts) == 5 and all(s > 0.0 for s in starts)
+    record_bench(
+        "kernel", "profile_earliest_fit_shard",
+        wall_seconds=benchmark.stats.stats.mean,
+        nodes=16, breakpoints=12, rounds=5,
+    )
+
+
+@pytest.mark.benchmark(group="kernel")
+def test_profile_fit_from_min(benchmark):
+    """Allocation picking out of one 16-node window minimum: a flexible
+    and a shaped request, as every successful probe ends."""
+    nodes = tuple(range(16))
+    prof = AvailabilityProfile(
+        nodes, {i: (3 * i + 5) % 9 for i in nodes}, 0.0, {i: 8 for i in nodes}
+    )
+    free_min = prof._window_min(0.0, 3600.0)
+    flexible = ResourceRequest(cores=40)
+    shaped = ResourceRequest(nodes=4, ppn=4)
+
+    def pick():
+        return (
+            prof._fit_from_min(free_min, flexible, nodes),
+            prof._fit_from_min(free_min, shaped, nodes),
+        )
+
+    a, b = benchmark(pick)
+    assert a.total_cores == 40 and b.total_cores == 16
+    record_bench(
+        "kernel", "profile_fit_from_min",
+        wall_seconds=benchmark.stats.stats.mean,
+        nodes=16, picks=2,
+    )
+
+
 def _loaded_system(shards: int | None = None) -> BatchSystem:
     config = MauiConfig(reservation_depth=5, reservation_delay_depth=5)
     if shards is not None:

@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
-import numpy as np
-
 
 @dataclass(frozen=True, slots=True)
 class ResourceRequest:
@@ -67,7 +65,7 @@ class Allocation:
         shrunk   = expanded - released
     """
 
-    __slots__ = ("_cores_by_node", "_arrays")
+    __slots__ = ("_cores_by_node",)
 
     def __init__(self, cores_by_node: Mapping[int, int]) -> None:
         cleaned = {int(n): int(c) for n, c in cores_by_node.items() if c}
@@ -75,31 +73,17 @@ class Allocation:
             if count < 0:
                 raise ValueError(f"negative core count {count} on node {node}")
         self._cores_by_node = dict(sorted(cleaned.items()))
-        self._arrays: tuple[np.ndarray, np.ndarray] | None = None
 
-    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(node_indices, core_counts)`` as parallel int64 arrays, sorted
-        by node — the vectorized form the availability profile scatters
-        into its free-core matrix.  Cached: allocations are immutable and
-        the same allocation is claimed into many hypothetical profiles.
-        """
-        cached = self._arrays
-        if cached is None:
-            n = len(self._cores_by_node)
-            cached = (
-                np.fromiter(self._cores_by_node.keys(), dtype=np.int64, count=n),
-                np.fromiter(self._cores_by_node.values(), dtype=np.int64, count=n),
-            )
-            self._arrays = cached
-        return cached
-
-    def __getstate__(self) -> dict:
-        # the array cache is derived state; keep worker pickles lean
-        return self._cores_by_node
-
-    def __setstate__(self, state: dict) -> None:
-        self._cores_by_node = state
-        self._arrays = None
+    @classmethod
+    def _trusted(cls, cores_by_node: dict[int, int]) -> "Allocation":
+        """Wrap a mapping that is already in normal form — plain-int nodes
+        in ascending order, positive plain-int counts — without re-deriving
+        it.  For allocations the availability profile picks out of its own
+        integer vectors; anything assembled from caller data goes through
+        the validating constructor."""
+        self = object.__new__(cls)
+        self._cores_by_node = cores_by_node
+        return self
 
     @classmethod
     def empty(cls) -> "Allocation":

@@ -17,11 +17,17 @@ The matrix layout is what makes the kernel fast:
 * ``add_claim``/``add_release`` are single vectorized slice operations —
   validity is checked against the *would-be* values before anything is
   written, so failures are atomic without rollback loops;
-* ``earliest_fit`` answers **all** candidate starts in one pass: a sparse
-  table of power-of-two span minima over the breakpoint axis (log₂ B
-  vectorized ``np.minimum`` calls) yields every candidate's sliding-window
-  minimum at once, replacing the historic per-candidate
-  ``bisect`` + ``np.minimum.reduce`` scan (O(B²·nodes) per query).
+* ``earliest_fit`` is a first-feasible scan: one reduction over the
+  candidate rows marks the rows that are feasible *on their own* (a
+  necessary condition for every window holding them), and only starts
+  whose window passes that test are probed, in order, with a window
+  minimum — stopping at the first that yields an allocation.  On
+  scheduler traffic most reservations land on the first or second such
+  candidate, so a query costs what its answer costs instead of a table
+  over every candidate;
+* allocation picking (``_fit_from_min``) and claim scatter (``_vector``)
+  run on plain Python ints — the vectors are a shard's worth of nodes,
+  where numpy call overhead exceeds the arithmetic.
 
 ``tests/test_profile_equivalence.py`` pins this kernel byte-for-byte to the
 retained reference implementation in
@@ -43,10 +49,6 @@ __all__ = ["AvailabilityProfile", "NoFitError"]
 #: spare matrix rows allocated beyond the current breakpoint count, so the
 #: first few claims on a fresh copy insert without reallocating
 _HEADROOM = 8
-
-#: at most this many candidate starts scan in plain Python in
-#: earliest_fit; beyond it the vectorized sparse table wins
-_PY_SCAN_MAX = 8
 
 
 class NoFitError(Exception):
@@ -70,7 +72,7 @@ class AvailabilityProfile:
             releases never push free cores above physical capacity.  Defaults
             to "unknown" (no upper check).
         """
-        self._nodes: tuple[int, ...] = tuple(node_indices)
+        self._nodes: tuple[int, ...] = tuple(int(i) for i in node_indices)
         self._pos = {idx: i for i, idx in enumerate(self._nodes)}
         self.now = float(now)
         free0 = np.array([initial_free.get(i, 0) for i in self._nodes], dtype=np.int64)
@@ -81,11 +83,6 @@ class AvailabilityProfile:
         # [times[i], times[i+1]); rows beyond len(_times) are spare capacity
         self._mat = np.empty((1 + _HEADROOM, len(self._nodes)), dtype=np.int64)
         self._mat[0] = free0
-        # node index -> matrix column, vectorized: column j holds node
-        # _sorted_nodes[j]'s position _sorted_cols[j]
-        sorted_order = np.argsort(np.array(self._nodes, dtype=np.int64), kind="stable")
-        self._sorted_nodes = np.array(self._nodes, dtype=np.int64)[sorted_order]
-        self._sorted_cols = sorted_order
         if capacity is not None:
             self._capacity = np.array(
                 [capacity.get(i, 0) for i in self._nodes], dtype=np.int64
@@ -112,8 +109,6 @@ class AvailabilityProfile:
         n = len(self._times)
         clone._mat = np.empty((n + _HEADROOM, len(self._nodes)), dtype=np.int64)
         clone._mat[:n] = self._mat[:n]
-        clone._sorted_nodes = self._sorted_nodes
-        clone._sorted_cols = self._sorted_cols
         clone._capacity = self._capacity
         clone._gen = 0
         clone._qr_memo = None
@@ -159,9 +154,6 @@ class AvailabilityProfile:
             width = len(p._nodes)
             clone._mat[:n, col : col + width] = p._mat[:pn][rows]
             col += width
-        sorted_order = np.argsort(np.array(clone._nodes, dtype=np.int64), kind="stable")
-        clone._sorted_nodes = np.array(clone._nodes, dtype=np.int64)[sorted_order]
-        clone._sorted_cols = sorted_order
         if any(p._capacity is None for p in profiles):
             clone._capacity = None
         else:
@@ -172,15 +164,12 @@ class AvailabilityProfile:
 
     def _vector(self, allocation: Allocation) -> np.ndarray:
         vec = np.zeros(len(self._nodes), dtype=np.int64)
-        nodes, counts = allocation.arrays()
-        if nodes.size:
-            idx = np.searchsorted(self._sorted_nodes, nodes)
-            oob = idx >= self._sorted_nodes.size
-            missing = oob | (self._sorted_nodes[np.where(oob, 0, idx)] != nodes)
-            if missing.any():
-                unknown = int(nodes[int(np.argmax(missing))])
-                raise ValueError(f"node {unknown} not part of this profile")
-            vec[self._sorted_cols[idx]] = counts
+        pos = self._pos
+        for node, count in allocation.items():
+            col = pos.get(node)
+            if col is None:
+                raise ValueError(f"node {node} not part of this profile")
+            vec[col] = count
         return vec
 
     def _ensure_breakpoint(self, time: float) -> int:
@@ -258,9 +247,9 @@ class AvailabilityProfile:
         else:
             i1 = self._ensure_breakpoint(end)
         block = self._mat[i0:i1]
-        short = (block < vec).any(axis=1)
+        short = block < vec
         if short.any():
-            first_bad = i0 + int(np.argmax(short))
+            first_bad = i0 + int(np.argmax(short.any(axis=1)))
             raise ValueError(
                 f"claim of {allocation!r} oversubscribes profile at "
                 f"t={self._times[first_bad]}"
@@ -282,6 +271,10 @@ class AvailabilityProfile:
         i = bisect.bisect_right(self._times, time) - 1
         row = self._mat[i]
         return {idx: int(row[pos]) for idx, pos in self._pos.items()}
+
+    def free_now(self) -> list[int]:
+        """Free cores at the profile start, one entry per node in node order."""
+        return self._mat[0].tolist()
 
     def free_total_at(self, time: float) -> int:
         """Total free cores across all nodes at the given instant (O(nodes)).
@@ -325,10 +318,8 @@ class AvailabilityProfile:
         minima only shrink below the per-interval free vectors, so an
         instant-infeasible profile is window-infeasible everywhere.
         """
-        mat = self._mat[: len(self._times)]
-        if request.is_shaped:
-            return bool(((mat >= request.ppn).sum(axis=1) >= request.nodes).any())
-        return bool(mat.sum(axis=1).max() >= request.cores)
+        supply, need = self._supply(self._mat[: len(self._times)], request)
+        return bool(supply.max() >= need)
 
     def _window_min(self, start: float, duration: float) -> np.ndarray:
         """Element-wise minimum free cores over ``[start, start+duration)``."""
@@ -345,76 +336,55 @@ class AvailabilityProfile:
             i1 = max(i1, i0 + 1)
         return self._mat[i0:i1].min(axis=0)
 
-    def _all_window_mins(self, k0: int, duration: float) -> np.ndarray:
-        """Sliding-window minima for every candidate start ``times[k0:]``.
-
-        Row ``j`` is the element-wise free-core minimum over the window
-        ``[times[k0+j], times[k0+j] + duration)`` — exactly what
-        :meth:`_window_min` computes per candidate, but for all candidates
-        at once.  Window lengths vary per candidate, so fixed-window prefix
-        minima do not apply; instead a sparse table of power-of-two span
-        minima over the breakpoint axis (log₂ B levels, each one vectorized
-        ``np.minimum``) answers each window as the overlap of two spans.
-        """
-        n = len(self._times)
-        mat = self._mat[:n]
-        ks = np.arange(k0, n)
-        if math.isinf(duration):
-            ends = np.full(n - k0, n, dtype=np.intp)
-        else:
-            times_arr = np.array(self._times)
-            ends = np.searchsorted(times_arr, times_arr[k0:] + duration, side="left")
-            ends = np.maximum(ends, ks + 1)
-        lengths = ends - ks
-        levels = max(1, int(lengths.max()).bit_length())
-        table = np.empty((levels, n, mat.shape[1]), dtype=np.int64)
-        table[0] = mat
-        for p in range(1, levels):
-            span = 1 << (p - 1)
-            np.minimum(
-                table[p - 1, : n - span], table[p - 1, span:], out=table[p, : n - span]
-            )
-            table[p, n - span :] = table[p - 1, n - span :]
-        # floor(log2(length)) via frexp: length = m * 2^e with m in [0.5, 1)
-        p = np.frexp(lengths.astype(np.float64))[1].astype(np.intp) - 1
-        half = np.left_shift(np.intp(1), p)
-        return np.minimum(table[p, ks], table[p, ends - half])
-
     @staticmethod
-    def _feasible_mask(mins: np.ndarray, request: ResourceRequest) -> np.ndarray:
-        """Candidate rows of ``mins`` on which :meth:`_fit_from_min` succeeds."""
+    def _supply(rows: np.ndarray, request: ResourceRequest) -> tuple[np.ndarray, int]:
+        """``(supply, need)``: what each row (a free-core vector) offers of
+        the quantity ``request`` is measured in, and how much it needs —
+        wide-enough nodes for a shaped request, cores for a flexible one.
+        :meth:`_fit_from_min` succeeds on a row iff its supply ≥ need."""
         if request.is_shaped:
-            return (mins >= request.ppn).sum(axis=1) >= request.nodes
-        return mins.sum(axis=1) >= request.cores
+            return (rows >= request.ppn).sum(axis=1), request.nodes
+        return rows.sum(axis=1), request.cores
 
     @staticmethod
     def _fit_from_min(free_min: np.ndarray, request: ResourceRequest,
                       nodes: tuple[int, ...]) -> Allocation | None:
-        """Pick a concrete allocation out of a per-node free-core vector."""
+        """Pick a concrete allocation out of a per-node free-core vector.
+
+        Works on plain ints (one ``tolist`` at entry), so what it hands
+        :meth:`Allocation._trusted` is in normal form by construction:
+        profile nodes are ints, counts come from the list or the request
+        size coerced below, and the picks are sorted by node.
+        """
+        free = free_min.tolist()
         if request.is_shaped:
-            eligible = [i for i, f in enumerate(free_min) if f >= request.ppn]
+            ppn = request.ppn
+            eligible = [i for i, f in enumerate(free) if f >= ppn]
             if len(eligible) < request.nodes:
                 return None
-            # emptiest-first keeps busy nodes for flexible fills
-            eligible.sort(key=lambda i: (-int(free_min[i]), i))
-            chosen = sorted(eligible[: request.nodes])
-            return Allocation({nodes[i]: request.ppn for i in chosen})
-        if int(free_min.sum()) < request.cores:
+            # emptiest-first keeps busy nodes for flexible fills; the sort
+            # is stable (also reversed), so ties stay in index order
+            eligible.sort(key=free.__getitem__, reverse=True)
+            chosen = sorted(nodes[i] for i in eligible[: request.nodes])
+            return Allocation._trusted(dict.fromkeys(chosen, int(ppn)))
+        if sum(free) < request.cores:
             return None
-        remaining = request.cores
+        remaining = int(request.cores)
         picks: dict[int, int] = {}
-        order = sorted(range(len(nodes)), key=lambda i: (int(free_min[i]), i))
+        # fullest-first over the nodes with anything free; stable, so ties
+        # stay in index order
+        order = [i for i, f in enumerate(free) if f > 0]
+        order.sort(key=free.__getitem__)
         for i in order:
-            avail = int(free_min[i])
-            if avail <= 0:
-                continue
-            take = min(avail, remaining)
-            picks[nodes[i]] = take
-            remaining -= take
-            if remaining == 0:
+            avail = free[i]
+            if avail >= remaining:
+                picks[nodes[i]] = remaining
+                remaining = 0
                 break
+            picks[nodes[i]] = avail
+            remaining -= avail
         assert remaining == 0
-        return Allocation(picks)
+        return Allocation._trusted(dict(sorted(picks.items())))
 
     def fits_at(
         self, start: float, duration: float, request: ResourceRequest
@@ -433,11 +403,15 @@ class AvailabilityProfile:
     ) -> tuple[float, Allocation]:
         """Earliest start ≥ ``after`` at which ``request`` fits for ``duration``.
 
-        One vectorized pass: the sliding-window minima of every candidate
-        breakpoint are computed at once (:meth:`_all_window_mins`) and the
-        first feasible candidate wins; only that single candidate's concrete
-        allocation is then materialised.  Raises :class:`NoFitError` when
-        the request exceeds what the profile can ever offer.
+        First-feasible scan over the candidate breakpoints.  A window
+        minimum never exceeds any single row of the window, so a window
+        holding a row that is infeasible on its own is infeasible: one
+        reduction over the candidate rows (:meth:`_supply`) rules those
+        windows out, the remaining candidates are probed in order with
+        their window minimum, and the first that yields an allocation
+        wins.  Raises :class:`NoFitError` when no candidate does — so a
+        request for which :meth:`can_ever_fit` is false costs that one
+        reduction, no scan.
 
         ``probe_start=False`` skips the initial window query at the bound
         itself — for callers that already proved :meth:`fits_at` fails
@@ -456,57 +430,28 @@ class AvailabilityProfile:
         k0 = bisect.bisect_right(times, lo)
         n = len(times)
         if k0 < n:
-            if n - k0 <= _PY_SCAN_MAX:
-                hit = self._earliest_fit_small(k0, duration, request)
-                if hit is not None:
-                    return hit
-            else:
-                mins = self._all_window_mins(k0, duration)
-                feasible = self._feasible_mask(mins, request)
-                if feasible.any():
-                    j = int(np.argmax(feasible))
-                    alloc = self._fit_from_min(mins[j], request, self._nodes)
-                    assert alloc is not None
-                    return times[k0 + j], alloc
-        raise NoFitError(f"{request} never fits (cluster too small or fragmented)")
-
-    def _earliest_fit_small(
-        self, k0: int, duration: float, request: ResourceRequest
-    ) -> tuple[float, Allocation] | None:
-        """Candidate scan for few candidates, in plain Python.
-
-        With at most :data:`_PY_SCAN_MAX` candidate starts, the fixed cost
-        of the vectorized sparse table (a dozen numpy calls) dwarfs the
-        arithmetic; list comprehensions over the row values compute the
-        same integer window minima and the same first feasible candidate.
-        Every window here spans at most ``n - k0`` rows, so the whole scan
-        is O(_PY_SCAN_MAX² · nodes) comparisons in the worst case.
-        """
-        times = self._times
-        n = len(times)
-        rows = self._mat[:n].tolist()
-        shaped = request.is_shaped
-        for k in range(k0, n):
-            if math.isinf(duration):
-                end = n
-            else:
-                end = bisect.bisect_left(times, times[k] + duration)
-                if end <= k:
-                    end = k + 1
-            m = rows[k]
-            for row in rows[k + 1 : end]:
-                m = [a if a <= b else b for a, b in zip(m, row)]
-            if shaped:
-                ok = sum(1 for f in m if f >= request.ppn) >= request.nodes
-            else:
-                ok = sum(m) >= request.cores
-            if ok:
-                alloc = self._fit_from_min(
-                    np.array(m, dtype=np.int64), request, self._nodes
+            mat = self._mat
+            supply, need = self._supply(mat[k0:n], request)
+            supply = supply.tolist()
+            unbounded = math.isinf(duration)
+            for j, have in enumerate(supply):
+                if have < need:
+                    continue
+                k = k0 + j
+                # as _window_min: the window touches intervals k .. end-1
+                end = n if unbounded else bisect.bisect_left(
+                    times, times[k] + duration, k + 1
                 )
-                assert alloc is not None
-                return times[k], alloc
-        return None
+                if end - k == 1:
+                    free_min = mat[k]
+                elif min(supply[j + 1 : end - k0]) < need:
+                    continue  # a later row of the window is short on its own
+                else:
+                    free_min = mat[k:end].min(axis=0)
+                alloc = self._fit_from_min(free_min, request, self._nodes)
+                if alloc is not None:
+                    return times[k], alloc
+        raise NoFitError(f"{request} never fits (cluster too small or fragmented)")
 
     def __repr__(self) -> str:
         return (

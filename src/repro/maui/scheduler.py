@@ -25,7 +25,7 @@ from __future__ import annotations
 import logging
 import math
 
-from repro.cluster.allocation import Allocation
+from repro.cluster.allocation import Allocation, ResourceRequest
 from repro.cluster.machine import Cluster
 from repro.cluster.profile import AvailabilityProfile, NoFitError
 from repro.jobs.job import Job
@@ -482,9 +482,14 @@ class MauiScheduler:
             self.stats["profile_advance_fallbacks"] += 1
             return None
         # reconcile: free cores at `now` must equal the cluster's — the
-        # invariant every from-scratch build satisfies by construction
+        # invariant every from-scratch build satisfies by construction.
+        # Compared in node order: a node known to one side only shows up
+        # as a length difference or a None
         free = self._view_free(view)
-        if profile.free_at(now) != free or set(free) != set(profile._nodes):
+        nodes = profile._nodes
+        if len(free) != len(nodes) or profile.free_now() != [
+            free.get(n) for n in nodes
+        ]:
             self._profile_bases.pop(key, None)
             self.stats["profile_advance_fallbacks"] += 1
             return None
@@ -1106,9 +1111,12 @@ class MauiScheduler:
         prof = self._prof
         if prof is not None:
             prof.begin("static_pass")
-        partitions = static_partitions(self.config)
-        working = self._build_profile(partitions)
+        config = self.config
+        stats = self.stats
         ledger = self._ledger
+        backfill_enabled = config.backfill_enabled
+        depth = config.reservation_depth
+        working = self._build_profile(static_partitions(config))
         fingerprint = self._fingerprint(now)
         blocked_ids: list[str] = []
         reserved_ahead: list[tuple[str, float]] = []
@@ -1119,37 +1127,44 @@ class MauiScheduler:
         stopped_at: int | None = None
         self._next_reservation_start = None
         for idx, job in enumerate(ordered):
+            request = job.request
+            walltime = job.walltime
             if prof is not None:
                 prof.begin("backfill_scan")
             # instantaneous-free prune: on a packed cluster most candidates
             # fail against the free vector at `now` alone, skipping the
             # window scan (a pure short-circuit — fits_at would return None)
-            if working.quick_reject(now, job.request):
-                self.stats["backfill_quick_rejects"] += 1
+            if working.quick_reject(now, request):
+                stats["backfill_quick_rejects"] += 1
                 alloc = None
             else:
-                alloc = working.fits_at(now, job.walltime, job.request)
+                alloc = working.fits_at(now, walltime, request)
             molded = False
-            if alloc is None and job.moldable_floor < job.request.total_cores:
+            # min_cores unset means the floor is the request itself
+            if (
+                alloc is None
+                and job.min_cores
+                and job.moldable_floor < request.total_cores
+            ):
                 # moldable job: start now on the largest fitting size within
                 # [min_cores, request) rather than wait for the full request
                 alloc = self._mold_to_fit(working, job, now)
                 if alloc is not None:
                     molded = True
-                    self.stats["jobs_molded"] += 1
+                    stats["jobs_molded"] += 1
                     self.trace.record(
                         now,
                         EventKind.MOLDABLE_START,
                         job_id=job.job_id,
                         user=job.user,
-                        requested=job.request.total_cores,
+                        requested=request.total_cores,
                         granted=alloc.total_cores,
                         floor=job.moldable_floor,
                     )
             if prof is not None:
                 prof.end()
             if alloc is not None:
-                working.add_claim(now, now + job.walltime, alloc)
+                working.add_claim(now, now + walltime, alloc)
                 if ledger is not None:
                     ledger.note_start(
                         job,
@@ -1165,14 +1180,14 @@ class MauiScheduler:
                 # execution, i.e. backfill in Maui's terms
                 self.server.start_job(job, alloc, backfilled=passed_blocked)
                 if passed_blocked:
-                    self.stats["jobs_backfilled"] += 1
+                    stats["jobs_backfilled"] += 1
                     backfilled += 1
                 else:
-                    self.stats["jobs_started"] += 1
+                    stats["jobs_started"] += 1
                     started += 1
                 continue
             # blocked: reserve if within depth, then maybe stop the pass
-            if reservations < self.config.reservation_depth:
+            if reservations < depth:
                 if prof is not None:
                     prof.begin("reservation_plan")
                 try:
@@ -1180,22 +1195,12 @@ class MauiScheduler:
                         if prof is not None:
                             prof.begin("earliest_fit")
                         try:
-                            # oversized requests fail every candidate window;
-                            # one vectorized sweep proves it without the scan
-                            if not working.can_ever_fit(job.request):
-                                raise NoFitError(
-                                    f"{job.request} never fits "
-                                    "(cluster too small or fragmented)"
-                                )
                             # probe_start=False: this job just failed to
                             # start at `now` against this very profile, so
                             # the window query at the bound is already known
                             # to fail
                             start, res_alloc = working.earliest_fit(
-                                job.request,
-                                job.walltime,
-                                after=now,
-                                probe_start=False,
+                                request, walltime, after=now, probe_start=False
                             )
                         finally:
                             if prof is not None:
@@ -1207,14 +1212,14 @@ class MauiScheduler:
                                 "request can never fit",
                             )
                         continue  # oversized for this partition view; skip
-                    working.add_claim(start, start + job.walltime, res_alloc)
+                    working.add_claim(start, start + walltime, res_alloc)
                     reservations += 1
                     if (
                         self._next_reservation_start is None
                         or start < self._next_reservation_start
                     ):
                         self._next_reservation_start = start
-                    self.stats["reservations_created"] += 1
+                    stats["reservations_created"] += 1
                     self.trace.record(
                         now,
                         EventKind.RESERVATION_CREATE,
@@ -1249,7 +1254,7 @@ class MauiScheduler:
                 outcome[job.job_id] = ("queued_behind", behind)
             blocked_ids.append(job.job_id)
             passed_blocked = True
-            if job.top_priority or not self.config.backfill_enabled or lockdown:
+            if job.top_priority or not backfill_enabled or lockdown:
                 # ESP Z-job lockdown, or strict priority order without
                 # backfill: nothing below the blocked job may start
                 stopped_at = idx
@@ -1257,7 +1262,7 @@ class MauiScheduler:
         if outcome is not None and stopped_at is not None:
             if lockdown:
                 reason = "Z-job lockdown"
-            elif not self.config.backfill_enabled:
+            elif not backfill_enabled:
                 reason = "backfill disabled"
             else:
                 reason = f"blocked top-priority job {ordered[stopped_at].job_id}"
@@ -1270,10 +1275,15 @@ class MauiScheduler:
     # ------------------------------------------------------------------
     # the sharded static pass (repro.maui.shards)
     # ------------------------------------------------------------------
-    def _route(
-        self, job: Job, loads: dict[int, int]
-    ) -> SchedulerShard | None:
-        """Deterministic, run-stable shard for a queued job.
+    def _route_queue(
+        self, ordered: list[Job]
+    ) -> tuple[list[int | None], list[list[str]]]:
+        """Deterministic, run-stable shard for every queued job, in one walk.
+
+        Returns ``(sids, routed)``: ``sids[i]`` is the shard index of
+        ``ordered[i]`` and ``routed[sid]`` the ids of the jobs routed to
+        that shard in pass order (the queue component of the shard's pass
+        fingerprint, see :meth:`_shard_fingerprints`).
 
         Capable shards (UP capacity could ever satisfy the request) are
         memoized per request shape and cluster topology version (bumped
@@ -1281,29 +1291,53 @@ class MauiScheduler:
         change UP capacity, so the memo survives them).  A first-seen job
         is assigned the capable shard with the fewest queued cores routed
         so far this pass (lowest index on ties) and keeps that assignment
-        while it queues; ``loads`` is the per-pass queued-core tally,
-        recomputed from the priority walk each pass so departed jobs never
-        leave stale weight behind.  ``None`` means no single shard can
-        host the request (a full-machine ESP Z job, an oversized shape):
-        the caller plans it on the cross-shard merge.
+        while it queues; the per-pass queued-core tally is recomputed from
+        the priority walk each pass so departed jobs never leave stale
+        weight behind.  ``None`` means no single shard can host the
+        request (a full-machine ESP Z job, an oversized shape): the caller
+        plans it on the cross-shard merge.
         """
         topo = self.cluster.topology_version
         if self._route_memo_version != topo:
             self._route_memo_version = topo
             self._route_memo.clear()
-        req = job.request
-        assigned = self._route_assign.get(job.job_id)
-        if assigned is not None:
-            if assigned[0] is req and assigned[2] == topo:
-                # fast path: assignment sticky, request object unchanged
-                # (qalter rebinds it) and topology unchanged since the
-                # assignment was validated — no capability lookup needed
-                sid = assigned[1]
-                loads[sid] += req.total_cores
-                return self._shard_map.shards[sid]
+        shards = self._shard_map.shards
+        loads = [0] * len(shards)
+        routed: list[list[str]] = [[] for _ in shards]
+        sids: list[int | None] = []
+        assign = self._route_assign
+        for job in ordered:
+            job_id = job.job_id
+            req = job.request
+            assigned = assign.get(job_id)
+            if (
+                assigned is None
+                or assigned[0] is not req
+                or assigned[2] != topo
+            ):
+                assigned = self._assign_shard(job_id, req, assigned, loads, topo)
+                if assigned is None:
+                    sids.append(None)
+                    continue
+            # else: assignment sticky, request object unchanged (qalter
+            # rebinds it) and topology unchanged since the assignment was
+            # validated — no capability lookup needed
             sid = assigned[1]
-        else:
-            sid = None
+            loads[sid] += assigned[3]
+            routed[sid].append(job_id)
+            sids.append(sid)
+        return sids, routed
+
+    def _assign_shard(
+        self,
+        job_id: str,
+        req: ResourceRequest,
+        assigned: tuple | None,
+        loads: list[int],
+        topo: int,
+    ) -> tuple | None:
+        """(Re)validate or make one job's sticky shard assignment:
+        ``(request, shard index, topology version, requested cores)``."""
         req_key = (req.cores, req.nodes, req.ppn)
         memo = self._route_memo.get(req_key)
         if memo is None:
@@ -1313,18 +1347,15 @@ class MauiScheduler:
         capable, capable_ids = memo
         if not capable:
             return None
+        sid = assigned[1] if assigned is not None else None
         if sid is None or sid not in capable_ids:
             # least-loaded assignment; a vanished shard (node failures
             # shrank its capacity below the request) re-routes here
-            best = min(capable, key=lambda s: (loads[s.index], s.index))
-            sid = best.index
-        self._route_assign[job.job_id] = (req, sid, topo)
-        loads[sid] += req.total_cores
-        return self._shard_map.shards[sid]
+            sid = min(capable, key=lambda s: (loads[s.index], s.index)).index
+        assigned = self._route_assign[job_id] = (req, sid, topo, req.total_cores)
+        return assigned
 
-    def _shard_fingerprints(
-        self, ordered: list[Job], routes: list[SchedulerShard | None]
-    ) -> dict[int, tuple]:
+    def _shard_fingerprints(self, routed: list[list[str]]) -> dict[int, tuple]:
         """Per-shard quiescence fingerprint for the per-shard pass skip.
 
         A shard's planning outcome is a pure function of (its cluster
@@ -1336,10 +1367,6 @@ class MauiScheduler:
         relative priority order.
         """
         shards = self._shard_map.shards
-        routed: dict[int, list[str]] = {s.index: [] for s in shards}
-        for job, route in zip(ordered, routes):
-            if route is not None:
-                routed[route.index].append(job.job_id)
         versions = self.cluster.shard_versions
         # the active-signature structure is a pure function of (shard
         # versions, walltime epoch): any membership or allocation change
@@ -1410,8 +1437,10 @@ class MauiScheduler:
         shard_map = self._shard_map
         shards = shard_map.shards
         multi = len(shards) > 1
-        partitions = static_partitions(self.config)
+        config = self.config
+        stats = self.stats
         ledger = self._ledger
+        backfill_enabled = config.backfill_enabled
 
         if multi and not ordered:
             # empty queue: nothing to plan or block.  Clearing the pass
@@ -1427,12 +1456,9 @@ class MauiScheduler:
         fingerprint = self._fingerprint(now)
 
         if multi:
-            loads = {shard.index: 0 for shard in shards}
-            routes: list[SchedulerShard | None] = [
-                self._route(job, loads) for job in ordered
-            ]
+            sids, routed = self._route_queue(ordered)
         else:
-            routes = [shards[0]] * len(ordered)
+            sids = [0] * len(ordered)
 
         # Per-shard skip preconditions.  Soundness rests on profiles being
         # release-only between state changes (free cores non-decreasing in
@@ -1446,11 +1472,11 @@ class MauiScheduler:
             and outcome is None
             and ledger is None
             and not lockdown
-            and self.config.backfill_enabled
-            and not self.config.admin_reservations
-            and all(route is not None for route in routes)
+            and backfill_enabled
+            and not config.admin_reservations
+            and None not in sids
         )
-        fingerprints = self._shard_fingerprints(ordered, routes) if multi else None
+        fingerprints = self._shard_fingerprints(routed) if multi else None
         skipped: dict[int, dict] = {}
         if skip_ok:
             for shard in shards:
@@ -1464,22 +1490,24 @@ class MauiScheduler:
 
         workings: dict[int, AvailabilityProfile] = {}
 
-        def working_for(shard: SchedulerShard) -> AvailabilityProfile:
-            profile = workings.get(shard.index)
+        def working_for(sid: int) -> AvailabilityProfile:
+            profile = workings.get(sid)
             if profile is None:
-                profile = self._build_profile(shard if multi else partitions)
-                workings[shard.index] = profile
+                profile = self._build_profile(
+                    shards[sid] if multi else static_partitions(config)
+                )
+                workings[sid] = profile
             return profile
 
         if not multi:
             # the monolithic pass builds its profile unconditionally (even
             # with an empty queue); matching that keeps the single-shard
             # cache/build counters bit-identical to the legacy oracle
-            working_for(shards[0])
+            working_for(0)
 
         blocked_ids: list[str] = []
         reserved_ahead: list[tuple[str, float]] = []
-        depth = self.config.reservation_depth
+        depth = config.reservation_depth
         res_counts = {shard.index: 0 for shard in shards}
         shard_blocked: dict[int, set[str]] = {shard.index: set() for shard in shards}
         shard_min_res: dict[int, float | None] = {shard.index: None for shard in shards}
@@ -1499,53 +1527,57 @@ class MauiScheduler:
                 self._next_reservation_start = res_start
 
         for idx, job in enumerate(ordered):
-            route = routes[idx]
-            if route is not None and route.index in skipped:
+            sid = sids[idx]
+            if sid in skipped:
                 # replayed outcome: still blocked (labels later backfill)
                 # or still can-never-fit (contributes nothing), exactly as
                 # the cached full pass decided
-                if job.job_id in skipped[route.index]["blocked"]:
+                if job.job_id in skipped[sid]["blocked"]:
                     blocked_ids.append(job.job_id)
                     passed_blocked = True
                 continue
-            spanning = route is None
+            request = job.request
+            walltime = job.walltime
+            spanning = sid is None
             if spanning:
                 # cross-shard merge: gather every shard's current working
                 # profile (claims of earlier jobs this pass included) into
                 # one full view, plan on it, scatter claims back below
-                self.stats["shard_merges"] += 1
+                stats["shard_merges"] += 1
                 if prof is not None:
                     prof.begin("shard_merge")
                 working = AvailabilityProfile.merge(
-                    [working_for(shard) for shard in shards]
+                    [working_for(shard.index) for shard in shards]
                 )
                 if prof is not None:
                     prof.end()
-                sid: int | None = None
-                suffix = ".merge"
             else:
-                working = working_for(route)
-                sid = route.index
-                suffix = f".s{sid}" if multi else ""
+                working = working_for(sid)
             if prof is not None:
+                suffix = ".merge" if spanning else f".s{sid}" if multi else ""
                 prof.begin("backfill_scan" + suffix)
-            if working.quick_reject(now, job.request):
-                self.stats["backfill_quick_rejects"] += 1
+            if working.quick_reject(now, request):
+                stats["backfill_quick_rejects"] += 1
                 alloc = None
             else:
-                alloc = working.fits_at(now, job.walltime, job.request)
+                alloc = working.fits_at(now, walltime, request)
             molded = False
-            if alloc is None and job.moldable_floor < job.request.total_cores:
+            # min_cores unset means the floor is the request itself
+            if (
+                alloc is None
+                and job.min_cores
+                and job.moldable_floor < request.total_cores
+            ):
                 alloc = self._mold_to_fit(working, job, now)
                 if alloc is not None:
                     molded = True
-                    self.stats["jobs_molded"] += 1
+                    stats["jobs_molded"] += 1
                     self.trace.record(
                         now,
                         EventKind.MOLDABLE_START,
                         job_id=job.job_id,
                         user=job.user,
-                        requested=job.request.total_cores,
+                        requested=request.total_cores,
                         granted=alloc.total_cores,
                         floor=job.moldable_floor,
                     )
@@ -1554,9 +1586,9 @@ class MauiScheduler:
             if alloc is not None:
                 if spanning:
                     for part_sid, part in shard_map.split_allocation(alloc).items():
-                        workings[part_sid].add_claim(now, now + job.walltime, part)
+                        workings[part_sid].add_claim(now, now + walltime, part)
                 else:
-                    working.add_claim(now, now + job.walltime, alloc)
+                    working.add_claim(now, now + walltime, alloc)
                 if ledger is not None:
                     ledger.note_start(
                         job,
@@ -1572,10 +1604,10 @@ class MauiScheduler:
                 self.server.start_job(job, alloc, backfilled=passed_blocked)
                 self._route_assign.pop(job.job_id, None)
                 if passed_blocked:
-                    self.stats["jobs_backfilled"] += 1
+                    stats["jobs_backfilled"] += 1
                     backfilled += 1
                 else:
-                    self.stats["jobs_started"] += 1
+                    stats["jobs_started"] += 1
                     started += 1
                 continue
             # blocked: reserve if within depth, then maybe stop the pass.
@@ -1595,16 +1627,8 @@ class MauiScheduler:
                         if prof is not None:
                             prof.begin("earliest_fit" + suffix)
                         try:
-                            if not working.can_ever_fit(job.request):
-                                raise NoFitError(
-                                    f"{job.request} never fits "
-                                    "(cluster too small or fragmented)"
-                                )
                             start, res_alloc = working.earliest_fit(
-                                job.request,
-                                job.walltime,
-                                after=now,
-                                probe_start=False,
+                                request, walltime, after=now, probe_start=False
                             )
                         finally:
                             if prof is not None:
@@ -1621,12 +1645,12 @@ class MauiScheduler:
                             res_alloc
                         ).items():
                             workings[part_sid].add_claim(
-                                start, start + job.walltime, part
+                                start, start + walltime, part
                             )
                         for shard in shards:
                             res_counts[shard.index] += 1
                     else:
-                        working.add_claim(start, start + job.walltime, res_alloc)
+                        working.add_claim(start, start + walltime, res_alloc)
                         res_counts[sid] += 1
                         cur = shard_min_res[sid]
                         if cur is None or start < cur:
@@ -1636,7 +1660,7 @@ class MauiScheduler:
                         or start < self._next_reservation_start
                     ):
                         self._next_reservation_start = start
-                    self.stats["reservations_created"] += 1
+                    stats["reservations_created"] += 1
                     self.trace.record(
                         now,
                         EventKind.RESERVATION_CREATE,
@@ -1671,13 +1695,13 @@ class MauiScheduler:
             if sid is not None:
                 shard_blocked[sid].add(job.job_id)
             passed_blocked = True
-            if job.top_priority or not self.config.backfill_enabled or lockdown:
+            if job.top_priority or not backfill_enabled or lockdown:
                 stopped_at = idx
                 break
         if outcome is not None and stopped_at is not None:
             if lockdown:
                 reason = "Z-job lockdown"
-            elif not self.config.backfill_enabled:
+            elif not backfill_enabled:
                 reason = "backfill disabled"
             else:
                 reason = f"blocked top-priority job {ordered[stopped_at].job_id}"
@@ -1687,7 +1711,7 @@ class MauiScheduler:
             if skip_ok and stopped_at is None:
                 for shard in shards:
                     if shard.index in skipped:
-                        self.stats["shard_passes_skipped"] += 1
+                        stats["shard_passes_skipped"] += 1
                         continue
                     # pre-walk fingerprint on purpose: a shard that started
                     # anything has bumped its version past it, so the next
@@ -1764,8 +1788,6 @@ class MauiScheduler:
         Feasibility is monotone in the size, so binary search over the
         flexible request.  Returns None when even the floor does not fit.
         """
-        from repro.cluster.allocation import ResourceRequest
-
         lo, hi = job.moldable_floor, job.request.total_cores - 1
         if working.fits_at(now, job.walltime, ResourceRequest(cores=lo)) is None:
             return None

@@ -568,7 +568,6 @@ class Engine:
                 # per-event work is just the walk + the callback.
                 bucket = self._buckets[time]
                 entries = bucket.entries
-                consumed = 0
                 batch_start = processed
                 try:
                     while True:
@@ -582,7 +581,10 @@ class Engine:
                                 break
                             handle = entries[pos]
                             bucket.pos = pos + 1
-                        consumed += 1
+                        # per entry, not per batch: a callback may trigger
+                        # _compact(), which re-derives _size from what is
+                        # still queued
+                        self._size -= 1
                         handle._dequeued = True
                         if handle.cancelled:
                             self._tombstones -= 1
@@ -604,7 +606,6 @@ class Engine:
                 finally:
                     # exception safety: an exceptional exit leaves the
                     # partially-drained bucket for _next_time to finish
-                    self._size -= consumed
                     self._processed += processed - batch_start
                 del self._buckets[time]
                 heapq.heappop(self._times)  # == time (head after _next_time)

@@ -235,3 +235,30 @@ def test_forced_calendar_mode_stays_calendar():
     engine.run()
     assert engine.queue_mode == "calendar"
     assert engine._switches == 0
+
+
+def test_pending_exact_after_compaction_inside_a_calendar_batch():
+    # a callback in a timestamp batch cancels enough later events to trigger
+    # _compact(), which re-derives the queue size from what is still queued;
+    # the batch must not subtract its consumed entries a second time
+    engine = Engine(queue="calendar")
+    doomed = [engine.at(10.0, lambda: None) for _ in range(100)]
+    engine.at(1.0, lambda: None)
+    engine.at(1.0, lambda: [handle.cancel() for handle in doomed])
+    engine.run(until=5.0)
+    assert engine._compactions > 0
+    assert engine.pending == 0
+    assert engine.peek_time() is None
+
+    # same shape with survivors: pending is the live count, not fewer
+    engine = Engine(queue="calendar")
+    doomed = [engine.at(10.0, lambda: None) for _ in range(100)]
+    live = [engine.at(20.0, lambda: None) for _ in range(7)]
+    engine.at(1.0, lambda: None)
+    engine.at(1.0, lambda: [handle.cancel() for handle in doomed])
+    engine.run(until=5.0)
+    assert engine._compactions > 0
+    assert engine.pending == len(live)
+    assert engine.peek_time() == 20.0
+    assert engine.run() == len(live)
+    assert engine.pending == 0

@@ -299,3 +299,314 @@ def test_incremental_scheduler_profile_matches_scratch_rebuild():
         MauiScheduler._advance_profile = original
     assert advances > 100
     assert system.scheduler.stats["profile_advance_fallbacks"] == 0
+
+
+# ----------------------------------------------------------------------
+# the first-feasible scan of earliest_fit: directed cases
+# ----------------------------------------------------------------------
+def _pair(nodes, free, now=0.0, capacity=None):
+    return (
+        AvailabilityProfile(nodes, free, now, capacity),
+        ReferenceAvailabilityProfile(nodes, free, now, capacity),
+    )
+
+
+def _both(new, ref, method, *args):
+    getattr(new, method)(*args)
+    getattr(ref, method)(*args)
+
+
+def _ref_earliest_fit(ref, request, duration, after, probe_start):
+    """The oracle's answer; ``probe_start=False`` drops the bound itself
+    from the candidates (the oracle has no such switch)."""
+    if probe_start:
+        return ref.earliest_fit(request, duration, after=after)
+    lo = ref.breakpoints[0] if after is None else max(after, ref.breakpoints[0])
+    for t in ref.breakpoints:
+        if t > lo:
+            alloc = ref.fits_at(t, duration, request)
+            if alloc is not None:
+                return t, alloc
+    raise NoFitError(str(request))
+
+
+def _earliest_fit_both(new, ref, request, duration, after=None, probe_start=True):
+    """``(start, allocation)`` agreed by kernel and oracle, None = NoFitError."""
+    got = expected = None
+    try:
+        got = new.earliest_fit(request, duration, after=after, probe_start=probe_start)
+    except NoFitError:
+        pass
+    try:
+        expected = _ref_earliest_fit(ref, request, duration, after, probe_start)
+    except NoFitError:
+        pass
+    assert got == expected
+    return got
+
+
+def test_scan_skips_instant_feasible_candidate_bitten_inside_its_window():
+    """t=10 offers 8 free cores at its own instant, but a claim starting at
+    t=15 bites inside a 10 s window there: the scan must move on to t=30."""
+    new, ref = _pair([0, 1], {0: 4, 1: 4})
+    for args in (
+        (0.0, 10.0, Allocation({0: 4})),   # busy now: t=0 is instant-infeasible
+        (15.0, 30.0, Allocation({1: 3})),  # the later claim that bites
+    ):
+        _both(new, ref, "add_claim", *args)
+    request = ResourceRequest(cores=8)
+    assert new.fits_at(10.0, 5.0, request) is not None  # instant-feasible
+    assert new.fits_at(10.0, 10.0, request) is None     # window-infeasible
+    got = _earliest_fit_both(new, ref, request, 10.0, after=0.0)
+    assert got == (30.0, Allocation({0: 4, 1: 4}))
+    # a window that ends before the bite does land on the first candidate
+    assert _earliest_fit_both(new, ref, request, 5.0, after=0.0)[0] == 10.0
+    for probe_start in (True, False):
+        assert _earliest_fit_both(
+            new, ref, request, 10.0, after=0.0, probe_start=probe_start
+        ) == got
+
+
+@pytest.mark.parametrize(
+    "request_",
+    [
+        ResourceRequest(cores=9),          # one more than the machine
+        ResourceRequest(nodes=3, ppn=1),   # one more node than the machine
+        ResourceRequest(nodes=1, ppn=5),   # wider than any node
+        ResourceRequest(cores=7),          # fits once the claim ends
+        ResourceRequest(nodes=2, ppn=4),   # fits once the claim ends
+    ],
+)
+def test_no_instant_feasible_row_raises_exactly_when_can_ever_fit_is_false(request_):
+    new, ref = _pair([3, 7], {3: 4, 7: 4})
+    _both(new, ref, "add_claim", 0.0, 50.0, Allocation({3: 2, 7: 1}))
+    _both(new, ref, "add_claim", 20.0, 30.0, Allocation({7: 3}))
+    for duration in (1.0, 25.0, math.inf):
+        for probe_start in (True, False):
+            got = _earliest_fit_both(
+                new, ref, request_, duration, after=0.0, probe_start=probe_start
+            )
+            assert (got is None) == (not new.can_ever_fit(request_))
+
+
+def test_scan_with_infinite_duration_waits_for_the_last_bite():
+    """An unbounded window holds every later row: only a start past the
+    last claim that bites can win, however early the instant looks fine."""
+    new, ref = _pair([0, 1, 2], {0: 2, 1: 2, 2: 2})
+    _both(new, ref, "add_claim", 10.0, 20.0, Allocation({0: 2}))
+    _both(new, ref, "add_claim", 40.0, 60.0, Allocation({1: 1, 2: 1}))
+    flexible = ResourceRequest(cores=5)
+    assert _earliest_fit_both(new, ref, flexible, math.inf) == (
+        60.0, Allocation({0: 2, 1: 2, 2: 1}),
+    )
+    shaped = ResourceRequest(nodes=3, ppn=2)
+    assert _earliest_fit_both(new, ref, shaped, math.inf, after=5.0)[0] == 60.0
+    # a permanent claim leaves no start at all for the full machine ...
+    _both(new, ref, "add_claim", 70.0, math.inf, Allocation({2: 1}))
+    assert _earliest_fit_both(new, ref, ResourceRequest(cores=6), math.inf) is None
+    # ... although a finite window before it still fits
+    assert _earliest_fit_both(new, ref, ResourceRequest(cores=6), 5.0) == (
+        0.0, Allocation({0: 2, 1: 2, 2: 2}),
+    )
+
+
+def test_scan_picks_the_allocation_of_the_window_minimum_shaped_and_flexible():
+    """The allocation comes from the winning window's minimum, not from the
+    free vector at its start: shaped takes the emptiest eligible nodes
+    (ties by index), flexible fills the fullest nodes first."""
+    nodes = [0, 1, 2, 3]
+    new, ref = _pair(nodes, {n: 8 for n in nodes})
+    _both(new, ref, "add_claim", 0.0, 10.0, Allocation({n: 8 for n in nodes}))
+    _both(new, ref, "add_claim", 12.0, 40.0, Allocation({0: 6, 1: 3}))
+    _both(new, ref, "add_claim", 14.0, 40.0, Allocation({2: 1}))
+    # window [10, 30): minima are {0: 2, 1: 5, 2: 7, 3: 8}
+    assert _earliest_fit_both(new, ref, ResourceRequest(nodes=2, ppn=4), 20.0) == (
+        10.0, Allocation({2: 4, 3: 4}),
+    )
+    assert _earliest_fit_both(new, ref, ResourceRequest(cores=9), 20.0) == (
+        10.0, Allocation({0: 2, 1: 5, 2: 2}),
+    )
+    # nodes=3:ppn=6 needs node 1 back: only after the claims end
+    assert _earliest_fit_both(new, ref, ResourceRequest(nodes=3, ppn=6), 20.0) == (
+        40.0, Allocation({0: 6, 1: 6, 2: 6}),
+    )
+
+
+def test_picked_allocations_are_in_normal_form():
+    """The kernel hands its picks to ``Allocation._trusted``: whatever the
+    node order and the integer types of the caller's inputs, the result must
+    be what the validating constructor would have built."""
+    import numpy as np
+
+    nodes = np.array([41, 7, 23])  # numpy ints, not ascending
+    free = {41: 4, 7: 2, 23: 4}
+    new, ref = _pair(nodes, free)
+    for request in (
+        ResourceRequest(cores=np.int64(7)),
+        ResourceRequest(nodes=np.int64(2), ppn=np.int64(3)),
+    ):
+        alloc = new.fits_at(0.0, 10.0, request)
+        assert alloc == ref.fits_at(0.0, 10.0, request)
+        rebuilt = Allocation(dict(alloc.items()))
+        assert list(alloc.items()) == list(rebuilt.items())  # same order too
+        assert repr(alloc) == repr(rebuilt) and hash(alloc) == hash(rebuilt)
+        assert all(
+            type(n) is int and type(c) is int and c > 0 for n, c in alloc.items()
+        )
+
+
+def test_scan_bound_strictly_between_breakpoints():
+    """``after`` inside an interval: the bound itself is a candidate only
+    when ``probe_start`` says so; the breakpoints behind it never are."""
+    new, ref = _pair([0, 1], {0: 4, 1: 4})
+    _both(new, ref, "add_claim", 0.0, 10.0, Allocation({0: 4, 1: 2}))
+    _both(new, ref, "add_claim", 20.0, 30.0, Allocation({0: 4, 1: 4}))
+    request = ResourceRequest(cores=6)
+    # free 8 over [10, 20): a 4 s window fits at the bound t=13 itself
+    assert _earliest_fit_both(new, ref, request, 4.0, after=13.0)[0] == 13.0
+    # without the probe the scan starts at the next breakpoint, t=20, which
+    # is busy; the first start that works is t=30
+    assert _earliest_fit_both(
+        new, ref, request, 4.0, after=13.0, probe_start=False
+    )[0] == 30.0
+    # a window reaching into the claim at t=20 fails at the bound both ways
+    for probe_start in (True, False):
+        assert _earliest_fit_both(
+            new, ref, request, 8.0, after=13.0, probe_start=probe_start
+        )[0] == 30.0
+    # a bound behind the last breakpoint leaves no candidate but itself
+    assert _earliest_fit_both(new, ref, request, 8.0, after=35.0)[0] == 35.0
+    assert _earliest_fit_both(
+        new, ref, request, 8.0, after=35.0, probe_start=False
+    ) is None
+
+
+def _shard_shaped_pair(rng: random.Random):
+    """A profile shaped like the scheduler's traffic: one 16-node shard of
+    8-core nodes, running jobs releasing at 8-20 distinct future times."""
+    nodes = list(range(16))
+    capacity = {n: 8 for n in nodes}
+    busy = {n: 0 for n in nodes}
+    releases = []
+    for _ in range(rng.randint(8, 20)):
+        picked = [n for n in rng.sample(nodes, rng.randint(1, 4)) if busy[n] < 8]
+        alloc = {n: rng.randint(1, 8 - busy[n]) for n in picked}
+        for n, c in alloc.items():
+            busy[n] += c
+        if alloc:
+            releases.append((rng.uniform(1.0, 7200.0), Allocation(alloc)))
+    free = {n: 8 - busy[n] for n in nodes}
+    new, ref = _pair(nodes, free, 0.0, capacity)
+    for t, alloc in releases:
+        _both(new, ref, "add_release", t, alloc)
+    return new, ref
+
+
+def _shard_shaped_request(rng: random.Random) -> ResourceRequest:
+    if rng.random() < 0.3:
+        return ResourceRequest(nodes=rng.randint(1, 17), ppn=rng.randint(1, 8))
+    return ResourceRequest(cores=rng.randint(1, 132))
+
+
+@pytest.mark.parametrize("batch", range(BATCHES))
+def test_randomized_reserve_and_claim_rounds_at_shard_shape(batch):
+    """The reservation loop of the static pass, at the measured shape: five
+    rounds of earliest_fit → claim on a 16-node profile with 8-20
+    breakpoints, each answer and each resulting profile equal to the
+    oracle's."""
+    rng = random.Random(0x5CA + batch)
+    for _ in range(150):
+        new, ref = _shard_shaped_pair(rng)
+        assert_profiles_equal(new, ref)
+        for _ in range(5):
+            request = _shard_shaped_request(rng)
+            duration = (
+                math.inf if rng.random() < 0.05
+                else rng.choice([60.0, 600.0, 1800.0, 3600.0, 7200.0])
+            )
+            after = rng.choice([None, 0.0, rng.uniform(0.0, 7200.0)])
+            got = _earliest_fit_both(
+                new, ref, request, duration, after=after,
+                probe_start=rng.random() < 0.5,
+            )
+            if not new.can_ever_fit(request):
+                assert got is None
+            if got is None:
+                continue
+            start, alloc = got
+            _both(new, ref, "add_claim", start, start + duration, alloc)
+            assert_profiles_equal(new, ref)
+
+
+# ----------------------------------------------------------------------
+# scheduler-level pin: the kernel swap moved no decision and no counter
+# ----------------------------------------------------------------------
+#: ESP Dyn-HP, seed 2014, 15x8 — recorded at the commit before the
+#: first-feasible kernel (sha256 over the per-job
+#: ``(submit, start, end, state)`` tuples; the full ``scheduler.stats``
+#: dict minus wall-clock ``*_seconds`` entries)
+_PINNED_STATS_MONOLITHIC = {
+    "iterations": 597, "iterations_skipped": 0,
+    "dyn_granted": 43, "dyn_rejected": 63,
+    "dyn_rejected_fairness": 0, "dyn_rejected_resources": 63,
+    "jobs_started": 166, "jobs_backfilled": 64,
+    "reservations_created": 2842, "preemptions": 0,
+    "malleable_shrinks": 0, "jobs_molded": 0, "total_delay_charged": 0.0,
+    "profile_builds": 1, "profile_cache_hits": 35,
+    "profile_advances": 604, "profile_advance_fallbacks": 0,
+    "backfill_quick_rejects": 27230,
+    "shard_merges": 0, "shard_passes_skipped": 0,
+}
+_PINNED_ESP_DYN_HP = {
+    0: (
+        "2e2acf886f803557352fa884bf8b2d5b6c02b94418b89f2b00d08bece4d52c26",
+        _PINNED_STATS_MONOLITHIC,
+    ),
+    1: (
+        "2e2acf886f803557352fa884bf8b2d5b6c02b94418b89f2b00d08bece4d52c26",
+        _PINNED_STATS_MONOLITHIC,
+    ),
+    2: (
+        "c648dad6ff40966a0c45d23586d3e55f6ac3d53b837ffb6fa7ba65c12b1d9b4f",
+        {
+            "iterations": 629, "iterations_skipped": 0,
+            "dyn_granted": 49, "dyn_rejected": 51,
+            "dyn_rejected_fairness": 0, "dyn_rejected_resources": 51,
+            "jobs_started": 83, "jobs_backfilled": 147,
+            "reservations_created": 2777, "preemptions": 0,
+            "malleable_shrinks": 0, "jobs_molded": 0, "total_delay_charged": 0.0,
+            "profile_builds": 3, "profile_cache_hits": 4,
+            "profile_advances": 655, "profile_advance_fallbacks": 0,
+            "backfill_quick_rejects": 16766,
+            "shard_merges": 19, "shard_passes_skipped": 622,
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("shards", sorted(_PINNED_ESP_DYN_HP))
+def test_esp_dyn_hp_schedule_and_counters_pinned(shards):
+    import dataclasses
+    import hashlib
+
+    from repro.experiments.configs import all_configurations
+    from repro.system import BatchSystem
+    from repro.workloads.esp import make_esp_workload
+
+    config = next(c for c in all_configurations() if c.name == "Dyn-HP")
+    maui = dataclasses.replace(config.maui, scheduler_shards=shards)
+    system = BatchSystem(num_nodes=15, cores_per_node=8, config=maui)
+    make_esp_workload(
+        120, dynamic=config.dynamic_workload, seed=2014
+    ).submit_to(system)
+    system.run(max_events=5_000_000)
+    tuples = [
+        (r.submit_time, r.start_time, r.end_time, r.state)
+        for r in system.metrics().records
+    ]
+    stats = {
+        k: v for k, v in system.scheduler.stats.items() if not k.endswith("_seconds")
+    }
+    digest, pinned_stats = _PINNED_ESP_DYN_HP[shards]
+    assert stats == pinned_stats
+    assert hashlib.sha256(repr(tuples).encode()).hexdigest() == digest
