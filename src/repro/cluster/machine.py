@@ -29,6 +29,9 @@ class Cluster:
             raise ValueError("duplicate node indices")
         self.nodes: list[Node] = sorted(nodes, key=lambda n: n.index)
         self._by_index = {n.index: n for n in self.nodes}
+        #: running total of ``Node.used`` — only :meth:`claim` and
+        #: :meth:`release` move it, after their checks have passed
+        self._used_cores: int = sum(n.used for n in self.nodes)
         #: busy-core instruments; None keeps claim/release uninstrumented
         self._obs = None
         #: monotone counter bumped on every allocation/state change; lets
@@ -104,7 +107,7 @@ class Cluster:
 
     @property
     def used_cores(self) -> int:
-        return sum(n.used for n in self.nodes)
+        return self._used_cores
 
     @property
     def free_cores(self) -> int:
@@ -234,6 +237,7 @@ class Cluster:
                 )
         for idx, count in allocation.items():
             self._by_index[idx].used += count
+            self._used_cores += count
         self.version += 1
         self._bump_shards_for(allocation)
         if self._obs is not None:
@@ -251,6 +255,7 @@ class Cluster:
                 )
         for idx, count in allocation.items():
             self._by_index[idx].used -= count
+            self._used_cores -= count
         self.version += 1
         self._bump_shards_for(allocation)
         if self._obs is not None:

@@ -1101,6 +1101,18 @@ class MauiScheduler:
             return self._start_static_sharded(ordered, now, lockdown, outcome=outcome)
         return self._start_static_monolithic(ordered, now, lockdown, outcome=outcome)
 
+    def _waiting_on(
+        self, start: float, reserved_ahead: list[tuple[str, float]]
+    ) -> list[str]:
+        """What a reservation at ``start`` waits on: running jobs that
+        release by its start, plus earlier reservations of this pass due to
+        start before it.  The ledger asks only when it writes a record."""
+        return [
+            j.job_id
+            for j in self.server.active_jobs()
+            if j.walltime_end <= start + 1e-9
+        ] + [jid for jid, s in reserved_ahead if s <= start + 1e-9]
+
     def _start_static_monolithic(
         self,
         ordered: list[Job],
@@ -1228,17 +1240,10 @@ class MauiScheduler:
                         cores=res_alloc.total_cores,
                     )
                     if ledger is not None:
-                        # what is the reservation waiting on: running jobs
-                        # that release by its start, plus earlier
-                        # reservations due to start before it
-                        waiting_on = [
-                            j.job_id
-                            for j in self.server.active_jobs()
-                            if j.walltime_end <= start + 1e-9
-                        ] + [jid for jid, s in reserved_ahead if s <= start + 1e-9]
                         ledger.note_reservation(
                             job, now, start, res_alloc.total_cores,
-                            waiting_on, fingerprint,
+                            lambda: self._waiting_on(start, reserved_ahead),
+                            fingerprint,
                         )
                         reserved_ahead.append((job.job_id, start))
                         if outcome is not None:
@@ -1464,13 +1469,13 @@ class MauiScheduler:
         # release-only between state changes (free cores non-decreasing in
         # time, so fits/earliest-fit outcomes are time-stable until the
         # earliest planned reservation start); spanning jobs, lockdown,
-        # disabled backfill, admin reservations and ledger/outcome
-        # collection all fall back to full planning.
+        # disabled backfill and admin reservations all fall back to full
+        # planning.  Ledger/outcome collection does not: a skipped shard's
+        # cached classification is replayed in walk order below, so the
+        # instruments see exactly what a full re-plan would have shown them.
         skip_ok = (
             multi
             and self.shard_skip_enabled
-            and outcome is None
-            and ledger is None
             and not lockdown
             and backfill_enabled
             and not config.admin_reservations
@@ -1510,31 +1515,53 @@ class MauiScheduler:
         depth = config.reservation_depth
         res_counts = {shard.index: 0 for shard in shards}
         shard_blocked: dict[int, set[str]] = {shard.index: set() for shard in shards}
-        shard_min_res: dict[int, float | None] = {shard.index: None for shard in shards}
+        shard_reserved: dict[int, dict[str, float]] = {
+            shard.index: {} for shard in shards
+        }
         started = 0
         backfilled = 0
         passed_blocked = False
         stopped_at: int | None = None
         self._next_reservation_start = None
-        for cached in skipped.values():
-            # a skipped shard's planned reservations still anchor the
-            # boundary wake
-            res_start = cached["min_res_start"]
-            if res_start is not None and (
-                self._next_reservation_start is None
-                or res_start < self._next_reservation_start
-            ):
-                self._next_reservation_start = res_start
 
         for idx, job in enumerate(ordered):
             sid = sids[idx]
             if sid in skipped:
-                # replayed outcome: still blocked (labels later backfill)
-                # or still can-never-fit (contributes nothing), exactly as
-                # the cached full pass decided
-                if job.job_id in skipped[sid]["blocked"]:
-                    blocked_ids.append(job.job_id)
-                    passed_blocked = True
+                # replayed outcome, exactly as the cached full pass decided
+                # and *in walk order*: a start of a planned shard between
+                # two replayed jobs must see the same ``hole_until``,
+                # ``jumped`` and ``waiting_on`` a full re-plan would give
+                # it.  No RESERVATION_CREATE record and no
+                # ``note_reservation`` — the start is unchanged, which the
+                # ledger's own dedup would drop.
+                cached = skipped[sid]
+                job_id = job.job_id
+                start = cached["reserved"].get(job_id)
+                if start is not None:
+                    # still reserved: anchors the boundary wake
+                    if (
+                        self._next_reservation_start is None
+                        or start < self._next_reservation_start
+                    ):
+                        self._next_reservation_start = start
+                    if ledger is not None:
+                        reserved_ahead.append((job_id, start))
+                        if outcome is not None:
+                            outcome[job_id] = (
+                                "reservation_held",
+                                f"reserved at t={start:.1f}",
+                            )
+                elif job_id not in cached["blocked"]:
+                    # still can-never-fit: contributes nothing to the walk
+                    if outcome is not None:
+                        outcome[job_id] = ("queued_behind", "request can never fit")
+                    continue
+                elif outcome is not None:
+                    # still blocked beyond the shard's reservation depth
+                    behind = f"behind {blocked_ids[0]}" if blocked_ids else None
+                    outcome[job_id] = ("queued_behind", behind)
+                blocked_ids.append(job_id)
+                passed_blocked = True
                 continue
             request = job.request
             walltime = job.walltime
@@ -1652,9 +1679,7 @@ class MauiScheduler:
                     else:
                         working.add_claim(start, start + walltime, res_alloc)
                         res_counts[sid] += 1
-                        cur = shard_min_res[sid]
-                        if cur is None or start < cur:
-                            shard_min_res[sid] = start
+                        shard_reserved[sid][job.job_id] = start
                     if (
                         self._next_reservation_start is None
                         or start < self._next_reservation_start
@@ -1669,14 +1694,10 @@ class MauiScheduler:
                         cores=res_alloc.total_cores,
                     )
                     if ledger is not None:
-                        waiting_on = [
-                            j.job_id
-                            for j in self.server.active_jobs()
-                            if j.walltime_end <= start + 1e-9
-                        ] + [jid for jid, s in reserved_ahead if s <= start + 1e-9]
                         ledger.note_reservation(
                             job, now, start, res_alloc.total_cores,
-                            waiting_on, fingerprint,
+                            lambda: self._waiting_on(start, reserved_ahead),
+                            fingerprint,
                             shard=sid if multi else None,
                         )
                         reserved_ahead.append((job.job_id, start))
@@ -1717,10 +1738,12 @@ class MauiScheduler:
                     # anything has bumped its version past it, so the next
                     # pass re-plans (the fixpoint semantics of the echo
                     # wake-up), while an unchanged shard skips
+                    reserved = shard_reserved[shard.index]
                     self._shard_pass_cache[shard.index] = {
                         "fingerprint": fingerprints[shard.index],
                         "blocked": frozenset(shard_blocked[shard.index]),
-                        "min_res_start": shard_min_res[shard.index],
+                        "reserved": reserved,
+                        "min_res_start": min(reserved.values(), default=None),
                     }
             else:
                 self._shard_pass_cache.clear()

@@ -98,6 +98,11 @@ class FairnessObservatory:
         self.share_targets = dict(share_targets) if share_targets else {}
         #: user -> principal mapping learned from accrued jobs
         self._principals: dict[str, str] = {}
+        #: (sorted users, sorted distinct principals) of ``_principals``;
+        #: dropped when a new user appears, so samples do not re-sort
+        self._order: tuple[list[str], list[str]] | None = None
+        #: principal -> (share gauge, target gauge), resolved once
+        self._share_gauges: dict[str, tuple] = {}
         #: exact per-principal core-seconds (no decay — the audit number)
         self.core_seconds: dict[str, float] = {}
         self.accruals = 0
@@ -141,14 +146,24 @@ class FairnessObservatory:
         principal = self._principals.get(job.user)
         if principal is None:
             principal = self._principals[job.user] = principal_of(job)
+            self._order = None
         self.core_seconds[principal] = (
             self.core_seconds.get(principal, 0.0) + core_seconds
         )
         self.accruals += 1
 
+    def _sorted(self) -> tuple[list[str], list[str]]:
+        order = self._order
+        if order is None:
+            order = self._order = (
+                sorted(self._principals),
+                sorted(set(self._principals.values())),
+            )
+        return order
+
     def targets(self) -> dict[str, float]:
         """Normalized target share per principal seen so far."""
-        principals = sorted(set(self._principals.values()))
+        principals = self._sorted()[1]
         if not principals:
             return {}
         weights = {p: float(self.share_targets.get(p, 1.0)) for p in principals}
@@ -161,14 +176,15 @@ class FairnessObservatory:
         """Decayed usage share per principal from the fairshare tracker."""
         if not self._principals:
             return None
+        users, principals = self._sorted()
         usage: dict[str, float] = {}
-        for user in sorted(self._principals):
+        for user in users:
             principal = self._principals[user]
             usage[principal] = usage.get(principal, 0.0) + tracker.usage(user)
         total = sum(usage.values())
         if total > 0:
-            return {p: usage[p] / total for p in sorted(usage)}
-        return {p: 0.0 for p in sorted(usage)}
+            return {p: usage[p] / total for p in principals}
+        return {p: 0.0 for p in principals}
 
     def sample(self, now: float, tracker, *, force: bool = False) -> bool:
         """Take a share sample at sim-time ``now`` (interval-gated)."""
@@ -201,17 +217,23 @@ class FairnessObservatory:
             self._jain_gauge.set(jain)
             self._error_gauge.set(max_error)
             self._samples_counter.inc()
-            for principal in shares:
-                self._registry.gauge(
-                    "repro_fairness_share",
-                    "Account share of decayed fairshare usage",
-                    labels={"account": principal},
-                ).set(shares[principal])
-                self._registry.gauge(
-                    "repro_fairness_share_target",
-                    "Normalized target share for the account",
-                    labels={"account": principal},
-                ).set(targets[principal])
+            for principal, share in shares.items():
+                gauges = self._share_gauges.get(principal)
+                if gauges is None:
+                    gauges = self._share_gauges[principal] = (
+                        self._registry.gauge(
+                            "repro_fairness_share",
+                            "Account share of decayed fairshare usage",
+                            labels={"account": principal},
+                        ),
+                        self._registry.gauge(
+                            "repro_fairness_share_target",
+                            "Normalized target share for the account",
+                            labels={"account": principal},
+                        ),
+                    )
+                gauges[0].set(share)
+                gauges[1].set(targets[principal])
         return True
 
     def finalize(self, now: float) -> None:
@@ -225,7 +247,7 @@ class FairnessObservatory:
     @property
     def principals(self) -> list[str]:
         """All principals seen, sorted."""
-        return sorted(set(self._principals.values()))
+        return list(self._sorted()[1])
 
     def account_rows(self) -> list[dict]:
         """Per-account summary rows (the `metrics` CLI table).

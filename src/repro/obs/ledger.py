@@ -36,7 +36,7 @@ import enum
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 from repro.sim.events import EventKind, TraceEvent, TraceLog
 
@@ -363,11 +363,16 @@ class DecisionLedger:
         now: float,
         start: float,
         cores: int,
-        waiting_on: list[str],
+        waiting_on: Callable[[], list[str]],
         fingerprint: tuple,
         shard: int | None = None,
     ) -> None:
-        """A blocked job received a reservation; dedup create vs slide."""
+        """A blocked job received a reservation; dedup create vs slide.
+
+        ``waiting_on`` is called only when a record is written: most
+        reservations are re-plans at an unchanged start, and listing what
+        they wait on walks every active job.
+        """
         previous = self._reservations.get(job.job_id)
         self._reservations[job.job_id] = start
         if previous is not None and abs(previous - start) <= ATTRIBUTION_EPSILON:
@@ -376,7 +381,7 @@ class DecisionLedger:
             "user": job.user,
             "start": start,
             "cores": cores,
-            "waiting_on": waiting_on,
+            "waiting_on": waiting_on(),
             "profile_fingerprint": list(fingerprint),
         }
         if shard is not None:

@@ -14,7 +14,8 @@ simulation runs, which stays correct even when the trace is a bounded ring.
 
 from __future__ import annotations
 
-from typing import Callable, Mapping
+from collections.abc import Mapping
+from typing import Callable
 
 from repro.sim.engine import Engine
 

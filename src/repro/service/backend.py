@@ -88,8 +88,10 @@ class Backend(Protocol):
     ) -> None: ...
 
     def advance(
-        self, *, until: float | None = None, max_events: int | None = None
-    ) -> int: ...
+        self, *, until: float | None = None, batch: int | None = None
+    ) -> int:
+        """Run at most ``batch`` events, none past ``until``; return the count."""
+        ...
 
     def pending(self) -> int: ...
 
@@ -154,9 +156,9 @@ class SimBackend:
 
     # -- time advancement ----------------------------------------------
     def advance(
-        self, *, until: float | None = None, max_events: int | None = None
+        self, *, until: float | None = None, batch: int | None = None
     ) -> int:
-        return self.core.engine.run(until=until, max_events=max_events)
+        return self.core.engine.run(until=until, batch=batch)
 
     def pending(self) -> int:
         return self.core.engine.pending

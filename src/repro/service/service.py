@@ -279,7 +279,7 @@ class SchedulerService:
                     if peek is None or peek > until:
                         break
                 processed += self.backend.advance(
-                    until=until, max_events=self.batch_events
+                    until=until, batch=self.batch_events
                 )
                 self.stats["cycles"] += 1
                 if self._obs is not None:

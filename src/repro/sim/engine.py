@@ -519,13 +519,22 @@ class Engine:
             self._dispatching -= 1
         return True
 
-    def run(self, until: float | None = None, max_events: int | None = None) -> int:
+    def run(
+        self,
+        until: float | None = None,
+        max_events: int | None = None,
+        *,
+        batch: int | None = None,
+    ) -> int:
         """Drain the event queue.
 
         :param until: stop once the next event would fire strictly after this
             time (the clock is advanced to ``until`` if given).
         :param max_events: safety valve for tests; raise ``RuntimeError`` when
             exceeded so runaway event storms fail loudly instead of hanging.
+        :param batch: bounded step; return *before* the event that would
+            make this call run more than ``batch`` events, leaving it (and
+            the clock) where they are for the next call.
         :returns: the number of events processed by this call.
         """
         if self._running:
@@ -542,6 +551,8 @@ class Engine:
                 time = self._next_time()
                 if time is None or (until is not None and time > until):
                     break
+                if batch is not None and processed >= batch:
+                    return processed
                 self.now = time
                 if not self._calendar:
                     handle = heapq.heappop(self._heap)[3]
@@ -571,14 +582,23 @@ class Engine:
                 batch_start = processed
                 try:
                     while True:
+                        # a batch bound met mid-timestamp leaves the rest of
+                        # the bucket queued for _next_time, like the
+                        # exceptional exit below; a bucket drained exactly
+                        # at the bound still falls through to the ``until``
+                        # check above
                         if bucket.heaped:
                             if not entries:
                                 break
+                            if batch is not None and processed >= batch:
+                                return processed
                             handle = heapq.heappop(entries)[2]
                         else:
                             pos = bucket.pos
                             if pos >= len(entries):
                                 break
+                            if batch is not None and processed >= batch:
+                                return processed
                             handle = entries[pos]
                             bucket.pos = pos + 1
                         # per entry, not per batch: a callback may trigger

@@ -2,12 +2,20 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
+import repro.jobs.job as jobmod
 from repro.cluster.machine import Cluster
 from repro.maui.config import MauiConfig
 from repro.sim.engine import Engine
 from repro.system import BatchSystem
+
+
+def reset_job_ids() -> None:
+    """Job ids are process-global; identical runs need identical ids."""
+    jobmod._job_counter = itertools.count(1)
 
 
 @pytest.fixture

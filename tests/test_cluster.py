@@ -204,3 +204,51 @@ def test_property_find_allocation_is_claimable_and_exact(used_cores, want):
         assert alloc.total_cores == want
         cluster.claim(alloc)  # must not raise
         assert cluster.used_cores == sum(used_cores[:8]) + want
+
+
+class _BusySpy:
+    """Stands in for ClusterInstruments: keeps what ``on_busy_change`` got."""
+
+    def __init__(self):
+        self.seen = []
+
+    def on_busy_change(self, busy):
+        self.seen.append(busy)
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["claim", "release", "fail", "recover"]),
+            st.integers(min_value=0, max_value=4),  # node (4 = unknown)
+            st.integers(min_value=1, max_value=9),  # cores (9 = oversized)
+            st.integers(min_value=0, max_value=3),  # second node of the claim
+        ),
+        max_size=40,
+    )
+)
+def test_property_used_cores_counter_tracks_the_nodes(ops):
+    """The running ``used_cores`` counter equals the per-node sum after any
+    mix of accepted and rejected operations, a rejected one leaves it
+    untouched, and ``on_busy_change`` is handed exactly that value."""
+    cluster = Cluster.homogeneous(4, 8)
+    spy = cluster._obs = _BusySpy()
+    for op, node, cores, other in ops:
+        before, reported = cluster.used_cores, len(spy.seen)
+        if op in ("claim", "release"):
+            # two-node allocations: a failing second entry must not leave
+            # the first one counted
+            alloc = Allocation({other: 1, node: cores})
+            try:
+                getattr(cluster, op)(alloc)
+            except ValueError:
+                assert cluster.used_cores == before
+                assert len(spy.seen) == reported
+            else:
+                delta = alloc.total_cores if op == "claim" else -alloc.total_cores
+                assert cluster.used_cores == before + delta
+                assert spy.seen[reported:] == [cluster.used_cores]
+        elif node < 4:
+            (cluster.fail_node if op == "fail" else cluster.recover_node)(node)
+            assert cluster.used_cores == before
+        assert cluster.used_cores == sum(n.used for n in cluster.nodes)

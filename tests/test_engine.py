@@ -125,6 +125,24 @@ class TestRun:
         with pytest.raises(RuntimeError, match="max_events"):
             engine.run(max_events=50)
 
+    @pytest.mark.parametrize("queue", ["heap", "calendar"])
+    def test_batch_stops_before_the_event_over_the_bound(self, queue):
+        engine = Engine(queue=queue)
+        fired = []
+        for t in (1.0, 1.0, 1.0, 2.0, 3.0):
+            engine.at(t, fired.append, t)
+        # mid-timestamp stop: the clock stays with the events already run
+        assert engine.run(batch=2) == 2
+        assert fired == [1.0, 1.0] and engine.now == 1.0 and engine.pending == 3
+        # the bound falls on a timestamp edge: the next event is untouched
+        assert engine.run(batch=1) == 1
+        assert engine.now == 1.0 and engine.peek_time() == 2.0
+        # ``until`` wins over the bound and still moves the clock
+        assert engine.run(until=2.5, batch=1) == 1
+        assert engine.run(until=2.5, batch=1) == 0 and engine.now == 2.5
+        assert engine.run(batch=10) == 1
+        assert fired == [1.0, 1.0, 1.0, 2.0, 3.0] and engine.pending == 0
+
     def test_run_not_reentrant(self, engine):
         def nested():
             engine.run()

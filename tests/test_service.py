@@ -9,7 +9,6 @@ dynamic grants) and the replay backend's shadow scheduling.
 """
 
 import asyncio
-import itertools
 
 import pytest
 
@@ -34,16 +33,12 @@ from repro.service import (
 from repro.system import BatchSystem
 from repro.workloads.esp import make_esp_workload
 from repro.workloads.spec import JobSpec
+from tests.conftest import reset_job_ids
 
 #: compact machine for the identity runs — same shape as the paper's
 #: testbed but 4 nodes, so a full ESP pass stays fast enough for tier-1
 NODES, PPN = 4, 8
 DYN_CONFIG = MauiConfig(reservation_depth=5, reservation_delay_depth=5)
-
-
-def reset_job_ids():
-    """Job ids are process-global; identical runs need identical ids."""
-    jobmod._job_counter = itertools.count(1)
 
 
 def spec(submit=0.0, cores=4, walltime=100.0, runtime=None, user="u", account=None):
@@ -280,6 +275,27 @@ class TestTenantApi:
         assert mid.finished == 1 and mid.pending_events > 0
         assert mid.now <= 150.0
         assert end.finished == 2 and end.pending_events == 0
+
+    def test_drain_spans_many_batches(self):
+        """More pending events than ``batch_events``: the drain takes
+        several bounded cycles instead of tripping the engine's runaway
+        valve (``RuntimeError: exceeded max_events``)."""
+        backend = SimBackend()
+        workload = make_esp_workload(total_cores=120)
+
+        async def scenario():
+            async with SchedulerService(backend, batch_events=64) as service:
+                for job_spec in workload:
+                    await service.submit(job_spec)
+                processed = await service.drain()
+                return processed, dict(service.stats)
+
+        processed, stats = self.drive(scenario())
+        jobs = backend.core.server.jobs.values()
+        assert len(jobs) == 230 and all(j.is_finished for j in jobs)
+        assert stats["cycles"] > 1
+        assert processed == stats["events_processed"] > 64 * (stats["cycles"] - 1)
+        assert backend.pending() == 0
 
     def test_batch_events_validated(self):
         with pytest.raises(ValueError):

@@ -18,17 +18,24 @@ The contract under test, in order of importance:
 import dataclasses
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro.apps.synthetic import FixedRuntimeApp
 from repro.cluster.allocation import Allocation, ResourceRequest
 from repro.cluster.machine import Cluster
 from repro.cluster.profile import AvailabilityProfile
 from repro.maui.config import MauiConfig
 from repro.maui.shards import SchedulerShard, ShardMap
+from repro.obs import Telemetry
+from repro.obs.ledger import DecisionKind
 from repro.system import BatchSystem
 from repro.workloads import evolving_ify, make_random_workload
 from repro.workloads.esp import make_esp_workload
+from repro.workloads.spec import JobSpec, Workload
 
 from repro.experiments.configs import all_configurations
+from tests.conftest import reset_job_ids
 
 CONFIG_NAMES = [c.name for c in all_configurations()]
 
@@ -199,6 +206,191 @@ def test_shard_skip_does_not_change_schedule():
     assert on_tuples == off_tuples
     assert on_stats["shard_passes_skipped"] > 0
     assert off_stats["shard_passes_skipped"] == 0
+
+
+def _ledger_run(workload, maui, *, skip, nodes, cores, until=None, watch=None):
+    """One ledger-instrumented run; job ids restart so bytes compare."""
+    reset_job_ids()
+    telemetry = Telemetry(sample_interval=None, decision_ledger=True)
+    system = BatchSystem(
+        num_nodes=nodes, cores_per_node=cores, config=maui, telemetry=telemetry
+    )
+    system.scheduler.shard_skip_enabled = skip
+    if watch is not None:
+        watch(system)
+    workload.submit_to(system)
+    system.run(until=until, max_events=5_000_000)
+    return system, telemetry.ledger
+
+
+def _schedule(system):
+    return [
+        (r.submit_time, r.start_time, r.end_time, r.state)
+        for r in system.metrics().records
+    ]
+
+
+def _ledger_bytes(ledger, tmp_path, name):
+    path = tmp_path / name
+    ledger.export_jsonl(path)
+    return path.read_bytes()
+
+
+def test_shard_skip_does_not_change_ledger(tmp_path):
+    """Skip-on ≡ skip-off with the decision ledger attached: same schedule,
+    same ledger bytes, same per-job attribution, and the same ``explain``
+    for a job caught queued at a mid-run stop."""
+    maui = MauiConfig(
+        reservation_depth=5, reservation_delay_depth=5, scheduler_shards=4
+    )
+    workload = make_random_workload(80, 64, seed=42)
+
+    def run(skip, until=None):
+        return _ledger_run(workload, maui, skip=skip, nodes=8, cores=8, until=until)
+
+    on, on_ledger = run(True)
+    off, off_ledger = run(False)
+    assert on.scheduler.stats["shard_passes_skipped"] > 0
+    assert off.scheduler.stats["shard_passes_skipped"] == 0
+    assert _schedule(on) == _schedule(off)
+    assert len(on_ledger) > 0
+    assert _ledger_bytes(on_ledger, tmp_path, "on.jsonl") == _ledger_bytes(
+        off_ledger, tmp_path, "off.jsonl"
+    )
+    assert sorted(on.server.jobs) == sorted(off.server.jobs)
+    for job_id in on.server.jobs:
+        assert on_ledger.attribution(job_id) == off_ledger.attribution(job_id)
+
+    # mid-run: stop where jobs queue behind reservations and ask why
+    stop = 2500.0
+    on, _ = run(True, until=stop)
+    off, _ = run(False, until=stop)
+    assert on.scheduler.stats["shard_passes_skipped"] > 0
+    queued = [j.job_id for j in on.server.queue.snapshot()]
+    assert queued and queued == [j.job_id for j in off.server.queue.snapshot()]
+    for job_id in queued:
+        assert on.scheduler.explain(on.server.jobs[job_id]) == off.scheduler.explain(
+            off.server.jobs[job_id]
+        )
+
+
+def test_replayed_reservations_keep_walk_order(tmp_path):
+    """A start on the planned shard *between* two replayed reservations of
+    the skipped shard sees only the reservations ahead of it in priority
+    order.  Shard 0 holds A reserved at t=1000 and, lower in priority, C
+    reserved at t=600 in the hole before it; X of shard 1 sits between
+    them and backfills once its shard frees up — its hole closes at A's
+    t=1000, not at the earliest cached start."""
+
+    def spec(at, cores, walltime, runtime=None):
+        shaped = ResourceRequest(nodes=cores // 4, ppn=4)
+        rt = walltime if runtime is None else runtime
+        return JobSpec(
+            at, shaped, walltime, "u", app_factory=lambda: FixedRuntimeApp(rt)
+        )
+
+    workload = Workload(
+        [
+            spec(0.0, 4, 1000.0),  # fills node 0 (shard 0)
+            spec(0.0, 8, 500.0, runtime=200.0),  # fills shard 1, ends early
+            spec(1.0, 4, 599.0),  # fills node 1 (shard 0) until t=600
+            spec(10.0, 8, 100.0),  # A: shard 0, reserved at t=1000
+            spec(11.0, 8, 100.0),  # X: shard 1, backfills at t=200
+            spec(12.0, 4, 300.0),  # C: shard 0, reserved at t=600
+        ]
+    )
+    maui = MauiConfig(reservation_depth=5, scheduler_shards=2)
+
+    def run(skip):
+        system, ledger = _ledger_run(workload, maui, skip=skip, nodes=4, cores=4)
+        (start,) = [
+            d
+            for d in ledger.decisions_for("job.5")
+            if d.kind is DecisionKind.BACKFILL_START
+        ]
+        return system, ledger, start
+
+    on, on_ledger, on_start = run(True)
+    off, off_ledger, off_start = run(False)
+    assert on.scheduler.stats["shard_passes_skipped"] > 0
+    reserved = {
+        d.job_id: d.payload["start"]
+        for d in on_ledger.of_kind(DecisionKind.RESERVATION_CREATE)
+    }
+    assert reserved["job.4"] == 1000.0 and reserved["job.6"] == 600.0
+    assert on_start.time == 200.0
+    assert on_start.payload["jumped"] == ["job.4"]
+    assert on_start.payload["hole_until"] == 1000.0
+    assert on_start.payload == off_start.payload
+    assert _ledger_bytes(on_ledger, tmp_path, "on.jsonl") == _ledger_bytes(
+        off_ledger, tmp_path, "off.jsonl"
+    )
+
+
+@settings(
+    max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+@given(
+    shards=st.sampled_from([2, 3]),
+    seed=st.integers(min_value=0, max_value=10_000),
+    spanning_at=st.floats(min_value=0.0, max_value=1500.0),
+    lockdown_at=st.floats(min_value=0.0, max_value=1500.0),
+)
+def test_pass_cache_dropped_exactly_as_without_ledger(
+    shards, seed, spanning_at, lockdown_at
+):
+    """Random queues with a spanning job and a lockdown job: after every
+    pass the cache holds the same shards with the ledger attached as
+    without it (so it is dropped exactly when it was before the ledger
+    could skip), it is empty whenever a spanning or top-priority job
+    queues, and skip-on ≡ skip-off still holds for schedule and ledger."""
+    base = make_random_workload(24, 24, size_range=(1, 8), seed=seed)
+    extra = [
+        JobSpec(  # spans every shard: planned on the cross-shard merge
+            spanning_at, ResourceRequest(nodes=6, ppn=4), 300.0, "span",
+            app_factory=lambda: FixedRuntimeApp(200.0),
+        ),
+        JobSpec(  # ESP Z-style: its presence locks the pass down
+            lockdown_at, ResourceRequest(cores=4), 300.0, "zed", top_priority=True,
+            app_factory=lambda: FixedRuntimeApp(200.0),
+        ),
+    ]
+    workload = Workload(base.specs + extra)
+    maui = MauiConfig(
+        reservation_depth=3, reservation_delay_depth=3, scheduler_shards=shards
+    )
+    cached: list[tuple[float, tuple[int, ...]]] = []
+
+    def watch(system):
+        scheduler = system.scheduler
+        iteration = scheduler.iteration
+
+        def watched():
+            iteration()
+            keys = tuple(sorted(scheduler._shard_pass_cache))
+            cached.append((system.engine.now, keys))
+            queue = system.server.queue.snapshot()
+            if any(j.top_priority or j.user == "span" for j in queue):
+                assert keys == ()
+
+        scheduler.iteration = watched
+
+    on, on_ledger = _ledger_run(
+        workload, maui, skip=True, nodes=6, cores=4, watch=watch
+    )
+    with_ledger, cached[:] = list(cached), []
+
+    reset_job_ids()
+    bare = BatchSystem(num_nodes=6, cores_per_node=4, config=maui)
+    watch(bare)
+    workload.submit_to(bare)
+    bare.run(max_events=5_000_000)
+    assert cached == with_ledger
+    assert _schedule(bare) == _schedule(on)
+
+    off, off_ledger = _ledger_run(workload, maui, skip=False, nodes=6, cores=4)
+    assert _schedule(off) == _schedule(on)
+    assert [d.to_dict() for d in on_ledger] == [d.to_dict() for d in off_ledger]
 
 
 # ----------------------------------------------------------------------
