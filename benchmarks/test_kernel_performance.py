@@ -4,10 +4,10 @@ Not a paper artifact — these guard the performance of the data structures
 everything else sits on (the "measure before optimising" discipline): event
 throughput of the engine (with and without cancellation churn),
 availability-profile queries at realistic breakpoint counts, and the
-full-iteration cost of the scheduler on a deep queue with the profile
-cache on and off, and the event-driven activation's skip rate on a
-timer-driven system.  Each test records its headline number into
-the bench snapshot via :func:`benchmarks.conftest.record_bench`.
+full-iteration cost of the scheduler on a deep queue, and the event-driven
+activation's skip rate on a timer-driven system.  Each test records its
+headline number into the bench snapshot via
+:func:`benchmarks.conftest.record_bench`.
 """
 
 import pytest
@@ -24,7 +24,16 @@ from repro.jobs.job import Job
 
 @pytest.mark.benchmark(group="kernel")
 def test_engine_event_throughput(benchmark):
-    """Schedule + dispatch 10k events."""
+    """Schedule + dispatch 10k no-op events on 100 distinct timestamps.
+
+    This dense stimulus is the best case of the calendar queue PR 15
+    removed: BENCH_PR14 reads ~1.5 M events/s here (the adaptive engine
+    had switched to the calendar) against ~0.7 M for the heap that remains,
+    so the row falls by about half at PR 15.  Accepted because the queue
+    is under 3 % of every end-to-end workload's wall clock and no
+    ``bench/run.py`` metric moved with either backend forced
+    (docs/PERFORMANCE.md, "Removed in PR 15").
+    """
 
     def run_events():
         engine = Engine()
@@ -198,14 +207,11 @@ def _loaded_system(shards: int | None = None) -> BatchSystem:
 
 
 @pytest.mark.benchmark(group="kernel")
-@pytest.mark.parametrize("cache", [True, False], ids=["cache-on", "cache-off"])
-def test_scheduler_iteration_deep_queue(benchmark, cache):
+def test_scheduler_iteration_deep_queue(benchmark):
     """One full iteration with 60 queued jobs and a loaded machine."""
 
     def setup():
-        system = _loaded_system()
-        system.scheduler.profile_cache_enabled = cache
-        return (system,), {}
+        return (_loaded_system(),), {}
 
     def iterate(system):
         system.scheduler.iteration()
@@ -213,7 +219,7 @@ def test_scheduler_iteration_deep_queue(benchmark, cache):
     benchmark.pedantic(iterate, setup=setup, rounds=50, warmup_rounds=2, iterations=1)
     record_bench(
         "kernel",
-        f"scheduler_iteration_deep_queue_{'cache_on' if cache else 'cache_off'}",
+        "scheduler_iteration_deep_queue_cache_on",
         wall_seconds=benchmark.stats.stats.mean,
         queued_jobs=60,
     )
@@ -224,8 +230,8 @@ def test_scheduler_iteration_deep_queue(benchmark, cache):
 def test_scheduler_iteration_deep_queue_sharded(benchmark, shards):
     """The deep-queue iteration against shard-sized profile matrices.
 
-    Same stimulus as :func:`test_scheduler_iteration_deep_queue` (cache
-    on), but the static pass runs per shard: planning and backfill scans
+    Same stimulus as :func:`test_scheduler_iteration_deep_queue`, but the
+    static pass runs per shard: planning and backfill scans
     touch matrices of ~15/N nodes instead of 15, and quiescent shards are
     skipped outright on echo wake-ups.  The headline sharding number —
     compare against the single-matrix ``scheduler_iteration_deep_queue_
@@ -302,57 +308,16 @@ def test_profile_build_cached_vs_fresh(benchmark):
 
 
 @pytest.mark.benchmark(group="kernel")
-@pytest.mark.parametrize("mode", ["calendar", "heap"])
-def test_engine_dispatch_mode(benchmark, mode):
-    """Forced calendar vs forced heap on the dense 10k-event stimulus.
+def test_profile_maintenance_incremental(benchmark):
+    """Availability-profile refresh by incremental advance.
 
-    The adaptive engine picks between these two structures at runtime;
-    this pair pins each one's cost on the same workload so a regression
-    in either (or in the batched same-timestamp drain specifically) shows
-    up even when the auto mode happens to mask it.
-    """
-
-    def run_events():
-        engine = Engine(queue=mode)
-        count = 0
-
-        def tick():
-            nonlocal count
-            count += 1
-
-        for i in range(10_000):
-            engine.at(float(i % 100), tick)
-        engine.run()
-        assert engine.queue_mode == mode
-        return count
-
-    assert benchmark(run_events) == 10_000
-    record_bench(
-        "kernel", f"engine_dispatch_{mode}",
-        wall_seconds=benchmark.stats.stats.mean,
-        events=10_000,
-        events_per_second=10_000 / benchmark.stats.stats.mean,
-    )
-
-
-@pytest.mark.benchmark(group="kernel")
-@pytest.mark.parametrize(
-    "incremental", [True, False], ids=["incremental", "scratch"]
-)
-def test_profile_maintenance(benchmark, incremental):
-    """Availability-profile refresh: incremental advance vs scratch rebuild.
-
-    With incremental maintenance on, a refresh advances the previous
-    profile to the current time and applies the active-job footprint
-    delta; with it off, every refresh replays all running jobs into a
-    fresh profile.  The cache is cleared before each call so the
-    maintenance path itself is measured, not the cache hit.
+    A refresh advances the previous profile to the current time and
+    applies the active-job footprint delta.  The cache is cleared before
+    each call so the maintenance path itself is measured, not the cache
+    hit.  Compare with :func:`test_profile_maintenance_scratch`.
     """
     system = _loaded_system()
     scheduler = system.scheduler
-    scheduler.profile_incremental_enabled = incremental
-    if not incremental:
-        scheduler._profile_bases.clear()
     scheduler._build_profile(None)  # seeds the incremental base
     advances_before = scheduler.stats["profile_advances"]
 
@@ -361,14 +326,23 @@ def test_profile_maintenance(benchmark, incremental):
         return scheduler._build_profile(None)
 
     benchmark(refresh)
-    if incremental:
-        assert scheduler.stats["profile_advances"] > advances_before
-        assert scheduler.stats["profile_advance_fallbacks"] == 0
-    else:
-        assert scheduler.stats["profile_advances"] == advances_before
+    assert scheduler.stats["profile_advances"] > advances_before
+    assert scheduler.stats["profile_advance_fallbacks"] == 0
     record_bench(
-        "kernel",
-        f"profile_maintenance_{'incremental' if incremental else 'scratch'}",
+        "kernel", "profile_maintenance_incremental",
+        wall_seconds=benchmark.stats.stats.mean,
+        active_jobs=15,
+    )
+
+
+@pytest.mark.benchmark(group="kernel")
+def test_profile_maintenance_scratch(benchmark):
+    """The from-scratch build the advance falls back to: every running
+    job replayed into a fresh profile."""
+    scheduler = _loaded_system().scheduler
+    benchmark(scheduler._build_profile_uncached, None)
+    record_bench(
+        "kernel", "profile_maintenance_scratch",
         wall_seconds=benchmark.stats.stats.mean,
         active_jobs=15,
     )

@@ -906,12 +906,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--shards",
-        type=int,
+        type=_positive_int,
         default=None,
         metavar="N",
         help=(
             "table2: override the scheduler shard count "
-            "(0 = legacy monolithic pass; default: config value)"
+            "(N >= 1; default: config value)"
         ),
     )
     parser.add_argument(

@@ -30,8 +30,8 @@ The matrix layout is what makes the kernel fast:
   where numpy call overhead exceeds the arithmetic.
 
 ``tests/test_profile_equivalence.py`` pins this kernel byte-for-byte to the
-retained reference implementation in
-:mod:`repro.cluster.reference_profile`.
+retained reference implementation (``ReferenceAvailabilityProfile``, kept
+with the tests).
 """
 
 from __future__ import annotations
@@ -125,7 +125,7 @@ class AvailabilityProfile:
         and the node columns concatenated in shard order.  Because shards
         are contiguous runs of the ascending node order, the concatenated
         node tuple reproduces the global node order — every query on the
-        merged view answers exactly as on a monolithic build of the same
+        merged view answers exactly as on a single build of the same
         state.  Cost: O(B_union · nodes), about one profile copy.
         """
         if not profiles:

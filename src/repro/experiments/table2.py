@@ -36,8 +36,8 @@ def run_table2(
     ``workers > 1`` the four configurations run as fresh simulations in
     worker processes (the pickle cache is a per-process optimisation;
     results are identical either way).  ``shards`` overrides the scheduler
-    shard count (0 = the monolithic oracle pass); shard-overridden runs
-    bypass the result cache so they never alias the default entries.
+    shard count; shard-overridden runs bypass the result cache so they
+    never alias the default entries.
     """
     from repro.exec import map_specs, resolve_workers
     from repro.exec.specs import Table2RunSpec, run_table2_result
@@ -148,8 +148,8 @@ def run_table2_instrumented(
     ``workers > 1`` the configurations run in exec-engine worker
     processes through the same single writer (the CI serial-vs-``-j 2``
     golden check relies on this).  ``shards`` overrides the scheduler
-    shard count — the CI sharded-vs-unsharded golden check runs this twice
-    (``shards=1`` vs ``shards=0``) and byte-compares the dumps.
+    shard count; the default single-shard dumps are what CI checks against
+    ``tests/golden/table2_seed2014.sha256``.
     ``via_service`` drives each run through the scheduler service on the
     simulator backend (``repro.service``); the CI service golden check
     byte-compares its dumps against the direct path's.

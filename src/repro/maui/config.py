@@ -182,10 +182,8 @@ class MauiConfig:
     weights: "PriorityWeightsConfig" = field(default_factory=lambda: PriorityWeightsConfig())
     #: per-partition scheduler sharding: number of shards each static
     #: partition is split into (``repro.maui.shards``).  1 (the default)
-    #: runs the sharded pass over a single shard — bit-identical to the
-    #: monolithic scheduler; >= 2 plans each shard independently with a
-    #: cross-shard merge for spanning jobs; 0 keeps the legacy monolithic
-    #: pass (the A/B oracle for the equivalence tests).
+    #: plans on the whole partition view; >= 2 plans each shard
+    #: independently with a cross-shard merge for spanning jobs.
     scheduler_shards: int = 1
     #: optional periodic wake-up (Maui's polling timer); None = purely
     #: event-driven, which is sufficient for deterministic simulation.
@@ -197,9 +195,9 @@ class MauiConfig:
     def __post_init__(self) -> None:
         if self.reservation_depth < 0 or self.reservation_delay_depth < 0:
             raise ValueError("depths must be non-negative")
-        if self.scheduler_shards < 0:
+        if self.scheduler_shards < 1:
             raise ValueError(
-                f"scheduler_shards must be >= 0: {self.scheduler_shards}"
+                f"scheduler_shards must be >= 1: {self.scheduler_shards}"
             )
         for cap in (self.max_running_jobs_per_user, self.max_eligible_jobs_per_user):
             if cap is not None and cap < 1:

@@ -8,22 +8,9 @@ provided for sites that weight historical usage, and for the SLURM-style
 baseline which prioritises dynamic requests through *static* fairshare
 (paper Section V).
 
-Two implementations of the ranking pass:
-
-* the scalar :meth:`Prioritizer.priority` / :meth:`Prioritizer.order_scalar`
-  per-job loop — the readable reference, and what :meth:`MauiScheduler.explain`
-  uses for a single job;
-* a vectorized pass (:class:`JobColumns` + :meth:`Prioritizer.order`) that
-  gathers the job state into numpy columns (submit time, walltime, cores,
-  per-user fairshare usage, credential priority, Z-flag) and computes every
-  job's score in one sweep of elementwise operations, in *exactly* the same
-  order of floating-point operations as the scalar chain — so the scores,
-  and therefore the ordering, are bit-identical
-  (``tests/test_priority_vectorized.py``).
-
-The fairshare decay roll is likewise one vectorized multiply per interval
-instead of a per-user Python loop; per-user values are independent factor
-chains, so elementwise decay reproduces the scalar results exactly.
+The fairshare decay roll is one vectorized multiply per interval instead
+of a per-user Python loop; per-user values are independent factor chains, so
+elementwise decay reproduces the scalar results exactly.
 """
 
 from __future__ import annotations
@@ -33,17 +20,10 @@ import numpy as np
 from repro.jobs.job import Job
 from repro.maui.config import PriorityWeightsConfig
 
-__all__ = ["PriorityWeights", "Prioritizer", "FairshareTracker", "JobColumns"]
+__all__ = ["PriorityWeights", "Prioritizer", "FairshareTracker"]
 
 # re-export under the historical name used across the package
 PriorityWeights = PriorityWeightsConfig
-
-#: below this many jobs the numpy column gather costs more than it saves
-#: (measured crossover for multi-factor weight configs; with only the
-#: queue-time factor active the scalar key is two arithmetic ops and
-#: ``sorted`` wins at every realistic queue depth, so single-factor
-#: configs never vectorize — see :meth:`Prioritizer.order`)
-_VECTORIZE_MIN_JOBS = 32
 
 
 class FairshareTracker:
@@ -112,57 +92,12 @@ class FairshareTracker:
         return self._usage.get(user, 0.0) / total if total > 0 else 0.0
 
 
-class JobColumns:
-    """Numpy job-state columns for one ranking pass.
-
-    Gathered once per scheduler iteration from the eligible job list:
-    every priority factor then reads a contiguous ``float64`` column
-    instead of chasing per-job Python attributes.
-    """
-
-    __slots__ = ("jobs", "submit", "walltime", "cores", "seq", "users", "top")
-
-    def __init__(self, jobs: list[Job]) -> None:
-        n = len(jobs)
-        self.jobs = jobs
-        for job in jobs:
-            if job.submit_time is None:
-                raise ValueError(f"{job.job_id} was never submitted")
-        self.submit = np.fromiter(
-            (job.submit_time for job in jobs), dtype=np.float64, count=n
-        )
-        self.walltime = np.fromiter(
-            (job.walltime for job in jobs), dtype=np.float64, count=n
-        )
-        self.cores = np.fromiter(
-            (job.request.total_cores for job in jobs), dtype=np.float64, count=n
-        )
-        self.seq = np.fromiter((job.seq for job in jobs), dtype=np.int64, count=n)
-        self.users = [job.user for job in jobs]
-        self.top = np.fromiter(
-            (job.top_priority for job in jobs), dtype=np.bool_, count=n
-        )
-
-    def user_column(self, table: dict[str, float]) -> np.ndarray:
-        """Per-job values looked up by user name (0.0 for absent users)."""
-        get = table.get
-        return np.fromiter(
-            (get(user, 0.0) for user in self.users),
-            dtype=np.float64,
-            count=len(self.users),
-        )
-
-
 class Prioritizer:
     """Orders eligible jobs for the priority-scheduling pass."""
 
     def __init__(self, weights: PriorityWeightsConfig, fairshare: FairshareTracker) -> None:
         self.weights = weights
         self.fairshare = fairshare
-        #: A/B toggle: ``None`` picks per call (vectorize only when the
-        #: queue is deep *and* scoring is multi-factor), ``True`` forces
-        #: the numpy pass, ``False`` forces the scalar per-job loop
-        self.vectorized: bool | None = None
 
     def priority(self, job: Job, now: float) -> float:
         """Scalar priority; larger runs earlier.
@@ -187,60 +122,8 @@ class Prioritizer:
             score += 1e15
         return score
 
-    def scores(self, cols: JobColumns, now: float) -> np.ndarray:
-        """Vectorized priorities for every job in ``cols`` at once.
-
-        Mirrors :meth:`priority` factor by factor *in the same order of
-        floating-point operations*: every term is an elementwise map of
-        the scalar expression, and per-job accumulation chains are
-        independent, so each score is bit-identical to the scalar one.
-        """
-        w = self.weights
-        wait = now - cols.submit
-        score = w.queue_time * wait
-        if w.expansion_factor:
-            if not cols.walltime.all():
-                raise ZeroDivisionError("float division by zero")
-            score += w.expansion_factor * (wait + cols.walltime) / cols.walltime
-        if w.fairshare:
-            total = self.fairshare.total_usage
-            usage = cols.user_column(self.fairshare._usage)
-            normalized = usage / total if total > 0 else np.zeros_like(usage)
-            score += w.fairshare * (1.0 - normalized)
-        if w.service:
-            score += w.service * cols.cores
-        if w.credential:
-            score += w.credential * cols.user_column(w.user_priorities)
-        if cols.top.any():
-            # masked in-place add: non-Z scores keep their exact bits
-            # (x + 0.0 would rewrite -0.0 to +0.0)
-            score[cols.top] += 1e15
-        return score
-
     def order(self, jobs: list[Job], now: float) -> list[Job]:
         """Jobs sorted by descending priority; ties resolve in submit order."""
-        vectorize = self.vectorized
-        if vectorize is None:
-            # the column gather only pays off when the scalar score chain
-            # is expensive: fairshare recomputes the O(users) usage total
-            # per job, and every extra factor adds per-job Python work.
-            # A queue-time-only config (the ESP runs) scores in two
-            # arithmetic ops, and sorted() beats numpy at any depth.
-            w = self.weights
-            vectorize = len(jobs) >= _VECTORIZE_MIN_JOBS and bool(
-                w.expansion_factor or w.fairshare or w.service or w.credential
-            )
-        if not vectorize:
-            return self.order_scalar(jobs, now)
-        cols = JobColumns(jobs)
-        scores = self.scores(cols, now)
-        # same total order as the scalar key (-priority, submit, seq):
-        # seq is unique, so any stable algorithm yields the identical list
-        ranked = np.lexsort((cols.seq, cols.submit, -scores))
-        return [jobs[i] for i in ranked.tolist()]
-
-    def order_scalar(self, jobs: list[Job], now: float) -> list[Job]:
-        """The per-job reference implementation of :meth:`order`."""
         return sorted(
             jobs,
             key=lambda j: (-self.priority(j, now), j.submit_time, j.seq),

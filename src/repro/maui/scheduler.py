@@ -117,27 +117,25 @@ class MauiScheduler:
             "shard_merges": 0,
             "shard_passes_skipped": 0,
         }
-        #: per-partition scheduler sharding (:mod:`repro.maui.shards`).
-        #: ``scheduler_shards >= 1`` routes the static pass through
-        #: shard-sized profiles (1 shard is bit-identical to the monolithic
-        #: pass); 0 keeps the legacy monolithic pass as the A/B oracle.
-        self.sharded_pass_enabled = self.config.scheduler_shards >= 1
-        self._shard_map: ShardMap | None = None
-        if self.sharded_pass_enabled:
-            self._shard_map = ShardMap.build(
-                cluster,
-                max(1, self.config.scheduler_shards),
-                partitions=static_partitions(self.config),
+        #: per-partition scheduler sharding (:mod:`repro.maui.shards`): the
+        #: static pass plans on shard-sized profiles; one shard is the whole
+        #: static partition view
+        self._shard_map = ShardMap.build(
+            cluster,
+            self.config.scheduler_shards,
+            partitions=static_partitions(self.config),
+        )
+        if len(self._shard_map) > 1:
+            cluster.install_shard_index(
+                self._shard_map.node_to_shard, len(self._shard_map)
             )
-            if len(self._shard_map) > 1:
-                cluster.install_shard_index(
-                    self._shard_map.node_to_shard, len(self._shard_map)
-                )
         #: per-shard pass skip (multi-shard only): a shard whose cluster
         #: slice, routed queue and active-job walltimes are unchanged since
         #: its last planning pass — and whose earliest planned reservation
         #: is still in the future — reuses that pass's outcome instead of
-        #: re-planning.  Disable for A/B equivalence runs.
+        #: re-planning.  Test reference, not a tuning option: the skip-off
+        #: run is what tests/test_shards.py proves the skip sound against,
+        #: and nothing in config or the CLI reaches it.
         self.shard_skip_enabled = True
         self._shard_pass_cache: dict[int, dict] = {}
         #: sticky job -> shard-index assignments, made least-loaded-first
@@ -159,18 +157,14 @@ class MauiScheduler:
         #: signature structure is current
         self._active_sig_cache: tuple | None = None
         #: availability-profile cache: one profile per partition view, valid
-        #: for a single (server state, cluster state, sim time) snapshot.
-        #: Disable to benchmark the uncached hot path.
-        self.profile_cache_enabled = True
+        #: for a single (server state, cluster state, sim time) snapshot
         self._profile_cache: dict[tuple[str, ...] | None, AvailabilityProfile] = {}
         self._profile_state: tuple[int, int, float] | None = None
         #: incremental profile maintenance: when the snapshot goes stale,
-        #: advance the previous profile to the new time and apply the
-        #: claim/release deltas of jobs that started/finished/changed since,
-        #: instead of rebuilding the matrix from scratch.  Disable to force
-        #: full rebuilds (A/B tests, the equivalence oracle).
-        self.profile_incremental_enabled = True
-        #: per partition view: the last built profile plus the active-job
+        #: the previous profile is advanced to the new time and the
+        #: claim/release deltas of jobs that started/finished/changed since
+        #: are applied, instead of rebuilding the matrix from scratch.
+        #: Per partition view: the last built profile plus the active-job
         #: footprints ``job_id -> (alloc items inside the view, walltime end)``
         #: it encodes — the diff source for the next advance
         self._profile_bases: dict[
@@ -181,8 +175,10 @@ class MauiScheduler:
         #: the identity-keyed memo behind :meth:`_active_footprints`
         self._footprint_memos: dict = {}
         #: event-driven activation: wake-ups with no state change since the
-        #: last full pass are skipped (statistics still accrue).  Disable to
-        #: restore unconditional iterations (A/B tests, benchmarks).
+        #: last full pass are skipped (statistics still accrue).  Test
+        #: reference, not a tuning option: always-iterate is what
+        #: tests/test_scheduler.py and tests/test_ledger.py prove the skip
+        #: sound against, and nothing in config or the CLI reaches it.
         self.iteration_skip_enabled = True
         #: (server.state_version, cluster.version) at the *start* of the
         #: last full iteration — the quiescence fingerprint.  A pass that
@@ -350,14 +346,13 @@ class MauiScheduler:
     def _build_profile(self, view) -> AvailabilityProfile:
         """Current + future availability over the given view (cached).
 
-        ``view`` is a partitions tuple (or None for all nodes) — the
-        monolithic paths — or a :class:`SchedulerShard` for the sharded
-        static pass.  Profiles are pure functions of (server state, cluster
-        allocation state, simulation time); both state counters are
-        monotone, so a three-way snapshot comparison detects staleness in
-        O(1).  A cache hit hands out a
-        :meth:`~AvailabilityProfile.copy` because every caller mutates its
-        working profile with hypothetical claims.
+        ``view`` is a partitions tuple (or None for all nodes), or a
+        :class:`SchedulerShard` for the multi-shard static pass.  Profiles
+        are pure functions of (server state, cluster allocation state,
+        simulation time); both state counters are monotone, so a three-way
+        snapshot comparison detects staleness in O(1).  A cache hit hands
+        out a :meth:`~AvailabilityProfile.copy` because every caller mutates
+        its working profile with hypothetical claims.
         """
         prof = self._prof
         if prof is None:
@@ -369,9 +364,6 @@ class MauiScheduler:
             prof.end()
 
     def _build_profile_cached(self, view) -> AvailabilityProfile:
-        if not self.profile_cache_enabled:
-            self.stats["profile_builds"] += 1
-            return self._build_profile_uncached(view)
         key = self._view_key(view)
         state = (self.server.state_version, self.cluster.version, self.engine.now)
         if state != self._profile_state:
@@ -399,7 +391,7 @@ class MauiScheduler:
         # reservation claim skipped because drained cores were busy must be
         # retried when those jobs finish) — keep those configs on the
         # always-rebuild path
-        return self.profile_incremental_enabled and not self.config.admin_reservations
+        return not self.config.admin_reservations
 
     def _active_footprints(
         self, nodes: set[int], view_key=None
@@ -446,9 +438,9 @@ class MauiScheduler:
         feasible start, so every query stays bit-identical to a from-scratch
         build (pinned by ``tests/test_profile_equivalence.py``).
 
-        Returns None (caller rebuilds) when incremental maintenance is off,
-        no base exists, or the post-advance free vector fails to reconcile
-        with the cluster — the self-check that keeps this path safe.
+        Returns None (caller rebuilds) for admin-reservation configs, when
+        no base exists, or when the post-advance free vector fails to
+        reconcile with the cluster — the self-check that keeps this path safe.
         """
         if not self._incremental_usable():
             return None
@@ -1072,35 +1064,6 @@ class MauiScheduler:
     # ------------------------------------------------------------------
     # static starts, reservations, backfill (Algorithm 2 lines 25-26)
     # ------------------------------------------------------------------
-    def _start_static(
-        self,
-        ordered: list[Job],
-        now: float,
-        lockdown: bool,
-        outcome: dict[str, tuple[str, str | None]] | None = None,
-    ) -> tuple[int, int]:
-        """Start jobs in priority order; reserve for the top blocked jobs.
-
-        ``ReservationDepth`` bounds how many *blocked* jobs receive future
-        reservations — it never prevents a fitting job from starting.  Jobs
-        that start after any higher-priority job was passed over run out of
-        order and are therefore marked (and counted) as backfill; with
-        backfill disabled the pass stops at the first blocked job instead
-        (strict priority order).  Returns (priority starts, backfill starts).
-
-        ``outcome`` (ledger only) collects ``job_id -> (cause, detail)`` for
-        every examined-but-not-started job plus everything left unexamined
-        when the pass stops early.
-
-        With ``scheduler_shards >= 1`` (the default) the pass runs sharded
-        (:meth:`_start_static_sharded`); ``scheduler_shards == 0`` keeps
-        this monolithic walk — the A/B oracle the single-shard path is
-        pinned bit-identical against.
-        """
-        if self.sharded_pass_enabled:
-            return self._start_static_sharded(ordered, now, lockdown, outcome=outcome)
-        return self._start_static_monolithic(ordered, now, lockdown, outcome=outcome)
-
     def _waiting_on(
         self, start: float, reserved_ahead: list[tuple[str, float]]
     ) -> list[str]:
@@ -1113,173 +1076,6 @@ class MauiScheduler:
             if j.walltime_end <= start + 1e-9
         ] + [jid for jid, s in reserved_ahead if s <= start + 1e-9]
 
-    def _start_static_monolithic(
-        self,
-        ordered: list[Job],
-        now: float,
-        lockdown: bool,
-        outcome: dict[str, tuple[str, str | None]] | None = None,
-    ) -> tuple[int, int]:
-        prof = self._prof
-        if prof is not None:
-            prof.begin("static_pass")
-        config = self.config
-        stats = self.stats
-        ledger = self._ledger
-        backfill_enabled = config.backfill_enabled
-        depth = config.reservation_depth
-        working = self._build_profile(static_partitions(config))
-        fingerprint = self._fingerprint(now)
-        blocked_ids: list[str] = []
-        reserved_ahead: list[tuple[str, float]] = []
-        reservations = 0
-        started = 0
-        backfilled = 0
-        passed_blocked = False
-        stopped_at: int | None = None
-        self._next_reservation_start = None
-        for idx, job in enumerate(ordered):
-            request = job.request
-            walltime = job.walltime
-            if prof is not None:
-                prof.begin("backfill_scan")
-            # instantaneous-free prune: on a packed cluster most candidates
-            # fail against the free vector at `now` alone, skipping the
-            # window scan (a pure short-circuit — fits_at would return None)
-            if working.quick_reject(now, request):
-                stats["backfill_quick_rejects"] += 1
-                alloc = None
-            else:
-                alloc = working.fits_at(now, walltime, request)
-            molded = False
-            # min_cores unset means the floor is the request itself
-            if (
-                alloc is None
-                and job.min_cores
-                and job.moldable_floor < request.total_cores
-            ):
-                # moldable job: start now on the largest fitting size within
-                # [min_cores, request) rather than wait for the full request
-                alloc = self._mold_to_fit(working, job, now)
-                if alloc is not None:
-                    molded = True
-                    stats["jobs_molded"] += 1
-                    self.trace.record(
-                        now,
-                        EventKind.MOLDABLE_START,
-                        job_id=job.job_id,
-                        user=job.user,
-                        requested=request.total_cores,
-                        granted=alloc.total_cores,
-                        floor=job.moldable_floor,
-                    )
-            if prof is not None:
-                prof.end()
-            if alloc is not None:
-                working.add_claim(now, now + walltime, alloc)
-                if ledger is not None:
-                    ledger.note_start(
-                        job,
-                        now,
-                        backfilled=passed_blocked,
-                        molded=molded,
-                        cores=alloc.total_cores,
-                        fingerprint=fingerprint,
-                        jumped=blocked_ids if passed_blocked else None,
-                        hole_until=self._next_reservation_start,
-                    )
-                # a start while a higher-priority job waits is out-of-order
-                # execution, i.e. backfill in Maui's terms
-                self.server.start_job(job, alloc, backfilled=passed_blocked)
-                if passed_blocked:
-                    stats["jobs_backfilled"] += 1
-                    backfilled += 1
-                else:
-                    stats["jobs_started"] += 1
-                    started += 1
-                continue
-            # blocked: reserve if within depth, then maybe stop the pass
-            if reservations < depth:
-                if prof is not None:
-                    prof.begin("reservation_plan")
-                try:
-                    try:
-                        if prof is not None:
-                            prof.begin("earliest_fit")
-                        try:
-                            # probe_start=False: this job just failed to
-                            # start at `now` against this very profile, so
-                            # the window query at the bound is already known
-                            # to fail
-                            start, res_alloc = working.earliest_fit(
-                                request, walltime, after=now, probe_start=False
-                            )
-                        finally:
-                            if prof is not None:
-                                prof.end()
-                    except NoFitError:
-                        if outcome is not None:
-                            outcome[job.job_id] = (
-                                "queued_behind",
-                                "request can never fit",
-                            )
-                        continue  # oversized for this partition view; skip
-                    working.add_claim(start, start + walltime, res_alloc)
-                    reservations += 1
-                    if (
-                        self._next_reservation_start is None
-                        or start < self._next_reservation_start
-                    ):
-                        self._next_reservation_start = start
-                    stats["reservations_created"] += 1
-                    self.trace.record(
-                        now,
-                        EventKind.RESERVATION_CREATE,
-                        job_id=job.job_id,
-                        start=start,
-                        cores=res_alloc.total_cores,
-                    )
-                    if ledger is not None:
-                        ledger.note_reservation(
-                            job, now, start, res_alloc.total_cores,
-                            lambda: self._waiting_on(start, reserved_ahead),
-                            fingerprint,
-                        )
-                        reserved_ahead.append((job.job_id, start))
-                        if outcome is not None:
-                            outcome[job.job_id] = (
-                                "reservation_held",
-                                f"reserved at t={start:.1f}",
-                            )
-                finally:
-                    if prof is not None:
-                        prof.end()
-            elif outcome is not None:
-                behind = f"behind {blocked_ids[0]}" if blocked_ids else None
-                outcome[job.job_id] = ("queued_behind", behind)
-            blocked_ids.append(job.job_id)
-            passed_blocked = True
-            if job.top_priority or not backfill_enabled or lockdown:
-                # ESP Z-job lockdown, or strict priority order without
-                # backfill: nothing below the blocked job may start
-                stopped_at = idx
-                break
-        if outcome is not None and stopped_at is not None:
-            if lockdown:
-                reason = "Z-job lockdown"
-            elif not backfill_enabled:
-                reason = "backfill disabled"
-            else:
-                reason = f"blocked top-priority job {ordered[stopped_at].job_id}"
-            for job in ordered[stopped_at + 1 :]:
-                outcome[job.job_id] = ("backfill_blocked", reason)
-        if prof is not None:
-            prof.end()
-        return started, backfilled
-
-    # ------------------------------------------------------------------
-    # the sharded static pass (repro.maui.shards)
-    # ------------------------------------------------------------------
     def _route_queue(
         self, ordered: list[Job]
     ) -> tuple[list[int | None], list[list[str]]]:
@@ -1417,24 +1213,33 @@ class MauiScheduler:
             for s in shards
         }
 
-    def _start_static_sharded(
+    def _start_static(
         self,
         ordered: list[Job],
         now: float,
         lockdown: bool,
         outcome: dict[str, tuple[str, str | None]] | None = None,
     ) -> tuple[int, int]:
-        """The sharded static pass: one global priority walk, per-shard plans.
+        """Start jobs in priority order; reserve for the top blocked jobs.
 
-        Each job plans against its shard's own working profile (built and
-        cached per shard, incrementally maintained per shard); spanning
-        jobs plan on an explicit cross-shard merge and scatter their claims
-        back into the shard profiles.  The walk itself — priority order,
-        ``passed_blocked`` backfill labeling, reservation depth, the
-        lockdown stop — reproduces the monolithic pass exactly; with one
-        shard every operation is performed on the same profile in the same
-        order, so the schedule is bit-identical to
-        :meth:`_start_static_monolithic`.
+        ``ReservationDepth`` bounds how many *blocked* jobs receive future
+        reservations — it never prevents a fitting job from starting.  Jobs
+        that start after any higher-priority job was passed over run out of
+        order and are therefore marked (and counted) as backfill; with
+        backfill disabled the pass stops at the first blocked job instead
+        (strict priority order).  Returns (priority starts, backfill starts).
+
+        ``outcome`` (ledger only) collects ``job_id -> (cause, detail)`` for
+        every examined-but-not-started job plus everything left unexamined
+        when the pass stops early.
+
+        One global priority walk, per-shard plans (:mod:`repro.maui.shards`):
+        each job plans against its shard's own working profile (built,
+        cached and incrementally maintained per shard); spanning jobs plan
+        on an explicit cross-shard merge and scatter their claims back into
+        the shard profiles.  With one shard the single working profile is
+        the whole static partition view and none of the routing,
+        fingerprinting or skip machinery runs.
         """
         prof = self._prof
         if prof is not None:
@@ -1505,9 +1310,10 @@ class MauiScheduler:
             return profile
 
         if not multi:
-            # the monolithic pass builds its profile unconditionally (even
-            # with an empty queue); matching that keeps the single-shard
-            # cache/build counters bit-identical to the legacy oracle
+            # built even on an empty queue: every pass then leaves a base
+            # for the next advance, and the profile_builds / cache_hits /
+            # advances counters are pinned on exactly this (test_shards.py
+            # ``_PINNED_SINGLE_SHARD``)
             working_for(0)
 
         blocked_ids: list[str] = []
@@ -1583,6 +1389,9 @@ class MauiScheduler:
             if prof is not None:
                 suffix = ".merge" if spanning else f".s{sid}" if multi else ""
                 prof.begin("backfill_scan" + suffix)
+            # instantaneous-free prune: on a packed cluster most candidates
+            # fail against the free vector at `now` alone, skipping the
+            # window scan (a pure short-circuit — fits_at would return None)
             if working.quick_reject(now, request):
                 stats["backfill_quick_rejects"] += 1
                 alloc = None
@@ -1654,6 +1463,10 @@ class MauiScheduler:
                         if prof is not None:
                             prof.begin("earliest_fit" + suffix)
                         try:
+                            # probe_start=False: this job just failed to
+                            # start at `now` against this very profile, so
+                            # the window query at the bound is already known
+                            # to fail
                             start, res_alloc = working.earliest_fit(
                                 request, walltime, after=now, probe_start=False
                             )
@@ -1717,6 +1530,8 @@ class MauiScheduler:
                 shard_blocked[sid].add(job.job_id)
             passed_blocked = True
             if job.top_priority or not backfill_enabled or lockdown:
+                # ESP Z-job lockdown, or strict priority order without
+                # backfill: nothing below the blocked job may start
                 stopped_at = idx
                 break
         if outcome is not None and stopped_at is not None:

@@ -14,11 +14,11 @@ Two invariants make the decomposition exact rather than approximate:
   index order, and shards are emitted in that same order.  Concatenating
   shard node tuples therefore reproduces the global node order, which is
   the tie-breaking order of ``AvailabilityProfile._fit_from_min`` — a
-  plan computed on a merged view picks the same nodes the monolithic
-  scheduler would.
+  plan computed on a merged view picks the same nodes a plan on the
+  whole partition would.
 * **Static membership.**  Shard membership is fixed at construction
   (DOWN nodes included); availability is rediscovered per pass from the
-  cluster's free map, exactly like the monolithic profile build.
+  cluster's free map, exactly like a whole-partition profile build.
 
 Jobs whose request no single shard can satisfy (full-machine ESP Z jobs,
 oversized shaped requests) return ``None`` from :meth:`ShardMap.route`
@@ -47,7 +47,7 @@ class SchedulerShard:
         self.nodes = nodes
         self.node_set = frozenset(nodes)
         #: profile-cache key; an int component keeps it disjoint from the
-        #: all-string partition tuples the monolithic paths key on
+        #: all-string partition tuples the whole-partition views key on
         self.cache_key = ("shard", index)
 
     def can_host(self, cluster: Cluster, request: ResourceRequest) -> bool:
@@ -110,7 +110,7 @@ class ShardMap:
         Partitions never share a shard — that is the point: a dynamic
         partition kept out of ``partitions`` (the scheduler passes
         :func:`~repro.maui.partition.static_partitions`) simply has no
-        shard, exactly as it has no column in the monolithic profile.
+        shard, exactly as it has no column in the static-partition profile.
         """
         if num_shards < 1:
             raise ValueError("num_shards must be >= 1")

@@ -115,6 +115,10 @@ class SimBackend:
         if core is not None and core_kwargs:
             raise ValueError("pass either a prebuilt core or kwargs, not both")
         self.core = core if core is not None else PolicyCore(**core_kwargs)
+        #: accepted jobs whose submit time is still ahead of the clock: the
+        #: server has not seen them yet, but they are open for admission
+        #: and visible to ``find_job``
+        self._scheduled: dict[str, Job] = {}
 
     # -- clock ----------------------------------------------------------
     @property
@@ -135,14 +139,22 @@ class SimBackend:
         if spec.submit_time <= engine.now:
             self.core.server.submit(job, app)
         else:
-            engine.at(spec.submit_time, self.core.server.submit, job, app)
+            self._scheduled[job.job_id] = job
+            engine.at(spec.submit_time, self._submit_scheduled, job, app)
         return job
 
+    def _submit_scheduled(self, job: Job, app) -> None:
+        del self._scheduled[job.job_id]
+        self.core.server.submit(job, app)
+
     def cancel(self, job: Job, reason: str) -> None:
+        if job.job_id in self._scheduled:
+            raise RuntimeError(f"{job.job_id} is not submitted yet, cannot cancel")
         self.core.server.cancel_queued(job, reason)
 
     def find_job(self, job_id: str) -> Job | None:
-        return self.core.server.jobs.get(job_id)
+        job = self.core.server.jobs.get(job_id)
+        return job if job is not None else self._scheduled.get(job_id)
 
     def request_grow(
         self,

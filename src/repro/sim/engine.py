@@ -1,4 +1,4 @@
-"""Deterministic discrete-event engine: binary heap + slotted calendar queue.
+"""Deterministic discrete-event engine on a binary heap.
 
 Design notes
 ------------
@@ -7,31 +7,7 @@ Design notes
   before the scheduler iteration triggered at *t* so the scheduler sees the
   freed resources); ``seq`` is a monotone counter guaranteeing deterministic
   FIFO order among equal keys.  The dispatch order is the total order of
-  these keys, *regardless of the backing queue structure*.
-* Two interchangeable queue backends, selected by the ``queue`` parameter:
-
-  - ``"heap"`` — the classic single binary heap of key tuples.  Optimal
-    when nearly every event has its own timestamp (sparse regime).
-  - ``"calendar"`` — a slotted calendar queue: one bucket (slot) per
-    *distinct* timestamp, a small heap over the bucket times.  Events at
-    one timestamp are dispatched as a batch in a single internal loop, so
-    the per-event cost amortises the time lookup, the ``until`` /
-    profiler checks, and replaces O(log n) heap pops with list walks.
-    Optimal when many events share timestamps (dense regime: submission
-    bursts, periodic samplers, synchronised completions).
-  - ``"auto"`` (default) — starts on the heap and switches between the
-    two based on the observed density of recently scheduled events
-    (fraction landing on an already-pending timestamp).  Switching is a
-    pure restructuring: the dispatch order is byte-identical in every
-    mode, pinned by the randomized cross-check in
-    ``tests/test_engine_calendar.py``.
-
-* Within a calendar bucket, events are kept sorted by ``(priority, seq)``.
-  Because ``seq`` is monotone, plain appends preserve the order unless an
-  event of *lower* priority value arrives after one with a higher value at
-  the same timestamp — only then is the bucket's remainder heapified and
-  maintained as a mini-heap.  In the common case (equal priorities) a
-  bucket is append-only and dispatch is a simple list walk.
+  these keys.
 * Callbacks are plain callables.  Cancellation is O(1) via tombstoning the
   :class:`EventHandle` rather than re-heapifying.  Tombstones are purged
   lazily — at the queue head by :meth:`Engine._next_time` (the single
@@ -41,7 +17,7 @@ Design notes
   bounded queue.
 * The engine never advances past events scheduled "now": scheduling at the
   current time from within a callback is allowed and runs in the same
-  ``run()`` invocation (in the calendar it lands in the live bucket).
+  ``run()`` invocation.
 """
 
 from __future__ import annotations
@@ -111,59 +87,9 @@ class EventHandle:
         return f"<EventHandle {name} @{self.time:.2f} p{self.priority} {state}>"
 
 
-def _entry_key(handle: "EventHandle") -> tuple[int, int]:
-    """Dispatch order of handles within one timestamp."""
-    return (handle.priority, handle.seq)
-
-
 #: bound once: Engine.at constructs handles via ``__new__`` plus inline
 #: attribute stores instead of calling ``EventHandle.__init__``
 _new_handle = EventHandle.__new__
-
-
-class _Bucket:
-    """One calendar slot: every pending event at a single timestamp.
-
-    Two regimes:
-
-    * sorted (``heaped`` False): ``entries`` holds bare
-      :class:`EventHandle` objects, ascending by ``(priority, seq)`` from
-      index ``pos``; dispatch walks the list, appends extend it.  The
-      monotone ``seq`` keeps appends in order as long as priorities do not
-      decrease — the overwhelmingly common case, which therefore pays no
-      tuple wrapping and no heap discipline at all.
-    * mini-heap (``heaped`` True): ``entries`` is a ``heapq`` heap of
-      ``(priority, seq, handle)`` tuples and ``pos`` is 0.  Entered the
-      first time an append would break the sorted order; conversion
-      mutates ``entries`` *in place* so live references held by a dispatch
-      loop stay valid.
-    """
-
-    __slots__ = ("entries", "pos", "heaped", "tail_prio")
-
-    def __init__(self) -> None:
-        self.entries: list = []
-        self.pos = 0
-        self.heaped = False
-        #: priority of the last appended handle while sorted — the append
-        #: fast path compares against this int instead of chasing
-        #: ``entries[-1].priority`` (meaningless once ``heaped``)
-        self.tail_prio = -1
-
-    def remaining_handles(self) -> list[EventHandle]:
-        """Pending handles, regardless of regime (not in dispatch order)."""
-        if self.heaped:
-            return [entry[2] for entry in self.entries]
-        return self.entries[self.pos:]
-
-    def convert_to_heap(self) -> None:
-        """Switch the remainder to the mini-heap regime, in place."""
-        self.entries[:] = [
-            (h.priority, h.seq, h) for h in self.entries[self.pos:]
-        ]
-        self.pos = 0
-        self.heaped = True
-        heapq.heapify(self.entries)
 
 
 class Engine:
@@ -172,52 +98,22 @@ class Engine:
     #: tombstone purges only kick in past this queue size: tiny queues are
     #: cheap to carry and compacting them would just add churn
     COMPACT_MIN_SIZE = 64
-    #: adaptive mode: density is evaluated every this many schedules
-    SWITCH_WINDOW = 256
-    #: fraction of window schedules landing on a pending timestamp above
-    #: which the heap switches to the calendar …
-    DENSE_ENTER = 0.5
-    #: … and below which the calendar falls back to the heap
-    DENSE_EXIT = 0.125
 
-    def __init__(self, start_time: float = 0.0, *, queue: str = "auto") -> None:
-        if queue not in ("auto", "heap", "calendar"):
-            raise ValueError(f"unknown queue mode {queue!r}")
+    def __init__(self, start_time: float = 0.0) -> None:
         self.now: float = float(start_time)
         self._seq: int = 0
         self._running: bool = False
         self._processed: int = 0
-        #: cancelled entries still sitting in the queue
+        #: one heap of (time, priority, seq, handle)
+        self._heap: list[tuple[float, int, int, EventHandle]] = []
+        #: cancelled entries still sitting in the heap
         self._tombstones: int = 0
         #: cumulative compaction count (introspection for tests/benchmarks)
         self._compactions: int = 0
-        #: cumulative mode switches (introspection for tests/benchmarks)
-        self._switches: int = 0
         #: optional :class:`repro.obs.perf.PhaseProfiler` wrapping every
         #: callback dispatch in an ``engine_dispatch`` phase; None keeps the
         #: dispatch loop a single local-is-None check per event
         self.profiler = None
-        # -- queue backends ------------------------------------------------
-        self._calendar: bool = queue == "calendar"
-        self._adaptive: bool = queue == "auto"
-        #: heap mode: one heap of (time, priority, seq, handle)
-        self._heap: list[tuple[float, int, int, EventHandle]] = []
-        #: calendar mode: time -> bucket, plus a heap of bucket times (may
-        #: carry stale times whose bucket has already drained)
-        self._buckets: dict[float, _Bucket] = {}
-        self._times: list[float] = []
-        #: physical entries across whichever backend is active
-        self._size: int = 0
-        # -- adaptive bookkeeping ------------------------------------------
-        self._win_count = 0
-        #: schedules in this window that created a *new* timestamp; the
-        #: complement (count - sparse) is the dense fraction
-        self._win_sparse = 0
-        self._win_times: set[float] = set()  # heap-mode density probe
-        self._switch_to: str | None = None
-        #: >0 while a callback is on the stack via step(); switching the
-        #: backend under a live dispatch loop is deferred until it unwinds
-        self._dispatching = 0
 
     # ------------------------------------------------------------------
     # scheduling
@@ -251,41 +147,7 @@ class Engine:
         handle.cancelled = False
         handle._engine = self
         handle._dequeued = False
-        self._size += 1
-        if self._calendar:
-            bucket = self._buckets.get(time)
-            if bucket is None:
-                self._buckets[time] = bucket = _Bucket()
-                heapq.heappush(self._times, time)
-                self._win_sparse += 1
-            entries = bucket.entries
-            if bucket.heaped:
-                heapq.heappush(entries, (priority, seq, handle))
-            elif entries and priority < bucket.tail_prio:
-                # append would break the sorted order: convert the
-                # remainder to a mini-heap, in place (see _Bucket)
-                bucket.convert_to_heap()
-                heapq.heappush(entries, (priority, seq, handle))
-            else:
-                entries.append(handle)
-                bucket.tail_prio = priority
-        else:
-            heapq.heappush(self._heap, (time, priority, seq, handle))
-            if self._adaptive:
-                seen = self._win_times
-                if time not in seen:
-                    seen.add(time)
-                    self._win_sparse += 1
-        if self._adaptive:
-            self._win_count += 1
-            if self._win_count >= self.SWITCH_WINDOW:
-                self._consider_switch()
-                if (
-                    self._switch_to is not None
-                    and not self._running
-                    and self._dispatching == 0
-                ):
-                    self._apply_switch()
+        heapq.heappush(self._heap, (time, priority, seq, handle))
         return handle
 
     def after(
@@ -301,115 +163,30 @@ class Engine:
         return self.at(self.now + delay, callback, *args, priority=priority)
 
     # ------------------------------------------------------------------
-    # adaptive mode switching
-    # ------------------------------------------------------------------
-    def _consider_switch(self) -> None:
-        """End of a density window: decide whether to change backends."""
-        ratio = 1.0 - self._win_sparse / self._win_count
-        self._win_count = 0
-        self._win_sparse = 0
-        self._win_times.clear()
-        if self._calendar:
-            if ratio <= self.DENSE_EXIT:
-                self._switch_to = "heap"
-        elif ratio >= self.DENSE_ENTER:
-            self._switch_to = "calendar"
-
-    def _apply_switch(self) -> None:
-        """Rebuild the pending queue in the other backend.
-
-        Doubles as a compaction: cancelled entries are dropped during the
-        rebuild.  Must only run when no dispatch loop holds references into
-        the current backend (callers check ``_running``/``_dispatching``).
-        """
-        target = self._switch_to
-        self._switch_to = None
-        if target is None or (target == "calendar") == self._calendar:
-            return
-        self._switches += 1
-        if target == "calendar":
-            buckets: dict[float, _Bucket] = {}
-            size = 0
-            for time, _priority, _seq, handle in self._heap:
-                if handle.cancelled:
-                    handle._dequeued = True
-                    continue
-                bucket = buckets.get(time)
-                if bucket is None:
-                    buckets[time] = bucket = _Bucket()
-                bucket.entries.append(handle)
-                size += 1
-            for bucket in buckets.values():
-                bucket.entries.sort(key=_entry_key)
-                bucket.tail_prio = bucket.entries[-1].priority
-            times = list(buckets)
-            heapq.heapify(times)
-            self._heap = []
-            self._buckets = buckets
-            self._times = times
-            self._calendar = True
-        else:
-            heap: list[tuple[float, int, int, EventHandle]] = []
-            for time, bucket in self._buckets.items():
-                for handle in bucket.remaining_handles():
-                    if handle.cancelled:
-                        handle._dequeued = True
-                        continue
-                    heap.append((time, handle.priority, handle.seq, handle))
-            heapq.heapify(heap)
-            self._heap = heap
-            self._buckets = {}
-            self._times = []
-            self._calendar = False
-            size = len(heap)
-        self._size = size
-        self._tombstones = 0
-
-    # ------------------------------------------------------------------
     # tombstone bookkeeping
     # ------------------------------------------------------------------
     def _note_cancel(self) -> None:
         """A queued entry was cancelled; purge when tombstones dominate."""
         self._tombstones += 1
-        if (
-            self._size >= self.COMPACT_MIN_SIZE
-            and self._tombstones * 2 > self._size
-        ):
+        size = len(self._heap)
+        if size >= self.COMPACT_MIN_SIZE and self._tombstones * 2 > size:
             self._compact()
 
     def _compact(self) -> None:
-        """Drop cancelled entries from the queue (O(n)).
+        """Drop cancelled entries from the heap (O(n)).
 
-        In-place per bucket in calendar mode, so a dispatch loop holding a
-        reference to the live bucket (or its ``entries`` list) survives a
-        compaction triggered by one of its own callbacks.
+        In place: a cancel from inside a callback can land here while
+        :meth:`run` holds a local reference to the heap list.
         """
-        if self._calendar:
-            size = 0
-            for bucket in self._buckets.values():
-                live = []
-                for handle in bucket.remaining_handles():
-                    if handle.cancelled:
-                        handle._dequeued = True
-                    else:
-                        live.append(handle)
-                if bucket.heaped:
-                    live.sort(key=_entry_key)
-                    bucket.heaped = False
-                bucket.entries[:] = live
-                bucket.pos = 0
-                if live:
-                    bucket.tail_prio = live[-1].priority
-                size += len(live)
-            # stale times (empty buckets) are skipped lazily by _next_time
-            self._size = size
-        else:
-            for *_k, handle in self._heap:
-                if handle.cancelled:
-                    handle._dequeued = True
-            self._heap = [e for e in self._heap if not e[3].cancelled]
-            heapq.heapify(self._heap)
-            self._size = len(self._heap)
+        heap = self._heap
+        live = []
+        for entry in heap:
+            if entry[3].cancelled:
+                entry[3]._dequeued = True
+            else:
+                live.append(entry)
+        heap[:] = live
+        heapq.heapify(heap)
         self._tombstones = 0
         self._compactions += 1
 
@@ -420,40 +197,8 @@ class Engine:
     def _next_time(self) -> float | None:
         """Timestamp of the next live event, discarding cancelled heads.
 
-        Leaves the queue positioned so the next live event is at the head:
-        in heap mode ``_heap[0]`` is live; in calendar mode the top of
-        ``_times`` names a bucket whose head entry is live.
+        Leaves ``_heap[0]`` live (or the heap empty).
         """
-        if self._calendar:
-            times = self._times
-            buckets = self._buckets
-            while times:
-                time = times[0]
-                bucket = buckets.get(time)
-                if bucket is not None:
-                    entries = bucket.entries
-                    if bucket.heaped:
-                        while entries and entries[0][2].cancelled:
-                            handle = heapq.heappop(entries)[2]
-                            handle._dequeued = True
-                            self._tombstones -= 1
-                            self._size -= 1
-                        if entries:
-                            return time
-                    else:
-                        pos = bucket.pos
-                        n = len(entries)
-                        while pos < n and entries[pos].cancelled:
-                            entries[pos]._dequeued = True
-                            self._tombstones -= 1
-                            self._size -= 1
-                            pos += 1
-                        bucket.pos = pos
-                        if pos < n:
-                            return time
-                    del buckets[time]
-                heapq.heappop(times)  # drained or stale timestamp
-            return None
         heap = self._heap
         while heap:
             if not heap[0][3].cancelled:
@@ -461,62 +206,29 @@ class Engine:
             handle = heapq.heappop(heap)[3]
             handle._dequeued = True
             self._tombstones -= 1
-            self._size -= 1
         return None
-
-    def _pop_head(self) -> EventHandle:
-        """Remove and return the head event (must follow ``_next_time``)."""
-        self._size -= 1
-        if not self._calendar:
-            handle = heapq.heappop(self._heap)[3]
-            handle._dequeued = True
-            return handle
-        time = self._times[0]
-        bucket = self._buckets[time]
-        entries = bucket.entries
-        if bucket.heaped:
-            handle = heapq.heappop(entries)[2]
-            drained = not entries
-        else:
-            handle = entries[bucket.pos]
-            bucket.pos += 1
-            drained = bucket.pos >= len(entries)
-        handle._dequeued = True
-        if drained:
-            del self._buckets[time]
-            heapq.heappop(self._times)
-        return handle
 
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
     def step(self) -> bool:
         """Run the next pending event.  Returns False if the queue is empty."""
-        if (
-            self._switch_to is not None
-            and not self._running
-            and self._dispatching == 0
-        ):
-            self._apply_switch()
         time = self._next_time()
         if time is None:
             return False
-        handle = self._pop_head()
+        handle = heapq.heappop(self._heap)[3]
+        handle._dequeued = True
         self.now = time
         self._processed += 1
         prof = self.profiler
-        self._dispatching += 1
-        try:
-            if prof is None:
+        if prof is None:
+            handle.callback(*handle.args)
+        else:
+            prof.begin("engine_dispatch", sim_time=time)
+            try:
                 handle.callback(*handle.args)
-            else:
-                prof.begin("engine_dispatch", sim_time=time)
-                try:
-                    handle.callback(*handle.args)
-                finally:
-                    prof.end()
-        finally:
-            self._dispatching -= 1
+            finally:
+                prof.end()
         return True
 
     def run(
@@ -541,94 +253,34 @@ class Engine:
             raise RuntimeError("Engine.run() is not reentrant")
         self._running = True
         processed = 0
+        heap = self._heap
         # resolved once per run: the dispatch loop pays one local-is-None
         # check per event instead of an attribute lookup
         prof = self.profiler
         try:
             while True:
-                if self._switch_to is not None:
-                    self._apply_switch()  # batch boundary: no live refs
                 time = self._next_time()
                 if time is None or (until is not None and time > until):
                     break
                 if batch is not None and processed >= batch:
                     return processed
                 self.now = time
-                if not self._calendar:
-                    handle = heapq.heappop(self._heap)[3]
-                    handle._dequeued = True
-                    self._size -= 1
-                    self._processed += 1
-                    processed += 1
-                    if max_events is not None and processed > max_events:
-                        raise RuntimeError(
-                            f"exceeded max_events={max_events}; runaway simulation?"
-                        )
-                    if prof is None:
+                handle = heapq.heappop(heap)[3]
+                handle._dequeued = True
+                self._processed += 1
+                processed += 1
+                if max_events is not None and processed > max_events:
+                    raise RuntimeError(
+                        f"exceeded max_events={max_events}; runaway simulation?"
+                    )
+                if prof is None:
+                    handle.callback(*handle.args)
+                else:
+                    prof.begin("engine_dispatch", sim_time=time)
+                    try:
                         handle.callback(*handle.args)
-                    else:
-                        prof.begin("engine_dispatch", sim_time=time)
-                        try:
-                            handle.callback(*handle.args)
-                        finally:
-                            prof.end()
-                    continue
-                # -- calendar: drain the whole timestamp in one batch ------
-                # ``until`` cannot split a batch (all events share ``time``)
-                # and new same-time events land in this live bucket, so the
-                # per-event work is just the walk + the callback.
-                bucket = self._buckets[time]
-                entries = bucket.entries
-                batch_start = processed
-                try:
-                    while True:
-                        # a batch bound met mid-timestamp leaves the rest of
-                        # the bucket queued for _next_time, like the
-                        # exceptional exit below; a bucket drained exactly
-                        # at the bound still falls through to the ``until``
-                        # check above
-                        if bucket.heaped:
-                            if not entries:
-                                break
-                            if batch is not None and processed >= batch:
-                                return processed
-                            handle = heapq.heappop(entries)[2]
-                        else:
-                            pos = bucket.pos
-                            if pos >= len(entries):
-                                break
-                            if batch is not None and processed >= batch:
-                                return processed
-                            handle = entries[pos]
-                            bucket.pos = pos + 1
-                        # per entry, not per batch: a callback may trigger
-                        # _compact(), which re-derives _size from what is
-                        # still queued
-                        self._size -= 1
-                        handle._dequeued = True
-                        if handle.cancelled:
-                            self._tombstones -= 1
-                            continue
-                        processed += 1
-                        if max_events is not None and processed > max_events:
-                            raise RuntimeError(
-                                f"exceeded max_events={max_events}; "
-                                "runaway simulation?"
-                            )
-                        if prof is None:
-                            handle.callback(*handle.args)
-                        else:
-                            prof.begin("engine_dispatch", sim_time=time)
-                            try:
-                                handle.callback(*handle.args)
-                            finally:
-                                prof.end()
-                finally:
-                    # exception safety: an exceptional exit leaves the
-                    # partially-drained bucket for _next_time to finish
-                    self._processed += processed - batch_start
-                del self._buckets[time]
-                heapq.heappop(self._times)  # == time (head after _next_time)
+                    finally:
+                        prof.end()
             if until is not None and until > self.now:
                 self.now = until
             return processed
@@ -641,7 +293,7 @@ class Engine:
     @property
     def pending(self) -> int:
         """Number of non-cancelled events still queued (O(1))."""
-        return self._size - self._tombstones
+        return len(self._heap) - self._tombstones
 
     @property
     def processed(self) -> int:
@@ -651,19 +303,11 @@ class Engine:
     @property
     def heap_size(self) -> int:
         """Physical queue length, tombstones included (tests/benchmarks)."""
-        return self._size
-
-    @property
-    def queue_mode(self) -> str:
-        """The active backend: ``"heap"`` or ``"calendar"``."""
-        return "calendar" if self._calendar else "heap"
+        return len(self._heap)
 
     def peek_time(self) -> float | None:
         """Timestamp of the next pending event, or None if idle."""
         return self._next_time()
 
     def __repr__(self) -> str:
-        return (
-            f"<Engine t={self.now:.2f} pending={self.pending} "
-            f"queue={self.queue_mode}>"
-        )
+        return f"<Engine t={self.now:.2f} pending={self.pending}>"

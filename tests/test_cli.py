@@ -95,6 +95,18 @@ class TestJobsFlag:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["sweep", "-j", "two"])
 
+    def test_shards_override(self):
+        assert build_parser().parse_args(["table2"]).shards is None
+        assert build_parser().parse_args(["table2", "--shards", "2"]).shards == 2
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_shards_below_one_rejected(self, value, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["table2", "--shards", value])
+        assert excinfo.value.code == 2
+        last = capsys.readouterr().err.strip().splitlines()[-1]
+        assert last.startswith("repro-batchsim: error: argument --shards:")
+
     def test_campaign_command_listed(self):
         args = build_parser().parse_args(["campaign", "--num-jobs", "50"])
         assert args.artifact == "campaign"

@@ -101,6 +101,11 @@ class TestMauiConfig:
         with pytest.raises(ValueError):
             MauiConfig(reservation_depth=-1)
 
+    @pytest.mark.parametrize("shards", [0, -1])
+    def test_shard_count_below_one_rejected(self, shards):
+        with pytest.raises(ValueError, match="scheduler_shards must be >= 1"):
+            MauiConfig(scheduler_shards=shards)
+
 
 class TestParseMauiConfig:
     def test_fig6_full(self):
@@ -190,3 +195,8 @@ class TestParseMauiConfig:
     def test_invalid_final_decay_validated(self):
         with pytest.raises(ValueError):
             parse_maui_config("DFSDECAY 2.0\n", MauiConfig())
+
+    def test_scheduler_shards(self):
+        assert parse_maui_config("SCHEDULERSHARDS 2\n", MauiConfig()).scheduler_shards == 2
+        with pytest.raises(ValueError, match="scheduler_shards must be >= 1"):
+            parse_maui_config("SCHEDULERSHARDS 0\n", MauiConfig())

@@ -125,9 +125,7 @@ class TestRun:
         with pytest.raises(RuntimeError, match="max_events"):
             engine.run(max_events=50)
 
-    @pytest.mark.parametrize("queue", ["heap", "calendar"])
-    def test_batch_stops_before_the_event_over_the_bound(self, queue):
-        engine = Engine(queue=queue)
+    def test_batch_stops_before_the_event_over_the_bound(self, engine):
         fired = []
         for t in (1.0, 1.0, 1.0, 2.0, 3.0):
             engine.at(t, fired.append, t)

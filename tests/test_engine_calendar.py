@@ -1,17 +1,19 @@
-"""Calendar-queue vs binary-heap equivalence (the engine's bit-identity pin).
+"""The engine's dispatch order against an absolute oracle.
 
 The engine promises one dispatch order — the total order of
-``(time, priority, seq)`` — regardless of the backing queue structure.
-These tests replay identical randomized schedule/cancel/run scripts
-through a pure-heap engine, a pure-calendar engine, and the adaptive
-engine, and assert identical dispatch logs, clocks, and ``pending`` /
-``heap_size`` accounting.
+``(time, priority, seq)`` over the events queued when each one fires.
+These tests replay randomized schedule/cancel/run scripts through the
+engine and through :class:`ModelEngine`, a list that is re-sorted for
+every dispatch, and assert identical dispatch logs, clocks and ``pending``
+accounting.
 
 The scripts are generated as data first (an event tree: each fired event
-may schedule children and cancel other events by id), so all engines see
-byte-identical stimulus including events scheduled *from within*
-callbacks — the case that exercises live-bucket appends, mid-batch
-cancellation, and deferred mode switches.
+may schedule children and cancel other events by id), so both sides see
+byte-identical stimulus including events scheduled and cancelled *from
+within* callbacks.
+
+(The file keeps the name it had when it compared the heap against the
+calendar queue PR 15 removed, so the test ids stay stable.)
 """
 
 import random
@@ -20,6 +22,7 @@ import pytest
 
 from repro.sim.engine import (
     Engine,
+    EventHandle,
     PRIORITY_COMPLETION,
     PRIORITY_LIMIT,
     PRIORITY_NORMAL,
@@ -29,6 +32,40 @@ from repro.sim.engine import (
 PRIORITIES = (
     PRIORITY_COMPLETION, PRIORITY_NORMAL, PRIORITY_LIMIT, PRIORITY_SCHEDULER,
 )
+
+
+class ModelEngine:
+    """The specification: an unordered list, sorted again for every pop."""
+
+    def __init__(self):
+        self.now, self.processed, self._queue = 0.0, 0, []
+
+    def at(self, time, callback, *args, priority=PRIORITY_NORMAL):
+        handle = EventHandle(time, priority, len(self._queue), callback, args)
+        self._queue.append(handle)
+        return handle
+
+    def _live(self):
+        live = [h for h in self._queue if not h.cancelled and not h._dequeued]
+        return sorted(live, key=lambda h: (h.time, h.priority, h.seq))
+
+    @property
+    def pending(self):
+        return len(self._live())
+
+    def peek_time(self):
+        live = self._live()
+        return live[0].time if live else None
+
+    def run(self, until=None):
+        while (live := self._live()) and (until is None or live[0].time <= until):
+            head = live[0]
+            head._dequeued = True
+            self.now = head.time
+            self.processed += 1
+            head.callback(*head.args)
+        if until is not None and until > self.now:
+            self.now = until
 
 
 def make_script(rng, n_events=400, dense_times=True):
@@ -102,9 +139,7 @@ def run_script(engine, script, segments):
         engine.run(until=until)
         checkpoints.append((engine.now, engine.pending, engine.peek_time()))
     engine.run()
-    checkpoints.append(
-        (engine.now, engine.pending, engine.heap_size, engine.processed)
-    )
+    checkpoints.append((engine.now, engine.pending, engine.processed))
     return driver.log, checkpoints
 
 
@@ -113,21 +148,19 @@ def run_script(engine, script, segments):
 def test_randomized_dispatch_equivalence(seed, dense):
     script = make_script(random.Random(seed), dense_times=dense)
     segments = sorted(random.Random(seed + 1000).uniform(0.0, 60.0) for _ in range(3))
-    results = {}
-    for mode in ("heap", "calendar", "auto"):
-        log, checkpoints = run_script(Engine(queue=mode), script, segments)
-        results[mode] = (log, checkpoints)
-    assert results["calendar"] == results["heap"]
-    assert results["auto"] == results["heap"]
+    engine = Engine()
+    assert run_script(engine, script, segments) == run_script(
+        ModelEngine(), script, segments
+    )
+    assert engine.heap_size == 0  # drained: no tombstone left behind
 
 
 def test_dispatch_log_matches_key_order():
-    # the log must equal sorting the fired events by (time, priority, seq) —
-    # not merely be mode-consistent.  Only strictly positive child delays:
-    # every event then exists in the queue before its timestamp arrives, the
-    # one regime where global key order is the right oracle (a zero-delay
-    # child scheduled mid-batch can legitimately fire after an
-    # earlier-fired event with a larger key).
+    # the log must equal sorting the fired events by (time, priority, seq).
+    # Only strictly positive child delays: every event then exists in the
+    # queue before its timestamp arrives, the one regime where global key
+    # order is the right oracle (a zero-delay child scheduled mid-timestamp
+    # can legitimately fire after an earlier-fired event with a larger key).
     rng = random.Random(99)
     roots, children, cancels = make_script(rng, dense_times=True)
     children = {
@@ -135,7 +168,7 @@ def test_dispatch_log_matches_key_order():
         for parent, kids in children.items()
     }
     script = (roots, children, cancels)
-    engine = Engine(queue="calendar")
+    engine = Engine()
     driver = Driver(engine, script)
     fired_keys = {}
     original_fire = driver.fire
@@ -152,113 +185,83 @@ def test_dispatch_log_matches_key_order():
     assert logged == sorted(logged, key=lambda i: fired_keys[i])
 
 
-def test_adaptive_switches_both_ways_without_reordering():
-    # a dense phase followed by a sparse phase must cross both thresholds;
-    # the dispatch order still matches the pure heap
-    def stimulus(engine):
-        driver_log = []
-        for i in range(600):
-            engine.at(
-                float(i % 10),
-                lambda i=i: driver_log.append((i, engine.now)),
-                priority=PRIORITIES[i % 4],
-            )
-        engine.run(until=20.0)
-        for i in range(600, 1200):
-            engine.at(
-                20.0 + i / 7.0,
-                lambda i=i: driver_log.append((i, engine.now)),
-            )
-        engine.run()
-        return driver_log
-
-    auto = Engine(queue="auto")
-    auto_log = stimulus(auto)
-    heap_log = stimulus(Engine(queue="heap"))
-    assert auto_log == heap_log
-    assert auto._switches >= 2
-    assert auto.queue_mode == "heap"  # sparse tail switched it back
-
-
 def test_mid_batch_cancellation_of_later_same_time_event():
-    # an event cancels a sibling in the same timestamp batch that has not
-    # fired yet — the sibling must be skipped in every mode
-    for mode in ("heap", "calendar"):
-        engine = Engine(queue=mode)
-        log = []
-        victim = engine.at(5.0, lambda: log.append("victim"), priority=PRIORITY_LIMIT)
-        engine.at(5.0, lambda: (log.append("killer"), victim.cancel()))
-        engine.at(5.0, lambda: log.append("bystander"), priority=PRIORITY_SCHEDULER)
-        engine.run()
-        assert log == ["killer", "bystander"], mode
-        assert engine.pending == 0
-        assert engine.heap_size == 0
+    # an event cancels a sibling at the same timestamp that has not fired
+    # yet — the sibling must be skipped
+    engine = Engine()
+    log = []
+    victim = engine.at(5.0, lambda: log.append("victim"), priority=PRIORITY_LIMIT)
+    engine.at(5.0, lambda: (log.append("killer"), victim.cancel()))
+    engine.at(5.0, lambda: log.append("bystander"), priority=PRIORITY_SCHEDULER)
+    engine.run()
+    assert log == ["killer", "bystander"]
+    assert engine.pending == 0
+    assert engine.heap_size == 0
 
 
 def test_same_time_rescheduling_lands_in_live_batch():
-    # scheduling at `now` from a callback runs within the same run() in
-    # every mode, even when the batch for that timestamp is mid-drain
-    for mode in ("heap", "calendar"):
-        engine = Engine(queue=mode)
-        log = []
+    # scheduling at `now` from a callback runs within the same run()
+    engine = Engine()
+    log = []
 
-        def chain(depth):
-            log.append(depth)
-            if depth < 5:
-                engine.at(engine.now, chain, depth + 1)
+    def chain(depth):
+        log.append(depth)
+        if depth < 5:
+            engine.at(engine.now, chain, depth + 1)
 
-        engine.at(1.0, chain, 0)
-        processed = engine.run()
-        assert log == list(range(6)), mode
-        assert processed == 6
+    engine.at(1.0, chain, 0)
+    processed = engine.run()
+    assert log == list(range(6))
+    assert processed == 6
 
 
 def test_pending_accounting_with_cancellations():
-    for mode in ("heap", "calendar"):
-        engine = Engine(queue=mode)
-        handles = [engine.at(float(i % 5), lambda: None) for i in range(100)]
-        assert engine.pending == 100
-        assert engine.heap_size == 100
-        for handle in handles[::2]:
-            handle.cancel()
-        assert engine.pending == 50, mode
-        engine.run()
-        assert engine.pending == 0
-        assert engine.heap_size == 0
-        assert engine.processed == 50
-
-
-def test_forced_calendar_mode_stays_calendar():
-    engine = Engine(queue="calendar")
-    for i in range(1000):
-        engine.at(float(i), lambda: None)  # maximally sparse
+    engine = Engine()
+    handles = [engine.at(float(i % 5), lambda: None) for i in range(100)]
+    assert engine.pending == 100
+    assert engine.heap_size == 100
+    for handle in handles[::2]:
+        handle.cancel()
+    assert engine.pending == 50
     engine.run()
-    assert engine.queue_mode == "calendar"
-    assert engine._switches == 0
+    assert engine.pending == 0
+    assert engine.heap_size == 0
+    assert engine.processed == 50
 
 
 def test_pending_exact_after_compaction_inside_a_calendar_batch():
-    # a callback in a timestamp batch cancels enough later events to trigger
-    # _compact(), which re-derives the queue size from what is still queued;
-    # the batch must not subtract its consumed entries a second time
-    engine = Engine(queue="calendar")
+    # the PR 12 regression (found in the calendar queue's batch loop, hence
+    # the name): a callback cancels enough later events to trigger
+    # _compact() while run() is mid-loop; ``pending`` must stay
+    # len(heap) - tombstones, and run() must keep draining the compacted heap
+    engine = Engine()
     doomed = [engine.at(10.0, lambda: None) for _ in range(100)]
     engine.at(1.0, lambda: None)
     engine.at(1.0, lambda: [handle.cancel() for handle in doomed])
     engine.run(until=5.0)
     assert engine._compactions > 0
-    assert engine.pending == 0
+    assert engine.pending == 0 and engine.heap_size == 0
     assert engine.peek_time() is None
 
-    # same shape with survivors: pending is the live count, not fewer
-    engine = Engine(queue="calendar")
+    # same shape with survivors: pending is the live count, not fewer, and
+    # the run that compacted goes on to dispatch them
+    engine = Engine()
     doomed = [engine.at(10.0, lambda: None) for _ in range(100)]
     live = [engine.at(20.0, lambda: None) for _ in range(7)]
     engine.at(1.0, lambda: None)
     engine.at(1.0, lambda: [handle.cancel() for handle in doomed])
     engine.run(until=5.0)
     assert engine._compactions > 0
-    assert engine.pending == len(live)
+    assert engine.pending == engine.heap_size == len(live)
     assert engine.peek_time() == 20.0
     assert engine.run() == len(live)
     assert engine.pending == 0
+
+    # and within one run(): the loop's reference to the heap survives
+    engine = Engine()
+    doomed = [engine.at(10.0, lambda: None) for _ in range(100)]
+    fired = []
+    engine.at(20.0, fired.append, "after")
+    engine.at(1.0, lambda: [handle.cancel() for handle in doomed])
+    assert engine.run() == 2 and fired == ["after"]
+    assert engine._compactions > 0 and engine.pending == 0

@@ -1,5 +1,8 @@
 """Tests for the prioritizer and the static fairshare tracker."""
 
+import copy
+import random
+
 import pytest
 
 from repro.cluster.allocation import ResourceRequest
@@ -59,6 +62,56 @@ class TestPriority:
         big = make_job(submit=0.0, request=ResourceRequest(cores=16))
         assert prio.order([small, big], now=0.0)[0] is big
 
+    @pytest.mark.parametrize(
+        "weights, high, low",
+        [
+            pytest.param(
+                dict(expansion_factor=1.0),
+                dict(walltime=100.0),
+                dict(walltime=1000.0),
+                id="expansion_factor",
+            ),
+            pytest.param(
+                dict(fairshare=1000.0), dict(user="light"), dict(user="heavy"),
+                id="fairshare",
+            ),
+            pytest.param(
+                dict(service=1.0),
+                dict(request=ResourceRequest(cores=16)),
+                dict(request=ResourceRequest(cores=2)),
+                id="service",
+            ),
+            pytest.param(
+                dict(credential=1.0, user_priorities={"vip": 100.0}),
+                dict(user="vip"),
+                dict(user="nobody"),
+                id="credential",
+            ),
+        ],
+    )
+    def test_order_ties_resolve_by_submit_then_seq(self, weights, high, low):
+        """Each factor separates the two classes; inside a class every
+        priority is equal, so ``(submit_time, seq)`` alone orders it."""
+        prio, fairshare = make_prioritizer(queue_time=0.0, **weights)
+        fairshare.add_usage("heavy", 10_000.0)
+        now = 100.0
+        expected = []
+        for kw in (high, low):
+            first, second = make_job(submit=0.0, **kw), make_job(submit=0.0, **kw)
+            # half the wait on half the walltime: the same expansion factor
+            halved = {**kw, "walltime": kw.get("walltime", 100.0) / 2}
+            late = make_job(submit=50.0, **halved)
+            assert (
+                prio.priority(first, now)
+                == prio.priority(second, now)
+                == prio.priority(late, now)
+            )
+            expected += [first, second, late]
+        assert prio.priority(expected[0], now) > prio.priority(expected[-1], now)
+        shuffled = expected[::-2] + expected[-2::-2]
+        assert sorted(shuffled, key=id) == sorted(expected, key=id)
+        assert prio.order(shuffled, now) == expected
+
 
 class TestFairshareTracker:
     def test_usage_accumulates(self):
@@ -102,6 +155,41 @@ class TestFairshareTracker:
             FairshareTracker(interval=0.0, decay=0.5)
         with pytest.raises(ValueError):
             FairshareTracker(interval=10.0, decay=1.5)
+
+    @staticmethod
+    def scalar_roll(tracker, now):
+        """The per-user loop ``roll`` replaced, kept here as the oracle."""
+        while now >= tracker.window_start + tracker.interval:
+            tracker.window_start += tracker.interval
+            for user in list(tracker._usage):
+                tracker._usage[user] *= tracker.decay
+                if tracker._usage[user] < 1e-9:
+                    del tracker._usage[user]
+
+    def test_roll_bit_identical_to_scalar(self):
+        rng = random.Random(19)
+        for _ in range(200):
+            a = FairshareTracker(100.0, rng.choice([0.0, 0.5, 0.9, 0.99, 1.0]))
+            for u in range(8):
+                if rng.random() < 0.8:
+                    a.add_usage(
+                        f"u{u}", rng.choice([0.0, 5e-10, 1e-9, rng.uniform(0.0, 1e5)])
+                    )
+            b = copy.deepcopy(a)
+            now = rng.uniform(0.0, 3000.0)
+            a.roll(now)
+            self.scalar_roll(b, now)
+            assert a.window_start == b.window_start
+            assert a._usage == b._usage
+            # dict iteration order feeds the sequential total_usage sum, so
+            # insertion order must survive the vectorized roll too
+            assert list(a._usage) == list(b._usage)
+            assert a.total_usage == b.total_usage
+
+    def test_roll_without_users_still_advances_window(self):
+        fs = FairshareTracker(100.0, 0.5)
+        fs.roll(250.0)
+        assert fs.window_start == 200.0
 
 
 class TestExtendedFactors:

@@ -2,7 +2,7 @@
 
 The vectorized matrix kernel in :mod:`repro.cluster.profile` must be
 *byte-identical* to the retained list-of-vectors implementation in
-:mod:`repro.cluster.reference_profile` — same breakpoints, same free
+``tests/reference_profile.py`` — same breakpoints, same free
 vectors, same fit decisions, same ``(start, allocation)`` pairs, and the
 same exceptions on the same inputs (including the atomicity of rejected
 mutations).  This suite drives both implementations through thousands of
@@ -20,7 +20,7 @@ import pytest
 
 from repro.cluster.allocation import Allocation, ResourceRequest
 from repro.cluster.profile import AvailabilityProfile, NoFitError
-from repro.cluster.reference_profile import ReferenceAvailabilityProfile
+from tests.reference_profile import ReferenceAvailabilityProfile
 
 # 4 x 300 parametrized batches = 1200 randomized operation sequences
 BATCHES = 4
@@ -558,10 +558,6 @@ _PINNED_STATS_MONOLITHIC = {
     "shard_merges": 0, "shard_passes_skipped": 0,
 }
 _PINNED_ESP_DYN_HP = {
-    0: (
-        "2e2acf886f803557352fa884bf8b2d5b6c02b94418b89f2b00d08bece4d52c26",
-        _PINNED_STATS_MONOLITHIC,
-    ),
     1: (
         "2e2acf886f803557352fa884bf8b2d5b6c02b94418b89f2b00d08bece4d52c26",
         _PINNED_STATS_MONOLITHIC,

@@ -213,6 +213,26 @@ class TestTenantApi:
 
         self.drive(scenario())
 
+    def test_future_dated_job_visible_until_its_submit_time(self):
+        """An acknowledged submission is a known job even while the server
+        has not seen it yet; it cannot be cancelled before then."""
+        backend = SimBackend(num_nodes=1, cores_per_node=8, config=MauiConfig())
+
+        async def scenario():
+            async with SchedulerService(backend) as service:
+                ack = await service.submit(spec(submit=100.0, walltime=60.0))
+                early = await service.job_info(ack.job_id)
+                with pytest.raises(RuntimeError, match="not submitted yet"):
+                    await service.cancel(ack.job_id)
+                await service.drain()
+                return early, await service.job_info(ack.job_id)
+
+        early, final = self.drive(scenario())
+        assert early.state == JobState.QUEUED.value and early.submit_time is None
+        assert final.state == JobState.COMPLETED.value
+        assert (final.submit_time, final.end_time) == (100.0, 160.0)
+        assert backend._scheduled == {}
+
     def test_closed_service_raises(self):
         backend = SimBackend(num_nodes=1, cores_per_node=8)
         service = SchedulerService(backend)
@@ -344,6 +364,35 @@ class TestAdmission:
         assert error.principal == "ann"
         assert stats["submitted"] == 4
         assert stats["admission_rejected"] == 1
+
+    @pytest.mark.parametrize(
+        "submits",
+        [[0.0] * 5, [100.0, 101.0, 102.0, 103.0, 104.0]],
+        ids=["now", "future"],
+    )
+    def test_open_limit_counts_future_dated_jobs(self, submits):
+        """Specs dated ahead of the clock are open from the moment they are
+        acknowledged, exactly like specs dated now."""
+        backend = SimBackend(num_nodes=2, cores_per_node=8, config=MauiConfig())
+        policy = AdmissionPolicy(max_open_per_account=2)
+
+        async def scenario():
+            admitted = 0
+            async with SchedulerService(backend, admission=policy) as service:
+                for submit in submits:
+                    try:
+                        await service.submit(spec(submit=submit, cores=1))
+                        admitted += 1
+                    except AdmissionError:
+                        pass
+                open_before = (await service.queue_info()).open_by_principal
+                await service.drain()
+                return admitted, open_before, await service.queue_info()
+
+        admitted, open_before, after = asyncio.run(scenario())
+        assert admitted == 2
+        assert open_before == {"u": 2}
+        assert after.open_by_principal == {} and after.finished == 2
 
     def test_default_policy_admits_everything(self):
         policy = AdmissionPolicy()

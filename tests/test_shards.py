@@ -3,9 +3,9 @@
 The contract under test, in order of importance:
 
 1. **Single-shard oracle**: with ``scheduler_shards=1`` (the default) the
-   sharded pass is *bit-identical* to the legacy monolithic pass
-   (``scheduler_shards=0``) — same start/end times, same states, same
-   decision counters — across every seeded ESP configuration.
+   pass reproduces the outputs of the monolithic pass PR 15 deleted —
+   same start/end times, same states, same decision counters — frozen in
+   ``_PINNED_SINGLE_SHARD`` for every seeded ESP configuration.
 2. **Multi-shard determinism**: the same seed always produces the same
    schedule, run-to-run, at any shard count.
 3. **Cross-shard merge**: a full-machine job (ESP Z) routes through the
@@ -16,6 +16,11 @@ The contract under test, in order of importance:
 """
 
 import dataclasses
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -65,17 +70,98 @@ def _run_esp(config, shards, *, num_nodes=8, cores_per_node=4, seed=2014):
 
 
 # ----------------------------------------------------------------------
-# 1. single-shard pass ≡ monolithic oracle
+# 1. single-shard pass ≡ the frozen outputs of the monolithic pass
 # ----------------------------------------------------------------------
+def _pinned_stats(**moving):
+    """Full non-``_seconds`` stats of a single-shard run: the counters
+    that move per config plus the ones every such run leaves at zero
+    (``shard_merges`` / ``shard_passes_skipped`` only count at >= 2 shards)."""
+    return {
+        "iterations_skipped": 0,
+        "preemptions": 0, "malleable_shrinks": 0, "jobs_molded": 0,
+        "profile_builds": 1, "profile_advance_fallbacks": 0,
+        "shard_merges": 0, "shard_passes_skipped": 0,
+        **moving,
+    }
+
+
+#: config -> (sha256 of ``repr(tuples)``, stats) on ``_run_esp``'s 8x4
+#: machine, seed 2014.  Recorded at the parent of PR 15 from
+#: ``scheduler_shards=0`` — the monolithic static pass, deleted there — where
+#: the ``scheduler_shards=1`` run gave the same tuples and the same stats.
+_PINNED_SINGLE_SHARD = {
+    "Static": (
+        "93e91705555689114c6468661bb1686d9de949b58395668b42a30ebfedbf7306",
+        _pinned_stats(
+            iterations=463, dyn_granted=0, dyn_rejected=0,
+            dyn_rejected_fairness=0, dyn_rejected_resources=0,
+            jobs_started=186, jobs_backfilled=44, reservations_created=2197,
+            total_delay_charged=0.0, profile_cache_hits=0,
+            profile_advances=462, backfill_quick_rejects=20041,
+        ),
+    ),
+    "Dyn-HP": (
+        "c933ac0b12d190df39a57817e2525021e4c1d8fb3cf8f3abb28a83cffb4fdf1a",
+        _pinned_stats(
+            iterations=610, dyn_granted=10, dyn_rejected=124,
+            dyn_rejected_fairness=0, dyn_rejected_resources=124,
+            jobs_started=180, jobs_backfilled=50, reservations_created=2899,
+            total_delay_charged=0.0, profile_cache_hits=9,
+            profile_advances=610, backfill_quick_rejects=25406,
+        ),
+    ),
+    "Dyn-500": (
+        "687c9af7772a0853cfe2264932a5b35b5063f72f9e780ab3873fe5fb6aaf7201",
+        _pinned_stats(
+            iterations=588, dyn_granted=11, dyn_rejected=122,
+            dyn_rejected_fairness=8, dyn_rejected_resources=114,
+            jobs_started=173, jobs_backfilled=57, reservations_created=2797,
+            total_delay_charged=2395.499999999999, profile_cache_hits=13,
+            profile_advances=590, backfill_quick_rejects=25745,
+        ),
+    ),
+    "Dyn-600": (
+        "f49a370be49b0e0ef6d0fc030ec72e69d4cb053b528f565cda973568bcebe87f",
+        _pinned_stats(
+            iterations=589, dyn_granted=12, dyn_rejected=121,
+            dyn_rejected_fairness=7, dyn_rejected_resources=114,
+            jobs_started=173, jobs_backfilled=57, reservations_created=2798,
+            total_delay_charged=2770.666666666665, profile_cache_hits=13,
+            profile_advances=591, backfill_quick_rejects=25746,
+        ),
+    ),
+}
+
+
 @pytest.mark.parametrize("name", CONFIG_NAMES)
 def test_single_shard_bit_identical_to_monolithic(name):
-    config = _config(name)
-    mono_tuples, mono_stats, _ = _run_esp(config, shards=0)
-    shard_tuples, shard_stats, _ = _run_esp(config, shards=1)
-    assert shard_tuples == mono_tuples
-    # the sharded pass adds its own counters; everything shared must match
-    for key, value in mono_stats.items():
-        assert shard_stats[key] == value, key
+    digest, pinned_stats = _PINNED_SINGLE_SHARD[name]
+    tuples, stats, _ = _run_esp(_config(name), shards=1)
+    assert stats == pinned_stats
+    assert hashlib.sha256(repr(tuples).encode()).hexdigest() == digest
+
+
+@pytest.mark.slow
+def test_table2_exports_match_monolithic_golden(tmp_path):
+    """Ledger and trace JSONL of the default CLI run, byte for byte, against
+    the sha256 list recorded from ``--shards 0`` before that mode went.
+    Job ids are process-global, hence the fresh interpreter."""
+    root = Path(__file__).resolve().parent.parent
+    subprocess.run(
+        [sys.executable, "-m", "repro.cli", "table2", "--telemetry-out",
+         str(tmp_path), "--ledger", "--seed", "2014"],
+        check=True, capture_output=True,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+    )
+    golden = root / "tests" / "golden" / "table2_seed2014.sha256"
+    lines = [
+        line.split()
+        for line in golden.read_text().splitlines()
+        if line and not line.startswith("#")
+    ]
+    assert len(lines) == 8
+    for digest, name in lines:
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
 # ----------------------------------------------------------------------
