@@ -9,7 +9,7 @@ Benchmarks additionally record machine-readable numbers via
 :func:`record_bench`; at session end they are written to the repo-root
 snapshot file (see ``docs/PERFORMANCE.md`` for how to read it).  The
 filename comes from the ``BENCH_SNAPSHOT`` environment variable (default
-``BENCH_PR15.json``), so each PR's CI can keep its own snapshot without
+``BENCH_PR16.json``), so each PR's CI can keep its own snapshot without
 editing this file.  ``repro-batchsim bench-trend`` diffs two snapshots
 (the CI perf-regression gate).  The snapshot always carries ``cpu_count`` —
 wall-clock comparisons (serial vs parallel campaigns in particular) are
@@ -29,7 +29,7 @@ _BENCH: dict[str, dict[str, dict]] = {}
 #: repo-root snapshot file for this PR's performance numbers; override the
 #: filename with the BENCH_SNAPSHOT environment variable
 BENCH_SNAPSHOT = Path(__file__).resolve().parent.parent / os.environ.get(
-    "BENCH_SNAPSHOT", "BENCH_PR15.json"
+    "BENCH_SNAPSHOT", "BENCH_PR16.json"
 )
 
 

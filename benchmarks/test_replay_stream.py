@@ -127,6 +127,7 @@ def test_swf_replay_streaming(replay_workload, shards):
         events=events,
         events_per_second=events / wall,
         iterations=iterations,
+        reservations_created=stats["reservations_created"],
         sched_seconds=sched_state["seconds"],
         sched_iteration_seconds=per_iteration,
         shard_merges=stats["shard_merges"],

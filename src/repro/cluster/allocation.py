@@ -65,7 +65,7 @@ class Allocation:
         shrunk   = expanded - released
     """
 
-    __slots__ = ("_cores_by_node",)
+    __slots__ = ("_cores_by_node", "_total_cores")
 
     def __init__(self, cores_by_node: Mapping[int, int]) -> None:
         cleaned = {int(n): int(c) for n, c in cores_by_node.items() if c}
@@ -73,6 +73,7 @@ class Allocation:
             if count < 0:
                 raise ValueError(f"negative core count {count} on node {node}")
         self._cores_by_node = dict(sorted(cleaned.items()))
+        self._total_cores = sum(cleaned.values())
 
     @classmethod
     def _trusted(cls, cores_by_node: dict[int, int]) -> "Allocation":
@@ -83,6 +84,7 @@ class Allocation:
         the validating constructor."""
         self = object.__new__(cls)
         self._cores_by_node = cores_by_node
+        self._total_cores = sum(cores_by_node.values())
         return self
 
     @classmethod
@@ -137,8 +139,8 @@ class Allocation:
     # -- queries ---------------------------------------------------------
     @property
     def total_cores(self) -> int:
-        """Total cores across all nodes."""
-        return sum(self._cores_by_node.values())
+        """Total cores across all nodes (summed once, at construction)."""
+        return self._total_cores
 
     @property
     def node_indices(self) -> tuple[int, ...]:

@@ -133,9 +133,12 @@ class MauiScheduler:
         #: slice, routed queue and active-job walltimes are unchanged since
         #: its last planning pass — and whose earliest planned reservation
         #: is still in the future — reuses that pass's outcome instead of
-        #: re-planning.  Test reference, not a tuning option: the skip-off
-        #: run is what tests/test_shards.py proves the skip sound against,
-        #: and nothing in config or the CLI reaches it.
+        #: re-planning; the entry also keeps the shard's post-walk profile,
+        #: so a queue that only grew at its tail plans the tail alone and
+        #: starts that cross no reservation window keep the plan
+        #: (:meth:`_start_static`).  Test reference, not a tuning option:
+        #: the skip-off run is what tests/test_shards.py proves all of this
+        #: sound against, and nothing in config or the CLI reaches it.
         self.shard_skip_enabled = True
         self._shard_pass_cache: dict[int, dict] = {}
         #: sticky job -> shard-index assignments, made least-loaded-first
@@ -1157,15 +1160,21 @@ class MauiScheduler:
         return assigned
 
     def _shard_fingerprints(self, routed: list[list[str]]) -> dict[int, tuple]:
-        """Per-shard quiescence fingerprint for the per-shard pass skip.
+        """Per-shard quiescence fingerprint for the per-shard pass skip:
+        ``(resource signature, routed tuple)``.
 
         A shard's planning outcome is a pure function of (its cluster
-        slice, the jobs routed to it in pass order, the walltime ends of
-        active jobs touching its nodes).  The shard version counter covers
-        claims/releases/node events; the active-walltime signature covers
+        slice, the walltime ends of active jobs touching its nodes, the
+        jobs routed to it in pass order and what each asks for).  In the
+        resource signature the shard version counter covers
+        claims/releases/node events, the active-walltime signature covers
         walltime extensions, which move a shard's future releases without
-        any cluster bump; the routed tuple covers queue membership and
-        relative priority order.
+        any cluster bump, and the server's alter epoch covers ``qalter``,
+        which changes a queued job's request or walltime under an
+        unchanged id; the routed tuple covers queue membership and
+        relative priority order.  The two halves are compared separately:
+        an unchanged resource signature with a routed tuple that only grew
+        at its tail re-plans the tail alone (:meth:`_start_static`, R1).
         """
         shards = self._shard_map.shards
         versions = self.cluster.shard_versions
@@ -1204,14 +1213,57 @@ class MauiScheduler:
             self._touched_memo = fresh
             active = {sid: tuple(sigs) for sid, sigs in lists.items()}
             self._active_sig_cache = (sig_key, active)
+        altered = self.server.alter_epoch
         return {
             s.index: (
-                versions[s.index],
+                (versions[s.index], active[s.index], altered),
                 tuple(routed[s.index]),
-                active[s.index],
             )
             for s in shards
         }
+
+    def _replay_cached(
+        self,
+        job_id: str,
+        sid: int,
+        blocked_ids: list[str],
+        reserved_ahead: list[tuple[str, float]],
+        outcome: dict[str, tuple[str, str | None]] | None,
+    ) -> bool:
+        """Replay one job's outcome from its shard's pass-cache entry,
+        exactly as the cached plan decided and *in walk order*: a start of
+        a planned shard between two replayed jobs must see the same
+        ``hole_until``, ``jumped`` and ``waiting_on`` a full re-plan would
+        give it.  No RESERVATION_CREATE record and no ``note_reservation``
+        — the start is unchanged, which the ledger's own dedup would drop.
+        Returns whether the job blocks (False: it can never fit and
+        contributes nothing to the walk)."""
+        cached = self._shard_pass_cache[sid]
+        start = cached["reserved"].get(job_id)
+        if start is not None:
+            # still reserved: anchors the boundary wake
+            if (
+                self._next_reservation_start is None
+                or start < self._next_reservation_start
+            ):
+                self._next_reservation_start = start
+            if self._ledger is not None:
+                reserved_ahead.append((job_id, start))
+                if outcome is not None:
+                    outcome[job_id] = (
+                        "reservation_held",
+                        f"reserved at t={start:.1f}",
+                    )
+        elif job_id not in cached["blocked"]:
+            if outcome is not None:
+                outcome[job_id] = ("queued_behind", "request can never fit")
+            return False
+        elif outcome is not None:
+            # still blocked beyond the shard's reservation depth
+            behind = f"behind {blocked_ids[0]}" if blocked_ids else None
+            outcome[job_id] = ("queued_behind", behind)
+        blocked_ids.append(job_id)
+        return True
 
     def _start_static(
         self,
@@ -1287,16 +1339,6 @@ class MauiScheduler:
             and None not in sids
         )
         fingerprints = self._shard_fingerprints(routed) if multi else None
-        skipped: dict[int, dict] = {}
-        if skip_ok:
-            for shard in shards:
-                cached = self._shard_pass_cache.get(shard.index)
-                if cached is None or cached["fingerprint"] != fingerprints[shard.index]:
-                    continue
-                res_start = cached["min_res_start"]
-                if res_start is not None and now >= res_start:
-                    continue  # a cached reservation is due: replan the shard
-                skipped[shard.index] = cached
 
         workings: dict[int, AvailabilityProfile] = {}
 
@@ -1330,44 +1372,49 @@ class MauiScheduler:
         stopped_at: int | None = None
         self._next_reservation_start = None
 
+        # A plan outlives its pass (docs/PERFORMANCE.md, PR 16).  An entry
+        # whose resource signature still holds and whose reservations all
+        # lie ahead is replayed, in walk order, for the jobs it covers: the
+        # whole routed queue (the shard is skipped) or, R1, a strict prefix
+        # of it — then only the new tail is planned, on the entry's retained
+        # post-walk profile, because nothing behind a job influences its plan.
+        skipped: set[int] = set()
+        #: sid -> jobs at the head of its routed queue still to replay
+        replay_left: dict[int, int] = {}
+        #: shards where a start of this pass overlaps a reservation window
+        overlapped: set[int] = set()
+        if skip_ok:
+            for sid, cached in self._shard_pass_cache.items():
+                res_start = cached["min_res_start"]
+                if res_start is not None and now >= res_start:
+                    continue  # a cached reservation is due: replan the shard
+                resources, queue = fingerprints[sid]
+                was_resources, was_queue = cached["fingerprint"]
+                if was_resources != resources:
+                    continue
+                if was_queue == queue:
+                    skipped.add(sid)
+                elif (
+                    cached["profile"] is not None
+                    and queue[: len(was_queue)] == was_queue
+                ):
+                    workings[sid] = cached["profile"]
+                    workings[sid].advance_to(now)
+                    res_counts[sid] = len(cached["reserved"])
+                    shard_reserved[sid] = dict(cached["reserved"])
+                    shard_blocked[sid] = set(cached["blocked"])
+                else:
+                    continue
+                replay_left[sid] = len(was_queue)
+
         for idx, job in enumerate(ordered):
             sid = sids[idx]
-            if sid in skipped:
-                # replayed outcome, exactly as the cached full pass decided
-                # and *in walk order*: a start of a planned shard between
-                # two replayed jobs must see the same ``hole_until``,
-                # ``jumped`` and ``waiting_on`` a full re-plan would give
-                # it.  No RESERVATION_CREATE record and no
-                # ``note_reservation`` — the start is unchanged, which the
-                # ledger's own dedup would drop.
-                cached = skipped[sid]
-                job_id = job.job_id
-                start = cached["reserved"].get(job_id)
-                if start is not None:
-                    # still reserved: anchors the boundary wake
-                    if (
-                        self._next_reservation_start is None
-                        or start < self._next_reservation_start
-                    ):
-                        self._next_reservation_start = start
-                    if ledger is not None:
-                        reserved_ahead.append((job_id, start))
-                        if outcome is not None:
-                            outcome[job_id] = (
-                                "reservation_held",
-                                f"reserved at t={start:.1f}",
-                            )
-                elif job_id not in cached["blocked"]:
-                    # still can-never-fit: contributes nothing to the walk
-                    if outcome is not None:
-                        outcome[job_id] = ("queued_behind", "request can never fit")
-                    continue
-                elif outcome is not None:
-                    # still blocked beyond the shard's reservation depth
-                    behind = f"behind {blocked_ids[0]}" if blocked_ids else None
-                    outcome[job_id] = ("queued_behind", behind)
-                blocked_ids.append(job_id)
-                passed_blocked = True
+            if replay_left.get(sid):
+                replay_left[sid] -= 1
+                if self._replay_cached(
+                    job.job_id, sid, blocked_ids, reserved_ahead, outcome
+                ):
+                    passed_blocked = True
                 continue
             request = job.request
             walltime = job.walltime
@@ -1439,6 +1486,13 @@ class MauiScheduler:
                     )
                 self.server.start_job(job, alloc, backfilled=passed_blocked)
                 self._route_assign.pop(job.job_id, None)
+                if skip_ok:
+                    # R2/R3: this start keeps the shard's plan unless its
+                    # claim reaches into a reservation window placed so far
+                    routed[sid].remove(job.job_id)
+                    holes = shard_reserved[sid]
+                    if holes and now + walltime > min(holes.values()):
+                        overlapped.add(sid)
                 if passed_blocked:
                     stats["jobs_backfilled"] += 1
                     backfilled += 1
@@ -1545,21 +1599,27 @@ class MauiScheduler:
                 outcome[job.job_id] = ("backfill_blocked", reason)
         if multi:
             if skip_ok and stopped_at is None:
+                if started or backfilled:
+                    # R2/R3: a start that precedes every reservation of its
+                    # shard, or whose claim ends by the earliest of them,
+                    # leaves exactly the plan the echo pass would rebuild —
+                    # file it under the fingerprint that pass will compute
+                    fingerprints = self._shard_fingerprints(routed)
                 for shard in shards:
-                    if shard.index in skipped:
+                    sid = shard.index
+                    if sid in skipped:
                         stats["shard_passes_skipped"] += 1
-                        continue
-                    # pre-walk fingerprint on purpose: a shard that started
-                    # anything has bumped its version past it, so the next
-                    # pass re-plans (the fixpoint semantics of the echo
-                    # wake-up), while an unchanged shard skips
-                    reserved = shard_reserved[shard.index]
-                    self._shard_pass_cache[shard.index] = {
-                        "fingerprint": fingerprints[shard.index],
-                        "blocked": frozenset(shard_blocked[shard.index]),
-                        "reserved": reserved,
-                        "min_res_start": min(reserved.values(), default=None),
-                    }
+                    elif sid in overlapped:
+                        self._shard_pass_cache.pop(sid, None)
+                    else:
+                        reserved = shard_reserved[sid]
+                        self._shard_pass_cache[sid] = {
+                            "fingerprint": fingerprints[sid],
+                            "blocked": frozenset(shard_blocked[sid]),
+                            "reserved": reserved,
+                            "min_res_start": min(reserved.values(), default=None),
+                            "profile": workings.get(sid),
+                        }
             else:
                 self._shard_pass_cache.clear()
         if prof is not None:
@@ -1604,8 +1664,6 @@ class MauiScheduler:
             info["blocked_by"] = detail
             return info
         info["queue_position"] = eligible.index(job)
-        from repro.maui.reservations import plan_static
-
         profile = self._build_profile(static_partitions(self.config))
         plan = plan_static(
             eligible, profile, now, depth=max(self.config.plan_depth, len(eligible))

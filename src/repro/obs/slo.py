@@ -240,7 +240,7 @@ class SLOEngine:
             return latest["jain"]
         return latest["max_share_error"]
 
-    def _on_frame_close(self, frame) -> None:
+    def _on_frame_close(self, frame, closed_at: float) -> None:
         if frame.index in self._evaluated:
             return
         self._evaluated.add(frame.index)
@@ -286,14 +286,18 @@ class SLOEngine:
                     self._breach_counters[obj.text] = counter
                 counter.inc()
             if self._trace is not None:
+                # dated when the window closed, not at its end: the trace
+                # is in event order, and the closing event lies past the
+                # window's end (the ledger and the export keep ``frame.end``)
                 self._trace.record(
-                    frame.end,
+                    closed_at,
                     EventKind.SLO_BREACH,
                     objective=obj.text,
                     metric=obj.metric,
                     value=value,
                     threshold=obj.threshold,
                     window=frame.index,
+                    window_end=frame.end,
                     job_id=job_id,
                 )
             if self._ledger is not None:
@@ -323,8 +327,10 @@ class SLOEngine:
             return
         if self.fairness is not None and now is not None:
             self.fairness.finalize(now)
+        if now is None:
+            now = self._windows._frontier
         for frame in sorted(self._windows._open.values(), key=lambda f: f.index):
-            self._on_frame_close(frame)
+            self._on_frame_close(frame, now)
 
     # ------------------------------------------------------------------
     # queries & export

@@ -322,7 +322,8 @@ class WindowedMetrics:
             self.set_group_by(group_by)
         self.groups: dict[str, GroupStats] = {}
         #: called with each :class:`WindowFrame` as it closes (sorted by
-        #: window index) — the SLO engine's evaluation hook
+        #: window index) and the time of the feed that closed it — the SLO
+        #: engine's evaluation hook
         self.on_frame_close: Callable | None = None
         #: open frames keyed by window index (window k spans
         #: ``[k*stride, k*stride + width)``)
@@ -425,7 +426,7 @@ class WindowedMetrics:
                 frame = self._open.pop(k)
                 self.closed.append(frame)
                 if cb is not None:
-                    cb(frame)
+                    cb(frame, self._frontier)
 
     # ------------------------------------------------------------------
     # feeds

@@ -87,7 +87,9 @@ def qalter(
         if job.request.is_shaped:
             raise ValueError("cannot qalter a nodes=N:ppn=P request to plain cores")
         job.request = ResourceRequest(cores=cores)
-    # a changed requirement can make the job schedulable right now
+    # a changed requirement can make the job schedulable right now, and
+    # invalidates every plan made from the old one
+    server.alter_epoch += 1
     server._notify()
     return job
 

@@ -93,6 +93,11 @@ class Server:
         #: state; the scheduler's per-shard quiescence fingerprints key
         #: their active-job signature cache on it
         self.walltime_epoch: int = 0
+        #: bumps whenever a *queued* job's request or walltime is altered
+        #: (``qalter``) — the one mutation that changes what a queue plans
+        #: to without changing its membership or order; part of the same
+        #: fingerprints
+        self.alter_epoch: int = 0
         self._apps: dict[str, Application | None] = {}
         self._contexts: dict[str, TMContext] = {}
         self._walltime_limits: dict[str, EventHandle] = {}

@@ -1,5 +1,7 @@
 """Tests for ResourceRequest and Allocation."""
 
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -52,6 +54,24 @@ class TestAllocation:
 
     def test_total_cores(self):
         assert Allocation({0: 4, 1: 8}).total_cores == 12
+
+    def test_total_cores_follows_every_constructor(self):
+        """The total is summed once at construction: every way of making an
+        allocation must leave it equal to the sum over the mapping."""
+        a = Allocation({0: 6, 1: 8})
+        made = [
+            a,
+            a + Allocation({1: 2, 3: 4}),
+            a - Allocation({0: 6, 1: 3}),
+            a.subset({1: 5}),
+            Allocation._trusted({2: 3, 5: 1}),
+            Allocation.empty(),
+            pickle.loads(pickle.dumps(a)),
+        ]
+        for alloc in made:
+            assert alloc.total_cores == sum(count for _, count in alloc.items())
+        assert [alloc.total_cores for alloc in made] == [14, 20, 5, 5, 4, 0, 14]
+        assert pickle.loads(pickle.dumps(a)) == a
 
     def test_zero_entries_dropped(self):
         alloc = Allocation({0: 4, 1: 0})

@@ -20,6 +20,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -30,10 +31,12 @@ from repro.apps.synthetic import FixedRuntimeApp
 from repro.cluster.allocation import Allocation, ResourceRequest
 from repro.cluster.machine import Cluster
 from repro.cluster.profile import AvailabilityProfile
+from repro.jobs.job import Job
 from repro.maui.config import MauiConfig
 from repro.maui.shards import SchedulerShard, ShardMap
 from repro.obs import Telemetry
 from repro.obs.ledger import DecisionKind
+from repro.rms.client import qalter
 from repro.system import BatchSystem
 from repro.workloads import evolving_ify, make_random_workload
 from repro.workloads.esp import make_esp_workload
@@ -413,6 +416,39 @@ def test_replayed_reservations_keep_walk_order(tmp_path):
     )
 
 
+#: counters of planning *work*: what the skip exists to change.  Everything
+#: else in ``scheduler.stats`` is a decision count and must not move.
+_MECHANISM = frozenset(
+    {
+        "reservations_created", "backfill_quick_rejects", "shard_passes_skipped",
+        "profile_builds", "profile_cache_hits", "profile_advances",
+        "profile_advance_fallbacks", "dyn_handle_seconds",
+    }
+)
+
+
+def _decision_stats(system):
+    return {k: v for k, v in system.scheduler.stats.items() if k not in _MECHANISM}
+
+
+class _ExtendingApp:
+    """Runs ``runtime`` seconds and asks for ``extra`` walltime at ``ask_at``
+    — the one mutation that moves a shard's future release without touching
+    the cluster."""
+
+    def __init__(self, runtime, ask_at, extra):
+        self.runtime, self.ask_at, self.extra = runtime, ask_at, extra
+
+    def launch(self, ctx):
+        self.ctx = ctx
+        ctx.after(self.ask_at, self._ask)
+        ctx.after(self.runtime, ctx.finish)
+
+    def _ask(self):
+        if self.ctx.job.is_active:
+            self.ctx.tm_extend_walltime(self.extra, lambda grant: None)
+
+
 @settings(
     max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
@@ -421,15 +457,36 @@ def test_replayed_reservations_keep_walk_order(tmp_path):
     seed=st.integers(min_value=0, max_value=10_000),
     spanning_at=st.floats(min_value=0.0, max_value=1500.0),
     lockdown_at=st.floats(min_value=0.0, max_value=1500.0),
+    # small jobs dropped into the run: the short ones fit the hole before a
+    # shard's first reservation (R2/R3 keep the plan), the long ones
+    # backfill across a reservation window (the plan must be dropped), and
+    # each arrives at the tail of a routed queue between completions (R1)
+    fillers=st.lists(
+        st.tuples(
+            st.floats(min_value=0.0, max_value=1500.0),
+            st.integers(min_value=1, max_value=4),
+            st.sampled_from([40.0, 150.0, 900.0, 2500.0]),
+        ),
+        max_size=8,
+    ),
+    extend_at=st.floats(min_value=0.0, max_value=1200.0),
+    fail_at=st.floats(min_value=0.0, max_value=1500.0),
+    fail_node=st.integers(min_value=0, max_value=5),
+    alter_at=st.floats(min_value=0.0, max_value=1500.0),
+    stop=st.floats(min_value=200.0, max_value=2000.0),
 )
 def test_pass_cache_dropped_exactly_as_without_ledger(
-    shards, seed, spanning_at, lockdown_at
+    shards, seed, spanning_at, lockdown_at, fillers, extend_at, fail_at,
+    fail_node, alter_at, stop,
 ):
-    """Random queues with a spanning job and a lockdown job: after every
-    pass the cache holds the same shards with the ledger attached as
-    without it (so it is dropped exactly when it was before the ledger
-    could skip), it is empty whenever a spanning or top-priority job
-    queues, and skip-on ≡ skip-off still holds for schedule and ledger."""
+    """Random queues with a spanning job, a lockdown job, hole-sized and
+    window-crossing backfill candidates, a walltime extension, a node
+    failure and a ``qalter``: after every pass the cache holds the same
+    shards with the ledger attached as without it, it is empty whenever a
+    spanning or top-priority job queues, and skip-on ≡ skip-off holds for the
+    schedule,
+    every decision counter, the ledger bytes, every job's attribution, and
+    ``explain`` of every job caught queued at a mid-run stop."""
     base = make_random_workload(24, 24, size_range=(1, 8), seed=seed)
     extra = [
         JobSpec(  # spans every shard: planned on the cross-shard merge
@@ -440,6 +497,16 @@ def test_pass_cache_dropped_exactly_as_without_ledger(
             lockdown_at, ResourceRequest(cores=4), 300.0, "zed", top_priority=True,
             app_factory=lambda: FixedRuntimeApp(200.0),
         ),
+        JobSpec(  # moves its shard's release from t+600 to t+1000
+            extend_at, ResourceRequest(cores=3), 600.0, "late", evolving=True,
+            app_factory=lambda: _ExtendingApp(700.0, 300.0, 400.0),
+        ),
+    ] + [
+        JobSpec(
+            at, ResourceRequest(cores=cores), walltime, "fill",
+            app_factory=lambda walltime=walltime: FixedRuntimeApp(0.8 * walltime),
+        )
+        for at, cores, walltime in fillers
     ]
     workload = Workload(base.specs + extra)
     maui = MauiConfig(
@@ -450,6 +517,17 @@ def test_pass_cache_dropped_exactly_as_without_ledger(
     def watch(system):
         scheduler = system.scheduler
         iteration = scheduler.iteration
+        server = system.server
+        system.engine.at(fail_at, server.handle_node_failure, fail_node)
+        system.engine.at(fail_at + 400.0, server.recover_node, fail_node)
+
+        def alter():  # shrink whichever filler queues first to hole size
+            for job in server.queue.snapshot():
+                if job.user == "fill":
+                    qalter(server, job, walltime=40.0)
+                    return
+
+        system.engine.at(alter_at, alter)
 
         def watched():
             iteration()
@@ -461,9 +539,12 @@ def test_pass_cache_dropped_exactly_as_without_ledger(
 
         scheduler.iteration = watched
 
-    on, on_ledger = _ledger_run(
-        workload, maui, skip=True, nodes=6, cores=4, watch=watch
-    )
+    def ledger_run(skip, until=None):
+        return _ledger_run(
+            workload, maui, skip=skip, nodes=6, cores=4, watch=watch, until=until
+        )
+
+    on, on_ledger = ledger_run(True)
     with_ledger, cached[:] = list(cached), []
 
     reset_job_ids()
@@ -473,10 +554,254 @@ def test_pass_cache_dropped_exactly_as_without_ledger(
     bare.run(max_events=5_000_000)
     assert cached == with_ledger
     assert _schedule(bare) == _schedule(on)
+    assert _decision_stats(bare) == _decision_stats(on)
 
-    off, off_ledger = _ledger_run(workload, maui, skip=False, nodes=6, cores=4)
+    off, off_ledger = ledger_run(False)
     assert _schedule(off) == _schedule(on)
-    assert [d.to_dict() for d in on_ledger] == [d.to_dict() for d in off_ledger]
+    assert _decision_stats(off) == _decision_stats(on)
+    with tempfile.TemporaryDirectory() as tmp:
+        assert _ledger_bytes(on_ledger, Path(tmp), "on") == _ledger_bytes(
+            off_ledger, Path(tmp), "off"
+        )
+    assert sorted(on.server.jobs) == sorted(off.server.jobs)
+    for job_id in on.server.jobs:
+        assert on_ledger.attribution(job_id) == off_ledger.attribution(job_id)
+
+    on, _ = ledger_run(True, until=stop)
+    off, _ = ledger_run(False, until=stop)
+    queued = [j.job_id for j in on.server.queue.snapshot()]
+    assert queued == [j.job_id for j in off.server.queue.snapshot()]
+    for job_id in queued:
+        assert on.scheduler.explain(on.server.jobs[job_id]) == off.scheduler.explain(
+            off.server.jobs[job_id]
+        )
+
+
+# ----------------------------------------------------------------------
+# 5. a shard's plan outlives its pass: one directed case per rule, and the
+#    changes that must still re-plan.  4 nodes x 4 cores in 2 shards, so a
+#    shard is 8 cores; the oracle is the same run with the skip off.
+# ----------------------------------------------------------------------
+def _plan_system(skip=True, maui=None):
+    reset_job_ids()
+    if maui is None:
+        maui = MauiConfig(reservation_depth=5, scheduler_shards=2)
+    system = BatchSystem(num_nodes=4, cores_per_node=4, config=maui)
+    system.scheduler.shard_skip_enabled = skip
+    passes = []
+    scheduler = system.scheduler
+    iteration = scheduler.iteration
+
+    def watched():
+        iteration()
+        passes.append(
+            {
+                "now": system.engine.now,
+                "cached": {
+                    sid: entry["profile"]
+                    for sid, entry in scheduler._shard_pass_cache.items()
+                },
+                **{k: scheduler.stats[k] for k in _MECHANISM},
+            }
+        )
+
+    scheduler.iteration = watched
+    return system, passes
+
+
+def _submit(system, at, user="u", walltime=100.0, runtime=None, **request):
+    job = Job(request=ResourceRequest(**request), walltime=walltime, user=user)
+    system.submit_at(
+        at, job, FixedRuntimeApp(walltime if runtime is None else runtime)
+    )
+    return job
+
+
+def _both(build):
+    """Run ``build(system) -> jobs`` with the skip on and off; the schedule
+    must not depend on it.  Returns the skip-on passes and jobs."""
+    outcome = {}
+    for skip in (True, False):
+        system, passes = _plan_system(skip)
+        jobs = build(system)
+        system.run(max_events=1_000_000)
+        outcome[skip] = (_schedule(system), _decision_stats(system), passes, jobs)
+    assert outcome[True][:2] == outcome[False][:2]
+    return outcome[True][2], outcome[False][2], outcome[True][3]
+
+
+def _fill_both_shards(system, until=1000.0):
+    for _ in range(2):  # one per shard, least-loaded routing
+        _submit(system, 0.0, walltime=until, nodes=2, ppn=4)
+
+
+def test_tail_append_replans_only_the_tail():
+    """R1: a job arriving at the tail of a routed queue is planned alone,
+    on the profile the shard's last plan left behind."""
+
+    def build(system):
+        _fill_both_shards(system)
+        a = _submit(system, 10.0, cores=8)  # shard 0, reserved at t=1000
+        b = _submit(system, 20.0, cores=8)  # shard 1, reserved at t=1000
+        c = _submit(system, 30.0, cores=8)  # shard 0 again: behind A
+        return a, b, c
+
+    on, off, (a, b, c) = _both(build)
+    before, at_c = (next(p for p in on if p["now"] == t) for t in (20.0, 30.0))
+    # the pass that saw C built no profile: shard 1 was skipped, shard 0
+    # kept planning on the profile it already held ...
+    assert at_c["profile_advances"] == before["profile_advances"]
+    assert at_c["profile_builds"] == before["profile_builds"]
+    assert at_c["cached"][0] is before["cached"][0] is not None
+    assert at_c["shard_passes_skipped"] == before["shard_passes_skipped"] + 1
+    # ... and placed one reservation, C's, where the oracle re-placed all three
+    assert at_c["reservations_created"] == before["reservations_created"] + 1
+    off_before, off_at_c = (next(p for p in off if p["now"] == t) for t in (20.0, 30.0))
+    assert off_at_c["reservations_created"] == off_before["reservations_created"] + 3
+    assert (a.start_time, b.start_time, c.start_time) == (1000.0, 1000.0, 1100.0)
+
+
+def test_in_order_start_keeps_the_plan():
+    """R2: a start ahead of the shard's first reservation leaves the plan
+    the echo pass would rebuild — the echo pass skips the shard."""
+
+    def build(system):
+        _submit(system, 0.0, walltime=1000.0, nodes=1, ppn=4)  # half of shard 0
+        _submit(system, 0.0, walltime=1000.0, nodes=2, ppn=4)  # all of shard 1
+        s = _submit(system, 10.0, cores=4, walltime=50.0)  # shard 0: starts
+        _submit(system, 10.0, cores=8)  # shard 1 (least queued cores)
+        a = _submit(system, 10.0, cores=8)  # shard 0, behind S: reserved
+        return s, a
+
+    on, off, (s, a) = _both(build)
+    parent, echo = [p for p in on if p["now"] == 10.0]
+    assert (s.start_time, a.start_time) == (10.0, 1000.0)
+    assert set(parent["cached"]) == {0, 1}
+    assert echo["reservations_created"] == parent["reservations_created"] == 2
+    assert echo["profile_advances"] == parent["profile_advances"]
+    assert echo["shard_passes_skipped"] == parent["shard_passes_skipped"] + 2
+    # the oracle's echo pass places both reservations a second time
+    assert [p["reservations_created"] for p in off if p["now"] == 10.0] == [2, 4]
+
+
+def test_hole_start_keeps_the_plan_and_overlapping_start_drops_it():
+    """R3: a backfill whose claim ends by the shard's earliest reservation
+    keeps the plan; one that reaches into the reservation's window does not
+    — the echo pass then re-plans, exactly as it always did."""
+
+    def build(system, backfill_walltime):
+        # shard 0: node 0 full and 2 cores of node 1 taken until t=1000
+        _submit(system, 0.0, walltime=1000.0, cores=6)
+        _submit(system, 0.0, walltime=1000.0, nodes=2, ppn=4)  # all of shard 1
+        a = _submit(system, 10.0, cores=4)  # shard 0: node 0 at t=1000
+        _submit(system, 10.0, cores=8)  # shard 1 (least queued cores)
+        h = _submit(system, 10.0, cores=2, walltime=backfill_walltime)  # shard 0
+        return a, h
+
+    on, off, (a, h) = _both(lambda system: build(system, 500.0))
+    parent, echo = [p for p in on if p["now"] == 10.0]
+    assert (a.start_time, h.start_time) == (1000.0, 10.0)
+    assert set(parent["cached"]) == {0, 1}
+    assert echo["reservations_created"] == parent["reservations_created"] == 2
+    assert echo["shard_passes_skipped"] == parent["shard_passes_skipped"] + 2
+    assert [p["reservations_created"] for p in off if p["now"] == 10.0] == [2, 4]
+
+    # same queue, but the backfill now runs to t=2010, across A's window
+    on, off, (a, h) = _both(lambda system: build(system, 2000.0))
+    parent, echo = [p for p in on if p["now"] == 10.0]
+    assert (a.start_time, h.start_time) == (1000.0, 10.0)
+    assert set(parent["cached"]) == {1}  # shard 0's plan was not kept
+    assert echo["reservations_created"] == parent["reservations_created"] + 1 == 3
+    assert echo["shard_passes_skipped"] == parent["shard_passes_skipped"] + 1
+
+
+def test_due_reservation_replans_the_whole_shard():
+    """A cached reservation that has come due voids the entry: the tail
+    append that would have been R1 is a full re-plan.  A reservation cannot
+    come due without its shard changing (its start is a release), so the
+    entry is aged by hand."""
+    system, passes = _plan_system()
+    _fill_both_shards(system)
+    _submit(system, 10.0, cores=8)  # shard 0
+    _submit(system, 10.0, cores=8)  # shard 1
+    system.run(until=20.0)
+    entry = system.scheduler._shard_pass_cache[0]
+    assert entry["min_res_start"] == 1000.0
+    entry["min_res_start"] = 30.0
+    _submit(system, 30.0, cores=8)  # shard 0 again, at its tail
+    system.run(until=40.0)
+    before, at_c = passes[-2:]
+    assert at_c["now"] == 30.0
+    assert at_c["reservations_created"] == before["reservations_created"] + 2
+    assert at_c["profile_advances"] == before["profile_advances"] + 1
+    assert at_c["cached"][0] is not entry["profile"]
+
+
+def test_priority_insert_ahead_of_the_tail_replans_the_whole_shard():
+    from repro.maui.config import PriorityWeightsConfig
+
+    maui = MauiConfig(
+        reservation_depth=5, scheduler_shards=2,
+        weights=PriorityWeightsConfig(
+            credential=1.0, user_priorities={"vip": 1_000_000.0}
+        ),
+    )
+    outcome = {}
+    for skip in (True, False):
+        system, passes = _plan_system(skip, maui)
+        _fill_both_shards(system)
+        a = _submit(system, 10.0, cores=8)  # shard 0
+        vip = _submit(system, 30.0, user="vip", cores=8)  # shard 0, ahead of A
+        system.run(max_events=1_000_000)
+        outcome[skip] = (_schedule(system), passes)
+    assert outcome[True][0] == outcome[False][0]
+    assert (vip.start_time, a.start_time) == (1000.0, 1100.0)
+    passes = outcome[True][1]
+    before, at_insert = (next(p for p in passes if p["now"] == t) for t in (10.0, 30.0))
+    # not a tail append: both of shard 0's reservations are placed again
+    assert at_insert["reservations_created"] == before["reservations_created"] + 2
+    assert at_insert["profile_advances"] == before["profile_advances"] + 1
+    assert at_insert["cached"][0] is not before["cached"][0]
+
+
+@pytest.mark.parametrize(
+    "asked,altered",
+    [
+        ({"cores": 3, "walltime": 500.0}, {"cores": 2}),
+        ({"cores": 2, "walltime": 2000.0}, {"walltime": 500.0}),
+    ],
+)
+def test_qalter_replans_the_shard(asked, altered):
+    """``qalter`` changes what a queued job asks for under an unchanged id
+    and an unchanged queue: the plan made from the old request is void.  X
+    does not fit the two cores free until A's reservation at t=1000 — one
+    core too wide, or running across A's window — until it is altered."""
+    outcome = {}
+    for skip in (True, False):
+        system, _ = _plan_system(skip)
+        _submit(system, 0.0, walltime=1000.0, cores=6)  # shard 0: 2 cores left
+        _submit(system, 0.0, walltime=1000.0, nodes=2, ppn=4)  # all of shard 1
+        _submit(system, 10.0, cores=8)  # A, shard 0: every core at t=1000
+        _submit(system, 10.0, cores=8)  # shard 1 (least queued cores)
+        x = _submit(system, 10.0, **asked)  # shard 0, behind A
+        system.run(until=20.0)
+        assert x.start_time is None
+        qalter(system.server, x, **altered)
+        system.run(max_events=1_000_000)
+        outcome[skip] = (_schedule(system), x.start_time)
+    assert outcome[True] == outcome[False]
+    assert outcome[True][1] == 20.0
+
+
+def test_node_event_drops_retained_profiles():
+    system, _ = _plan_system()
+    _fill_both_shards(system)
+    _submit(system, 10.0, cores=8)
+    system.run(until=20.0)
+    cache = system.scheduler._shard_pass_cache
+    assert cache and any(e["profile"] is not None for e in cache.values())
+    system.server.handle_node_failure(3)
+    assert cache == {}
 
 
 # ----------------------------------------------------------------------

@@ -13,11 +13,13 @@ from types import SimpleNamespace
 import pytest
 
 from repro.maui.config import MauiConfig
+from repro.metrics.validate import validate_trace
 from repro.obs import SLOEngine, Telemetry, parse_slo
 from repro.obs.ledger import DecisionLedger
 from repro.obs.windows import WindowedMetrics
 from repro.sim.events import EventKind, TraceLog
 from repro.system import BatchSystem
+from repro.workloads.esp import make_esp_workload
 from repro.workloads.random_workload import make_random_workload
 
 
@@ -223,3 +225,22 @@ class TestEndToEnd:
         self._run().slo.export_jsonl(first)
         self._run().slo.export_jsonl(second)
         assert first.getvalue() == second.getvalue()
+
+    def test_breach_records_keep_the_trace_in_time_order(self):
+        """A breach is known only once a later event closes its window, so
+        the trace record carries that event's time — dated at the window's
+        end it would sit behind its neighbours and ``validate_trace`` would
+        report time going backwards (bench/README.md, defect 4).  The
+        window's end travels in the payload; the export keeps it as is."""
+        telemetry = Telemetry(windows=3600, slo=["max_wait < 1s"])
+        system = BatchSystem(15, 8, MauiConfig(), telemetry=telemetry)
+        make_esp_workload(system.cluster.total_cores, seed=2014).submit_to(system)
+        system.run(max_events=5_000_000)
+        breaches = system.trace.of_kind(EventKind.SLO_BREACH)
+        assert len(breaches) == len(telemetry.slo.breaches) > 1
+        assert validate_trace(system.trace, system.cluster) == []
+        for event, breach in zip(breaches, telemetry.slo.breaches):
+            assert event.payload["window_end"] == breach["end"]
+        # every window but the trailing partial one closed after its end
+        assert all(e.time >= e.payload["window_end"] for e in breaches[:-1])
+        assert any(e.time > e.payload["window_end"] for e in breaches)
