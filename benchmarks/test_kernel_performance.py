@@ -289,13 +289,13 @@ def test_scheduler_iterations_skipped(benchmark):
 
 @pytest.mark.benchmark(group="kernel")
 def test_profile_build_cached_vs_fresh(benchmark):
-    """_build_profile hit rate: repeated calls within one settled state."""
+    """``ViewProfiles.build`` hit rate: repeated calls within one settled state."""
     system = _loaded_system()
     scheduler = system.scheduler
     partitions = None
 
     def build():
-        return scheduler._build_profile(partitions)
+        return scheduler.profiles.build(partitions)
 
     build()  # warm the cache entry
     hits_before = scheduler.stats["profile_cache_hits"]
@@ -318,12 +318,12 @@ def test_profile_maintenance_incremental(benchmark):
     """
     system = _loaded_system()
     scheduler = system.scheduler
-    scheduler._build_profile(None)  # seeds the incremental base
+    scheduler.profiles.build(None)  # seeds the incremental base
     advances_before = scheduler.stats["profile_advances"]
 
     def refresh():
-        scheduler._profile_cache.clear()
-        return scheduler._build_profile(None)
+        scheduler.profiles._cache.clear()
+        return scheduler.profiles.build(None)
 
     benchmark(refresh)
     assert scheduler.stats["profile_advances"] > advances_before
@@ -340,7 +340,7 @@ def test_profile_maintenance_scratch(benchmark):
     """The from-scratch build the advance falls back to: every running
     job replayed into a fresh profile."""
     scheduler = _loaded_system().scheduler
-    benchmark(scheduler._build_profile_uncached, None)
+    benchmark(scheduler.profiles.build_uncached, None)
     record_bench(
         "kernel", "profile_maintenance_scratch",
         wall_seconds=benchmark.stats.stats.mean,

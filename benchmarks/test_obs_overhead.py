@@ -154,7 +154,7 @@ def _count_ledger_hook_executions() -> int:
     The ledger adds, on the disabled path: the per-queued-job hold gate in
     ``_eligible_static``, a handful of iteration-level ``is not None``
     checks around classification, a per-start and two per-reservation
-    checks in ``_start_static``, and one check in each of the dynamic
+    checks in the static pass (``repro.maui.staticpass``), and one check in each of the dynamic
     grant/deny/defer funnels.  A ledger-enabled run supplies the event
     counts; every site is charged generously.
     """

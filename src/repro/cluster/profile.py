@@ -276,17 +276,6 @@ class AvailabilityProfile:
         """Free cores at the profile start, one entry per node in node order."""
         return self._mat[0].tolist()
 
-    def free_total_at(self, time: float) -> int:
-        """Total free cores across all nodes at the given instant (O(nodes)).
-
-        An upper bound on what any window starting at ``time`` can offer —
-        backfill uses it to discard hopeless candidates without a window scan.
-        """
-        if time < self._times[0]:
-            raise ValueError(f"time {time} precedes profile start")
-        i = bisect.bisect_right(self._times, time) - 1
-        return int(self._mat[i].sum())
-
     def quick_reject(self, start: float, request: ResourceRequest) -> bool:
         """Cheap necessary-condition test: True means ``request`` provably
         cannot fit in any window starting at ``start``.

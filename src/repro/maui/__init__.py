@@ -2,11 +2,13 @@
 
 * :mod:`repro.maui.scheduler` — Algorithm 1 (static iteration) and
   Algorithm 2 (extended iteration with dynamic requests)
+* :mod:`repro.maui.staticpass` — static starts, reservations and the
+  inline backfill, per shard (:mod:`repro.maui.shards`) on cached
+  availability profiles (:mod:`repro.maui.profiles`)
 * :mod:`repro.maui.fairness` — the dynamic fairness (DFS) policies
 * :mod:`repro.maui.delay` — delay measurement against hypothetical grants
 * :mod:`repro.maui.reservations` — priority scheduling plan,
   StartNow/StartLater classification
-* :mod:`repro.maui.backfill` — reservation-respecting backfill
 * :mod:`repro.maui.priority` — job prioritisation and static fairshare
 * :mod:`repro.maui.config` — configuration model + Maui config-file parser
 * :mod:`repro.maui.preemption`, :mod:`repro.maui.partition` — optional

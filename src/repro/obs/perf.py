@@ -43,10 +43,25 @@ __all__ = [
     "aggregate_phase_records",
     "read_phases_jsonl",
     "stats_tree",
+    "timed",
 ]
 
 #: separator used when flattening a phase path into one label/JSON string
 PATH_SEP = "/"
+
+
+def timed(prof, name: str, fn, /, *args, sim_time: float | None = None, **kwargs):
+    """``fn(*args, **kwargs)`` as phase ``name`` of ``prof`` — a plain call
+    when ``prof`` is None (profiling off).  The one is-None check every
+    per-pass phase of the scheduler shares; per-job phases keep their own
+    so the disabled path pays no call frame."""
+    if prof is None:
+        return fn(*args, **kwargs)
+    prof.begin(name, sim_time)
+    try:
+        return fn(*args, **kwargs)
+    finally:
+        prof.end()
 
 
 class PhaseStat:

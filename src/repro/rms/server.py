@@ -90,8 +90,7 @@ class Server:
         self._active_jobs_cache_version: int = -1
         #: bumps whenever a *running* job's walltime is extended — the one
         #: mutation that moves a future release without touching cluster
-        #: state; the scheduler's per-shard quiescence fingerprints key
-        #: their active-job signature cache on it
+        #: state; part of the scheduler's per-shard plan fingerprints
         self.walltime_epoch: int = 0
         #: bumps whenever a *queued* job's request or walltime is altered
         #: (``qalter``) — the one mutation that changes what a queue plans

@@ -6,7 +6,7 @@ the dynamic-request path) and the Maui scheduler with its DFS policies,
 plus the optional telemetry and fault-injection attachments.  It contains
 no driving loop of its own — that is the point of the extraction:
 
-* :class:`repro.system.BatchSystem` wraps a core and drives it to
+* :class:`repro.system.BatchSystem` is a core that drives itself to
   completion in one call (the classic simulate-a-workload path);
 * the :mod:`repro.service` backends wrap the *same* core and drive it
   incrementally from a long-lived asyncio service, which is what lets one
@@ -141,4 +141,4 @@ class PolicyCore:
         )
 
     def __repr__(self) -> str:
-        return f"<PolicyCore t={self.engine.now:.1f} {self.cluster!r}>"
+        return f"<{type(self).__name__} t={self.engine.now:.1f} {self.cluster!r}>"

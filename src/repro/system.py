@@ -5,12 +5,11 @@ engine, cluster, server and scheduler, lets you submit jobs (immediately or
 at future times), runs the simulation and hands back
 :class:`~repro.metrics.collector.WorkloadMetrics`.
 
-The wiring itself lives in :class:`repro.service.core.PolicyCore` — the
-policy core extracted for the always-on scheduler service
-(:mod:`repro.service`).  ``BatchSystem`` composes a core and drives it to
-completion in one call; the service backends drive the *same* core
-incrementally, which is why a workload pushed through the service
-reproduces the direct run bit for bit.
+It *is* a :class:`repro.service.core.PolicyCore` — the wired stack the
+scheduler service (:mod:`repro.service`) drives incrementally — plus the
+three calls that drive it to completion; one constructor for both paths is
+why a workload pushed through the service reproduces the direct run bit
+for bit.
 
 Example
 -------
@@ -27,10 +26,7 @@ from __future__ import annotations
 
 import logging
 
-from repro.cluster.machine import Cluster
 from repro.jobs.job import Job
-from repro.maui.config import MauiConfig
-from repro.metrics.collector import WorkloadMetrics
 from repro.rms.server import Application
 from repro.service.core import PolicyCore
 
@@ -39,49 +35,9 @@ __all__ = ["BatchSystem"]
 log = logging.getLogger("repro.system")
 
 
-class BatchSystem:
-    """Engine + cluster + server + scheduler in one object."""
+class BatchSystem(PolicyCore):
+    """Engine + cluster + server + scheduler in one object, with a driver."""
 
-    def __init__(
-        self,
-        num_nodes: int = 15,
-        cores_per_node: int = 8,
-        config: MauiConfig | None = None,
-        *,
-        cluster: Cluster | None = None,
-        start_time: float = 0.0,
-        telemetry=None,
-        trace_maxlen: int | None = None,
-        fault_model=None,
-    ) -> None:
-        self.core = PolicyCore(
-            num_nodes,
-            cores_per_node,
-            config,
-            cluster=cluster,
-            start_time=start_time,
-            telemetry=telemetry,
-            trace_maxlen=trace_maxlen,
-            fault_model=fault_model,
-        )
-        # facade: the historical attribute surface, aliased to the core
-        self.engine = self.core.engine
-        self.cluster = self.core.cluster
-        self.trace = self.core.trace
-        self.telemetry = self.core.telemetry
-        self.server = self.core.server
-        self.scheduler = self.core.scheduler
-        self.fault_injector = self.core.fault_injector
-
-    @property
-    def config(self) -> MauiConfig:
-        return self.scheduler.config
-
-    @property
-    def now(self) -> float:
-        return self.engine.now
-
-    # ------------------------------------------------------------------
     def submit(self, job: Job, app: Application | None = None) -> Job:
         """Submit a job right now."""
         return self.server.submit(job, app)
@@ -92,9 +48,9 @@ class BatchSystem:
 
     def run(self, until: float | None = None, max_events: int | None = None) -> int:
         """Run the simulation to completion (or ``until``)."""
-        self.core.begin_cycle()
+        self.begin_cycle()
         processed = self.engine.run(until=until, max_events=max_events)
-        self.core.end_cycle()
+        self.end_cycle()
         log.info(
             "run finished: t=%.1f, %d events processed, %d trace events recorded",
             self.engine.now,
@@ -102,10 +58,3 @@ class BatchSystem:
             self.trace.total_recorded,
         )
         return processed
-
-    def metrics(self) -> WorkloadMetrics:
-        """Workload metrics over everything submitted so far."""
-        return self.core.metrics()
-
-    def __repr__(self) -> str:
-        return f"<BatchSystem t={self.engine.now:.1f} {self.cluster!r}>"

@@ -1,61 +1,71 @@
-"""Tests for the backfill pass."""
+"""Tests for backfill, driven through the pass that does it.
 
-from repro.cluster.allocation import Allocation, ResourceRequest
-from repro.cluster.profile import AvailabilityProfile
+The static pass (:mod:`repro.maui.staticpass`) backfills inline: a job that
+fits right now without reaching into a protected reservation window starts
+out of order and is marked ``backfilled``.  Every case runs the same
+machine — 4 nodes x 8 cores, a filler running until t=50 and a blocked wide
+job holding the one reservation (``ReservationDepth`` 1) at t=50.
+"""
+
+from repro.apps.synthetic import FixedRuntimeApp
+from repro.cluster.allocation import ResourceRequest
 from repro.jobs.job import Job
-from repro.maui.backfill import select_backfill
-
-
-def profile(nodes=4, cores=8):
-    idx = list(range(nodes))
-    return AvailabilityProfile(idx, {i: cores for i in idx}, 0.0, {i: cores for i in idx})
+from repro.system import BatchSystem
 
 
 def job(cores, walltime):
-    j = Job(request=ResourceRequest(cores=cores), walltime=walltime)
-    j.submit_time = 0.0
-    return j
+    return Job(request=ResourceRequest(cores=cores), walltime=walltime)
 
 
-class TestSelectBackfill:
+def run_pass(filler_cores, wide_cores, *candidates):
+    """Submit the filler, the wide job and one ``(cores, walltime)``
+    candidate after another at t=0 — creation order is priority order —
+    and run the one scheduling pass at t=0."""
+    system = BatchSystem(num_nodes=4, cores_per_node=8)
+    filler, wide = job(filler_cores, 50.0), job(wide_cores, 1000.0)
+    jobs = [filler, wide, *(job(*candidate) for candidate in candidates)]
+    for j in jobs:
+        system.submit(j, FixedRuntimeApp(j.walltime))
+    system.run(until=1.0)
+    assert filler.start_time == 0.0 and not filler.backfilled
+    assert wide.start_time is None  # blocked: reserved at t=50
+    return system, wide, *jobs[2:]
+
+
+class TestSelectBackfill:  # name kept from ``select_backfill``: stable test ids
     def test_fills_idle_gap(self):
-        prof = profile()
-        # machine reserved from t=50 onwards
-        prof.add_claim(50.0, 1000.0, Allocation({i: 8 for i in range(4)}))
-        short = job(8, walltime=50.0)
-        chosen = select_backfill([short], prof, 0.0)
-        assert [p.job for p in chosen] == [short]
-        assert chosen[0].start == 0.0
+        # 24 cores idle until the whole machine is reserved from t=50
+        system, wide, short = run_pass(8, 32, (8, 50.0))
+        assert short.start_time == 0.0 and short.backfilled
+        system.run()
+        assert wide.start_time == 50.0
 
     def test_rejects_job_that_would_delay_reservation(self):
-        prof = profile()
-        prof.add_claim(50.0, 1000.0, Allocation({i: 8 for i in range(4)}))
-        long = job(8, walltime=51.0)  # one second too long
-        assert select_backfill([long], prof, 0.0) == []
+        system, wide, long = run_pass(8, 32, (8, 51.0))  # one second too long
+        assert long.start_time is None
+        system.run()
+        assert wide.start_time == 50.0
+        assert long.start_time == 1050.0
 
     def test_accepts_job_running_beside_reservation(self):
-        prof = profile()
-        # reservation takes only half the machine
-        prof.add_claim(50.0, 1000.0, Allocation({0: 8, 1: 8}))
-        beside = job(16, walltime=500.0)
-        chosen = select_backfill([beside], prof, 0.0)
-        assert len(chosen) == 1
+        # the reservation takes only half the machine: a job on the node
+        # the filler left free may run across its start
+        system, wide, beside = run_pass(24, 16, (8, 500.0))
+        assert beside.start_time == 0.0 and beside.backfilled
+        system.run()
+        assert wide.start_time == 50.0
 
     def test_candidates_tried_in_order_and_claims_accumulate(self):
-        prof = profile()
-        prof.add_claim(50.0, 1000.0, Allocation({i: 8 for i in range(4)}))
-        a, b, c = job(16, 50.0), job(16, 50.0), job(16, 50.0)
-        chosen = select_backfill([a, b, c], prof, 0.0)
-        # only 32 cores exist: the third candidate no longer fits
-        assert [p.job for p in chosen] == [a, b]
+        _, _, a, b, c = run_pass(8, 32, (12, 50.0), (12, 50.0), (12, 50.0))
+        # only 24 cores are idle: the third candidate no longer fits
+        assert (a.start_time, b.start_time, c.start_time) == (0.0, 0.0, None)
+        assert a.backfilled and b.backfilled
 
     def test_skip_then_fit_smaller(self):
-        prof = profile()
-        prof.add_claim(50.0, 1000.0, Allocation({i: 8 for i in range(4)}))
-        too_long = job(8, 200.0)
-        fits = job(8, 40.0)
-        chosen = select_backfill([too_long, fits], prof, 0.0)
-        assert [p.job for p in chosen] == [fits]
+        _, _, too_long, fits = run_pass(8, 32, (8, 200.0), (8, 40.0))
+        assert too_long.start_time is None
+        assert fits.start_time == 0.0 and fits.backfilled
 
     def test_empty_candidates(self):
-        assert select_backfill([], profile(), 0.0) == []
+        system, _ = run_pass(8, 32)
+        assert system.scheduler.stats["jobs_backfilled"] == 0

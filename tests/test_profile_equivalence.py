@@ -33,7 +33,6 @@ def assert_profiles_equal(new: AvailabilityProfile,
     assert new.breakpoints == ref.breakpoints
     for t in ref.breakpoints:
         assert new.free_at(t) == ref.free_at(t)
-        assert new.free_total_at(t) == sum(ref.free_at(t).values())
 
 
 def random_request(rng: random.Random, num_nodes: int,
@@ -268,11 +267,11 @@ def test_incremental_scheduler_profile_matches_scratch_rebuild():
     keep semantically-neutral leftovers) must equal the scratch rebuild's.
     """
     from repro.experiments.configs import all_configurations
-    from repro.maui.scheduler import MauiScheduler
+    from repro.maui.profiles import ViewProfiles
     from repro.system import BatchSystem
     from repro.workloads.esp import make_esp_workload
 
-    original = MauiScheduler._advance_profile
+    original = ViewProfiles._advance
     advances = 0
 
     def checked(self, partitions):
@@ -280,13 +279,13 @@ def test_incremental_scheduler_profile_matches_scratch_rebuild():
         profile = original(self, partitions)
         if profile is not None:
             advances += 1
-            scratch = self._build_profile_uncached(partitions)
+            scratch = self.build_uncached(partitions)
             assert profile._nodes == scratch._nodes
             for t in sorted(set(profile.breakpoints) | set(scratch.breakpoints)):
                 assert profile.free_at(t) == scratch.free_at(t), t
         return profile
 
-    MauiScheduler._advance_profile = checked
+    ViewProfiles._advance = checked
     try:
         config = next(c for c in all_configurations() if c.name == "Dyn-HP")
         system = BatchSystem(num_nodes=8, cores_per_node=4, config=config.maui)
@@ -296,7 +295,7 @@ def test_incremental_scheduler_profile_matches_scratch_rebuild():
         workload.submit_to(system)
         system.run(max_events=5_000_000)
     finally:
-        MauiScheduler._advance_profile = original
+        ViewProfiles._advance = original
     assert advances > 100
     assert system.scheduler.stats["profile_advance_fallbacks"] == 0
 

@@ -200,7 +200,7 @@ def test_full_machine_job_spans_shards_under_churn():
         reservation_depth=5, reservation_delay_depth=5, scheduler_shards=2
     )
     system = BatchSystem(num_nodes=4, cores_per_node=8, config=maui)
-    shard_map = system.scheduler._shard_map
+    shard_map = system.scheduler.static_pass.shards.shard_map
     assert len(shard_map) == 2
 
     fillers = [
@@ -531,7 +531,7 @@ def test_pass_cache_dropped_exactly_as_without_ledger(
 
         def watched():
             iteration()
-            keys = tuple(sorted(scheduler._shard_pass_cache))
+            keys = tuple(sorted(scheduler.static_pass.shards.plans))
             cached.append((system.engine.now, keys))
             queue = system.server.queue.snapshot()
             if any(j.top_priority or j.user == "span" for j in queue):
@@ -598,8 +598,8 @@ def _plan_system(skip=True, maui=None):
             {
                 "now": system.engine.now,
                 "cached": {
-                    sid: entry["profile"]
-                    for sid, entry in scheduler._shard_pass_cache.items()
+                    sid: plan.profile
+                    for sid, plan in scheduler.static_pass.shards.plans.items()
                 },
                 **{k: scheduler.stats[k] for k in _MECHANISM},
             }
@@ -725,16 +725,16 @@ def test_due_reservation_replans_the_whole_shard():
     _submit(system, 10.0, cores=8)  # shard 0
     _submit(system, 10.0, cores=8)  # shard 1
     system.run(until=20.0)
-    entry = system.scheduler._shard_pass_cache[0]
-    assert entry["min_res_start"] == 1000.0
-    entry["min_res_start"] = 30.0
+    entry = system.scheduler.static_pass.shards.plans[0]
+    assert entry.min_res_start == 1000.0
+    entry.min_res_start = 30.0
     _submit(system, 30.0, cores=8)  # shard 0 again, at its tail
     system.run(until=40.0)
     before, at_c = passes[-2:]
     assert at_c["now"] == 30.0
     assert at_c["reservations_created"] == before["reservations_created"] + 2
     assert at_c["profile_advances"] == before["profile_advances"] + 1
-    assert at_c["cached"][0] is not entry["profile"]
+    assert at_c["cached"][0] is not entry.profile
 
 
 def test_priority_insert_ahead_of_the_tail_replans_the_whole_shard():
@@ -798,10 +798,99 @@ def test_node_event_drops_retained_profiles():
     _fill_both_shards(system)
     _submit(system, 10.0, cores=8)
     system.run(until=20.0)
-    cache = system.scheduler._shard_pass_cache
-    assert cache and any(e["profile"] is not None for e in cache.values())
+    cache = system.scheduler.static_pass.shards.plans
+    assert cache and any(plan.profile is not None for plan in cache.values())
     system.server.handle_node_failure(3)
     assert cache == {}
+
+
+def test_granted_extension_replans_every_shard(tmp_path):
+    """A walltime extension moves a future release without touching the
+    cluster; the server's walltime epoch is in every shard's resource
+    signature, so a grant to a job on shard 0 alone voids *both* kept
+    plans — one re-plan of shard 1 more than strictly needed, accepted
+    (docs/PERFORMANCE.md, "Removed in PR 17") — and the run equals the
+    skip-off oracle."""
+
+    def spec(at, app=lambda: FixedRuntimeApp(1000.0), **request):
+        return JobSpec(at, ResourceRequest(**request), 1000.0, "u", app_factory=app)
+
+    workload = Workload(
+        [
+            # all of shard 0; asks at t=30 to run until t=1200, and does
+            spec(0.0, lambda: _ExtendingApp(1200.0, 30.0, 200.0), nodes=2, ppn=4),
+            spec(0.0, nodes=2, ppn=4),  # all of shard 1
+            spec(10.0, cores=8),  # A: shard 0, reserved at t=1000
+            spec(10.0, cores=8),  # B: shard 1, reserved at t=1000
+        ]
+    )
+    maui = MauiConfig(reservation_depth=5, scheduler_shards=2)
+    passes = []
+
+    def watch(system):
+        scheduler, iteration = system.scheduler, system.scheduler.iteration
+
+        def watched():
+            iteration()
+            passes.append((system.engine.now, dict(scheduler.stats)))
+
+        scheduler.iteration = watched
+
+    on, on_ledger = _ledger_run(workload, maui, skip=True, nodes=4, cores=4, watch=watch)
+    before = [stats for now, stats in passes if now == 10.0][-1]
+    at_grant = next(stats for now, stats in passes if now == 30.0)
+    assert at_grant["dyn_granted"] == before["dyn_granted"] + 1
+    assert at_grant["shard_passes_skipped"] == before["shard_passes_skipped"]
+    assert at_grant["reservations_created"] == before["reservations_created"] + 2
+    filler, _, a, b = sorted(on.server.jobs.values(), key=lambda j: j.seq)
+    assert set(filler.allocation) <= {0, 1}  # shard 0 only
+    assert (a.start_time, b.start_time) == (1200.0, 1000.0)
+
+    off, off_ledger = _ledger_run(workload, maui, skip=False, nodes=4, cores=4)
+    assert _schedule(on) == _schedule(off)
+    assert _decision_stats(on) == _decision_stats(off)
+    assert _ledger_bytes(on_ledger, tmp_path, "on") == _ledger_bytes(
+        off_ledger, tmp_path, "off"
+    )
+
+
+def test_cancelled_jobs_leave_the_routing_table():
+    """A job that leaves the queue without starting must not keep its
+    sticky assignment (and its request) for the life of the scheduler."""
+    system, _ = _plan_system()
+    book = system.scheduler.static_pass.shards
+    _fill_both_shards(system)
+    queued = [_submit(system, 10.0, cores=8) for _ in range(50)]
+    system.run(until=20.0)
+    assert sorted(book._assign) == sorted(job.job_id for job in queued)
+    for job in queued:
+        system.server.cancel_queued(job)
+    system.scheduler.request_iteration(force=True)  # qdel wakes nobody
+    system.run(until=30.0)
+    assert book._assign == {}
+
+
+def test_held_job_keeps_its_shard_across_a_prune():
+    system, _ = _plan_system()
+    book = system.scheduler.static_pass.shards
+    _fill_both_shards(system)
+    x1, x2, x3 = (_submit(system, 10.0, cores=8) for _ in range(3))
+    held = _submit(system, 10.0, cores=8)  # least queued cores: shard 1
+    system.run(until=20.0)
+    assigned = book._assign[held.job_id]
+    assert assigned[1] == 1
+    system.server.hold_job(held)
+    system.server.cancel_queued(x1)
+    system.server.cancel_queued(x3)
+    system.scheduler.request_iteration(force=True)
+    system.run(until=30.0)
+    # the walk saw x2 alone; the prune kept the held job all the same ...
+    assert sorted(book._assign) == sorted([x2.job_id, held.job_id])
+    system.server.release_hold(held)
+    system.run(until=40.0)
+    # ... so it stays on shard 1, where a fresh least-loaded assignment
+    # (x2 queues there) would have sent it to shard 0
+    assert book._assign[held.job_id] is assigned
 
 
 # ----------------------------------------------------------------------
