@@ -43,8 +43,9 @@ class Cluster:
         #: out copies (callers like :meth:`find_allocation` mutate theirs)
         self._free_cache: dict = {}
         self._free_cache_version: int = -1
-        #: per-shard monotone version counters (installed by the sharded
-        #: scheduler); index ``shard_versions[s]`` bumps whenever a claim,
+        #: per-shard monotone version counters (installed by the scheduler's
+        #: :class:`~repro.maui.shards.ShardBook`, one shard included);
+        #: index ``shard_versions[s]`` bumps whenever a claim,
         #: release or node state change touches a node of shard ``s``
         self.shard_versions: list[int] = []
         self._shard_of_node: dict[int, int] | None = None
@@ -161,7 +162,8 @@ class Cluster:
     def install_shard_index(
         self, shard_of_node: dict[int, int], num_shards: int
     ) -> None:
-        """Enable per-shard version counters for the sharded scheduler."""
+        """Enable per-shard version counters: the resource half of a kept
+        shard plan's fingerprint."""
         self._shard_of_node = dict(shard_of_node)
         self.shard_versions = [0] * num_shards
 

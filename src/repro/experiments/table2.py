@@ -149,7 +149,8 @@ def run_table2_instrumented(
     processes through the same single writer (the CI serial-vs-``-j 2``
     golden check relies on this).  ``shards`` overrides the scheduler
     shard count; the default single-shard dumps are what CI checks against
-    ``tests/golden/table2_seed2014.sha256``.
+    ``tests/golden/table2_seed2014.sha256`` (traces with their
+    ``reservation_create`` lines set aside).
     ``via_service`` drives each run through the scheduler service on the
     simulator backend (``repro.service``); the CI service golden check
     byte-compares its dumps against the direct path's.

@@ -181,9 +181,9 @@ class MauiConfig:
     dynamic_request_order: str = "fifo"
     weights: "PriorityWeightsConfig" = field(default_factory=lambda: PriorityWeightsConfig())
     #: per-partition scheduler sharding: number of shards each static
-    #: partition is split into (``repro.maui.shards``).  1 (the default)
-    #: plans on the whole partition view; >= 2 plans each shard
-    #: independently with a cross-shard merge for spanning jobs.
+    #: partition is split into (``repro.maui.shards``).  Every shard plans
+    #: independently and keeps its plan between passes, at 1 (the default)
+    #: as at N; a job no single shard can host plans on their merge.
     scheduler_shards: int = 1
     #: optional periodic wake-up (Maui's polling timer); None = purely
     #: event-driven, which is sufficient for deterministic simulation.

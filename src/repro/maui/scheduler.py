@@ -129,8 +129,8 @@ class MauiScheduler:
             cluster, server, self.config, self.profiles, self.stats,
             ledger=self._ledger, profiler=self._prof,
         )
-        #: per-shard pass skip (multi-shard only): a shard's plan outlives
-        #: the pass that made it (:class:`repro.maui.shards.ShardBook`).
+        #: per-shard pass skip: a shard's plan outlives the pass that made
+        #: it (:class:`repro.maui.shards.ShardBook`), at any shard count.
         #: Test reference, not a tuning option: the skip-off run is what
         #: tests/test_shards.py proves all of this sound against, and
         #: nothing in config or the CLI reaches it.

@@ -112,7 +112,8 @@ class ShardMap:
         partitions: Iterable[str] | None = None,
     ) -> "ShardMap":
         """Split the nodes of the given partitions into ≤ ``num_shards``
-        balanced contiguous chunks per partition.
+        balanced contiguous chunks per partition; at 1 (the default) each
+        partition is one shard, routed, planned and kept like any other.
 
         Partitions never share a shard — that is the point: a dynamic
         partition kept out of ``partitions`` (the scheduler passes
@@ -142,7 +143,7 @@ class ShardMap:
                 pos += size
         if not shards:
             # degenerate: every node lives outside the static partitions;
-            # one empty shard keeps the scheduler's single-shard fast path
+            # one empty shard gives the static pass a view nothing fits
             shards = [SchedulerShard(0, "batch", ())]
         return cls(tuple(shards))
 
@@ -175,9 +176,8 @@ class ShardPlan:
     behind a job influences its plan.
     """
 
-    #: shard index; None: the one plan of a single-shard pass, on the
-    #: whole static partition view
-    sid: int | None
+    #: index of the shard whose view the plan's profile is built on
+    sid: int
     #: the fingerprint: :meth:`ShardBook.resources` (None: stale, a start
     #: of this pass moved it) and the routed ids the plan covers
     resources: tuple | None = None
@@ -201,15 +201,15 @@ class ShardPlan:
 
 
 class ShardBook:
-    """What the sharded static pass keeps between passes: sticky routing
-    and the plans that outlived their pass (docs/PERFORMANCE.md)."""
+    """What the static pass keeps between passes: sticky routing and the
+    plans that outlived their pass (docs/PERFORMANCE.md, "Kept shard
+    plans")."""
 
     def __init__(self, cluster: Cluster, server: Server, shard_map: ShardMap) -> None:
         self.cluster = cluster
         self.server = server
         self.shard_map = shard_map
-        if len(shard_map) > 1:
-            cluster.install_shard_index(shard_map.node_to_shard, len(shard_map))
+        cluster.install_shard_index(shard_map.node_to_shard, len(shard_map))
         self.plans: dict[int, ShardPlan] = {}
         #: sticky job -> ``(request, shard index, topology version, cores)``
         #: assignments, made least-loaded-first in deterministic pass order
@@ -327,7 +327,7 @@ class ShardBook:
         what a queued job asks for under an unchanged id.  Both epochs are
         global, so an extension or a ``qalter`` re-plans every shard once,
         not only the shards its job touches — accepted: no workload grants
-        an extension (docs/PERFORMANCE.md, "Removed in PR 17").
+        an extension (docs/PERFORMANCE.md, "Kept shard plans").
         """
         server = self.server
         return (

@@ -6,8 +6,9 @@ through named phases.  A job covered by a kept plan that still holds is
 *replayed*; any other is *scanned* for a start right now, *started* if it
 fits, given a *reservation* if it is among its shard's first
 ``ReservationDepth`` blocked jobs, and passed over otherwise; plans that
-survive the pass are *filed* for the next one.  With one shard the single
-plan is the whole static partition view and no routing or filing runs.
+survive the pass are *filed* for the next one.  The walk is the same for
+any number of shards; only the *names* it gives (:meth:`StaticPass._name`)
+read the shard count.
 """
 
 from __future__ import annotations
@@ -64,9 +65,8 @@ class StaticPass:
         shard_map = ShardMap.build(
             cluster, config.scheduler_shards, partitions=static_partitions(config)
         )
-        #: routing and kept plans; consulted only with more than one shard
+        #: routing and kept plans
         self.shards = ShardBook(cluster, server, shard_map)
-        self._multi = len(shard_map) > 1
         # state of the pass in progress, reset by :meth:`run`
         self._now = 0.0
         self._snapshot: tuple = ()
@@ -103,40 +103,30 @@ class StaticPass:
         self._now = now
         self._outcome = outcome
         self._next_start = None
-        if self._multi:
-            sids, routed = self.shards.route(ordered)
-            if not ordered:
-                # empty queue: nothing to plan or block.  Dropping the kept
-                # plans instead of re-fingerprinting is exact — a future
-                # non-empty pass could never match an empty queue, so they
-                # would be dead weight either way.
-                self.shards.plans.clear()
-                return 0, 0, None
-            # Replaying a kept plan is sound because profiles are
-            # release-only between state changes (free cores non-decreasing
-            # in time, so fits/earliest-fit outcomes are time-stable until
-            # the earliest planned reservation start); spanning jobs,
-            # lockdown, disabled backfill and admin reservations all fall
-            # back to full planning.  Ledger/outcome collection does not: a
-            # kept classification is replayed in walk order, so the
-            # instruments see exactly what a full re-plan would have shown.
-            self._skip_ok = (
-                skip
-                and not lockdown
-                and backfill_enabled
-                and not config.admin_reservations
-                and None not in sids
-            )
-            plans = self.shards.match(routed, now, self._skip_ok)
-        else:
-            sids = [0] * len(ordered)
-            self._skip_ok = False
-            # built even on an empty queue: every pass then leaves a base
-            # for the next advance, and the profile_builds / cache_hits /
-            # advances counters are pinned on exactly this (test_shards.py
-            # ``_PINNED_SINGLE_SHARD``)
-            plans = [ShardPlan(None)]
-            self._profile_of(plans[0])
+        sids, routed = self.shards.route(ordered)
+        if not ordered:
+            # empty queue: nothing to plan or block.  Dropping the kept
+            # plans instead of re-fingerprinting is exact — a future
+            # non-empty pass could never match an empty queue, so they
+            # would be dead weight either way.
+            self.shards.plans.clear()
+            return 0, 0, None
+        # Replaying a kept plan is sound because profiles are release-only
+        # between state changes (free cores non-decreasing in time, so
+        # fits/earliest-fit outcomes are time-stable until the earliest
+        # planned reservation start); spanning jobs, lockdown, disabled
+        # backfill and admin reservations all fall back to full planning.
+        # Ledger/outcome collection does not: a kept classification is
+        # replayed in walk order, so the instruments see exactly what a
+        # full re-plan would have shown.
+        self._skip_ok = (
+            skip
+            and not lockdown
+            and backfill_enabled
+            and not config.admin_reservations
+            and None not in sids
+        )
+        plans = self.shards.match(routed, now, self._skip_ok)
         self._plans = plans
         self._snapshot = self.profiles.state()
         blocked_ids = self._blocked_ids = []
@@ -185,8 +175,7 @@ class StaticPass:
                     continue
             # blocked: reserve if within depth, then maybe stop the pass.
             # Reservation depth is per shard; a spanning job counts against
-            # every shard (equivalent to the single global counter at one
-            # shard).
+            # every shard.
             if (
                 plan.res_count < depth
                 if plan is not None
@@ -215,29 +204,32 @@ class StaticPass:
                 reason = f"blocked top-priority job {ordered[stopped_at].job_id}"
             for job in ordered[stopped_at + 1 :]:
                 outcome[job.job_id] = ("backfill_blocked", reason)
-        if self._multi:
-            stats["shard_passes_skipped"] += self.shards.file(
-                plans, self._skip_ok and stopped_at is None
-            )
+        stats["shard_passes_skipped"] += self.shards.file(
+            plans, self._skip_ok and stopped_at is None
+        )
         return started, backfilled, self._next_start
 
     # ------------------------------------------------------------------
     # phases of the walk
     # ------------------------------------------------------------------
-    def _suffix(self, plan: ShardPlan | None) -> str:
-        """Profiler-phase suffix of a plan's scans and reservation plans."""
+    def _name(self, plan: ShardPlan | None) -> tuple[str, int | None]:
+        """How a plan's work is *named*: its profiler-phase suffix and its
+        ledger ``shard`` label; ``plan`` None is the cross-shard merge.  The
+        one place the shard count is read: with a single shard a label that
+        is always 0 says nothing, so phases stay unsuffixed and ledger
+        records carry no ``shard`` field."""
+        if len(self.shards.shard_map) == 1:
+            return "", None
         if plan is None:
-            return ".merge"
-        return "" if plan.sid is None else f".s{plan.sid}"
+            return ".merge", None
+        return f".s{plan.sid}", plan.sid
 
     def _profile_of(self, plan: ShardPlan) -> AvailabilityProfile:
         """The plan's working profile, built on first use."""
         if plan.profile is None:
-            if plan.sid is None:
-                view = static_partitions(self.config)
-            else:
-                view = self.shards.shard_map.shards[plan.sid]
-            plan.profile = self.profiles.build(view)
+            plan.profile = self.profiles.build(
+                self.shards.shard_map.shards[plan.sid]
+            )
         return plan.profile
 
     def _merged(self) -> AvailabilityProfile:
@@ -302,7 +294,7 @@ class StaticPass:
         """Can ``job`` start right now?  Returns ``(allocation, molded)``."""
         prof = self._prof
         if prof is not None:
-            prof.begin("backfill_scan" + self._suffix(plan))
+            prof.begin("backfill_scan" + self._name(plan)[0])
         now = self._now
         request = job.request
         # instantaneous-free prune: on a packed cluster most candidates
@@ -355,7 +347,7 @@ class StaticPass:
                 fingerprint=self._snapshot,
                 jumped=self._blocked_ids if backfilled else None,
                 hole_until=self._next_start,
-                shard=plan.sid if plan is not None else None,
+                shard=self._name(plan)[1],
             )
         self.server.start_job(job, alloc, backfilled=backfilled)
         self.shards.started(job.job_id)
@@ -377,7 +369,7 @@ class StaticPass:
         Returns False when the request can never fit this view."""
         prof = self._prof
         if prof is not None:
-            suffix = self._suffix(plan)
+            suffix = self._name(plan)[0]
             prof.begin("reservation_plan" + suffix)
             prof.begin("earliest_fit" + suffix)
         now = self._now
@@ -417,7 +409,7 @@ class StaticPass:
                 self._ledger.note_reservation(
                     job, now, start, alloc.total_cores,
                     lambda: self._waiting_on(start), self._snapshot,
-                    shard=plan.sid if plan is not None else None,
+                    shard=self._name(plan)[1],
                 )
             self._hold(job.job_id, start)
         if prof is not None:

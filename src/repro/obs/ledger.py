@@ -342,8 +342,8 @@ class DecisionLedger:
             "profile_fingerprint": list(fingerprint),
         }
         if shard is not None:
-            # which scheduler shard planned the start (multi-shard runs
-            # only; single-shard payloads stay byte-identical to legacy)
+            # which scheduler shard planned the start; the static pass
+            # passes None where there is one shard and the label says nothing
             payload["shard"] = shard
         if backfilled:
             # the hole: which higher-priority jobs were jumped, and until

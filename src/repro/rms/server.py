@@ -385,6 +385,8 @@ class Server:
             runtime=0.0,
             reason=reason,
         )
+        # the jobs behind it may now start earlier: wake the scheduler
+        self._notify()
 
     def _teardown(self, job: Job, state: JobState, kind: EventKind, **extra) -> None:
         if not job.is_active:

@@ -543,27 +543,28 @@ def test_randomized_reserve_and_claim_rounds_at_shard_shape(batch):
 #: ESP Dyn-HP, seed 2014, 15x8 — recorded at the commit before the
 #: first-feasible kernel (sha256 over the per-job
 #: ``(submit, start, end, state)`` tuples; the full ``scheduler.stats``
-#: dict minus wall-clock ``*_seconds`` entries).  The 2-shard entry's four
-#: planning-work counters (``reservations_created``, ``profile_advances``,
-#: ``backfill_quick_rejects``, ``shard_passes_skipped``) were re-recorded
-#: when shard plans began to outlive their pass (PR 16); its tuple digest
-#: and every other stat are the original recording.
-_PINNED_STATS_MONOLITHIC = {
-    "iterations": 597, "iterations_skipped": 0,
-    "dyn_granted": 43, "dyn_rejected": 63,
-    "dyn_rejected_fairness": 0, "dyn_rejected_resources": 63,
-    "jobs_started": 166, "jobs_backfilled": 64,
-    "reservations_created": 2842, "preemptions": 0,
-    "malleable_shrinks": 0, "jobs_molded": 0, "total_delay_charged": 0.0,
-    "profile_builds": 1, "profile_cache_hits": 35,
-    "profile_advances": 604, "profile_advance_fallbacks": 0,
-    "backfill_quick_rejects": 27230,
-    "shard_merges": 0, "shard_passes_skipped": 0,
-}
+#: dict minus wall-clock ``*_seconds`` entries).  The planning-work counters
+#: (``reservations_created``, ``profile_builds``, ``profile_cache_hits``,
+#: ``profile_advances``, ``backfill_quick_rejects``,
+#: ``shard_passes_skipped``) were re-recorded when shard plans began to
+#: outlive their pass — at 2 shards in PR 16, at 1 shard (2842 reservations
+#: before) when the one-shard pass became the same walk; tuple digests and
+#: every other stat are the original recording.
 _PINNED_ESP_DYN_HP = {
     1: (
         "2e2acf886f803557352fa884bf8b2d5b6c02b94418b89f2b00d08bece4d52c26",
-        _PINNED_STATS_MONOLITHIC,
+        {
+            "iterations": 597, "iterations_skipped": 0,
+            "dyn_granted": 43, "dyn_rejected": 63,
+            "dyn_rejected_fairness": 0, "dyn_rejected_resources": 63,
+            "jobs_started": 166, "jobs_backfilled": 64,
+            "reservations_created": 1160, "preemptions": 0,
+            "malleable_shrinks": 0, "jobs_molded": 0, "total_delay_charged": 0.0,
+            "profile_builds": 2, "profile_cache_hits": 1,
+            "profile_advances": 291, "profile_advance_fallbacks": 0,
+            "backfill_quick_rejects": 8754,
+            "shard_merges": 0, "shard_passes_skipped": 166,
+        },
     ),
     2: (
         "c648dad6ff40966a0c45d23586d3e55f6ac3d53b837ffb6fa7ba65c12b1d9b4f",

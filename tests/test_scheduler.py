@@ -56,6 +56,20 @@ class TestStaticScheduling:
         assert c.backfilled
         assert b.start_time == 100.0
 
+    def test_qdel_of_a_reserved_job_wakes_the_scheduler(self):
+        # 1x8: a(4c) runs to t=1000 and b(8c) is reserved behind it, so
+        # c(4c, 2000s) would run across b's window and waits.  With b gone
+        # c fits beside a at once — not only when a completes.
+        system = BatchSystem(1, 8)
+        a = system.submit(rigid(4, 1000, "a"), FixedRuntimeApp(1000))
+        b = system.submit(rigid(8, 100, "b"), FixedRuntimeApp(100))
+        c = system.submit(rigid(4, 2000, "c"), FixedRuntimeApp(2000))
+        system.run(until=10.0)
+        assert a.state is JobState.RUNNING and c.state is JobState.QUEUED
+        system.server.cancel_queued(b)
+        system.run()
+        assert c.start_time == 10.0
+
     def test_backfill_disabled(self):
         system = BatchSystem(4, 8, MauiConfig(backfill_enabled=False))
         a = system.submit(rigid(16, 100, "a"), FixedRuntimeApp(100))

@@ -201,6 +201,24 @@ class TestTenantApi:
         assert final.start_time is None
         assert backend.core.server.jobs[cancelled.job_id].state is JobState.ABORTED
 
+    def test_cancel_wakes_the_scheduler(self):
+        """The job a cancelled reservation was holding back starts at the
+        cancel, not at the next completion."""
+        backend = SimBackend(num_nodes=1, cores_per_node=8, config=MauiConfig())
+
+        async def scenario():
+            async with SchedulerService(backend) as service:
+                await service.submit(spec(cores=4, walltime=1000.0))
+                # reserved at t=1000; the job behind it would cross that window
+                victim = await service.submit(spec(cores=8, walltime=100.0))
+                tail = await service.submit(spec(cores=4, walltime=2000.0))
+                await service.run_until(10.0)
+                await service.cancel(victim.job_id)
+                await service.drain()
+                return await service.job_info(tail.job_id)
+
+        assert self.drive(scenario()).start_time == 10.0
+
     def test_unknown_job_raises(self):
         backend = SimBackend(num_nodes=1, cores_per_node=8)
 

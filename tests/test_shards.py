@@ -5,17 +5,20 @@ The contract under test, in order of importance:
 1. **Single-shard oracle**: with ``scheduler_shards=1`` (the default) the
    pass reproduces the outputs of the monolithic pass PR 15 deleted —
    same start/end times, same states, same decision counters — frozen in
-   ``_PINNED_SINGLE_SHARD`` for every seeded ESP configuration.
+   ``_PINNED_SINGLE_SHARD`` for every seeded ESP configuration.  It is the
+   same walk as at any other shard count, kept plans included; only the
+   counters of planning work differ from that recording.
 2. **Multi-shard determinism**: the same seed always produces the same
    schedule, run-to-run, at any shard count.
 3. **Cross-shard merge**: a full-machine job (ESP Z) routes through the
    explicit merge and can span every shard, surviving node fail/recover
    churn confined to one shard.
 4. **Per-shard skip soundness**: skipping quiescent shards never changes
-   the schedule, only the amount of planning work.
+   the schedule, only the amount of planning work — at 1 shard as at N.
 """
 
 import dataclasses
+import functools
 import hashlib
 import os
 import subprocess
@@ -24,7 +27,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.apps.synthetic import FixedRuntimeApp
@@ -76,31 +79,33 @@ def _run_esp(config, shards, *, num_nodes=8, cores_per_node=4, seed=2014):
 # 1. single-shard pass ≡ the frozen outputs of the monolithic pass
 # ----------------------------------------------------------------------
 def _pinned_stats(**moving):
-    """Full non-``_seconds`` stats of a single-shard run: the counters
-    that move per config plus the ones every such run leaves at zero
-    (``shard_merges`` / ``shard_passes_skipped`` only count at >= 2 shards)."""
+    """Full non-``_seconds`` stats of a single-shard ESP run: the counters
+    that move per config plus the ones every such run leaves at zero (no
+    job of the workload is wider than the one shard, so nothing merges)."""
     return {
         "iterations_skipped": 0,
         "preemptions": 0, "malleable_shrinks": 0, "jobs_molded": 0,
-        "profile_builds": 1, "profile_advance_fallbacks": 0,
-        "shard_merges": 0, "shard_passes_skipped": 0,
+        "profile_advance_fallbacks": 0, "shard_merges": 0,
         **moving,
     }
 
 
 #: config -> (sha256 of ``repr(tuples)``, stats) on ``_run_esp``'s 8x4
-#: machine, seed 2014.  Recorded at the parent of PR 15 from
-#: ``scheduler_shards=0`` — the monolithic static pass, deleted there — where
-#: the ``scheduler_shards=1`` run gave the same tuples and the same stats.
+#: machine, seed 2014.  Digests and every decision stat recorded at the
+#: parent of PR 15 from ``scheduler_shards=0`` — the monolithic static pass,
+#: deleted there.  The six mechanism counters (second row of each entry)
+#: re-recorded when the one-shard pass started keeping its plan like any
+#: other shard: reservations placed 2197/2899/2797/2798 before.
 _PINNED_SINGLE_SHARD = {
     "Static": (
         "93e91705555689114c6468661bb1686d9de949b58395668b42a30ebfedbf7306",
         _pinned_stats(
             iterations=463, dyn_granted=0, dyn_rejected=0,
             dyn_rejected_fairness=0, dyn_rejected_resources=0,
-            jobs_started=186, jobs_backfilled=44, reservations_created=2197,
-            total_delay_charged=0.0, profile_cache_hits=0,
-            profile_advances=462, backfill_quick_rejects=20041,
+            jobs_started=186, jobs_backfilled=44, total_delay_charged=0.0,
+            reservations_created=925, profile_builds=1, profile_cache_hits=0,
+            profile_advances=197, backfill_quick_rejects=7319,
+            shard_passes_skipped=79,
         ),
     ),
     "Dyn-HP": (
@@ -108,9 +113,10 @@ _PINNED_SINGLE_SHARD = {
         _pinned_stats(
             iterations=610, dyn_granted=10, dyn_rejected=124,
             dyn_rejected_fairness=0, dyn_rejected_resources=124,
-            jobs_started=180, jobs_backfilled=50, reservations_created=2899,
-            total_delay_charged=0.0, profile_cache_hits=9,
-            profile_advances=610, backfill_quick_rejects=25406,
+            jobs_started=180, jobs_backfilled=50, total_delay_charged=0.0,
+            reservations_created=1054, profile_builds=2, profile_cache_hits=1,
+            profile_advances=231, backfill_quick_rejects=7812,
+            shard_passes_skipped=198,
         ),
     ),
     "Dyn-500": (
@@ -118,9 +124,11 @@ _PINNED_SINGLE_SHARD = {
         _pinned_stats(
             iterations=588, dyn_granted=11, dyn_rejected=122,
             dyn_rejected_fairness=8, dyn_rejected_resources=114,
-            jobs_started=173, jobs_backfilled=57, reservations_created=2797,
-            total_delay_charged=2395.499999999999, profile_cache_hits=13,
-            profile_advances=590, backfill_quick_rejects=25745,
+            jobs_started=173, jobs_backfilled=57,
+            total_delay_charged=2395.499999999999,
+            reservations_created=1031, profile_builds=2, profile_cache_hits=1,
+            profile_advances=236, backfill_quick_rejects=8290,
+            shard_passes_skipped=180,
         ),
     ),
     "Dyn-600": (
@@ -128,9 +136,11 @@ _PINNED_SINGLE_SHARD = {
         _pinned_stats(
             iterations=589, dyn_granted=12, dyn_rejected=121,
             dyn_rejected_fairness=7, dyn_rejected_resources=114,
-            jobs_started=173, jobs_backfilled=57, reservations_created=2798,
-            total_delay_charged=2770.666666666665, profile_cache_hits=13,
-            profile_advances=591, backfill_quick_rejects=25746,
+            jobs_started=173, jobs_backfilled=57,
+            total_delay_charged=2770.666666666665,
+            reservations_created=1032, profile_builds=2, profile_cache_hits=2,
+            profile_advances=236, backfill_quick_rejects=8291,
+            shard_passes_skipped=180,
         ),
     ),
 }
@@ -146,9 +156,13 @@ def test_single_shard_bit_identical_to_monolithic(name):
 
 @pytest.mark.slow
 def test_table2_exports_match_monolithic_golden(tmp_path):
-    """Ledger and trace JSONL of the default CLI run, byte for byte, against
-    the sha256 list recorded from ``--shards 0`` before that mode went.
-    Job ids are process-global, hence the fresh interpreter."""
+    """Ledger and trace JSONL of the default CLI run against the sha256
+    list: the ledgers byte for byte as recorded from ``--shards 0`` before
+    that mode went; the traces with their ``reservation_create`` lines set
+    aside (a kept plan writes one when a reservation is placed or moved,
+    not once per pass — the golden's header has the proof), and the number
+    of those lines pinned.  Job ids are process-global, hence the fresh
+    interpreter."""
     root = Path(__file__).resolve().parent.parent
     subprocess.run(
         [sys.executable, "-m", "repro.cli", "table2", "--telemetry-out",
@@ -157,14 +171,17 @@ def test_table2_exports_match_monolithic_golden(tmp_path):
         env={**os.environ, "PYTHONPATH": str(root / "src")},
     )
     golden = root / "tests" / "golden" / "table2_seed2014.sha256"
-    lines = [
-        line.split()
-        for line in golden.read_text().splitlines()
-        if line and not line.startswith("#")
-    ]
-    assert len(lines) == 8
-    for digest, name in lines:
-        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+    lines = [line.split() for line in golden.read_text().splitlines()]
+    digests = [line for line in lines if not line[0].startswith("#")]
+    counts = {line[2]: int(line[1]) for line in lines if line[0] == "#count"}
+    assert len(digests) == 8 and len(counts) == 4
+    marker = b'"kind": "reservation_create"'
+    for digest, name in digests:
+        kept = (tmp_path / name).read_bytes().splitlines(keepends=True)
+        if name in counts:
+            assert sum(marker in line for line in kept) == counts[name], name
+            kept = [line for line in kept if marker not in line]
+        assert hashlib.sha256(b"".join(kept)).hexdigest() == digest, name
 
 
 # ----------------------------------------------------------------------
@@ -453,7 +470,7 @@ class _ExtendingApp:
     max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
 @given(
-    shards=st.sampled_from([2, 3]),
+    shards=st.sampled_from([1, 2, 3]),
     seed=st.integers(min_value=0, max_value=10_000),
     spanning_at=st.floats(min_value=0.0, max_value=1500.0),
     lockdown_at=st.floats(min_value=0.0, max_value=1500.0),
@@ -475,6 +492,11 @@ class _ExtendingApp:
     alter_at=st.floats(min_value=0.0, max_value=1500.0),
     stop=st.floats(min_value=200.0, max_value=2000.0),
 )
+@example(  # the default shard count is always among the examples run
+    shards=1, seed=2014, spanning_at=700.0, lockdown_at=1200.0,
+    fillers=[(50.0, 2, 40.0), (300.0, 3, 900.0), (600.0, 1, 2500.0)],
+    extend_at=100.0, fail_at=900.0, fail_node=2, alter_at=400.0, stop=800.0,
+)
 def test_pass_cache_dropped_exactly_as_without_ledger(
     shards, seed, spanning_at, lockdown_at, fillers, extend_at, fail_at,
     fail_node, alter_at, stop,
@@ -483,10 +505,11 @@ def test_pass_cache_dropped_exactly_as_without_ledger(
     window-crossing backfill candidates, a walltime extension, a node
     failure and a ``qalter``: after every pass the cache holds the same
     shards with the ledger attached as without it, it is empty whenever a
-    spanning or top-priority job queues, and skip-on ≡ skip-off holds for the
-    schedule,
-    every decision counter, the ledger bytes, every job's attribution, and
-    ``explain`` of every job caught queued at a mid-run stop."""
+    spanning or top-priority job queues (the ``span`` job spans only where
+    there is more than one shard), and skip-on ≡ skip-off holds for the
+    schedule, every decision counter, the ledger bytes, every job's
+    attribution, and ``explain`` of every job caught queued at a mid-run
+    stop."""
     base = make_random_workload(24, 24, size_range=(1, 8), seed=seed)
     extra = [
         JobSpec(  # spans every shard: planned on the cross-shard merge
@@ -534,7 +557,9 @@ def test_pass_cache_dropped_exactly_as_without_ledger(
             keys = tuple(sorted(scheduler.static_pass.shards.plans))
             cached.append((system.engine.now, keys))
             queue = system.server.queue.snapshot()
-            if any(j.top_priority or j.user == "span" for j in queue):
+            if any(
+                j.top_priority or (j.user == "span" and shards > 1) for j in queue
+            ):
                 assert keys == ()
 
         scheduler.iteration = watched
@@ -579,14 +604,19 @@ def test_pass_cache_dropped_exactly_as_without_ledger(
 
 # ----------------------------------------------------------------------
 # 5. a shard's plan outlives its pass: one directed case per rule, and the
-#    changes that must still re-plan.  4 nodes x 4 cores in 2 shards, so a
-#    shard is 8 cores; the oracle is the same run with the skip off.
+#    changes that must still re-plan.  2 nodes x 4 cores per shard, so a
+#    shard is 8 cores at any shard count; the oracle is the same run with
+#    the skip off.  Each case runs at 2 shards under its own name and at 1
+#    shard through ``test_plan_rules_hold_at_one_shard`` (a defaulted
+#    argument is not a fixture, so the ids below never change): there the
+#    jobs that only keep shard 1 busy are left out.
 # ----------------------------------------------------------------------
-def _plan_system(skip=True, maui=None):
+def _plan_system(skip=True, maui=None, shards=2):
     reset_job_ids()
     if maui is None:
-        maui = MauiConfig(reservation_depth=5, scheduler_shards=2)
-    system = BatchSystem(num_nodes=4, cores_per_node=4, config=maui)
+        maui = MauiConfig(reservation_depth=5)
+    maui = dataclasses.replace(maui, scheduler_shards=shards)
+    system = BatchSystem(num_nodes=2 * shards, cores_per_node=4, config=maui)
     system.scheduler.shard_skip_enabled = skip
     passes = []
     scheduler = system.scheduler
@@ -617,12 +647,12 @@ def _submit(system, at, user="u", walltime=100.0, runtime=None, **request):
     return job
 
 
-def _both(build):
+def _both(build, shards):
     """Run ``build(system) -> jobs`` with the skip on and off; the schedule
     must not depend on it.  Returns the skip-on passes and jobs."""
     outcome = {}
     for skip in (True, False):
-        system, passes = _plan_system(skip)
+        system, passes = _plan_system(skip, shards=shards)
         jobs = build(system)
         system.run(max_events=1_000_000)
         outcome[skip] = (_schedule(system), _decision_stats(system), passes, jobs)
@@ -630,61 +660,67 @@ def _both(build):
     return outcome[True][2], outcome[False][2], outcome[True][3]
 
 
-def _fill_both_shards(system, until=1000.0):
-    for _ in range(2):  # one per shard, least-loaded routing
+def _fill_shards(system, shards, until=1000.0):
+    for _ in range(shards):  # one per shard, least-loaded routing
         _submit(system, 0.0, walltime=until, nodes=2, ppn=4)
 
 
-def test_tail_append_replans_only_the_tail():
+def test_tail_append_replans_only_the_tail(shards=2):
     """R1: a job arriving at the tail of a routed queue is planned alone,
     on the profile the shard's last plan left behind."""
 
     def build(system):
-        _fill_both_shards(system)
+        _fill_shards(system, shards)
         a = _submit(system, 10.0, cores=8)  # shard 0, reserved at t=1000
-        b = _submit(system, 20.0, cores=8)  # shard 1, reserved at t=1000
+        b = _submit(system, 20.0, cores=8)  # shard 1 if there is one
         c = _submit(system, 30.0, cores=8)  # shard 0 again: behind A
         return a, b, c
 
-    on, off, (a, b, c) = _both(build)
+    on, off, (a, b, c) = _both(build, shards)
     before, at_c = (next(p for p in on if p["now"] == t) for t in (20.0, 30.0))
-    # the pass that saw C built no profile: shard 1 was skipped, shard 0
-    # kept planning on the profile it already held ...
+    # the pass that saw C built no profile: a second shard was skipped,
+    # shard 0 kept planning on the profile it already held ...
     assert at_c["profile_advances"] == before["profile_advances"]
     assert at_c["profile_builds"] == before["profile_builds"]
     assert at_c["cached"][0] is before["cached"][0] is not None
-    assert at_c["shard_passes_skipped"] == before["shard_passes_skipped"] + 1
+    assert at_c["shard_passes_skipped"] == before["shard_passes_skipped"] + shards - 1
     # ... and placed one reservation, C's, where the oracle re-placed all three
     assert at_c["reservations_created"] == before["reservations_created"] + 1
     off_before, off_at_c = (next(p for p in off if p["now"] == t) for t in (20.0, 30.0))
     assert off_at_c["reservations_created"] == off_before["reservations_created"] + 3
-    assert (a.start_time, b.start_time, c.start_time) == (1000.0, 1000.0, 1100.0)
+    assert (a.start_time, b.start_time, c.start_time) == (
+        (1000.0, 1000.0, 1100.0) if shards == 2 else (1000.0, 1100.0, 1200.0)
+    )
 
 
-def test_in_order_start_keeps_the_plan():
+def test_in_order_start_keeps_the_plan(shards=2):
     """R2: a start ahead of the shard's first reservation leaves the plan
     the echo pass would rebuild — the echo pass skips the shard."""
 
     def build(system):
         _submit(system, 0.0, walltime=1000.0, nodes=1, ppn=4)  # half of shard 0
-        _submit(system, 0.0, walltime=1000.0, nodes=2, ppn=4)  # all of shard 1
+        if shards == 2:
+            _submit(system, 0.0, walltime=1000.0, nodes=2, ppn=4)  # all of shard 1
         s = _submit(system, 10.0, cores=4, walltime=50.0)  # shard 0: starts
-        _submit(system, 10.0, cores=8)  # shard 1 (least queued cores)
+        if shards == 2:
+            _submit(system, 10.0, cores=8)  # shard 1 (least queued cores)
         a = _submit(system, 10.0, cores=8)  # shard 0, behind S: reserved
         return s, a
 
-    on, off, (s, a) = _both(build)
+    on, off, (s, a) = _both(build, shards)
     parent, echo = [p for p in on if p["now"] == 10.0]
     assert (s.start_time, a.start_time) == (10.0, 1000.0)
-    assert set(parent["cached"]) == {0, 1}
-    assert echo["reservations_created"] == parent["reservations_created"] == 2
+    assert set(parent["cached"]) == set(range(shards))
+    assert echo["reservations_created"] == parent["reservations_created"] == shards
     assert echo["profile_advances"] == parent["profile_advances"]
-    assert echo["shard_passes_skipped"] == parent["shard_passes_skipped"] + 2
-    # the oracle's echo pass places both reservations a second time
-    assert [p["reservations_created"] for p in off if p["now"] == 10.0] == [2, 4]
+    assert echo["shard_passes_skipped"] == parent["shard_passes_skipped"] + shards
+    # the oracle's echo pass places every reservation a second time
+    assert [p["reservations_created"] for p in off if p["now"] == 10.0] == [
+        shards, 2 * shards
+    ]
 
 
-def test_hole_start_keeps_the_plan_and_overlapping_start_drops_it():
+def test_hole_start_keeps_the_plan_and_overlapping_start_drops_it(shards=2):
     """R3: a backfill whose claim ends by the shard's earliest reservation
     keeps the plan; one that reaches into the reservation's window does not
     — the echo pass then re-plans, exactly as it always did."""
@@ -692,38 +728,43 @@ def test_hole_start_keeps_the_plan_and_overlapping_start_drops_it():
     def build(system, backfill_walltime):
         # shard 0: node 0 full and 2 cores of node 1 taken until t=1000
         _submit(system, 0.0, walltime=1000.0, cores=6)
-        _submit(system, 0.0, walltime=1000.0, nodes=2, ppn=4)  # all of shard 1
+        if shards == 2:
+            _submit(system, 0.0, walltime=1000.0, nodes=2, ppn=4)  # all of shard 1
         a = _submit(system, 10.0, cores=4)  # shard 0: node 0 at t=1000
-        _submit(system, 10.0, cores=8)  # shard 1 (least queued cores)
+        if shards == 2:
+            _submit(system, 10.0, cores=8)  # shard 1 (least queued cores)
         h = _submit(system, 10.0, cores=2, walltime=backfill_walltime)  # shard 0
         return a, h
 
-    on, off, (a, h) = _both(lambda system: build(system, 500.0))
+    on, off, (a, h) = _both(lambda system: build(system, 500.0), shards)
     parent, echo = [p for p in on if p["now"] == 10.0]
     assert (a.start_time, h.start_time) == (1000.0, 10.0)
-    assert set(parent["cached"]) == {0, 1}
-    assert echo["reservations_created"] == parent["reservations_created"] == 2
-    assert echo["shard_passes_skipped"] == parent["shard_passes_skipped"] + 2
-    assert [p["reservations_created"] for p in off if p["now"] == 10.0] == [2, 4]
+    assert set(parent["cached"]) == set(range(shards))
+    assert echo["reservations_created"] == parent["reservations_created"] == shards
+    assert echo["shard_passes_skipped"] == parent["shard_passes_skipped"] + shards
+    assert [p["reservations_created"] for p in off if p["now"] == 10.0] == [
+        shards, 2 * shards
+    ]
 
     # same queue, but the backfill now runs to t=2010, across A's window
-    on, off, (a, h) = _both(lambda system: build(system, 2000.0))
+    on, off, (a, h) = _both(lambda system: build(system, 2000.0), shards)
     parent, echo = [p for p in on if p["now"] == 10.0]
     assert (a.start_time, h.start_time) == (1000.0, 10.0)
-    assert set(parent["cached"]) == {1}  # shard 0's plan was not kept
-    assert echo["reservations_created"] == parent["reservations_created"] + 1 == 3
-    assert echo["shard_passes_skipped"] == parent["shard_passes_skipped"] + 1
+    assert set(parent["cached"]) == set(range(1, shards))  # shard 0's plan went
+    assert echo["reservations_created"] == parent["reservations_created"] + 1
+    assert echo["reservations_created"] == shards + 1
+    assert echo["shard_passes_skipped"] == parent["shard_passes_skipped"] + shards - 1
 
 
-def test_due_reservation_replans_the_whole_shard():
+def test_due_reservation_replans_the_whole_shard(shards=2):
     """A cached reservation that has come due voids the entry: the tail
     append that would have been R1 is a full re-plan.  A reservation cannot
     come due without its shard changing (its start is a release), so the
     entry is aged by hand."""
-    system, passes = _plan_system()
-    _fill_both_shards(system)
-    _submit(system, 10.0, cores=8)  # shard 0
-    _submit(system, 10.0, cores=8)  # shard 1
+    system, passes = _plan_system(shards=shards)
+    _fill_shards(system, shards)
+    for _ in range(shards):  # one reserved per shard
+        _submit(system, 10.0, cores=8)
     system.run(until=20.0)
     entry = system.scheduler.static_pass.shards.plans[0]
     assert entry.min_res_start == 1000.0
@@ -737,19 +778,19 @@ def test_due_reservation_replans_the_whole_shard():
     assert at_c["cached"][0] is not entry.profile
 
 
-def test_priority_insert_ahead_of_the_tail_replans_the_whole_shard():
+def test_priority_insert_ahead_of_the_tail_replans_the_whole_shard(shards=2):
     from repro.maui.config import PriorityWeightsConfig
 
     maui = MauiConfig(
-        reservation_depth=5, scheduler_shards=2,
+        reservation_depth=5,
         weights=PriorityWeightsConfig(
             credential=1.0, user_priorities={"vip": 1_000_000.0}
         ),
     )
     outcome = {}
     for skip in (True, False):
-        system, passes = _plan_system(skip, maui)
-        _fill_both_shards(system)
+        system, passes = _plan_system(skip, maui, shards)
+        _fill_shards(system, shards)
         a = _submit(system, 10.0, cores=8)  # shard 0
         vip = _submit(system, 30.0, user="vip", cores=8)  # shard 0, ahead of A
         system.run(max_events=1_000_000)
@@ -764,25 +805,27 @@ def test_priority_insert_ahead_of_the_tail_replans_the_whole_shard():
     assert at_insert["cached"][0] is not before["cached"][0]
 
 
-@pytest.mark.parametrize(
-    "asked,altered",
-    [
-        ({"cores": 3, "walltime": 500.0}, {"cores": 2}),
-        ({"cores": 2, "walltime": 2000.0}, {"walltime": 500.0}),
-    ],
-)
-def test_qalter_replans_the_shard(asked, altered):
+_QALTERS = [
+    ({"cores": 3, "walltime": 500.0}, {"cores": 2}),
+    ({"cores": 2, "walltime": 2000.0}, {"walltime": 500.0}),
+]
+
+
+@pytest.mark.parametrize("asked,altered", _QALTERS)
+def test_qalter_replans_the_shard(asked, altered, shards=2):
     """``qalter`` changes what a queued job asks for under an unchanged id
     and an unchanged queue: the plan made from the old request is void.  X
     does not fit the two cores free until A's reservation at t=1000 — one
     core too wide, or running across A's window — until it is altered."""
     outcome = {}
     for skip in (True, False):
-        system, _ = _plan_system(skip)
+        system, _ = _plan_system(skip, shards=shards)
         _submit(system, 0.0, walltime=1000.0, cores=6)  # shard 0: 2 cores left
-        _submit(system, 0.0, walltime=1000.0, nodes=2, ppn=4)  # all of shard 1
+        if shards == 2:
+            _submit(system, 0.0, walltime=1000.0, nodes=2, ppn=4)  # all of shard 1
         _submit(system, 10.0, cores=8)  # A, shard 0: every core at t=1000
-        _submit(system, 10.0, cores=8)  # shard 1 (least queued cores)
+        if shards == 2:
+            _submit(system, 10.0, cores=8)  # shard 1 (least queued cores)
         x = _submit(system, 10.0, **asked)  # shard 0, behind A
         system.run(until=20.0)
         assert x.start_time is None
@@ -793,38 +836,37 @@ def test_qalter_replans_the_shard(asked, altered):
     assert outcome[True][1] == 20.0
 
 
-def test_node_event_drops_retained_profiles():
-    system, _ = _plan_system()
-    _fill_both_shards(system)
+def test_node_event_drops_retained_profiles(shards=2):
+    system, _ = _plan_system(shards=shards)
+    _fill_shards(system, shards)
     _submit(system, 10.0, cores=8)
     system.run(until=20.0)
     cache = system.scheduler.static_pass.shards.plans
     assert cache and any(plan.profile is not None for plan in cache.values())
-    system.server.handle_node_failure(3)
+    system.server.handle_node_failure(2 * shards - 1)
     assert cache == {}
 
 
-def test_granted_extension_replans_every_shard(tmp_path):
+def test_granted_extension_replans_every_shard(shards=2):
     """A walltime extension moves a future release without touching the
     cluster; the server's walltime epoch is in every shard's resource
-    signature, so a grant to a job on shard 0 alone voids *both* kept
-    plans — one re-plan of shard 1 more than strictly needed, accepted
-    (docs/PERFORMANCE.md, "Removed in PR 17") — and the run equals the
+    signature, so a grant to a job on shard 0 alone voids *every* kept
+    plan — one re-plan of shard 1 more than strictly needed, accepted
+    (docs/PERFORMANCE.md, "Kept shard plans") — and the run equals the
     skip-off oracle."""
 
     def spec(at, app=lambda: FixedRuntimeApp(1000.0), **request):
         return JobSpec(at, ResourceRequest(**request), 1000.0, "u", app_factory=app)
 
     workload = Workload(
-        [
-            # all of shard 0; asks at t=30 to run until t=1200, and does
-            spec(0.0, lambda: _ExtendingApp(1200.0, 30.0, 200.0), nodes=2, ppn=4),
-            spec(0.0, nodes=2, ppn=4),  # all of shard 1
-            spec(10.0, cores=8),  # A: shard 0, reserved at t=1000
-            spec(10.0, cores=8),  # B: shard 1, reserved at t=1000
-        ]
+        # all of shard 0; asks at t=30 to run until t=1200, and does
+        [spec(0.0, lambda: _ExtendingApp(1200.0, 30.0, 200.0), nodes=2, ppn=4)]
+        + [spec(0.0, nodes=2, ppn=4)] * (shards - 1)  # all of shard 1
+        # A on shard 0 and B on shard 1, each reserved at t=1000
+        + [spec(10.0, cores=8)] * shards
     )
-    maui = MauiConfig(reservation_depth=5, scheduler_shards=2)
+    maui = MauiConfig(reservation_depth=5, scheduler_shards=shards)
+    nodes = 2 * shards
     passes = []
 
     def watch(system):
@@ -836,22 +878,44 @@ def test_granted_extension_replans_every_shard(tmp_path):
 
         scheduler.iteration = watched
 
-    on, on_ledger = _ledger_run(workload, maui, skip=True, nodes=4, cores=4, watch=watch)
+    on, on_ledger = _ledger_run(
+        workload, maui, skip=True, nodes=nodes, cores=4, watch=watch
+    )
     before = [stats for now, stats in passes if now == 10.0][-1]
     at_grant = next(stats for now, stats in passes if now == 30.0)
     assert at_grant["dyn_granted"] == before["dyn_granted"] + 1
     assert at_grant["shard_passes_skipped"] == before["shard_passes_skipped"]
-    assert at_grant["reservations_created"] == before["reservations_created"] + 2
-    filler, _, a, b = sorted(on.server.jobs.values(), key=lambda j: j.seq)
-    assert set(filler.allocation) <= {0, 1}  # shard 0 only
-    assert (a.start_time, b.start_time) == (1200.0, 1000.0)
+    assert at_grant["reservations_created"] == before["reservations_created"] + shards
+    jobs = sorted(on.server.jobs.values(), key=lambda j: j.seq)
+    assert set(jobs[0].allocation) <= {0, 1}  # the extended job: shard 0 only
+    assert [j.start_time for j in jobs[shards:]] == [1200.0, 1000.0][:shards]
 
-    off, off_ledger = _ledger_run(workload, maui, skip=False, nodes=4, cores=4)
+    off, off_ledger = _ledger_run(workload, maui, skip=False, nodes=nodes, cores=4)
     assert _schedule(on) == _schedule(off)
     assert _decision_stats(on) == _decision_stats(off)
-    assert _ledger_bytes(on_ledger, tmp_path, "on") == _ledger_bytes(
-        off_ledger, tmp_path, "off"
-    )
+    with tempfile.TemporaryDirectory() as tmp:
+        assert _ledger_bytes(on_ledger, Path(tmp), "on") == _ledger_bytes(
+            off_ledger, Path(tmp), "off"
+        )
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        test_tail_append_replans_only_the_tail,
+        test_in_order_start_keeps_the_plan,
+        test_hole_start_keeps_the_plan_and_overlapping_start_drops_it,
+        test_due_reservation_replans_the_whole_shard,
+        test_priority_insert_ahead_of_the_tail_replans_the_whole_shard,
+        *(functools.partial(test_qalter_replans_the_shard, *q) for q in _QALTERS),
+        test_node_event_drops_retained_profiles,
+        test_granted_extension_replans_every_shard,
+    ],
+    ids=lambda case: getattr(case, "func", case).__name__.removeprefix("test_"),
+)
+def test_plan_rules_hold_at_one_shard(case):
+    """The default configuration keeps its plan by the same rules."""
+    case(shards=1)
 
 
 def test_cancelled_jobs_leave_the_routing_table():
@@ -859,21 +923,20 @@ def test_cancelled_jobs_leave_the_routing_table():
     sticky assignment (and its request) for the life of the scheduler."""
     system, _ = _plan_system()
     book = system.scheduler.static_pass.shards
-    _fill_both_shards(system)
+    _fill_shards(system, 2)
     queued = [_submit(system, 10.0, cores=8) for _ in range(50)]
     system.run(until=20.0)
     assert sorted(book._assign) == sorted(job.job_id for job in queued)
     for job in queued:
         system.server.cancel_queued(job)
-    system.scheduler.request_iteration(force=True)  # qdel wakes nobody
-    system.run(until=30.0)
+    system.run(until=30.0)  # every qdel wakes the scheduler
     assert book._assign == {}
 
 
 def test_held_job_keeps_its_shard_across_a_prune():
     system, _ = _plan_system()
     book = system.scheduler.static_pass.shards
-    _fill_both_shards(system)
+    _fill_shards(system, 2)
     x1, x2, x3 = (_submit(system, 10.0, cores=8) for _ in range(3))
     held = _submit(system, 10.0, cores=8)  # least queued cores: shard 1
     system.run(until=20.0)
@@ -882,7 +945,6 @@ def test_held_job_keeps_its_shard_across_a_prune():
     system.server.hold_job(held)
     system.server.cancel_queued(x1)
     system.server.cancel_queued(x3)
-    system.scheduler.request_iteration(force=True)
     system.run(until=30.0)
     # the walk saw x2 alone; the prune kept the held job all the same ...
     assert sorted(book._assign) == sorted([x2.job_id, held.job_id])
