@@ -170,8 +170,8 @@ def test_profile_fit_from_min(benchmark):
 
     def pick():
         return (
-            prof._fit_from_min(free_min, flexible, nodes),
-            prof._fit_from_min(free_min, shaped, nodes),
+            prof._fit_from_min(free_min.tolist(), flexible, nodes),
+            prof._fit_from_min(free_min.tolist(), shaped, nodes),
         )
 
     a, b = benchmark(pick)

@@ -336,16 +336,15 @@ class AvailabilityProfile:
         return rows.sum(axis=1), request.cores
 
     @staticmethod
-    def _fit_from_min(free_min: np.ndarray, request: ResourceRequest,
-                      nodes: tuple[int, ...]) -> Allocation | None:
-        """Pick a concrete allocation out of a per-node free-core vector.
+    def _fit_from_min(free: list[int], request: ResourceRequest,
+                      nodes: Sequence[int]) -> Allocation | None:
+        """Pick a concrete allocation out of a per-node free-core list.
 
-        Works on plain ints (one ``tolist`` at entry), so what it hands
-        :meth:`Allocation._trusted` is in normal form by construction:
-        profile nodes are ints, counts come from the list or the request
-        size coerced below, and the picks are sorted by node.
+        Works on plain ints (callers ``tolist`` a matrix row), so what it
+        hands :meth:`Allocation._trusted` is in normal form by
+        construction: profile nodes are ints, counts come from the list or
+        the request size coerced below, and the picks are sorted by node.
         """
-        free = free_min.tolist()
         if request.is_shaped:
             ppn = request.ppn
             eligible = [i for i, f in enumerate(free) if f >= ppn]
@@ -380,7 +379,18 @@ class AvailabilityProfile:
     ) -> Allocation | None:
         """A concrete allocation if ``request`` fits throughout the window."""
         free_min = self._window_min(start, duration)
-        return self._fit_from_min(free_min, request, self._nodes)
+        return self._fit_from_min(free_min.tolist(), request, self._nodes)
+
+    @classmethod
+    def fit_free(
+        cls, free: dict[int, int], request: ResourceRequest
+    ) -> Allocation | None:
+        """What :meth:`fits_at` answers, for a window of any length from
+        its start, on a profile built over the free map ``free`` that holds
+        no claim: such a profile is release-only (free cores never fall),
+        so every window minimum from its start *is* ``free``."""
+        nodes = sorted(free)
+        return cls._fit_from_min([free[n] for n in nodes], request, nodes)
 
     def earliest_fit(
         self,
@@ -437,7 +447,7 @@ class AvailabilityProfile:
                     continue  # a later row of the window is short on its own
                 else:
                     free_min = mat[k:end].min(axis=0)
-                alloc = self._fit_from_min(free_min, request, self._nodes)
+                alloc = self._fit_from_min(free_min.tolist(), request, self._nodes)
                 if alloc is not None:
                     return times[k], alloc
         raise NoFitError(f"{request} never fits (cluster too small or fragmented)")

@@ -82,16 +82,24 @@ class JobQueue:
 
     def __init__(self) -> None:
         self._jobs: list[Job] = []
+        #: ids of ``_jobs`` and how many of them are ESP Z-type, kept by
+        #: push/remove so membership and the lockdown test are O(1)
+        self._ids: set[str] = set()
+        self._top_priority = 0
 
     def push(self, job: Job) -> None:
         if job.state is not JobState.QUEUED:
             raise ValueError(f"{job.job_id} is {job.state.value}, not queued")
-        if job in self._jobs:
+        if job.job_id in self._ids:
             raise ValueError(f"{job.job_id} already queued")
         self._jobs.append(job)
+        self._ids.add(job.job_id)
+        self._top_priority += job.top_priority
 
     def remove(self, job: Job) -> None:
         self._jobs.remove(job)
+        self._ids.remove(job.job_id)
+        self._top_priority -= job.top_priority
 
     def __len__(self) -> int:
         return len(self._jobs)
@@ -100,7 +108,7 @@ class JobQueue:
         return iter(self._jobs)
 
     def __contains__(self, job: Job) -> bool:
-        return job in self._jobs
+        return job.job_id in self._ids
 
     def snapshot(self) -> list[Job]:
         """Submission-ordered copy (safe to mutate)."""
@@ -109,7 +117,7 @@ class JobQueue:
     @property
     def has_top_priority_job(self) -> bool:
         """True while an ESP Z-type job is waiting (triggers the lockdown)."""
-        return any(j.top_priority for j in self._jobs)
+        return self._top_priority > 0
 
     def __repr__(self) -> str:
         return f"<JobQueue {len(self._jobs)} queued>"

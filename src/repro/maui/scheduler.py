@@ -136,16 +136,21 @@ class MauiScheduler:
         #: nothing in config or the CLI reaches it.
         self.shard_skip_enabled = True
         #: event-driven activation: wake-ups with no state change since the
-        #: last full pass are skipped (statistics still accrue).  Test
-        #: reference, not a tuning option: always-iterate is what
-        #: tests/test_scheduler.py and tests/test_ledger.py prove the skip
-        #: sound against, and nothing in config or the CLI reaches it.
+        #: last full pass or onto an empty queue are skipped (statistics
+        #: still accrue), and a pass queues its own echo only when it cannot
+        #: prove it a replay.  Test reference, not a tuning option:
+        #: always-iterate is what tests/test_scheduler.py and
+        #: tests/test_ledger.py prove the skips sound against, and nothing
+        #: in config or the CLI reaches it.
         self.iteration_skip_enabled = True
-        #: (server.state_version, cluster.version) at the *start* of the
-        #: last full iteration — the quiescence fingerprint.  A pass that
-        #: changed anything leaves the live counters past this snapshot and
-        #: therefore never arms the skip.
+        #: (server.state_version, cluster.version) the last full iteration
+        #: answers for — the quiescence fingerprint: the pair at its start,
+        #: or at its end when the pass proved its echo a replay (R4).
         self._last_pass_state: tuple[int, int] | None = None
+        #: R4, a pass does not wake itself: while one runs, the state
+        #: changes it makes are noted here instead of queued as a wake
+        self._in_pass = False
+        self._echo_noted = False
         #: set by time-anchored wakes (reservation boundaries, maintenance
         #: window edges) whose whole point is that *time*, not state, changed
         self._force_iteration = False
@@ -200,6 +205,9 @@ class MauiScheduler:
         """
         if force:
             self._force_iteration = True
+        elif self._in_pass:
+            self._echo_noted = True
+            return
         if self._wake_pending:
             return
         self._wake_pending = True
@@ -259,22 +267,23 @@ class MauiScheduler:
         self.iteration()
 
     def _quiescent(self) -> bool:
-        """No schedulable change since the last full pass?
+        """Nothing a full pass could act on?
 
         Conservative on purpose: any pending dynamic request (including
         negotiated requests awaiting fresh availability estimates) forces a
-        full iteration, as does any bump of either monotone version counter.
+        full iteration.  Otherwise a pass is a no-op when neither monotone
+        version counter moved since the last one, or (R5) when nothing is
+        queued and no boundary wake is left for a pass to cancel.
         Time-only effects — a planned reservation becoming startable, a
         maintenance window opening — arrive as *forced* wakes and never
         reach this check.
         """
-        return (
-            self.iteration_skip_enabled
-            and self._last_pass_state is not None
-            and not self.server.dyn_queue
-            and self._last_pass_state
-            == (self.server.state_version, self.cluster.version)
-        )
+        server = self.server
+        if not self.iteration_skip_enabled or server.dyn_queue:
+            return False
+        return self._last_pass_state == (
+            server.state_version, self.cluster.version
+        ) or (not server.queue and self._boundary_wake is None)
 
     def _timer_tick(self) -> None:
         self.request_iteration()
@@ -303,16 +312,34 @@ class MauiScheduler:
     def _iterate(self, now: float) -> None:
         """The cycle as a walk over its phases: statistics, dynamic
         requests, prioritisation, the static pass, wrap-up."""
-        prof = self._prof
         self.stats["iterations"] += 1
         # fingerprint taken *before* the pass: an iteration that starts,
         # grants or preempts anything bumps the version counters past this
-        # snapshot, so the echo wake-up it triggers re-runs a full pass
-        # (a fresh start moves where blocked jobs' reservations land, which
-        # can unlock further backfill — the fixpoint semantics of the
-        # original always-iterate loop).  Only a pass that changed nothing
-        # arms the skip, and re-running a provable no-op is safe.
+        # snapshot (a fresh start moves where blocked jobs' reservations
+        # land, which can unlock further backfill — the fixpoint semantics
+        # of the original always-iterate loop), so the echo wake-up runs a
+        # full pass unless this pass proves it a replay
         self._last_pass_state = (self.server.state_version, self.cluster.version)
+        self._in_pass = self.iteration_skip_enabled
+        self._echo_noted = False
+        replay = False
+        try:
+            replay = self._walk_phases(now)
+        finally:
+            # reset even when a phase raises: a scheduler left "in pass"
+            # would note every later state change and never wake again
+            self._in_pass = False
+            if replay:
+                self._last_pass_state = (
+                    self.server.state_version, self.cluster.version
+                )
+            elif self._echo_noted:
+                self.request_iteration()
+
+    def _walk_phases(self, now: float) -> bool:
+        """Run the phases; returns whether a second pass right now is
+        proven to replay this one (R4)."""
+        prof = self._prof
         self._update_statistics(now)
 
         if self.server.dyn_queue:
@@ -331,13 +358,24 @@ class MauiScheduler:
         )
         ordered = timed(prof, "prioritize", self._eligible_static, now, classified)
         lockdown = self.server.queue.has_top_priority_job
-        started, backfilled, self._next_reservation_start = timed(
+        started, backfilled, self._next_reservation_start, replayable = timed(
             prof, "static_pass", self.static_pass.run,
             ordered, now, lockdown, classified, self.shard_skip_enabled,
         )
         timed(
             prof, "wrap_up", self._wrap_up,
             now, classified, started, backfilled, lockdown,
+        )
+        # R4: the echo pass would see no dynamic request, rank the same
+        # jobs minus the started ones (every queued job was walked: no
+        # hold, dependency or throttle exclusion a start could flip) and
+        # replay every shard's kept plan
+        return (
+            replayable
+            and not self.server.dyn_queue
+            and len(ordered) - started - backfilled == len(self.server.queue)
+            and self.config.max_running_jobs_per_user is None
+            and self.config.max_eligible_jobs_per_user is None
         )
 
     def _wrap_up(

@@ -182,7 +182,8 @@ class ShardPlan:
     #: of this pass moved it) and the routed ids the plan covers
     resources: tuple | None = None
     queue: tuple = ()
-    #: working profile with this plan's claims; built on first use
+    #: working profile with this plan's claims; built on the shard's first
+    #: blocked job (R6), so None while every routed job started
     profile: AvailabilityProfile | None = None
     #: reservations counted against ``ReservationDepth`` (a spanning job
     #: counts on every shard without an entry in ``reserved``)
@@ -375,9 +376,10 @@ class ShardBook:
             plans.append(plan)
         return plans
 
-    def file(self, plans: list[ShardPlan], keep: bool) -> int:
+    def file(self, plans: list[ShardPlan], keep: bool) -> tuple[int, bool]:
         """Keep the plans the next pass may start from; returns how many
-        shards this pass skipped.
+        shards this pass skipped and whether *every* plan was kept — then
+        a pass over the same queue at this timestamp replays them all (R4).
 
         R2/R3: a start that precedes every reservation of its shard, or
         whose claim ends by the earliest of them, leaves exactly the plan
@@ -387,15 +389,17 @@ class ShardBook:
         """
         if not keep:
             self.plans.clear()
-            return 0
+            return 0, False
         skipped = 0
+        kept_all = True
         for plan in plans:
             if plan.skipped:
                 skipped += 1
             elif plan.overlapped:
                 self.plans.pop(plan.sid, None)
+                kept_all = False
             else:
                 if plan.resources is None:
                     plan.resources = self.resources(plan.sid)
                 self.plans[plan.sid] = plan
-        return skipped
+        return skipped, kept_all

@@ -55,6 +55,7 @@ class StaticPass:
         self, cluster: Cluster, server: Server, config: MauiConfig,
         profiles: ViewProfiles, stats: dict, *, ledger=None, profiler=None,
     ) -> None:
+        self.cluster = cluster
         self.server = server
         self.config = config
         self.profiles = profiles
@@ -80,9 +81,12 @@ class StaticPass:
     def run(
         self, ordered: list[Job], now: float, lockdown: bool,
         outcome: dict[str, tuple[str, str | None]] | None, skip: bool,
-    ) -> tuple[int, int, float | None]:
+    ) -> tuple[int, int, float | None, bool]:
         """One static pass over ``ordered``.  Returns ``(priority starts,
-        backfill starts, earliest reservation start)``.
+        backfill starts, earliest reservation start, replayable)`` —
+        ``replayable``: every shard's plan was kept under the fingerprint
+        this pass leaves behind, so a pass over what is still queued, at
+        this timestamp, would replay every job (R4).
 
         ``ReservationDepth`` bounds how many *blocked* jobs receive future
         reservations — it never prevents a fitting job from starting.  Jobs
@@ -105,12 +109,9 @@ class StaticPass:
         self._next_start = None
         sids, routed = self.shards.route(ordered)
         if not ordered:
-            # empty queue: nothing to plan or block.  Dropping the kept
-            # plans instead of re-fingerprinting is exact — a future
-            # non-empty pass could never match an empty queue, so they
-            # would be dead weight either way.
-            self.shards.plans.clear()
-            return 0, 0, None
+            # nothing to plan or block; a kept plan stays as valid as its
+            # fingerprint says (R5)
+            return 0, 0, None, True
         # Replaying a kept plan is sound because profiles are release-only
         # between state changes (free cores non-decreasing in time, so
         # fits/earliest-fit outcomes are time-stable until the earliest
@@ -132,8 +133,8 @@ class StaticPass:
         blocked_ids = self._blocked_ids = []
         self._reserved_ahead = []
         unprofiled = self._prof is None
-        started = 0
-        backfilled = 0
+        started_before = stats["jobs_started"]
+        backfilled_before = stats["jobs_backfilled"]
         passed_blocked = False
         stopped_at: int | None = None
 
@@ -153,6 +154,13 @@ class StaticPass:
                     continue
                 working = plan.profile
                 if working is None:
+                    # R6: a plan that has placed nothing yet plans on
+                    # release-only availability, so the fit right now is
+                    # the fit into the shard's free cores; the profile is
+                    # built on the shard's first blocked job and then holds
+                    # this pass's starts as running jobs
+                    if self._skip_ok and self._free_start(job, plan, passed_blocked):
+                        continue
                     working = self._profile_of(plan)
             # The commonest way out of this body — rejected against the
             # free vector at `now`, then beyond the reservation depth —
@@ -168,10 +176,6 @@ class StaticPass:
                 alloc, molded = self._backfill_scan(job, plan, working)
                 if alloc is not None:
                     self._start(job, plan, working, alloc, molded, passed_blocked)
-                    if passed_blocked:
-                        backfilled += 1
-                    else:
-                        started += 1
                     continue
             # blocked: reserve if within depth, then maybe stop the pass.
             # Reservation depth is per shard; a spanning job counts against
@@ -204,10 +208,16 @@ class StaticPass:
                 reason = f"blocked top-priority job {ordered[stopped_at].job_id}"
             for job in ordered[stopped_at + 1 :]:
                 outcome[job.job_id] = ("backfill_blocked", reason)
-        stats["shard_passes_skipped"] += self.shards.file(
+        skipped, replayable = self.shards.file(
             plans, self._skip_ok and stopped_at is None
         )
-        return started, backfilled, self._next_start
+        stats["shard_passes_skipped"] += skipped
+        return (
+            stats["jobs_started"] - started_before,
+            stats["jobs_backfilled"] - backfilled_before,
+            self._next_start,
+            replayable,
+        )
 
     # ------------------------------------------------------------------
     # phases of the walk
@@ -242,14 +252,14 @@ class StaticPass:
         )
 
     def _claim(
-        self, plan: ShardPlan | None, working: AvailabilityProfile,
+        self, plan: ShardPlan | None, working: AvailabilityProfile | None,
         start: float, end: float, alloc: Allocation,
     ) -> None:
-        if plan is not None:
-            working.add_claim(start, end, alloc)
-        else:
+        if plan is None:
             for sid, part in self.shards.shard_map.split_allocation(alloc).items():
                 self._plans[sid].profile.add_claim(start, end, part)
+        elif working is not None:  # None: a start into free space (R6)
+            working.add_claim(start, end, alloc)
 
     def _replay(self, job_id: str, plan: ShardPlan) -> bool:
         """Replay one job's outcome from ``plan``, exactly as the plan
@@ -287,6 +297,23 @@ class StaticPass:
                     "reservation_held",
                     f"reserved at t={start:.1f}",
                 )
+
+    def _free_start(self, job: Job, plan: ShardPlan, backfilled: bool) -> bool:
+        """R6: start ``job`` if its request fits the free cores of the
+        plan's shard — what ``fits_at(now, walltime, request)`` answers on
+        the profile the plan has not needed yet."""
+        prof = self._prof
+        if prof is not None:
+            prof.begin("backfill_scan" + self._name(plan)[0])
+        shard = self.shards.shard_map.shards[plan.sid]
+        alloc = AvailabilityProfile.fit_free(
+            self.cluster.free_for_nodes(shard.nodes), job.request
+        )
+        if prof is not None:
+            prof.end()
+        if alloc is not None:
+            self._start(job, plan, None, alloc, False, backfilled)
+        return alloc is not None
 
     def _backfill_scan(
         self, job: Job, plan: ShardPlan | None, working: AvailabilityProfile
@@ -330,7 +357,8 @@ class StaticPass:
         return alloc, molded
 
     def _start(
-        self, job: Job, plan: ShardPlan | None, working: AvailabilityProfile,
+        self, job: Job, plan: ShardPlan | None,
+        working: AvailabilityProfile | None,
         alloc: Allocation, molded: bool, backfilled: bool,
     ) -> None:
         """Claim, record and start ``job`` on ``alloc``."""

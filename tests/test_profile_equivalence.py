@@ -548,37 +548,45 @@ def test_randomized_reserve_and_claim_rounds_at_shard_shape(batch):
 #: ``profile_advances``, ``backfill_quick_rejects``,
 #: ``shard_passes_skipped``) were re-recorded when shard plans began to
 #: outlive their pass — at 2 shards in PR 16, at 1 shard (2842 reservations
-#: before) when the one-shard pass became the same walk; tuple digests and
-#: every other stat are the original recording.
+#: before) when the one-shard pass became the same walk.  Four work
+#: counters were re-recorded again when a pass stopped waking itself
+#: (R4-R6; at 1 / 2 shards): ``iterations`` 597 / 629 before - an echo
+#: proven a replay is not run; ``iterations_skipped`` 0 / 0 - wakes onto an
+#: empty queue now skip (a proven echo is never queued, so it is not a
+#: skip); ``profile_advances`` 291 / 377 - a shard whose every job starts
+#: into free space builds no profile (``profile_builds`` and
+#: ``profile_cache_hits`` did not move); ``shard_passes_skipped`` 166 / 723
+#: - the skips it lost were those echo passes.  Tuple digests and every
+#: other stat are the original recording.
 _PINNED_ESP_DYN_HP = {
     1: (
         "2e2acf886f803557352fa884bf8b2d5b6c02b94418b89f2b00d08bece4d52c26",
         {
-            "iterations": 597, "iterations_skipped": 0,
+            "iterations": 478, "iterations_skipped": 5,
             "dyn_granted": 43, "dyn_rejected": 63,
             "dyn_rejected_fairness": 0, "dyn_rejected_resources": 63,
             "jobs_started": 166, "jobs_backfilled": 64,
             "reservations_created": 1160, "preemptions": 0,
             "malleable_shrinks": 0, "jobs_molded": 0, "total_delay_charged": 0.0,
             "profile_builds": 2, "profile_cache_hits": 1,
-            "profile_advances": 291, "profile_advance_fallbacks": 0,
+            "profile_advances": 290, "profile_advance_fallbacks": 0,
             "backfill_quick_rejects": 8754,
-            "shard_merges": 0, "shard_passes_skipped": 166,
+            "shard_merges": 0, "shard_passes_skipped": 53,
         },
     ),
     2: (
         "c648dad6ff40966a0c45d23586d3e55f6ac3d53b837ffb6fa7ba65c12b1d9b4f",
         {
-            "iterations": 629, "iterations_skipped": 0,
+            "iterations": 489, "iterations_skipped": 4,
             "dyn_granted": 49, "dyn_rejected": 51,
             "dyn_rejected_fairness": 0, "dyn_rejected_resources": 51,
             "jobs_started": 83, "jobs_backfilled": 147,
             "reservations_created": 1401, "preemptions": 0,
             "malleable_shrinks": 0, "jobs_molded": 0, "total_delay_charged": 0.0,
             "profile_builds": 3, "profile_cache_hits": 4,
-            "profile_advances": 377, "profile_advance_fallbacks": 0,
+            "profile_advances": 375, "profile_advance_fallbacks": 0,
             "backfill_quick_rejects": 7185,
-            "shard_merges": 19, "shard_passes_skipped": 723,
+            "shard_merges": 19, "shard_passes_skipped": 453,
         },
     ),
 }

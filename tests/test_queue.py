@@ -39,9 +39,18 @@ class TestJobQueue:
     def test_remove(self):
         queue = JobQueue()
         job = make_job()
+        other = make_job()
         queue.push(job)
+        queue.push(other)
         queue.remove(job)
-        assert job not in queue and len(queue) == 0
+        assert job not in queue and other in queue and list(queue) == [other]
+        # an absent job is refused and the bookkeeping is untouched
+        with pytest.raises(ValueError):
+            queue.remove(job)
+        assert other in queue and len(queue) == 1
+        # a removed job may queue again (preemption requeues)
+        queue.push(job)
+        assert job in queue and list(queue) == [other, job]
 
     def test_snapshot_is_a_copy(self):
         queue = JobQueue()
@@ -54,8 +63,22 @@ class TestJobQueue:
         queue = JobQueue()
         queue.push(make_job())
         assert not queue.has_top_priority_job
-        queue.push(make_job(top_priority=True))
+        first, second = make_job(top_priority=True), make_job(top_priority=True)
+        queue.push(first)
+        queue.push(second)
         assert queue.has_top_priority_job
+        # the lockdown holds while *any* Z job waits, whatever else leaves
+        queue.remove(first)
+        queue.remove(next(iter(queue)))
+        assert queue.has_top_priority_job
+        queue.remove(second)
+        assert not queue.has_top_priority_job and len(queue) == 0
+        # a refused duplicate push leaves the count alone
+        queue.push(first)
+        with pytest.raises(ValueError):
+            queue.push(first)
+        queue.remove(first)
+        assert not queue.has_top_priority_job
 
 
 class TestDynRequest:

@@ -326,25 +326,67 @@ class TestIterationSkip:
         assert system.scheduler.stats["iterations"] >= 2
         assert system.scheduler.stats["iterations_skipped"] == 0
 
-    def test_productive_iteration_never_arms_the_skip(self):
-        # an iteration that starts a job changes state mid-pass; the echo
-        # wake-up it triggers must run another full pass (reservations can
-        # land differently once the job actually occupies its cores)
+    def test_free_space_start_queues_no_echo(self):
+        # R4 + R6: the arrival's pass starts the job into free space from
+        # the shard's free cores (no profile built), keeps every plan, and
+        # so proves its own echo a replay — nothing is queued behind it
         system = BatchSystem(2, 8, MauiConfig())
         scheduler = system.scheduler
         system.submit(rigid(4, 50), FixedRuntimeApp(50))
         system.engine.run(until=1.0)
-        assert scheduler.stats["jobs_started"] == 1
-        # submit wake (starts the job) + its echo both ran full passes;
-        # the start bumped the versions past the first pass's fingerprint
-        assert scheduler.stats["iterations"] == 2
-        assert scheduler.stats["iterations_skipped"] == 0
+        stats = scheduler.stats
+        assert stats["jobs_started"] == 1
+        assert stats["iterations"] == 1
+        assert stats["iterations_skipped"] == 0
+        assert not scheduler._wake_pending
+        assert stats["profile_builds"] + stats["profile_advances"] == 0
+        # the fingerprint is the post-pass one: a wake with no change skips
+        scheduler.request_iteration()
+        system.engine.run(until=2.0)
+        assert (stats["iterations"], stats["iterations_skipped"]) == (1, 1)
 
-    def test_skip_on_and_off_schedules_are_identical(self):
+    @pytest.mark.parametrize(
+        "backfill_walltime, passes", [(500.0, 1), (2000.0, 2)],
+        ids=["hole-sized", "overlapping"],
+    )
+    def test_backfill_that_drops_its_plan_still_echoes(
+        self, backfill_walltime, passes
+    ):
+        # 2x4: 6 cores busy until t=1000, so `a` (4 cores) is reserved at
+        # t=1000 and `h` (2 cores) backfills now.  Ending inside the hole
+        # it keeps the plan and the echo is a proven replay; reaching into
+        # a's window it drops the plan, and the echo must run a full pass
+        # (the reservation is planned again on the cluster as it now is)
+        system = BatchSystem(2, 4, MauiConfig())
+        stats = system.scheduler.stats
+        system.submit(rigid(6, 1000), FixedRuntimeApp(1000))
+        a, h = rigid(4, 100), rigid(2, backfill_walltime)
+        system.submit_at(10.0, a, FixedRuntimeApp(100))
+        system.submit_at(10.0, h, FixedRuntimeApp(backfill_walltime))
+        system.engine.run(until=5.0)
+        before = dict(stats)
+        system.engine.run(until=11.0)
+        assert h.start_time == 10.0 and h.backfilled and a.start_time is None
+        assert stats["iterations"] - before["iterations"] == passes
+        assert (
+            stats["reservations_created"] - before["reservations_created"] == passes
+        )
+        assert stats["iterations_skipped"] == 0
+
+    def test_skip_on_and_off_schedules_are_identical(self, tmp_path):
+        import json
+
+        from repro.obs import Telemetry
+        from repro.obs.exporters import event_to_dict
         from repro.workloads.random_workload import make_random_workload
+        from tests.conftest import reset_job_ids
 
         def run(skip_enabled):
-            system = BatchSystem(4, 8, MauiConfig(timer_interval=15.0))
+            reset_job_ids()
+            telemetry = Telemetry(sample_interval=None, decision_ledger=True)
+            system = BatchSystem(
+                4, 8, MauiConfig(timer_interval=15.0), telemetry=telemetry
+            )
             system.scheduler.iteration_skip_enabled = skip_enabled
             make_random_workload(
                 40, 32, evolving_share=0.4, mean_interarrival=30.0,
@@ -353,27 +395,38 @@ class TestIterationSkip:
             # the periodic timer reschedules forever: bound by sim time
             system.run(until=100_000.0, max_events=1_000_000)
             assert not system.server.queue and not system.server.active_count
-            stats = system.scheduler.stats
-            # job ids are process-global, so compare in submission order
             timeline = [
                 (j.start_time, j.end_time)
                 for j in sorted(system.server.jobs.values(), key=lambda j: j.seq)
             ]
-            return timeline, stats
+            assert system.trace.dropped == 0
+            trace = [json.dumps(event_to_dict(event)) for event in system.trace]
+            ledger = tmp_path / f"skip-{skip_enabled}.jsonl"
+            telemetry.ledger.export_jsonl(ledger)
+            return timeline, system.scheduler.stats, trace, ledger.read_bytes()
 
-        timeline_on, stats_on = run(True)
-        timeline_off, stats_off = run(False)
+        def decisions(trace):
+            return [line for line in trace if '"kind": "sched_iteration"' not in line]
+
+        timeline_on, stats_on, trace_on, ledger_on = run(True)
+        timeline_off, stats_off, trace_off, ledger_off = run(False)
         assert timeline_on == timeline_off
+        assert ledger_on == ledger_off
+        # the skips drop passes that decide nothing: the trace loses
+        # sched_iteration records and nothing else moves
+        assert decisions(trace_on) == decisions(trace_off)
+        remaining = iter(trace_off)
+        assert all(line in remaining for line in trace_on)
         assert stats_on["dyn_granted"] == stats_off["dyn_granted"]
         assert stats_on["dyn_rejected"] == stats_off["dyn_rejected"]
         assert stats_on["jobs_started"] == stats_off["jobs_started"]
         assert stats_on["jobs_backfilled"] == stats_off["jobs_backfilled"]
         assert stats_on["iterations_skipped"] > 0
         assert stats_off["iterations_skipped"] == 0
-        assert (
-            stats_on["iterations"] + stats_on["iterations_skipped"]
-            >= stats_off["iterations"]
-        )
+        # a proven echo is never queued, so it is counted neither as an
+        # iteration nor as a skip: only the pass count is comparable
+        assert stats_on["iterations"] < stats_off["iterations"]
+        assert stats_on["iterations"] == len(trace_on) - len(decisions(trace_on))
 
     def test_skip_counter_mirrored_into_registry(self):
         from repro.obs import Telemetry

@@ -9,6 +9,7 @@ dynamic grants) and the replay backend's shadow scheduling.
 """
 
 import asyncio
+import dataclasses
 
 import pytest
 
@@ -334,6 +335,34 @@ class TestTenantApi:
         assert stats["cycles"] > 1
         assert processed == stats["events_processed"] > 64 * (stats["cycles"] - 1)
         assert backend.pending() == 0
+
+    def test_backend_raising_mid_advance_leaves_the_scheduler_awake(self):
+        """An application that raises at launch fails the ``advance`` from
+        inside a scheduler pass.  The drain's awaiter gets the error, the
+        service stays up, and the next state change still wakes the
+        scheduler: the pass-in-progress note (which holds back a pass's own
+        wakes) does not outlive the pass that raised."""
+
+        class Boom:
+            def launch(self, ctx):
+                raise RuntimeError("boom at launch")
+
+        backend = SimBackend(num_nodes=1, cores_per_node=8, config=MauiConfig())
+
+        async def scenario():
+            async with SchedulerService(backend) as service:
+                await service.submit(
+                    dataclasses.replace(spec(cores=4, walltime=50.0), app_factory=Boom)
+                )
+                with pytest.raises(RuntimeError, match="boom at launch"):
+                    await service.drain()
+                assert not backend.core.scheduler._in_pass
+                healthy = await service.submit(spec(cores=4, walltime=10.0))
+                await service.drain()
+                return await service.job_info(healthy.job_id)
+
+        final = self.drive(scenario())
+        assert final.state == "completed" and final.start_time == 0.0
 
     def test_batch_events_validated(self):
         with pytest.raises(ValueError):

@@ -83,7 +83,6 @@ def _pinned_stats(**moving):
     that move per config plus the ones every such run leaves at zero (no
     job of the workload is wider than the one shard, so nothing merges)."""
     return {
-        "iterations_skipped": 0,
         "preemptions": 0, "malleable_shrinks": 0, "jobs_molded": 0,
         "profile_advance_fallbacks": 0, "shard_merges": 0,
         **moving,
@@ -95,52 +94,62 @@ def _pinned_stats(**moving):
 #: parent of PR 15 from ``scheduler_shards=0`` — the monolithic static pass,
 #: deleted there.  The six mechanism counters (second row of each entry)
 #: re-recorded when the one-shard pass started keeping its plan like any
-#: other shard: reservations placed 2197/2899/2797/2798 before.
+#: other shard: reservations placed 2197/2899/2797/2798 before.  Four work
+#: counters re-recorded when a pass stopped waking itself (R4-R6; in the
+#: order below, 463/610/588/589, 0, 197/231/236/236 and 79/198/180/180
+#: before):
+#: ``iterations`` - an echo proven a replay is not run;
+#: ``iterations_skipped`` - wakes onto an empty queue now skip, and proven
+#: echoes are never queued, so they are not among the skips;
+#: ``profile_advances`` - a shard whose every job starts into free space
+#: builds no profile (``profile_builds`` / ``profile_cache_hits`` did not
+#: move: the one-shard profile is built once and advanced after that);
+#: ``shard_passes_skipped`` - the skips it counted were those echo passes.
 _PINNED_SINGLE_SHARD = {
     "Static": (
         "93e91705555689114c6468661bb1686d9de949b58395668b42a30ebfedbf7306",
         _pinned_stats(
-            iterations=463, dyn_granted=0, dyn_rejected=0,
+            iterations=374, iterations_skipped=9, dyn_granted=0, dyn_rejected=0,
             dyn_rejected_fairness=0, dyn_rejected_resources=0,
             jobs_started=186, jobs_backfilled=44, total_delay_charged=0.0,
             reservations_created=925, profile_builds=1, profile_cache_hits=0,
-            profile_advances=197, backfill_quick_rejects=7319,
-            shard_passes_skipped=79,
+            profile_advances=196, backfill_quick_rejects=7319,
+            shard_passes_skipped=0,
         ),
     ),
     "Dyn-HP": (
         "c933ac0b12d190df39a57817e2525021e4c1d8fb3cf8f3abb28a83cffb4fdf1a",
         _pinned_stats(
-            iterations=610, dyn_granted=10, dyn_rejected=124,
+            iterations=509, iterations_skipped=10, dyn_granted=10, dyn_rejected=124,
             dyn_rejected_fairness=0, dyn_rejected_resources=124,
             jobs_started=180, jobs_backfilled=50, total_delay_charged=0.0,
             reservations_created=1054, profile_builds=2, profile_cache_hits=1,
-            profile_advances=231, backfill_quick_rejects=7812,
-            shard_passes_skipped=198,
+            profile_advances=230, backfill_quick_rejects=7812,
+            shard_passes_skipped=109,
         ),
     ),
     "Dyn-500": (
         "687c9af7772a0853cfe2264932a5b35b5063f72f9e780ab3873fe5fb6aaf7201",
         _pinned_stats(
-            iterations=588, dyn_granted=11, dyn_rejected=122,
+            iterations=496, iterations_skipped=7, dyn_granted=11, dyn_rejected=122,
             dyn_rejected_fairness=8, dyn_rejected_resources=114,
             jobs_started=173, jobs_backfilled=57,
             total_delay_charged=2395.499999999999,
             reservations_created=1031, profile_builds=2, profile_cache_hits=1,
-            profile_advances=236, backfill_quick_rejects=8290,
-            shard_passes_skipped=180,
+            profile_advances=235, backfill_quick_rejects=8290,
+            shard_passes_skipped=97,
         ),
     ),
     "Dyn-600": (
         "f49a370be49b0e0ef6d0fc030ec72e69d4cb053b528f565cda973568bcebe87f",
         _pinned_stats(
-            iterations=589, dyn_granted=12, dyn_rejected=121,
+            iterations=497, iterations_skipped=7, dyn_granted=12, dyn_rejected=121,
             dyn_rejected_fairness=7, dyn_rejected_resources=114,
             jobs_started=173, jobs_backfilled=57,
             total_delay_charged=2770.666666666665,
             reservations_created=1032, profile_builds=2, profile_cache_hits=2,
-            profile_advances=236, backfill_quick_rejects=8291,
-            shard_passes_skipped=180,
+            profile_advances=235, backfill_quick_rejects=8291,
+            shard_passes_skipped=97,
         ),
     ),
 }
@@ -158,11 +167,11 @@ def test_single_shard_bit_identical_to_monolithic(name):
 def test_table2_exports_match_monolithic_golden(tmp_path):
     """Ledger and trace JSONL of the default CLI run against the sha256
     list: the ledgers byte for byte as recorded from ``--shards 0`` before
-    that mode went; the traces with their ``reservation_create`` lines set
-    aside (a kept plan writes one when a reservation is placed or moved,
-    not once per pass — the golden's header has the proof), and the number
-    of those lines pinned.  Job ids are process-global, hence the fresh
-    interpreter."""
+    that mode went; the traces with their ``reservation_create`` and
+    ``sched_iteration`` lines set aside (written per unit of planning work
+    — a reservation placed or moved, a pass run — not per decision; the
+    golden's header has the proof), and the number of those lines pinned.
+    Job ids are process-global, hence the fresh interpreter."""
     root = Path(__file__).resolve().parent.parent
     subprocess.run(
         [sys.executable, "-m", "repro.cli", "table2", "--telemetry-out",
@@ -173,15 +182,16 @@ def test_table2_exports_match_monolithic_golden(tmp_path):
     golden = root / "tests" / "golden" / "table2_seed2014.sha256"
     lines = [line.split() for line in golden.read_text().splitlines()]
     digests = [line for line in lines if not line[0].startswith("#")]
-    counts = {line[2]: int(line[1]) for line in lines if line[0] == "#count"}
-    assert len(digests) == 8 and len(counts) == 4
-    marker = b'"kind": "reservation_create"'
+    counts = [line[1:] for line in lines if line[0] == "#count"]
+    assert len(digests) == 8 and len(counts) == 8
+    exports = {name: (tmp_path / name).read_bytes().splitlines(keepends=True)
+               for _, name in digests}
+    for kind, count, name in counts:
+        marker = b'"kind": "%s"' % kind.encode()
+        assert sum(marker in line for line in exports[name]) == int(count), (name, kind)
+        exports[name] = [line for line in exports[name] if marker not in line]
     for digest, name in digests:
-        kept = (tmp_path / name).read_bytes().splitlines(keepends=True)
-        if name in counts:
-            assert sum(marker in line for line in kept) == counts[name], name
-            kept = [line for line in kept if marker not in line]
-        assert hashlib.sha256(b"".join(kept)).hexdigest() == digest, name
+        assert hashlib.sha256(b"".join(exports[name])).hexdigest() == digest, name
 
 
 # ----------------------------------------------------------------------
@@ -433,10 +443,13 @@ def test_replayed_reservations_keep_walk_order(tmp_path):
     )
 
 
-#: counters of planning *work*: what the skip exists to change.  Everything
-#: else in ``scheduler.stats`` is a decision count and must not move.
+#: counters of planning *work*: what the skip exists to change (a pass
+#: whose plans were all kept queues no echo, so the pass counts are among
+#: them).  Everything else in ``scheduler.stats`` is a decision count and
+#: must not move.
 _MECHANISM = frozenset(
     {
+        "iterations", "iterations_skipped",
         "reservations_created", "backfill_quick_rejects", "shard_passes_skipped",
         "profile_builds", "profile_cache_hits", "profile_advances",
         "profile_advance_fallbacks", "dyn_handle_seconds",
@@ -647,12 +660,15 @@ def _submit(system, at, user="u", walltime=100.0, runtime=None, **request):
     return job
 
 
-def _both(build, shards):
+def _both(build, shards, echo=False):
     """Run ``build(system) -> jobs`` with the skip on and off; the schedule
-    must not depend on it.  Returns the skip-on passes and jobs."""
+    must not depend on it.  Returns the skip-on passes and jobs.  ``echo``
+    makes the skip-on run iterate always, so the echo pass R4 proves a
+    replay (and never queues) runs and shows the plan it replays."""
     outcome = {}
     for skip in (True, False):
         system, passes = _plan_system(skip, shards=shards)
+        system.scheduler.iteration_skip_enabled = not (skip and echo)
         jobs = build(system)
         system.run(max_events=1_000_000)
         outcome[skip] = (_schedule(system), _decision_stats(system), passes, jobs)
@@ -707,7 +723,7 @@ def test_in_order_start_keeps_the_plan(shards=2):
         a = _submit(system, 10.0, cores=8)  # shard 0, behind S: reserved
         return s, a
 
-    on, off, (s, a) = _both(build, shards)
+    on, off, (s, a) = _both(build, shards, echo=True)
     parent, echo = [p for p in on if p["now"] == 10.0]
     assert (s.start_time, a.start_time) == (10.0, 1000.0)
     assert set(parent["cached"]) == set(range(shards))
@@ -736,7 +752,7 @@ def test_hole_start_keeps_the_plan_and_overlapping_start_drops_it(shards=2):
         h = _submit(system, 10.0, cores=2, walltime=backfill_walltime)  # shard 0
         return a, h
 
-    on, off, (a, h) = _both(lambda system: build(system, 500.0), shards)
+    on, off, (a, h) = _both(lambda system: build(system, 500.0), shards, echo=True)
     parent, echo = [p for p in on if p["now"] == 10.0]
     assert (a.start_time, h.start_time) == (1000.0, 10.0)
     assert set(parent["cached"]) == set(range(shards))
@@ -953,6 +969,104 @@ def test_held_job_keeps_its_shard_across_a_prune():
     # ... so it stays on shard 1, where a fresh least-loaded assignment
     # (x2 queues there) would have sent it to shard 0
     assert book._assign[held.job_id] is assigned
+
+
+# ----------------------------------------------------------------------
+# 6. R6: a start into free space needs no profile
+# ----------------------------------------------------------------------
+_requests = st.one_of(
+    st.builds(ResourceRequest, cores=st.integers(min_value=1, max_value=10)),
+    st.builds(
+        ResourceRequest,
+        nodes=st.integers(min_value=1, max_value=3),
+        ppn=st.integers(min_value=1, max_value=4),
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shards=st.sampled_from([1, 2]),
+    down=st.none() | st.integers(min_value=0, max_value=3),
+    running=st.lists(_requests, max_size=4),
+    arrivals=st.lists(
+        st.tuples(_requests, st.sampled_from([50.0, 400.0, 3000.0])),
+        min_size=1, max_size=4,
+    ),
+)
+def test_free_space_start_answers_as_a_reservation_free_profile(
+    shards, down, running, arrivals
+):
+    """Whatever R6 decides from the shard's free cores — start on this
+    allocation, or build the profile after all — is what
+    ``fits_at(now, walltime, request)`` answers on a from-scratch profile of
+    the same shard at that moment: flexible and ``nodes:ppn`` requests, a
+    DOWN node, cores held by running jobs, and the starts made earlier in
+    the same pass (every arrival lands on one timestamp).  The skip-off
+    run never takes R6: it builds a profile for every shard it plans, and
+    schedules the same."""
+
+    def run(skip):
+        reset_job_ids()
+        maui = MauiConfig(reservation_depth=2, scheduler_shards=shards)
+        system = BatchSystem(num_nodes=4, cores_per_node=4, config=maui)
+        scheduler = system.scheduler
+        scheduler.shard_skip_enabled = skip
+        static_pass = scheduler.static_pass
+        if down is not None:
+            system.server.handle_node_failure(down)
+        for request in running:
+            system.submit_at(
+                0.0, Job(request=request, walltime=1000.0, user="r"),
+                FixedRuntimeApp(900.0),
+            )
+        for request, walltime in arrivals:
+            system.submit_at(
+                10.0, Job(request=request, walltime=walltime, user="a"),
+                FixedRuntimeApp(0.5 * walltime),
+            )
+        taken = []
+        free_start = static_pass._free_start
+
+        def checked_free_start(job, plan, backfilled):
+            shard = static_pass.shards.shard_map.shards[plan.sid]
+            expected = scheduler.profiles.build_uncached(shard).fits_at(
+                system.engine.now, job.walltime, job.request
+            )
+            took = free_start(job, plan, backfilled)
+            assert took == (expected is not None)
+            if took:
+                assert job.allocation == expected
+                assert plan.profile is None
+            taken.append(took)
+            return took
+
+        static_pass._free_start = checked_free_start
+        route = static_pass.shards.route
+        run_pass = static_pass.run
+
+        def checked_run(ordered, *args):
+            sids, routed = route(ordered)
+            outcome = run_pass(ordered, *args)
+            if not skip and ordered:
+                # a spanning job plans on the merge of every shard's profile
+                assert [plan.profile is not None for plan in static_pass._plans] == [
+                    bool(ids) or None in sids for ids in routed
+                ]
+            return outcome
+
+        static_pass.run = checked_run
+        system.run(max_events=1_000_000)
+        return _schedule(system), _decision_stats(system), taken
+
+    on_schedule, on_stats, on_taken = run(True)
+    off_schedule, off_stats, off_taken = run(False)
+    assert (on_schedule, on_stats) == (off_schedule, off_stats)
+    assert not off_taken
+    if shards == 1:
+        # nothing spans the one shard, so no pass falls back to full
+        # planning and the first job a fresh plan sees is asked through R6
+        assert on_taken
 
 
 # ----------------------------------------------------------------------
