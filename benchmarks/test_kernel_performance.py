@@ -288,44 +288,19 @@ def test_scheduler_iterations_skipped(benchmark):
 
 
 @pytest.mark.benchmark(group="kernel")
-def test_profile_build_cached_vs_fresh(benchmark):
-    """``ViewProfiles.build`` hit rate: repeated calls within one settled state."""
-    system = _loaded_system()
-    scheduler = system.scheduler
-    partitions = None
-
-    def build():
-        return scheduler.profiles.build(partitions)
-
-    build()  # warm the cache entry
-    hits_before = scheduler.stats["profile_cache_hits"]
-    benchmark(build)
-    assert scheduler.stats["profile_cache_hits"] > hits_before
-    record_bench(
-        "kernel", "profile_build_cached",
-        wall_seconds=benchmark.stats.stats.mean,
-    )
-
-
-@pytest.mark.benchmark(group="kernel")
 def test_profile_maintenance_incremental(benchmark):
     """Availability-profile refresh by incremental advance.
 
     A refresh advances the previous profile to the current time and
-    applies the active-job footprint delta.  The cache is cleared before
-    each call so the maintenance path itself is measured, not the cache
-    hit.  Compare with :func:`test_profile_maintenance_scratch`.
+    applies the active-job footprint delta.  Compare with
+    :func:`test_profile_maintenance_scratch`.
     """
     system = _loaded_system()
     scheduler = system.scheduler
     scheduler.profiles.build(None)  # seeds the incremental base
     advances_before = scheduler.stats["profile_advances"]
 
-    def refresh():
-        scheduler.profiles._cache.clear()
-        return scheduler.profiles.build(None)
-
-    benchmark(refresh)
+    benchmark(scheduler.profiles.build, None)
     assert scheduler.stats["profile_advances"] > advances_before
     assert scheduler.stats["profile_advance_fallbacks"] == 0
     record_bench(

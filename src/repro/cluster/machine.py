@@ -32,10 +32,11 @@ class Cluster:
         #: running total of ``Node.used`` — only :meth:`claim` and
         #: :meth:`release` move it, after their checks have passed
         self._used_cores: int = sum(n.used for n in self.nodes)
-        #: busy-core instruments; None keeps claim/release uninstrumented
-        self._obs = None
+        #: told the busy-core count after every claim/release (the
+        #: telemetry busy integral); None keeps both uninstrumented
+        self._on_busy_change = None
         #: monotone counter bumped on every allocation/state change; lets
-        #: callers (the scheduler's profile cache) detect staleness in O(1)
+        #: callers (the scheduler's quiescence check) detect staleness in O(1)
         self.version: int = 0
         #: free-map cache: the backfill path asks for the same partition
         #: (or shard) view many times per scheduling pass, and the answer
@@ -62,11 +63,8 @@ class Cluster:
         """
         if telemetry is None or not telemetry.enabled:
             return
-        from repro.obs.instruments import ClusterInstruments
-
-        self._obs = ClusterInstruments(telemetry, clock)
         telemetry.reset_busy_clock(clock.now, self.used_cores)
-        self._obs.busy_cores.set(self.used_cores)
+        self._on_busy_change = lambda busy: telemetry.on_busy_change(clock.now, busy)
 
     @classmethod
     def homogeneous(
@@ -242,8 +240,8 @@ class Cluster:
             self._used_cores += count
         self.version += 1
         self._bump_shards_for(allocation)
-        if self._obs is not None:
-            self._obs.on_busy_change(self.used_cores)
+        if self._on_busy_change is not None:
+            self._on_busy_change(self.used_cores)
 
     def release(self, allocation: Allocation) -> None:
         """Return the allocation's cores to the free pool."""
@@ -260,8 +258,8 @@ class Cluster:
             self._used_cores -= count
         self.version += 1
         self._bump_shards_for(allocation)
-        if self._obs is not None:
-            self._obs.on_busy_change(self.used_cores)
+        if self._on_busy_change is not None:
+            self._on_busy_change(self.used_cores)
 
     # ------------------------------------------------------------------
     # failures (extension used by fault-tolerance tests/examples)
@@ -271,7 +269,7 @@ class Cluster:
 
         Idempotent: failing a node that is already DOWN is a no-op and —
         crucially — does *not* bump :attr:`version`, so repeat transitions
-        never spuriously invalidate the scheduler's profile cache or defeat
+        never spuriously void the scheduler's kept plans or defeat
         its quiescence fingerprint.  Returns True when the state changed.
         """
         node = self._by_index[index]

@@ -21,6 +21,7 @@ from repro.cluster.node import NodeState
 from repro.faults.model import FaultModel
 from repro.faults.trace import FAIL, FaultEvent, generate_failure_trace
 from repro.faults.transient import TransientFaults
+from repro.obs.instruments import FAULT_COUNTERS, mirror_stats
 
 __all__ = ["FaultInjector"]
 
@@ -46,12 +47,8 @@ class FaultInjector:
             "downtime_seconds": 0.0,
         }
         self._down_since: dict[int, float] = {}
-        self._obs = None
         telemetry = getattr(system, "telemetry", None)
-        if telemetry is not None and telemetry.enabled:
-            from repro.obs.instruments import FaultInstruments
-
-            self._obs = FaultInstruments(telemetry)
+        mirror_stats(telemetry, FAULT_COUNTERS, self.stats)
         self.transient: TransientFaults | None = None
         if model.transient_faults_enabled:
             self.transient = TransientFaults(model, telemetry=telemetry)
@@ -83,8 +80,6 @@ class FaultInjector:
             self.stats["jobs_requeued"] += len(affected)
             self.stats["lost_core_seconds"] += lost
             self._down_since[ev.node] = now
-            if self._obs is not None:
-                self._obs.on_failure(len(affected), lost)
         else:
             if self.cluster.node(ev.node).state is NodeState.UP:
                 return
@@ -94,8 +89,6 @@ class FaultInjector:
             if went_down is not None:
                 downtime = now - went_down
                 self.stats["downtime_seconds"] += downtime
-                if self._obs is not None:
-                    self._obs.on_recovery(downtime)
 
     # ------------------------------------------------------------------
     @property

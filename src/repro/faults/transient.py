@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 
 from repro.faults.model import FaultModel
+from repro.obs.instruments import DELIVERY_COUNTERS, mirror_stats
 
 __all__ = ["TransientFaults"]
 
@@ -18,9 +19,8 @@ __all__ = ["TransientFaults"]
 class TransientFaults:
     """Seeded drop decisions plus the retry/backoff policy.
 
-    ``stats`` counts drops, scheduled retries and degraded requests;
-    optional registry counters (``repro_faults_delivery_*``) mirror them
-    when telemetry is enabled.
+    ``stats`` counts drops, scheduled retries and degraded requests; with
+    telemetry enabled the ``repro_faults_delivery_*`` counters read it.
     """
 
     def __init__(self, model: FaultModel, *, telemetry=None) -> None:
@@ -33,21 +33,7 @@ class TransientFaults:
             "delivery_retries": 0,
             "delivery_degraded": 0,
         }
-        self._obs_drops = self._obs_retries = self._obs_degraded = None
-        if telemetry is not None and telemetry.enabled:
-            registry = telemetry.registry
-            self._obs_drops = registry.counter(
-                "repro_faults_delivery_drops_total",
-                "Grant delivery attempts dropped by transient faults",
-            )
-            self._obs_retries = registry.counter(
-                "repro_faults_delivery_retries_total",
-                "Grant delivery retries scheduled",
-            )
-            self._obs_degraded = registry.counter(
-                "repro_faults_delivery_degraded_total",
-                "Dynamic requests degraded after exhausting delivery retries",
-            )
+        mirror_stats(telemetry, DELIVERY_COUNTERS, self.stats)
 
     def drop_delivery(self, job_id: str, attempt: int) -> bool:
         """Should this delivery attempt be dropped?  (Consumes one draw.)"""
@@ -56,8 +42,6 @@ class TransientFaults:
         drop = self._rng.random() < self.model.grant_delivery_failure_rate
         if drop:
             self.stats["delivery_drops"] += 1
-            if self._obs_drops is not None:
-                self._obs_drops.inc()
         return drop
 
     def retry_delay(self, attempt: int) -> float:
@@ -66,10 +50,6 @@ class TransientFaults:
 
     def note_retry(self) -> None:
         self.stats["delivery_retries"] += 1
-        if self._obs_retries is not None:
-            self._obs_retries.inc()
 
     def note_degraded(self) -> None:
         self.stats["delivery_degraded"] += 1
-        if self._obs_degraded is not None:
-            self._obs_degraded.inc()

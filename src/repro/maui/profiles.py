@@ -4,9 +4,8 @@ A *view* is what a pass plans on: a partitions tuple (``None`` for all
 nodes) or a :class:`~repro.maui.shards.SchedulerShard`.
 :class:`ViewProfiles` hands out private working copies of a view's
 :class:`~repro.cluster.profile.AvailabilityProfile` and keeps what makes
-that cheap: one profile per view per :meth:`~ViewProfiles.state` snapshot,
-and per view the last built profile plus the active-job footprints it
-encodes, so a stale one is brought up to date by claim/release deltas
+that cheap: per view the last built profile plus the active-job footprints
+it encodes, so a stale one is brought up to date by claim/release deltas
 instead of a rebuild.
 """
 
@@ -26,8 +25,8 @@ __all__ = ["ViewProfiles"]
 
 
 class ViewProfiles:
-    """The scheduler's profile cache and incremental maintenance; counts
-    its work in the four ``profile_*`` entries of the ``stats`` dict."""
+    """The scheduler's profiles and their incremental maintenance; counts
+    its work in the three ``profile_*`` entries of the ``stats`` dict."""
 
     def __init__(
         self, engine: Engine, cluster: Cluster, server: Server,
@@ -39,9 +38,6 @@ class ViewProfiles:
         self.config = config
         self.stats = stats
         self._prof = profiler
-        #: one profile per view, valid for a single :meth:`state` snapshot
-        self._cache: dict = {}
-        self._cache_state: tuple[int, int, float] | None = None
         #: per view: the last built profile plus the active-job footprints
         #: ``job_id -> (alloc items inside the view, walltime end)`` it
         #: encodes — the diff source for the next advance
@@ -55,9 +51,9 @@ class ViewProfiles:
     def state(self) -> tuple[int, int, float]:
         """The ``(server state, cluster state, sim time)`` snapshot a
         profile is a pure function of.  Both state counters are monotone,
-        so comparing two snapshots detects staleness in O(1): the cache key
-        here, the delay-context key, and the fingerprint a ledger verdict
-        carries to name the profile it was made on."""
+        so comparing two snapshots detects staleness in O(1): the
+        fingerprint a ledger verdict carries to name the profile it was
+        made on."""
         return (self.server.state_version, self.cluster.version, self.engine.now)
 
     def forget_bases(self) -> None:
@@ -69,7 +65,7 @@ class ViewProfiles:
 
     @staticmethod
     def _view_key(view):
-        """Cache key for a view: a partitions tuple, None (all nodes), or a
+        """Key of a view's base: a partitions tuple, None (all nodes), or a
         shard's ``cache_key`` (it carries an int, so it can never collide
         with the all-string partition tuples)."""
         return view.cache_key if isinstance(view, SchedulerShard) else view
@@ -81,34 +77,26 @@ class ViewProfiles:
         return self.cluster.free_by_node(partitions=view)
 
     def build(self, view) -> AvailabilityProfile:
-        """Current + future availability over ``view`` (cached).
+        """Current + future availability over ``view``.
 
-        A cache hit hands out a :meth:`~AvailabilityProfile.copy` because
-        every caller mutates its working profile with hypothetical claims.
+        Hands out a :meth:`~AvailabilityProfile.copy` of the view's base
+        because every caller mutates its working profile with hypothetical
+        claims.
         """
         prof = self._prof
         if prof is not None:
             prof.begin("profile_build")
-        key = self._view_key(view)
-        state = self.state()
-        if state != self._cache_state:
-            self._cache_state = state
-            self._cache.clear()
-        profile = self._cache.get(key)
-        if profile is not None:
-            self.stats["profile_cache_hits"] += 1
+        profile = self._advance(view)
+        if profile is None:
+            self.stats["profile_builds"] += 1
+            profile = self.build_uncached(view)
+            if self._incremental_usable():
+                key = self._view_key(view)
+                self._bases[key] = (
+                    profile, self._active_footprints(set(profile._nodes), key)
+                )
         else:
-            profile = self._advance(view)
-            if profile is None:
-                self.stats["profile_builds"] += 1
-                profile = self.build_uncached(view)
-                if self._incremental_usable():
-                    self._bases[key] = (
-                        profile, self._active_footprints(set(profile._nodes), key)
-                    )
-            else:
-                self.stats["profile_advances"] += 1
-            self._cache[key] = profile
+            self.stats["profile_advances"] += 1
         working = profile.copy()
         if prof is not None:
             prof.end()

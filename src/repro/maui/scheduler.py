@@ -68,23 +68,6 @@ class MauiScheduler:
         self.trace = server.trace
         #: optional :class:`repro.obs.Telemetry` (defaults to the server's)
         self.telemetry = telemetry if telemetry is not None else server.telemetry
-        self._obs = None
-        #: optional :class:`repro.obs.ledger.DecisionLedger`; None keeps
-        #: every ledger hook a single attribute-is-None check (off path)
-        self._ledger = None
-        #: optional :class:`repro.obs.perf.PhaseProfiler`; same discipline —
-        #: every phase hook on the disabled path is one is-None check
-        self._prof = None
-        #: optional :class:`repro.obs.fairness.FairnessObservatory`; fed
-        #: from the statistics update — same single-is-None hook discipline
-        self._fair = None
-        if self.telemetry is not None and self.telemetry.enabled:
-            from repro.obs.instruments import SchedulerInstruments
-
-            self._obs = SchedulerInstruments(self.telemetry)
-            self._ledger = getattr(self.telemetry, "ledger", None)
-            self._prof = getattr(self.telemetry, "profiler", None)
-            self._fair = getattr(self.telemetry, "fairness", None)
         self.fairshare = FairshareTracker(
             self.config.weights.fairshare_interval,
             self.config.weights.fairshare_decay,
@@ -111,15 +94,33 @@ class MauiScheduler:
             "total_delay_charged": 0.0,
             "dyn_handle_seconds": 0.0,  # wall-clock cost of the dynamic path
             "profile_builds": 0,
-            "profile_cache_hits": 0,
             "profile_advances": 0,
             "profile_advance_fallbacks": 0,
             "backfill_quick_rejects": 0,
             "shard_merges": 0,
             "shard_passes_skipped": 0,
         }
-        #: availability profiles per planning view: cache + incremental
-        #: maintenance (:mod:`repro.maui.profiles`)
+        #: the two wall-clock measurements' target; what the scheduler
+        #: *counts* is read out of ``stats`` and ``dfs`` when metrics are
+        self._obs = None
+        #: optional :class:`repro.obs.ledger.DecisionLedger`; None keeps
+        #: every ledger hook a single attribute-is-None check (off path)
+        self._ledger = None
+        #: optional :class:`repro.obs.perf.PhaseProfiler`; same discipline —
+        #: every phase hook on the disabled path is one is-None check
+        self._prof = None
+        #: optional :class:`repro.obs.fairness.FairnessObservatory`; fed
+        #: from the statistics update — same single-is-None hook discipline
+        self._fair = None
+        if self.telemetry is not None and self.telemetry.enabled:
+            from repro.obs.instruments import SchedulerInstruments
+
+            self._obs = SchedulerInstruments(self.telemetry, self.stats, self.dfs)
+            self._ledger = getattr(self.telemetry, "ledger", None)
+            self._prof = getattr(self.telemetry, "profiler", None)
+            self._fair = getattr(self.telemetry, "fairness", None)
+        #: availability profiles per planning view, incrementally
+        #: maintained (:mod:`repro.maui.profiles`)
         self.profiles = ViewProfiles(
             engine, cluster, server, self.config, self.stats, self._prof
         )
@@ -154,9 +155,6 @@ class MauiScheduler:
         #: set by time-anchored wakes (reservation boundaries, maintenance
         #: window edges) whose whole point is that *time*, not state, changed
         self._force_iteration = False
-        #: delay-measurement context (profile, eligible ordering, baseline
-        #: plan) shared by every dynamic request handled under one state
-        self._delay_ctx: tuple | None = None
         #: pending wake at the next reservation boundary (Maui wake-up
         #: condition (ii)); rescheduled every iteration
         self._boundary_wake = None
@@ -258,8 +256,6 @@ class MauiScheduler:
                 and self.dfs.interval_start == dfs_window
             ):
                 self.stats["iterations_skipped"] += 1
-                if self._obs is not None:
-                    self._obs.note_skip(self.stats["iterations_skipped"])
                 log.debug(
                     "iteration skipped t=%.1f (state unchanged)", self.engine.now
                 )
@@ -301,8 +297,6 @@ class MauiScheduler:
         now = self.engine.now
         timed(self._prof, "sched_iteration", self._iterate, now, sim_time=now)
         if obs is not None:
-            obs.sync_stats(self.stats)
-            obs.sync_ledger(self.dfs.snapshot())
             obs.end_iteration(
                 now,
                 _perf_ns() - wall_start_ns,
@@ -553,25 +547,9 @@ class MauiScheduler:
     def _delay_context(
         self, now: float
     ) -> tuple[AvailabilityProfile, list[Job], set[int], StaticPlan | None]:
-        """Shared inputs for delay measurement, reused while state holds.
-
-        The availability profile, the eligible static ordering, the
-        static-partition node set and — crucially — the *baseline* priority
-        plan are all pure functions of ``(server state, cluster state,
-        now)``.  Consecutive dynamic requests resolved without a grant,
-        preemption or shrink therefore reuse one baseline plan instead of
-        re-planning the queue prefix from a fresh profile copy per request;
-        any mutation bumps a version counter and rebuilds the context.
-        """
-        key = self.profiles.state()
-        ctx = self._delay_ctx
-        if ctx is None or ctx[0] != key:
-            ctx = self._delay_ctx = (
-                key, *timed(self._prof, "delay_context", self._build_delay_context, now)
-            )
-        return ctx[1:]
-
-    def _build_delay_context(self, now: float) -> tuple:
+        """Inputs for one delay measurement: the availability profile, the
+        eligible static ordering, the static-partition node set and the
+        *baseline* priority plan the claim's plan is compared against."""
         partitions = static_partitions(self.config)
         profile = self.profiles.build(partitions)
         ordered = self._eligible_static(now)
@@ -667,7 +645,9 @@ class MauiScheduler:
         claim_end)`` would inflict on the queue as planned on the static
         partitions, and ask the DFS policies.  Returns ``(victims,
         decision)``; the caller commits the charge if it grants."""
-        profile, ordered, profile_nodes, baseline = self._delay_context(now)
+        profile, ordered, profile_nodes, baseline = timed(
+            self._prof, "delay_context", self._delay_context, now
+        )
         claim_inside = Allocation(
             {n: c for n, c in claim.items() if n in profile_nodes}
         )

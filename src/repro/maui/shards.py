@@ -53,7 +53,7 @@ class SchedulerShard:
         self.partition = partition
         self.nodes = nodes
         self.node_set = frozenset(nodes)
-        #: profile-cache key; an int component keeps it disjoint from the
+        #: key of the shard's profile base; an int component keeps it disjoint from the
         #: all-string partition tuples the whole-partition views key on
         self.cache_key = ("shard", index)
 

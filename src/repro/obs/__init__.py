@@ -4,7 +4,8 @@ The paper's whole evaluation is observations of scheduler behaviour; this
 package makes those observations *live* instead of post-mortem:
 
 * :class:`~repro.obs.registry.MetricsRegistry` — counters, gauges and
-  histograms updated by the server, scheduler and cluster as they work;
+  histograms; those that mirror a count the server, scheduler or cluster
+  keeps are read out of it at collect time (:mod:`~repro.obs.instruments`);
 * :class:`~repro.obs.sampler.PeriodicSampler` — sim-time-driven time series
   (utilization, queue depth, DFS ledger levels);
 * :class:`~repro.obs.tracing.SpanTracer` — wall-clock profiling of

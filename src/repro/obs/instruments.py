@@ -1,173 +1,161 @@
-"""Instrument bundles wired into the batch-stack components.
+"""Instrument tables: every metric that mirrors a count the core keeps.
 
-Each component owns at most one bundle, created only when telemetry is
-enabled; every hook site in the hot path is therefore a single
-``if self._obs is not None`` check when telemetry is off.  The bundles
-pre-resolve their instruments once, so enabled-path updates are plain
-attribute access plus a float add.
+The server, scheduler, service and fault injector already count what they
+do — in the shared :class:`~repro.sim.events.TraceLog`, in their ``stats``
+dicts, in the queues and the cluster themselves.  The metrics *read* those
+when the registry is read; nothing in the core pushes a second copy, so a
+mirror costs a run nothing, telemetry on or off, and cannot drift from its
+source.  Each mirrored metric is one row of one table below (name, help
+text, where it is read from); ``docs/OBSERVABILITY.md`` § Instruments is
+the human-readable catalogue, kept equal to the registry by
+``tests/test_obs_pipeline.py``.
 
-Instrument catalogue (all names are also documented in
-``docs/OBSERVABILITY.md``):
-
-========================================== =========== ==========================
-name                                        type        source
-========================================== =========== ==========================
-repro_jobs_submitted_total                  counter     rms.server
-repro_jobs_started_total                    counter     rms.server
-repro_jobs_completed_total                  counter     rms.server
-repro_jobs_aborted_total                    counter     rms.server
-repro_jobs_preempted_total                  counter     rms.server
-repro_dyn_requests_total                    counter     rms.server
-repro_dyn_grants_total                      counter     rms.server
-repro_dyn_rejects_total                     counter     rms.server
-repro_dyn_satisfied_jobs_total              counter     rms.server
-repro_queue_depth                           gauge       rms.server
-repro_dyn_queue_depth                       gauge       rms.server
-repro_running_jobs                          gauge       rms.server
-repro_sched_iterations_total                counter     maui.scheduler
-repro_sched_iterations_skipped_total        counter     maui.scheduler
-repro_sched_backfill_starts_total           counter     maui.scheduler
-repro_sched_preemptions_total               counter     maui.scheduler
-repro_sched_reservations_total              counter     maui.scheduler
-repro_sched_malleable_shrinks_total         counter     maui.scheduler
-repro_sched_jobs_molded_total               counter     maui.scheduler
-repro_sched_delay_charged_seconds_total     counter     maui.scheduler
-repro_dfs_ledger_delay_seconds{kind,name}   gauge       maui.scheduler (per iteration)
-repro_sched_iteration_seconds               histogram   maui.scheduler (wall clock)
-repro_dyn_handle_seconds                    histogram   maui.scheduler (wall clock)
-repro_phase_seconds{phase}                  histogram   obs.perf (per profiled phase path)
-repro_busy_cores                            gauge       cluster.machine
-repro_ledger_decisions_total{kind}          counter     obs.ledger (per kind)
-repro_ledger_dyn_inflicted_seconds_total    counter     obs.ledger
-repro_ledger_waits_closed_total             counter     obs.ledger
-repro_faults_node_failures_total            counter     faults.injector
-repro_faults_node_recoveries_total          counter     faults.injector
-repro_faults_jobs_requeued_total            counter     faults.injector
-repro_faults_lost_core_seconds_total        counter     faults.injector
-repro_faults_downtime_seconds_total         counter     faults.injector
-repro_faults_delivery_drops_total           counter     faults.transient
-repro_faults_delivery_retries_total         counter     faults.transient
-repro_faults_delivery_degraded_total        counter     faults.transient
-repro_fairness_jain_index                   gauge       obs.fairness
-repro_fairness_max_share_error              gauge       obs.fairness
-repro_fairness_samples_total                counter     obs.fairness
-repro_fairness_share{account}               gauge       obs.fairness (per account)
-repro_fairness_share_target{account}        gauge       obs.fairness (per account)
-repro_slo_evaluations_total                 counter     obs.slo
-repro_slo_breaches_total{objective}         counter     obs.slo (per objective)
-repro_service_commands_total                counter     service.service
-repro_service_submissions_total             counter     service.service
-repro_service_admission_rejects_total       counter     service.service
-repro_service_cancels_total                 counter     service.service
-repro_service_grow_requests_total           counter     service.service
-repro_service_cycles_total                  counter     service.service
-========================================== =========== ==========================
-
-Like the ledger, the ``repro_faults_delivery_*`` instruments are
-registered by their own consumer (``repro.faults.transient``) — they
-only exist when a fault model enables transient delivery drops.
-
-The ``repro_ledger_*`` instruments are registered by the decision ledger
-itself (``repro.obs.ledger``) rather than by a bundle here — the ledger
-is its own hook consumer and only exists when
-``Telemetry(decision_ledger=True)``.  Likewise ``repro_phase_seconds`` is
-registered by the phase profiler (``repro.obs.perf``) and only exists
-when ``Telemetry(profiling=True)``, the ``repro_fairness_*`` instruments
-by the fairness observatory (``repro.obs.fairness``,
-``Telemetry(fairness=True)``) and the ``repro_slo_*`` instruments by the
-SLO engine (``repro.obs.slo``, ``Telemetry(slo=[...])``).
+What is still pushed is what is *measured* rather than mirrored: the two
+wall-clock histograms with their spans (:class:`SchedulerInstruments`),
+the busy-core integral (``Telemetry.on_busy_change``) and what the ledger,
+profiler, fairness observatory and SLO engine register for themselves —
+those are the hook sites the is-None checks in the core still guard.
 """
 
 from __future__ import annotations
 
-from repro.obs.registry import MetricsRegistry
-from repro.obs.telemetry import Telemetry
+from functools import partial
+
+from repro.sim.events import EventKind
 
 __all__ = [
-    "ServerInstruments",
-    "SchedulerInstruments",
-    "ClusterInstruments",
-    "FaultInstruments",
-    "ServiceInstruments",
+    "SCHEDULER_COUNTERS", "SERVICE_COUNTERS", "FAULT_COUNTERS", "DELIVERY_COUNTERS",
+    "LIFECYCLE_COUNTERS", "DEPTH_GAUGES", "SchedulerInstruments", "mirror_stats", "mirror_server",
 ]
 
+#: ``MauiScheduler.stats`` — rows are (stats key, metric, help)
+SCHEDULER_COUNTERS = (
+    ("iterations", "repro_sched_iterations_total", "Scheduling iterations run"),
+    ("iterations_skipped", "repro_sched_iterations_skipped_total", "Scheduler wake-ups skipped (no state change since last pass)"),
+    ("jobs_backfilled", "repro_sched_backfill_starts_total", "Backfill starts"),
+    ("preemptions", "repro_sched_preemptions_total", "Scheduler-initiated preemptions"),
+    ("reservations_created", "repro_sched_reservations_total", "Reservations created"),
+    ("malleable_shrinks", "repro_sched_malleable_shrinks_total", "Malleable shrink operations"),
+    ("jobs_molded", "repro_sched_jobs_molded_total", "Moldable jobs started below requested size"),
+    ("total_delay_charged", "repro_sched_delay_charged_seconds_total", "Foreign delay charged to DFS ledgers [s]"),
+)
 
-class ServerInstruments:
-    """Job-lifecycle and dynamic-request instruments for the RMS server."""
+#: ``SchedulerService.stats`` — these count *service commands*, not
+#: scheduler decisions: the scheduler-side rows keep their exact meaning
+#: whether the stack is driven directly or through the service, which is
+#: part of the service's bit-identity contract
+SERVICE_COUNTERS = (
+    ("commands", "repro_service_commands_total", "Service API commands executed"),
+    ("submitted", "repro_service_submissions_total", "Jobs admitted through the service"),
+    ("admission_rejected", "repro_service_admission_rejects_total", "Submissions refused by the admission policy"),
+    ("cancelled", "repro_service_cancels_total", "Cancel commands executed"),
+    ("grow_requests", "repro_service_grow_requests_total", "Dynamic grant requests entered through the service"),
+    ("cycles", "repro_service_cycles_total", "Backend advance cycles (drain batches)"),
+)
 
-    def __init__(self, telemetry: Telemetry) -> None:
-        registry: MetricsRegistry = telemetry.registry
-        self.submitted = registry.counter(
-            "repro_jobs_submitted_total", "Jobs submitted (qsub)"
-        )
-        self.started = registry.counter(
-            "repro_jobs_started_total", "Jobs started (priority or backfill)"
-        )
-        self.completed = registry.counter(
-            "repro_jobs_completed_total", "Jobs that completed normally"
-        )
-        self.aborted = registry.counter(
-            "repro_jobs_aborted_total", "Jobs aborted (walltime, qdel, failures)"
-        )
-        self.preempted = registry.counter(
-            "repro_jobs_preempted_total", "Preemptions (job requeued)"
-        )
-        self.dyn_requests = registry.counter(
-            "repro_dyn_requests_total", "Dynamic requests entering the FIFO"
-        )
-        self.dyn_grants = registry.counter(
-            "repro_dyn_grants_total", "Dynamic requests granted"
-        )
-        self.dyn_rejects = registry.counter(
-            "repro_dyn_rejects_total", "Dynamic requests rejected"
-        )
-        self.satisfied_jobs = registry.counter(
-            "repro_dyn_satisfied_jobs_total",
-            "Evolving jobs whose first dynamic request was granted (Table II)",
-        )
-        self.queue_depth = registry.gauge(
-            "repro_queue_depth", "Queued (static) jobs"
-        )
-        self.dyn_queue_depth = registry.gauge(
-            "repro_dyn_queue_depth", "Pending dynamic requests"
-        )
-        self.running_jobs = registry.gauge(
-            "repro_running_jobs", "Jobs currently holding resources"
-        )
+#: ``FaultInjector.stats``
+FAULT_COUNTERS = (
+    ("node_failures", "repro_faults_node_failures_total", "Injected node failures"),
+    ("node_recoveries", "repro_faults_node_recoveries_total", "Injected node recoveries"),
+    ("jobs_requeued", "repro_faults_jobs_requeued_total", "Jobs requeued by injected failures"),
+    ("lost_core_seconds", "repro_faults_lost_core_seconds_total", "Core-seconds of completed work discarded by failure requeues"),
+    ("downtime_seconds", "repro_faults_downtime_seconds_total", "Node-downtime accumulated over completed repairs [s]"),
+)
 
-    def update_depths(self, server) -> None:
-        self.queue_depth.set(len(server.queue))
-        self.dyn_queue_depth.set(len(server.dyn_queue))
-        self.running_jobs.set(server.active_count)
+#: ``TransientFaults.stats`` — only exists when a fault model enables
+#: transient delivery drops
+DELIVERY_COUNTERS = (
+    ("delivery_drops", "repro_faults_delivery_drops_total", "Grant delivery attempts dropped by transient faults"),
+    ("delivery_retries", "repro_faults_delivery_retries_total", "Grant delivery retries scheduled"),
+    ("delivery_degraded", "repro_faults_delivery_degraded_total", "Dynamic requests degraded after exhausting delivery retries"),
+)
+
+
+def _first_grant(job) -> bool:
+    return job.dyn_granted == 1 and job.is_evolving
+
+
+#: the server's trace — rows are (metric, help, event kinds counted, and
+#: optionally a condition on the event's job as it stands at the event)
+LIFECYCLE_COUNTERS = (
+    ("repro_jobs_submitted_total", "Jobs submitted (qsub)", (EventKind.JOB_SUBMIT,), None),
+    ("repro_jobs_started_total", "Jobs started (priority or backfill)", (EventKind.JOB_START, EventKind.BACKFILL_START), None),
+    ("repro_jobs_completed_total", "Jobs that completed normally", (EventKind.JOB_END,), None),
+    ("repro_jobs_aborted_total", "Jobs aborted (walltime, qdel, failures)", (EventKind.JOB_ABORT,), None),
+    ("repro_jobs_preempted_total", "Preemptions (job requeued)", (EventKind.PREEMPT,), None),
+    ("repro_dyn_requests_total", "Dynamic requests entering the FIFO", (EventKind.DYN_REQUEST,), None),
+    ("repro_dyn_grants_total", "Dynamic requests granted", (EventKind.DYN_GRANT,), None),
+    ("repro_dyn_rejects_total", "Dynamic requests rejected", (EventKind.DYN_REJECT,), None),
+    ("repro_dyn_satisfied_jobs_total", "Evolving jobs whose first dynamic request was granted (Table II)", (EventKind.DYN_GRANT,), _first_grant),
+)
+
+#: the server's live structures — rows are (metric, help, reader)
+DEPTH_GAUGES = (
+    ("repro_queue_depth", "Queued (static) jobs", lambda server: len(server.queue)),
+    ("repro_dyn_queue_depth", "Pending dynamic requests", lambda server: len(server.dyn_queue)),
+    ("repro_running_jobs", "Jobs currently holding resources", lambda server: server.active_count),
+    ("repro_busy_cores", "Cores currently allocated to jobs", lambda server: server.cluster.used_cores),
+)
+
+
+def mirror_stats(telemetry, table, stats: dict) -> None:
+    """Export ``stats`` as ``table``'s counters, read when the registry is."""
+    if telemetry is None or not telemetry.enabled:
+        return
+    registry = telemetry.registry
+    counters = [
+        (key, registry.counter(name, help_text)) for key, name, help_text in table
+    ]
+
+    def refresh() -> None:
+        for key, counter in counters:
+            counter.set_total(stats[key])
+
+    registry.on_collect(refresh)
+
+
+def mirror_server(telemetry, server) -> None:
+    """Lifecycle counters off the server's trace (one subscriber keyed on
+    the event kind), depth gauges off its live structures."""
+    if telemetry is None or not telemetry.enabled:
+        return
+    registry = telemetry.registry
+    by_kind: dict[EventKind, list] = {}
+    for name, help_text, kinds, when in LIFECYCLE_COUNTERS:
+        counter = registry.counter(name, help_text)
+        for kind in kinds:
+            by_kind.setdefault(kind, []).append((counter, when))
+
+    def on_event(event) -> None:
+        for counter, when in by_kind.get(event.kind, ()):
+            if when is None or when(server.jobs[event.payload["job_id"]]):
+                counter.inc()
+
+    server.trace.subscribe(on_event)
+    for name, help_text, read in DEPTH_GAUGES:
+        registry.gauge(name, help_text, callback=partial(read, server))
 
 
 class SchedulerInstruments:
-    """Iteration counters, DFS ledger gauges and wall-clock histograms."""
+    """The scheduler's wall-clock measurements, and its mirrors' wiring."""
 
-    #: scheduler ``stats`` keys mirrored 1:1 into counters
-    _STAT_COUNTERS = (
-        ("iterations", "repro_sched_iterations_total", "Scheduling iterations run"),
-        (
-            "iterations_skipped",
-            "repro_sched_iterations_skipped_total",
-            "Scheduler wake-ups skipped (no state change since last pass)",
-        ),
-        ("jobs_backfilled", "repro_sched_backfill_starts_total", "Backfill starts"),
-        ("preemptions", "repro_sched_preemptions_total", "Scheduler-initiated preemptions"),
-        ("reservations_created", "repro_sched_reservations_total", "Reservations created"),
-        ("malleable_shrinks", "repro_sched_malleable_shrinks_total", "Malleable shrink operations"),
-        ("jobs_molded", "repro_sched_jobs_molded_total", "Moldable jobs started below requested size"),
-        ("total_delay_charged", "repro_sched_delay_charged_seconds_total", "Foreign delay charged to DFS ledgers [s]"),
-    )
-
-    def __init__(self, telemetry: Telemetry) -> None:
-        self.telemetry = telemetry
+    def __init__(self, telemetry, stats: dict, dfs) -> None:
         registry = telemetry.registry
         self.tracer = telemetry.tracer
-        self._stat_mirror = [
-            (stat_key, registry.counter(name, help_text))
-            for stat_key, name, help_text in self._STAT_COUNTERS
-        ]
+        mirror_stats(telemetry, SCHEDULER_COUNTERS, stats)
+
+        def refresh_ledger() -> None:
+            # one series per principal in ``dfs.snapshot()``; one that has
+            # left the ledger since reads 0 through its callback
+            for kind, name in dfs.snapshot():
+                registry.gauge(
+                    "repro_dfs_ledger_delay_seconds",
+                    "Cumulative delay charged this DFS interval",
+                    labels={"kind": kind, "principal": name},
+                    callback=partial(dfs.cumulative_delay, kind, name),
+                )
+
+        registry.on_collect(refresh_ledger)
         self.iteration_seconds = registry.histogram(
             "repro_sched_iteration_seconds",
             "Wall-clock cost of one full scheduling iteration",
@@ -176,31 +164,6 @@ class SchedulerInstruments:
             "repro_dyn_handle_seconds",
             "Wall-clock cost of servicing one dynamic request (Fig. 12)",
         )
-        # the registry memoises by name: this is the same counter instance
-        # sync_stats mirrors, resolved once for the skip fast path
-        self._skipped = registry.counter(
-            "repro_sched_iterations_skipped_total",
-            "Scheduler wake-ups skipped (no state change since last pass)",
-        )
-        self._registry = registry
-
-    def note_skip(self, total_skipped: int) -> None:
-        """Mirror the skip counter from a skipped wake-up (no full sync)."""
-        self._skipped.set_total(total_skipped)
-
-    def sync_stats(self, stats: dict) -> None:
-        """Mirror the scheduler's cumulative stats into counters."""
-        for stat_key, counter in self._stat_mirror:
-            counter.set_total(stats[stat_key])
-
-    def sync_ledger(self, snapshot: dict[tuple[str, str], float]) -> None:
-        """Publish per-principal DFS delay levels as labelled gauges."""
-        for (kind, name), delay in snapshot.items():
-            self._registry.gauge(
-                "repro_dfs_ledger_delay_seconds",
-                "Cumulative delay charged this DFS interval",
-                labels={"kind": kind, "principal": name},
-            ).set(delay)
 
     def end_iteration(self, sim_time: float, wall_ns: int, events: int) -> None:
         self.iteration_seconds.observe(wall_ns / 1e9)
@@ -209,84 +172,3 @@ class SchedulerInstruments:
     def end_dyn_handle(self, sim_time: float, wall_ns: int, events: int) -> None:
         self.dyn_handle_seconds.observe(wall_ns / 1e9)
         self.tracer.record("dyn_request", sim_time, wall_ns, events)
-
-
-class FaultInstruments:
-    """Resilience counters fed by the fault injector (repro.faults)."""
-
-    def __init__(self, telemetry: Telemetry) -> None:
-        registry: MetricsRegistry = telemetry.registry
-        self.node_failures = registry.counter(
-            "repro_faults_node_failures_total", "Injected node failures"
-        )
-        self.node_recoveries = registry.counter(
-            "repro_faults_node_recoveries_total", "Injected node recoveries"
-        )
-        self.jobs_requeued = registry.counter(
-            "repro_faults_jobs_requeued_total", "Jobs requeued by injected failures"
-        )
-        self.lost_core_seconds = registry.counter(
-            "repro_faults_lost_core_seconds_total",
-            "Core-seconds of completed work discarded by failure requeues",
-        )
-        self.downtime_seconds = registry.counter(
-            "repro_faults_downtime_seconds_total",
-            "Node-downtime accumulated over completed repairs [s]",
-        )
-
-    def on_failure(self, requeued: int, lost_core_seconds: float) -> None:
-        self.node_failures.inc()
-        self.jobs_requeued.inc(requeued)
-        self.lost_core_seconds.inc(lost_core_seconds)
-
-    def on_recovery(self, downtime: float) -> None:
-        self.node_recoveries.inc()
-        self.downtime_seconds.inc(downtime)
-
-
-class ServiceInstruments:
-    """API-surface counters for the always-on scheduler service.
-
-    These count *service commands*, not scheduler decisions — the
-    scheduler-side instruments above keep their exact meaning whether the
-    stack is driven directly or through the service, which is part of the
-    service's bit-identity contract.
-    """
-
-    def __init__(self, telemetry: Telemetry) -> None:
-        registry: MetricsRegistry = telemetry.registry
-        self.commands = registry.counter(
-            "repro_service_commands_total", "Service API commands executed"
-        )
-        self.submissions = registry.counter(
-            "repro_service_submissions_total", "Jobs admitted through the service"
-        )
-        self.admission_rejects = registry.counter(
-            "repro_service_admission_rejects_total",
-            "Submissions refused by the admission policy",
-        )
-        self.cancels = registry.counter(
-            "repro_service_cancels_total", "Cancel commands executed"
-        )
-        self.grow_requests = registry.counter(
-            "repro_service_grow_requests_total",
-            "Dynamic grant requests entered through the service",
-        )
-        self.cycles = registry.counter(
-            "repro_service_cycles_total", "Backend advance cycles (drain batches)"
-        )
-
-
-class ClusterInstruments:
-    """Busy-core gauge plus the telemetry busy-integral feed."""
-
-    def __init__(self, telemetry: Telemetry, clock) -> None:
-        self.telemetry = telemetry
-        self._clock = clock  # the engine: .now is the sim clock
-        self.busy_cores = telemetry.registry.gauge(
-            "repro_busy_cores", "Cores currently allocated to jobs"
-        )
-
-    def on_busy_change(self, busy: int) -> None:
-        self.busy_cores.set(busy)
-        self.telemetry.on_busy_change(self._clock.now, busy)

@@ -5,7 +5,10 @@ doing *right now*" — the counterpart of the :class:`~repro.sim.events.TraceLog
 which records *what happened*.  Instruments are cheap enough to update from
 scheduler hot paths (a dict lookup happens only at creation; updates are a
 float add) and the whole registry renders to the Prometheus text exposition
-format via :func:`repro.obs.exporters.to_prometheus_text`.
+format via :func:`repro.obs.exporters.to_prometheus_text`.  A quantity the
+program already keeps elsewhere is not updated at all: it is read when the
+registry is — a gauge through its ``callback``, anything else by a
+refresher registered with :meth:`MetricsRegistry.on_collect`.
 
 Instruments are identified by ``(name, labels)``; repeated ``counter()`` /
 ``gauge()`` / ``histogram()`` calls with the same identity return the same
@@ -182,6 +185,7 @@ class MetricsRegistry:
         self._instruments: dict[tuple[str, LabelsKey], Instrument] = {}
         self._help: dict[str, str] = {}
         self._types: dict[str, str] = {}
+        self._refreshers: list[Callable[[], None]] = []
 
     # ------------------------------------------------------------------
     def _get_or_create(
@@ -234,8 +238,19 @@ class MetricsRegistry:
         )
 
     # ------------------------------------------------------------------
+    def on_collect(self, refresh: Callable[[], None]) -> None:
+        """Run ``refresh`` before every read (:meth:`collect`, :meth:`get`,
+        :meth:`value`): how instruments that mirror a count kept elsewhere
+        are brought up to date, instead of being pushed to as it changes."""
+        self._refreshers.append(refresh)
+
+    def _refresh(self) -> None:
+        for refresh in self._refreshers:
+            refresh()
+
     def collect(self) -> Iterator[Instrument]:
         """All instruments, grouped by name, label-sorted within a name."""
+        self._refresh()
         for key in sorted(self._instruments):
             yield self._instruments[key]
 
@@ -247,6 +262,7 @@ class MetricsRegistry:
 
     def get(self, name: str, labels: dict[str, str] | None = None) -> Instrument | None:
         """Look up an instrument without creating it."""
+        self._refresh()
         return self._instruments.get((name, _labels_key(labels)))
 
     def value(self, name: str, labels: dict[str, str] | None = None) -> float:

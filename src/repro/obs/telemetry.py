@@ -7,10 +7,15 @@
 >>> tel = Telemetry(sample_interval=60.0)
 >>> system = BatchSystem(4, 8, telemetry=tel)
 
-With no telemetry object (the default) every component keeps a ``None``
-sentinel and each hook site reduces to a single attribute-is-None check —
-the disabled path is benchmarked to stay within 5 % of the uninstrumented
-scheduler hot path (``benchmarks/test_obs_overhead.py``).
+Metrics that mirror a count the components already keep (the trace, a
+``stats`` dict, a queue) are read out of them when the registry is read
+and cost a run nothing, telemetry on or off
+(:mod:`repro.obs.instruments`).  What is *measured* is still pushed — the
+scheduler's two wall-clock sites, the busy-core integral below, and the
+ledger / profiler / fairness / windows hooks: with no telemetry object
+(the default) each of those is a ``None`` sentinel and its hook site a
+single attribute-is-None check, benchmarked to stay within 5 % of the
+uninstrumented scheduler hot path (``benchmarks/test_obs_overhead.py``).
 
 Besides the three sub-systems, the facade maintains the **busy-core
 integral**: every cluster claim/release reports the new busy count, and the

@@ -26,6 +26,7 @@ from repro.cluster.machine import Cluster
 from repro.cluster.node import NodeState
 from repro.jobs.job import Job, JobState
 from repro.jobs.queue import DynRequest, JobQueue
+from repro.obs.instruments import mirror_server
 from repro.rms.mom import MomManager
 from repro.rms.tm import TMContext
 from repro.sim.engine import Engine, EventHandle, PRIORITY_LIMIT
@@ -64,16 +65,14 @@ class Server:
         self.trace = trace if trace is not None else TraceLog()
         #: optional :class:`repro.obs.Telemetry`; None = fully uninstrumented
         self.telemetry = telemetry
-        self._obs = None
-        if telemetry is not None and telemetry.enabled:
-            from repro.obs.instruments import ServerInstruments
-
-            self._obs = ServerInstruments(telemetry)
         self.moms = MomManager(cluster)
         self.queue = JobQueue()
         #: FIFO of unresolved dynamic requests (paper: prioritised FIFO).
         self.dyn_queue: list[DynRequest] = []
         self.jobs: dict[str, Job] = {}
+        # the lifecycle counters and depth gauges read the trace and the
+        # structures above; no transition below reports to them
+        mirror_server(telemetry, self)
         #: jobs currently holding resources — the scheduler's working set.
         #: ``jobs`` grows without bound over a run; every hot-path consumer
         #: (statistics accrual, profile construction, preemption planning)
@@ -84,7 +83,7 @@ class Server:
         #: exactly once without re-scanning all finished jobs
         self._finished_unaccounted: list[Job] = []
         #: monotone counter bumped on every state change; the scheduler's
-        #: availability-profile cache keys its validity on it
+        #: quiescence check and the active-jobs cache key on it
         self.state_version: int = 0
         self._active_jobs_cache: list[Job] = []
         self._active_jobs_cache_version: int = -1
@@ -260,10 +259,6 @@ class Server:
         )
         log.info("qsub %s user=%s %s wall=%.0fs", job.job_id, job.user,
                  job.request, job.walltime)
-        obs = self._obs
-        if obs is not None:
-            obs.submitted.inc()
-            obs.update_depths(self)
         self._notify()
         return job
 
@@ -300,10 +295,6 @@ class Server:
         )
         log.info("start %s on %dc (backfill=%s wait=%.0fs)", job.job_id,
                  allocation.total_cores, backfilled, job.wait_time or 0.0)
-        obs = self._obs
-        if obs is not None:
-            obs.started.inc()
-            obs.update_depths(self)
         # walltime enforcement: the job is killed when its time slice expires
         self._walltime_limits[job.job_id] = self.engine.after(
             job.walltime, self._walltime_expired, job, priority=PRIORITY_LIMIT
@@ -420,10 +411,6 @@ class Server:
         )
         log.info("%s %s after %.0fs", kind.value, job.job_id,
                  job.end_time - (job.start_time or job.end_time))
-        obs = self._obs
-        if obs is not None:
-            (obs.completed if state is JobState.COMPLETED else obs.aborted).inc()
-            obs.update_depths(self)
 
     # ------------------------------------------------------------------
     # dynamic allocation path
@@ -473,10 +460,6 @@ class Server:
         )
         log.info("dyn_request %s wants %s%s", job.job_id, request,
                  " (negotiated)" if dreq.negotiated else "")
-        obs = self._obs
-        if obs is not None:
-            obs.dyn_requests.inc()
-            obs.update_depths(self)
         self._notify()
         return dreq
 
@@ -517,10 +500,6 @@ class Server:
             negotiated=False,
         )
         log.info("extension request %s +%.0fs", job.job_id, extra_seconds)
-        obs = self._obs
-        if obs is not None:
-            obs.dyn_requests.inc()
-            obs.update_depths(self)
         self._notify()
         return dreq
 
@@ -564,12 +543,6 @@ class Server:
             new_walltime=job.walltime,
         )
         log.info("extension granted %s -> walltime %.0fs", job.job_id, job.walltime)
-        obs = self._obs
-        if obs is not None:
-            obs.dyn_grants.inc()
-            if job.dyn_granted == 1 and job.is_evolving:
-                obs.satisfied_jobs.inc()
-            obs.update_depths(self)
         dreq.resolve(job.allocation)
         self._notify()
 
@@ -619,12 +592,6 @@ class Server:
         )
         log.info("dyn_grant %s +%dc -> %dc", job.job_id,
                  allocation.total_cores, job.allocation.total_cores)
-        obs = self._obs
-        if obs is not None:
-            obs.dyn_grants.inc()
-            if job.dyn_granted == 1 and job.is_evolving:
-                obs.satisfied_jobs.inc()
-            obs.update_depths(self)
         dreq.resolve(allocation)
         self._notify()
 
@@ -700,10 +667,6 @@ class Server:
             reason=f"grant delivery failed after {attempts} attempt(s): {reason}",
         )
         log.info("dyn_grant to %s degraded after %d attempt(s)", job.job_id, attempts)
-        obs = self._obs
-        if obs is not None:
-            obs.dyn_rejects.inc()
-            obs.update_depths(self)
         if not dreq.resolved:
             dreq.resolve(None)
         self._notify()
@@ -742,10 +705,6 @@ class Server:
             reason=reason,
         )
         log.info("dyn_reject %s: %s", job.job_id, reason or "no reason")
-        obs = self._obs
-        if obs is not None:
-            obs.dyn_rejects.inc()
-            obs.update_depths(self)
         dreq.resolve(None)
         # no notify: a rejection frees nothing and starts nothing
 
@@ -864,12 +823,6 @@ class Server:
             total_cores=parent.allocation.total_cores,
             merged_from=stub.job_id,
         )
-        obs = self._obs
-        if obs is not None:
-            obs.dyn_grants.inc()
-            if parent.dyn_granted == 1 and parent.is_evolving:
-                obs.satisfied_jobs.inc()
-            obs.update_depths(self)
         self._notify()
         return transferred
 
@@ -1000,10 +953,6 @@ class Server:
         job.metadata["preempt_count"] = job.metadata.get("preempt_count", 0) + 1
         self.queue.push(job)
         log.info("preempt %s released %dc", job.job_id, released.total_cores)
-        obs = self._obs
-        if obs is not None:
-            obs.preempted.inc()
-            obs.update_depths(self)
         self._notify()
 
     def __repr__(self) -> str:

@@ -25,6 +25,7 @@ from typing import Any, Callable
 
 from repro.cluster.allocation import ResourceRequest
 from repro.jobs.job import Job
+from repro.obs.instruments import SERVICE_COUNTERS, mirror_stats
 from repro.service.api import (
     AdmissionError,
     AdmissionPolicy,
@@ -95,12 +96,7 @@ class SchedulerService:
             "cycles": 0,
             "events_processed": 0,
         }
-        self._obs = None
-        telemetry = backend.core.telemetry
-        if telemetry is not None and telemetry.enabled:
-            from repro.obs.instruments import ServiceInstruments
-
-            self._obs = ServiceInstruments(telemetry)
+        mirror_stats(backend.core.telemetry, SERVICE_COUNTERS, self.stats)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -194,8 +190,6 @@ class SchedulerService:
                 timeout=timeout,
             )
             self.stats["grow_requests"] += 1
-            if self._obs is not None:
-                self._obs.grow_requests.inc()
 
         await self._call(_entered)
         return await resolved
@@ -233,8 +227,6 @@ class SchedulerService:
 
     def _execute(self, cmd: _Command) -> None:
         self.stats["commands"] += 1
-        if self._obs is not None:
-            self._obs.commands.inc()
         try:
             result = cmd.fn()
         except Exception as exc:
@@ -282,8 +274,6 @@ class SchedulerService:
                     until=until, batch=self.batch_events
                 )
                 self.stats["cycles"] += 1
-                if self._obs is not None:
-                    self._obs.cycles.inc()
                 # let client coroutines run, then apply what they enqueued
                 await asyncio.sleep(0)
                 while not queue.empty():
@@ -342,22 +332,16 @@ class SchedulerService:
             self.admission.check(principal, open_mine, open_total)
         except AdmissionError:
             self.stats["admission_rejected"] += 1
-            if self._obs is not None:
-                self._obs.admission_rejects.inc()
             raise
         job = self.backend.submit(spec)
         self._open.setdefault(principal, set()).add(job.job_id)
         self.stats["submitted"] += 1
-        if self._obs is not None:
-            self._obs.submissions.inc()
         return JobInfo.from_job(job)
 
     def _do_cancel(self, job_id: str, reason: str) -> JobInfo:
         job = self._find_or_raise(job_id)
         self.backend.cancel(job, reason)
         self.stats["cancelled"] += 1
-        if self._obs is not None:
-            self._obs.cancels.inc()
         return JobInfo.from_job(job)
 
     def _do_job_info(self, job_id: str) -> JobInfo:

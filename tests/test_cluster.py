@@ -207,7 +207,8 @@ def test_property_find_allocation_is_claimable_and_exact(used_cores, want):
 
 
 class _BusySpy:
-    """Stands in for ClusterInstruments: keeps what ``on_busy_change`` got."""
+    """Stands in for the telemetry busy integral behind the cluster's
+    busy-change hook: keeps what ``on_busy_change`` got."""
 
     def __init__(self):
         self.seen = []
@@ -232,7 +233,8 @@ def test_property_used_cores_counter_tracks_the_nodes(ops):
     mix of accepted and rejected operations, a rejected one leaves it
     untouched, and ``on_busy_change`` is handed exactly that value."""
     cluster = Cluster.homogeneous(4, 8)
-    spy = cluster._obs = _BusySpy()
+    spy = _BusySpy()
+    cluster._on_busy_change = spy.on_busy_change
     for op, node, cores, other in ops:
         before, reported = cluster.used_cores, len(spy.seen)
         if op in ("claim", "release"):

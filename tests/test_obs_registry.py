@@ -121,6 +121,28 @@ class TestRegistry:
         with pytest.raises(TypeError):
             reg.value("h")
 
+    def test_refreshers_run_before_every_read(self):
+        """A mirror is brought up to date when it is read — by ``value``,
+        ``get`` and ``collect`` alike — and may add series while at it."""
+        reg = MetricsRegistry()
+        stats = {"done": 0, "users": []}
+        done = reg.counter("done_total")
+
+        def refresh():
+            done.set_total(stats["done"])
+            for user in stats["users"]:
+                reg.gauge("seen", labels={"user": user}).set(1)
+
+        reg.on_collect(refresh)
+        stats["done"] = 3
+        assert reg.value("done_total") == 3.0
+        stats["done"] = 5
+        assert reg.get("done_total").value == 5.0
+        stats["done"], stats["users"] = 8, ["a", "b"]
+        assert [(i.name, i.value) for i in reg.collect()] == [
+            ("done_total", 8.0), ("seen", 1.0), ("seen", 1.0),
+        ]
+
     def test_help_and_type_metadata(self):
         reg = MetricsRegistry()
         reg.counter("c", "counts things")

@@ -544,7 +544,7 @@ def test_randomized_reserve_and_claim_rounds_at_shard_shape(batch):
 #: first-feasible kernel (sha256 over the per-job
 #: ``(submit, start, end, state)`` tuples; the full ``scheduler.stats``
 #: dict minus wall-clock ``*_seconds`` entries).  The planning-work counters
-#: (``reservations_created``, ``profile_builds``, ``profile_cache_hits``,
+#: (``reservations_created``, ``profile_builds``,
 #: ``profile_advances``, ``backfill_quick_rejects``,
 #: ``shard_passes_skipped``) were re-recorded when shard plans began to
 #: outlive their pass — at 2 shards in PR 16, at 1 shard (2842 reservations
@@ -554,10 +554,12 @@ def test_randomized_reserve_and_claim_rounds_at_shard_shape(batch):
 #: proven a replay is not run; ``iterations_skipped`` 0 / 0 - wakes onto an
 #: empty queue now skip (a proven echo is never queued, so it is not a
 #: skip); ``profile_advances`` 291 / 377 - a shard whose every job starts
-#: into free space builds no profile (``profile_builds`` and
-#: ``profile_cache_hits`` did not move); ``shard_passes_skipped`` 166 / 723
-#: - the skips it lost were those echo passes.  Tuple digests and every
-#: other stat are the original recording.
+#: into free space builds no profile (``profile_builds`` did not move);
+#: ``shard_passes_skipped`` 166 / 723 - the skips it lost were those echo
+#: passes.  ``profile_advances`` once more (290 / 375 before) when the
+#: per-snapshot profile cache went: its 1 / 4 hits (the deleted
+#: ``profile_cache_hits``) are advances by an empty delta now.  Tuple
+#: digests and every other stat are the original recording.
 _PINNED_ESP_DYN_HP = {
     1: (
         "2e2acf886f803557352fa884bf8b2d5b6c02b94418b89f2b00d08bece4d52c26",
@@ -568,8 +570,8 @@ _PINNED_ESP_DYN_HP = {
             "jobs_started": 166, "jobs_backfilled": 64,
             "reservations_created": 1160, "preemptions": 0,
             "malleable_shrinks": 0, "jobs_molded": 0, "total_delay_charged": 0.0,
-            "profile_builds": 2, "profile_cache_hits": 1,
-            "profile_advances": 290, "profile_advance_fallbacks": 0,
+            "profile_builds": 2,
+            "profile_advances": 291, "profile_advance_fallbacks": 0,
             "backfill_quick_rejects": 8754,
             "shard_merges": 0, "shard_passes_skipped": 53,
         },
@@ -583,8 +585,8 @@ _PINNED_ESP_DYN_HP = {
             "jobs_started": 83, "jobs_backfilled": 147,
             "reservations_created": 1401, "preemptions": 0,
             "malleable_shrinks": 0, "jobs_molded": 0, "total_delay_charged": 0.0,
-            "profile_builds": 3, "profile_cache_hits": 4,
-            "profile_advances": 375, "profile_advance_fallbacks": 0,
+            "profile_builds": 3,
+            "profile_advances": 379, "profile_advance_fallbacks": 0,
             "backfill_quick_rejects": 7185,
             "shard_merges": 19, "shard_passes_skipped": 453,
         },

@@ -102,9 +102,14 @@ def _pinned_stats(**moving):
 #: ``iterations_skipped`` - wakes onto an empty queue now skip, and proven
 #: echoes are never queued, so they are not among the skips;
 #: ``profile_advances`` - a shard whose every job starts into free space
-#: builds no profile (``profile_builds`` / ``profile_cache_hits`` did not
-#: move: the one-shard profile is built once and advanced after that);
+#: builds no profile (``profile_builds`` did not move: the one-shard
+#: profile is built once and advanced after that);
 #: ``shard_passes_skipped`` - the skips it counted were those echo passes.
+#: ``profile_advances`` once more (196/230/235/235 before) when the
+#: per-snapshot profile cache and the kept delay context went: the
+#: former's 0/1/1/2 hits (the deleted ``profile_cache_hits``) and the
+#: latter's 0/0/3/3 reuses (of 0/10/19/19 dynamic requests measured) are
+#: each one advance by an empty delta now.
 _PINNED_SINGLE_SHARD = {
     "Static": (
         "93e91705555689114c6468661bb1686d9de949b58395668b42a30ebfedbf7306",
@@ -112,7 +117,7 @@ _PINNED_SINGLE_SHARD = {
             iterations=374, iterations_skipped=9, dyn_granted=0, dyn_rejected=0,
             dyn_rejected_fairness=0, dyn_rejected_resources=0,
             jobs_started=186, jobs_backfilled=44, total_delay_charged=0.0,
-            reservations_created=925, profile_builds=1, profile_cache_hits=0,
+            reservations_created=925, profile_builds=1,
             profile_advances=196, backfill_quick_rejects=7319,
             shard_passes_skipped=0,
         ),
@@ -123,8 +128,8 @@ _PINNED_SINGLE_SHARD = {
             iterations=509, iterations_skipped=10, dyn_granted=10, dyn_rejected=124,
             dyn_rejected_fairness=0, dyn_rejected_resources=124,
             jobs_started=180, jobs_backfilled=50, total_delay_charged=0.0,
-            reservations_created=1054, profile_builds=2, profile_cache_hits=1,
-            profile_advances=230, backfill_quick_rejects=7812,
+            reservations_created=1054, profile_builds=2,
+            profile_advances=231, backfill_quick_rejects=7812,
             shard_passes_skipped=109,
         ),
     ),
@@ -135,8 +140,8 @@ _PINNED_SINGLE_SHARD = {
             dyn_rejected_fairness=8, dyn_rejected_resources=114,
             jobs_started=173, jobs_backfilled=57,
             total_delay_charged=2395.499999999999,
-            reservations_created=1031, profile_builds=2, profile_cache_hits=1,
-            profile_advances=235, backfill_quick_rejects=8290,
+            reservations_created=1031, profile_builds=2,
+            profile_advances=239, backfill_quick_rejects=8290,
             shard_passes_skipped=97,
         ),
     ),
@@ -147,8 +152,8 @@ _PINNED_SINGLE_SHARD = {
             dyn_rejected_fairness=7, dyn_rejected_resources=114,
             jobs_started=173, jobs_backfilled=57,
             total_delay_charged=2770.666666666665,
-            reservations_created=1032, profile_builds=2, profile_cache_hits=2,
-            profile_advances=235, backfill_quick_rejects=8291,
+            reservations_created=1032, profile_builds=2,
+            profile_advances=240, backfill_quick_rejects=8291,
             shard_passes_skipped=97,
         ),
     ),
@@ -165,13 +170,15 @@ def test_single_shard_bit_identical_to_monolithic(name):
 
 @pytest.mark.slow
 def test_table2_exports_match_monolithic_golden(tmp_path):
-    """Ledger and trace JSONL of the default CLI run against the sha256
-    list: the ledgers byte for byte as recorded from ``--shards 0`` before
-    that mode went; the traces with their ``reservation_create`` and
-    ``sched_iteration`` lines set aside (written per unit of planning work
-    — a reservation placed or moved, a pass run — not per decision; the
-    golden's header has the proof), and the number of those lines pinned.
-    Job ids are process-global, hence the fresh interpreter."""
+    """Ledger and trace JSONL and the Prometheus export of the default CLI
+    run against the sha256 list: the ledgers byte for byte as recorded from
+    ``--shards 0`` before that mode went; the traces with their
+    ``reservation_create`` and ``sched_iteration`` lines set aside (written
+    per unit of planning work — a reservation placed or moved, a pass run —
+    not per decision; the golden's header has the proof), and the number of
+    those lines pinned; the metrics with the lines of the two wall-clock
+    histograms set aside (``#drop``).  Job ids are process-global, hence
+    the fresh interpreter."""
     root = Path(__file__).resolve().parent.parent
     subprocess.run(
         [sys.executable, "-m", "repro.cli", "table2", "--telemetry-out",
@@ -183,13 +190,18 @@ def test_table2_exports_match_monolithic_golden(tmp_path):
     lines = [line.split() for line in golden.read_text().splitlines()]
     digests = [line for line in lines if not line[0].startswith("#")]
     counts = [line[1:] for line in lines if line[0] == "#count"]
-    assert len(digests) == 8 and len(counts) == 8
+    drops = [line[1:] for line in lines if line[0] == "#drop"]
+    assert len(digests) == 12 and len(counts) == 8 and len(drops) == 8
     exports = {name: (tmp_path / name).read_bytes().splitlines(keepends=True)
                for _, name in digests}
     for kind, count, name in counts:
         marker = b'"kind": "%s"' % kind.encode()
         assert sum(marker in line for line in exports[name]) == int(count), (name, kind)
         exports[name] = [line for line in exports[name] if marker not in line]
+    for marker, name in drops:
+        exports[name] = [
+            line for line in exports[name] if marker.encode() not in line
+        ]
     for digest, name in digests:
         assert hashlib.sha256(b"".join(exports[name])).hexdigest() == digest, name
 
@@ -451,7 +463,7 @@ _MECHANISM = frozenset(
     {
         "iterations", "iterations_skipped",
         "reservations_created", "backfill_quick_rejects", "shard_passes_skipped",
-        "profile_builds", "profile_cache_hits", "profile_advances",
+        "profile_builds", "profile_advances",
         "profile_advance_fallbacks", "dyn_handle_seconds",
     }
 )
