@@ -95,6 +95,9 @@ class AvailabilityProfile:
         # profile state and each probe is a pure-Python bisect
         self._gen = 0
         self._qr_memo: tuple[int, float, list[int], int] | None = None
+        # (generation, start, [(cores, nodes, ppn, duration), ...]): the
+        # fits_at probes that failed on this step function at that start
+        self._fails: tuple[int, float, list[tuple]] | None = None
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -112,6 +115,7 @@ class AvailabilityProfile:
         clone._capacity = self._capacity
         clone._gen = 0
         clone._qr_memo = None
+        clone._fails = None
         return clone
 
     @classmethod
@@ -160,6 +164,7 @@ class AvailabilityProfile:
             clone._capacity = np.concatenate([p._capacity for p in profiles])
         clone._gen = 0
         clone._qr_memo = None
+        clone._fails = None
         return clone
 
     def _vector(self, allocation: Allocation) -> np.ndarray:
@@ -276,29 +281,45 @@ class AvailabilityProfile:
         """Free cores at the profile start, one entry per node in node order."""
         return self._mat[0].tolist()
 
-    def quick_reject(self, start: float, request: ResourceRequest) -> bool:
-        """Cheap necessary-condition test: True means ``request`` provably
-        cannot fit in any window starting at ``start``.
+    def quick_reject(
+        self, start: float, request: ResourceRequest, duration: float
+    ) -> bool:
+        """Cheap sufficient test for failure: True means :meth:`fits_at`
+        ``(start, duration, request)`` would answer None.
 
-        Free cores at the window start bound every node's window minimum
-        from above, so a request that already fails against the
-        instantaneous free vector fails :meth:`fits_at` too — one O(nodes)
-        reduction instead of a full window scan.  Backfill uses this to
-        prune hopeless candidates on a packed cluster.
+        Two screens, neither a window scan.  Free cores at the window start
+        bound every node's window minimum from above, so a request that
+        fails against the instantaneous free vector fails the window too.
+        And a request is implied by a probe that already failed here on
+        this step function if it asks no fewer cores (or nodes and ppn) for
+        no shorter a time: a longer window's per-node minima are no larger,
+        and a larger request needs more.  The two kinds never imply each
+        other — a flexible request has no nodes, a shaped one no cores.
+        Backfill uses this to prune hopeless candidates on a packed cluster.
         """
         if start < self._times[0]:
             raise ValueError(f"time {start} precedes profile start")
+        gen = self._gen
         memo = self._qr_memo
-        if memo is None or memo[0] != self._gen or memo[1] != start:
+        if memo is None or memo[0] != gen or memo[1] != start:
             row = self._mat[bisect.bisect_right(self._times, start) - 1]
-            memo = (self._gen, start, np.sort(row).tolist(), int(row.sum()))
+            memo = (gen, start, np.sort(row).tolist(), int(row.sum()))
             self._qr_memo = memo
         if request.is_shaped:
             # entries >= ppn occupy the sorted tail; counting them via
             # bisect is exactly the (row >= ppn).sum() reduction
             free = memo[2]
-            return len(free) - bisect.bisect_left(free, request.ppn) < request.nodes
-        return memo[3] < request.cores
+            if len(free) - bisect.bisect_left(free, request.ppn) < request.nodes:
+                return True
+        elif memo[3] < request.cores:
+            return True
+        fails = self._fails
+        if fails is not None and fails[0] == gen and fails[1] == start:
+            cores, nodes, ppn = request.cores, request.nodes, request.ppn
+            for c, n, p, d in fails[2]:
+                if cores >= c and nodes >= n and ppn >= p and duration >= d:
+                    return True
+        return False
 
     def can_ever_fit(self, request: ResourceRequest) -> bool:
         """False when no instant in the profile offers enough resources —
@@ -377,9 +398,17 @@ class AvailabilityProfile:
     def fits_at(
         self, start: float, duration: float, request: ResourceRequest
     ) -> Allocation | None:
-        """A concrete allocation if ``request`` fits throughout the window."""
+        """A concrete allocation if ``request`` fits throughout the window.
+        A failure is remembered for :meth:`quick_reject` until the next
+        claim, release or advance."""
         free_min = self._window_min(start, duration)
-        return self._fit_from_min(free_min.tolist(), request, self._nodes)
+        alloc = self._fit_from_min(free_min.tolist(), request, self._nodes)
+        if alloc is None:
+            fails = self._fails
+            if fails is None or fails[0] != self._gen or fails[1] != start:
+                fails = self._fails = (self._gen, start, [])
+            fails[2].append((request.cores, request.nodes, request.ppn, duration))
+        return alloc
 
     @classmethod
     def fit_free(

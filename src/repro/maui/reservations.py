@@ -120,13 +120,17 @@ def plan_static(
     for job in ordered_jobs:
         if len(plan.start_later) >= depth:
             break
-        alloc = profile.fits_at(now, job.walltime, job.request)
-        if alloc is not None:
-            profile.add_claim(now, now + job.walltime, alloc)
-            plan.start_now.append(PlannedJob(job, now, alloc))
-            continue
+        if not profile.quick_reject(now, job.request, job.walltime):
+            alloc = profile.fits_at(now, job.walltime, job.request)
+            if alloc is not None:
+                profile.add_claim(now, now + job.walltime, alloc)
+                plan.start_now.append(PlannedJob(job, now, alloc))
+                continue
         try:
-            start, alloc = profile.earliest_fit(job.request, job.walltime, after=now)
+            # probe_start=False: the window at `now` is known to fail
+            start, alloc = profile.earliest_fit(
+                job.request, job.walltime, after=now, probe_start=False
+            )
         except NoFitError:
             plan.unschedulable.append(job)
             continue

@@ -162,18 +162,16 @@ class StaticPass:
                     if self._skip_ok and self._free_start(job, plan, passed_blocked):
                         continue
                     working = self._profile_of(plan)
-            # The commonest way out of this body — rejected against the
-            # free vector at `now`, then beyond the reservation depth —
-            # stays inline: a pure short-circuit of the scan (fits_at would
-            # return None) that costs no call frame.
-            if (
-                unprofiled
-                and not job.min_cores
-                and working.quick_reject(now, job.request)
-            ):
+            # The commonest way out of this body — screened out by
+            # quick_reject, then beyond the reservation depth — stays
+            # inline: a pure short-circuit of the scan (fits_at would return
+            # None) that costs no call frame.  A job that molds, or a pass
+            # under the profiler, is screened inside the scan instead.
+            screened = unprofiled and not job.min_cores
+            if screened and working.quick_reject(now, job.request, job.walltime):
                 stats["backfill_quick_rejects"] += 1
             else:
-                alloc, molded = self._backfill_scan(job, plan, working)
+                alloc, molded = self._backfill_scan(job, plan, working, screened)
                 if alloc is not None:
                     self._start(job, plan, working, alloc, molded, passed_blocked)
                     continue
@@ -316,18 +314,19 @@ class StaticPass:
         return alloc is not None
 
     def _backfill_scan(
-        self, job: Job, plan: ShardPlan | None, working: AvailabilityProfile
+        self, job: Job, plan: ShardPlan | None, working: AvailabilityProfile,
+        screened: bool,
     ) -> tuple[Allocation | None, bool]:
-        """Can ``job`` start right now?  Returns ``(allocation, molded)``."""
+        """Can ``job`` start right now?  Returns ``(allocation, molded)``;
+        ``screened``: the walk has already run ``quick_reject`` on it."""
         prof = self._prof
         if prof is not None:
             prof.begin("backfill_scan" + self._name(plan)[0])
         now = self._now
         request = job.request
-        # instantaneous-free prune: on a packed cluster most candidates
-        # fail against the free vector at `now` alone, skipping the
-        # window scan (a pure short-circuit — fits_at would return None)
-        if working.quick_reject(now, request):
+        # on a packed cluster most candidates fail the screen, skipping
+        # the window scan (a pure short-circuit — fits_at would return None)
+        if not screened and working.quick_reject(now, request, job.walltime):
             self.stats["backfill_quick_rejects"] += 1
             alloc = None
         else:

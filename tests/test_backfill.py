@@ -9,18 +9,23 @@ job holding the one reservation (``ReservationDepth`` 1) at t=50.
 
 from repro.apps.synthetic import FixedRuntimeApp
 from repro.cluster.allocation import ResourceRequest
-from repro.jobs.job import Job
+from repro.jobs.job import Job, JobFlexibility
 from repro.system import BatchSystem
 
 
-def job(cores, walltime):
-    return Job(request=ResourceRequest(cores=cores), walltime=walltime)
+def job(cores, walltime, min_cores=0):
+    """A rigid job, or a moldable one down to ``min_cores``."""
+    return Job(
+        request=ResourceRequest(cores=cores), walltime=walltime,
+        flexibility=JobFlexibility.MOLDABLE if min_cores else JobFlexibility.RIGID,
+        min_cores=min_cores,
+    )
 
 
 def run_pass(filler_cores, wide_cores, *candidates):
-    """Submit the filler, the wide job and one ``(cores, walltime)``
-    candidate after another at t=0 — creation order is priority order —
-    and run the one scheduling pass at t=0."""
+    """Submit the filler, the wide job and one ``(cores, walltime[,
+    min_cores])`` candidate after another at t=0 — creation order is
+    priority order — and run the one scheduling pass at t=0."""
     system = BatchSystem(num_nodes=4, cores_per_node=8)
     filler, wide = job(filler_cores, 50.0), job(wide_cores, 1000.0)
     jobs = [filler, wide, *(job(*candidate) for candidate in candidates)]
@@ -69,3 +74,19 @@ class TestSelectBackfill:  # name kept from ``select_backfill``: stable test ids
     def test_empty_candidates(self):
         system, _ = run_pass(8, 32)
         assert system.scheduler.stats["jobs_backfilled"] == 0
+
+    def test_moldable_screened_on_its_full_request_still_molds(self):
+        # the reservation takes nodes 0-2 from t=50, so a 200 s window at
+        # t=0 holds node 3 only: the rigid 16-core probe fails there, and
+        # the moldable job asking the same is screened out on that record
+        # before molding down to its 8-core floor
+        system, _, rigid, moldable = run_pass(16, 24, (16, 200.0), (16, 200.0, 8))
+        stats = system.scheduler.stats
+        assert rigid.start_time is None
+        assert moldable.start_time == 0.0 and moldable.backfilled
+        assert moldable.allocation.total_cores == 8
+        assert stats["jobs_molded"] == 1
+        # the first pass screens the wide job on the free cores and the
+        # moldable one on the rigid job's failed probe; the echo pass the
+        # molded start causes screens wide and rigid on the 8 cores left
+        assert stats["backfill_quick_rejects"] == 4

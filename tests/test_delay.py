@@ -1,9 +1,11 @@
 """Tests for delay measurement (Algorithm 2's fairness input)."""
 
 from repro.cluster.allocation import Allocation, ResourceRequest
-from repro.cluster.profile import AvailabilityProfile
+from repro.cluster.profile import AvailabilityProfile, NoFitError
 from repro.jobs.job import Job
 from repro.maui.delay import measure_delays
+from repro.maui.reservations import plan_static
+from tests.reference_profile import ReferenceAvailabilityProfile
 
 
 def profile(nodes=4, cores=8, busy_until=None):
@@ -79,3 +81,53 @@ class TestMeasureDelays:
         # both pushed from (100, 150) to (300, 350)
         assert by_job[first] == 200.0
         assert by_job[second] == 200.0
+
+
+def _oracle_plan(jobs, ref, now, depth):
+    """``plan_static``'s contract on the reference profile: each job at its
+    earliest fit in priority order, claimed before the next is planned."""
+    start_now, start_later, unschedulable = [], [], []
+    for j in jobs:
+        if len(start_later) >= depth:
+            break
+        try:
+            start, alloc = ref.earliest_fit(j.request, j.walltime, after=now)
+        except NoFitError:
+            unschedulable.append(j)
+            continue
+        ref.add_claim(start, start + j.walltime, alloc)
+        (start_now if start == now else start_later).append((j, start, alloc))
+    return start_now, start_later, unschedulable
+
+
+def test_plan_static_probes_no_window_twice(monkeypatch):
+    """The delay measurement plans the queue twice per dynamic request, so
+    its probes are counted: a job the free cores at ``now`` rule out is not
+    probed, and a job whose window at ``now`` failed is not probed there
+    again by ``earliest_fit``.  The plan is the oracle's all the same."""
+    idx = list(range(4))
+    busy = {0: 100.0, 1: 100.0}
+    queue = [job(8, 50.0), job(16), job(16), job(8, 200.0), job(8, 200.0),
+             job(33), job(16)]
+    ref = ReferenceAvailabilityProfile(idx, {i: 8 for i in idx}, 0.0)
+    for node, until in busy.items():
+        ref.add_claim(0.0, until, Allocation({node: 8}))
+    expected = _oracle_plan(queue, ref, 0.0, depth=5)
+
+    fits_at = AvailabilityProfile.fits_at
+    probes = 0
+
+    def counted(self, *args):
+        nonlocal probes
+        probes += 1
+        return fits_at(self, *args)
+
+    monkeypatch.setattr(AvailabilityProfile, "fits_at", counted)
+    plan = plan_static(queue, profile(busy_until=busy), 0.0, depth=5)
+    assert [(p.job, p.start, p.allocation) for p in plan.start_now] == expected[0]
+    assert [(p.job, p.start, p.allocation) for p in plan.start_later] == expected[1]
+    assert plan.unschedulable == expected[2]
+    assert len(plan.start_now) == 1 and len(plan.start_later) == 5
+    # the one start, and the two 8-core jobs the free cores cannot rule
+    # out; 13 when every job that did not start now was probed twice
+    assert probes == 3

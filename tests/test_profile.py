@@ -109,6 +109,91 @@ class TestFitsAt:
         assert prof.fits_at(0.0, math.inf, ResourceRequest(cores=1)) is None
 
 
+class TestQuickReject:
+    """The backfill screen: the free cores at the window start, and the
+    window probes that already failed on the same step function."""
+
+    WIDE = ResourceRequest(cores=24)
+
+    def failed_probe(self, start=0.0):
+        """Nodes 0 and 1 go DOWN at t=10: 32 cores free at ``start`` pass
+        the row-0 test, but a 100 s window holds only 16 — the probe fails
+        and is recorded."""
+        prof = make_profile()
+        prof.add_claim(10.0, math.inf, Allocation({0: 8, 1: 8}))
+        assert not prof.quick_reject(start, self.WIDE, 100.0)
+        assert prof.fits_at(start, 100.0, self.WIDE) is None
+        assert prof.quick_reject(start, self.WIDE, 100.0)
+        return prof
+
+    def test_row_zero_rejects_what_the_free_cores_at_start_cannot_hold(self):
+        prof = make_profile()
+        prof.add_claim(0.0, 50.0, Allocation({0: 8, 1: 8, 2: 4}))
+        assert prof.quick_reject(0.0, ResourceRequest(cores=13), 1.0)
+        assert not prof.quick_reject(0.0, ResourceRequest(cores=12), 1.0)
+        assert prof.quick_reject(0.0, ResourceRequest(nodes=2, ppn=8), 1.0)
+        assert not prof.quick_reject(0.0, ResourceRequest(nodes=2, ppn=4), 1.0)
+
+    def test_failure_implies_larger_and_longer_requests_only(self):
+        prof = self.failed_probe()
+        for cores, duration in ((25, 100.0), (24, 101.0), (32, math.inf)):
+            assert prof.quick_reject(0.0, ResourceRequest(cores=cores), duration)
+        # smaller or shorter is not implied: these fit
+        for cores, duration in ((16, 100.0), (24, 10.0)):
+            request = ResourceRequest(cores=cores)
+            assert not prof.quick_reject(0.0, request, duration)
+            assert prof.fits_at(0.0, duration, request) is not None
+        # ... and another instant is another question
+        assert not prof.quick_reject(5.0, self.WIDE, 100.0)
+
+    def test_release_on_the_probed_nodes_forgets_the_failure(self):
+        prof = self.failed_probe()
+        prof.add_release(10.0, Allocation({0: 8, 1: 8}))  # the nodes recover
+        assert not prof.quick_reject(0.0, self.WIDE, 100.0)
+        assert prof.fits_at(0.0, 100.0, self.WIDE) is not None
+
+    def test_advance_forgets_the_failure(self):
+        prof = self.failed_probe(start=5.0)
+        prof.advance_to(5.0)
+        assert not prof.quick_reject(5.0, self.WIDE, 100.0)
+        assert prof.fits_at(5.0, 100.0, self.WIDE) is None  # still true
+
+    def test_copy_and_merge_inherit_no_failure(self):
+        prof = self.failed_probe()
+        assert not prof.copy().quick_reject(0.0, self.WIDE, 100.0)
+        assert not AvailabilityProfile.merge([prof]).quick_reject(
+            0.0, self.WIDE, 100.0
+        )
+        other = AvailabilityProfile([7], {7: 0}, 0.0)
+        assert not AvailabilityProfile.merge([prof, other]).quick_reject(
+            0.0, self.WIDE, 100.0
+        )
+        assert prof.quick_reject(0.0, self.WIDE, 100.0)  # the original keeps it
+
+    def test_rejected_claim_leaves_the_failure_valid(self):
+        prof = self.failed_probe()
+        with pytest.raises(ValueError, match="oversubscribes"):
+            prof.add_claim(5.0, 15.0, Allocation({0: 8, 2: 8}))
+        assert prof.quick_reject(0.0, self.WIDE, 100.0)
+        assert prof.fits_at(0.0, 100.0, self.WIDE) is None
+
+    def test_flexible_and_shaped_never_imply_each_other(self):
+        prof = self.failed_probe()
+        # 3 nodes x 8 also fails here (2 nodes stay up), but no flexible
+        # failure says so
+        shaped = ResourceRequest(nodes=3, ppn=8)
+        assert not prof.quick_reject(0.0, shaped, 100.0)
+        assert prof.fits_at(0.0, 100.0, shaped) is None
+        assert prof.quick_reject(0.0, shaped, 100.0)
+        # a shaped failure says nothing of a flexible request, however large
+        prof = make_profile()
+        prof.add_claim(10.0, math.inf, Allocation({0: 8, 1: 8}))
+        assert prof.fits_at(0.0, 100.0, shaped) is None
+        assert prof.quick_reject(0.0, ResourceRequest(nodes=4, ppn=8), 100.0)
+        assert not prof.quick_reject(0.0, self.WIDE, 100.0)
+        assert not prof.quick_reject(0.0, ResourceRequest(cores=16), 100.0)
+
+
 class TestEarliestFit:
     def test_immediate(self):
         prof = make_profile()

@@ -45,6 +45,26 @@ def random_request(rng: random.Random, num_nodes: int,
     return ResourceRequest(cores=rng.randint(1, num_nodes * cores_per_node + 4))
 
 
+def nearby_requests(rng: random.Random, request: ResourceRequest,
+                    duration: float) -> list[tuple[ResourceRequest, float]]:
+    """A handful of ``(request, duration)`` pairs around a probed one: a
+    core, a node or a ppn either way, the other kind at the same size, and
+    half, the same, double or unbounded time."""
+    if request.is_shaped:
+        n, p = request.nodes, request.ppn
+        sizes = [
+            ResourceRequest(nodes=n + dn, ppn=p + dp)
+            for dn, dp in ((-1, 0), (1, 0), (0, -1), (0, 1), (1, 1))
+            if n + dn > 0 and p + dp > 0
+        ] + [ResourceRequest(cores=n * p)]
+    else:
+        c = request.cores
+        sizes = [ResourceRequest(cores=k) for k in (c - 1, c + 1) if k > 0]
+        sizes.append(ResourceRequest(nodes=1, ppn=c))
+    durations = (duration / 2, duration, duration * 2, math.inf)
+    return [(rng.choice(sizes), rng.choice(durations)) for _ in range(4)]
+
+
 def random_allocation(rng: random.Random, nodes: list[int],
                       cores_per_node: int) -> Allocation:
     picked = rng.sample(nodes, rng.randint(1, len(nodes)))
@@ -119,6 +139,7 @@ def run_sequence(rng: random.Random) -> None:
     #: nodes currently DOWN in this sequence: node -> (fail time, cores)
     downed: dict[int, tuple[float, int]] = {}
     horizon = 300.0
+    probed: float | None = None  # the instant of the last fits_at op
     for _ in range(OPS_PER_SEQUENCE):
         op = rng.random()
         if op < 0.26:  # claim (exercises both success and rollback paths)
@@ -149,15 +170,23 @@ def run_sequence(rng: random.Random) -> None:
                 err_ref = str(e)
             assert err_new == err_ref
         elif op < 0.62:  # fits_at
-            start = now + rng.uniform(0, horizon)
+            # half the probes return to the last instant probed, so failures
+            # recorded there meet the claims, releases, rejected claims,
+            # advances and copies made since
+            if probed is None or probed < now or rng.random() < 0.5:
+                probed = now + rng.uniform(0, horizon)
+            start = probed
             duration = random_duration(rng)
             request = random_request(rng, num_nodes, cores_per_node)
             got = new.fits_at(start, duration, request)
             assert got == ref.fits_at(start, duration, request)
-            # the backfill prune is a pure short-circuit: a quick-rejected
-            # request must be one fits_at would have refused anyway
-            if new.quick_reject(start, request):
-                assert got is None
+            # the backfill screen is a pure short-circuit: whatever it
+            # rejects — the probe itself or a request near it — fits_at
+            # would have refused anyway
+            for req, dur in [(request, duration),
+                             *nearby_requests(rng, request, duration)]:
+                if new.quick_reject(start, req, dur):
+                    assert ref.fits_at(start, dur, req) is None
         elif op < 0.80:  # earliest_fit
             duration = random_duration(rng)
             request = random_request(rng, num_nodes, cores_per_node)
@@ -559,7 +588,10 @@ def test_randomized_reserve_and_claim_rounds_at_shard_shape(batch):
 #: passes.  ``profile_advances`` once more (290 / 375 before) when the
 #: per-snapshot profile cache went: its 1 / 4 hits (the deleted
 #: ``profile_cache_hits``) are advances by an empty delta now.  Tuple
-#: digests and every other stat are the original recording.
+#: digests and every other stat are the original recording.  The third
+#: entry counts ``AvailabilityProfile.fits_at`` calls — window probes the
+#: screen let through (7748 / 3142 before the screen recalled failed
+#: probes); a change that re-asks an answered question moves it.
 _PINNED_ESP_DYN_HP = {
     1: (
         "2e2acf886f803557352fa884bf8b2d5b6c02b94418b89f2b00d08bece4d52c26",
@@ -572,9 +604,11 @@ _PINNED_ESP_DYN_HP = {
             "malleable_shrinks": 0, "jobs_molded": 0, "total_delay_charged": 0.0,
             "profile_builds": 2,
             "profile_advances": 291, "profile_advance_fallbacks": 0,
-            "backfill_quick_rejects": 8754,
+            # 8754 before failed probes screened the requests they imply
+            "backfill_quick_rejects": 14874,
             "shard_merges": 0, "shard_passes_skipped": 53,
         },
+        973,
     ),
     2: (
         "c648dad6ff40966a0c45d23586d3e55f6ac3d53b837ffb6fa7ba65c12b1d9b4f",
@@ -587,15 +621,17 @@ _PINNED_ESP_DYN_HP = {
             "malleable_shrinks": 0, "jobs_molded": 0, "total_delay_charged": 0.0,
             "profile_builds": 3,
             "profile_advances": 379, "profile_advance_fallbacks": 0,
-            "backfill_quick_rejects": 7185,
+            # 7185 before failed probes screened the requests they imply
+            "backfill_quick_rejects": 8787,
             "shard_merges": 19, "shard_passes_skipped": 453,
         },
+        792,
     ),
 }
 
 
 @pytest.mark.parametrize("shards", sorted(_PINNED_ESP_DYN_HP))
-def test_esp_dyn_hp_schedule_and_counters_pinned(shards):
+def test_esp_dyn_hp_schedule_and_counters_pinned(shards, monkeypatch):
     import dataclasses
     import hashlib
 
@@ -609,6 +645,15 @@ def test_esp_dyn_hp_schedule_and_counters_pinned(shards):
     make_esp_workload(
         120, dynamic=config.dynamic_workload, seed=2014
     ).submit_to(system)
+    fits_at = AvailabilityProfile.fits_at
+    probes = 0
+
+    def counted(self, *args):
+        nonlocal probes
+        probes += 1
+        return fits_at(self, *args)
+
+    monkeypatch.setattr(AvailabilityProfile, "fits_at", counted)
     system.run(max_events=5_000_000)
     tuples = [
         (r.submit_time, r.start_time, r.end_time, r.state)
@@ -617,6 +662,7 @@ def test_esp_dyn_hp_schedule_and_counters_pinned(shards):
     stats = {
         k: v for k, v in system.scheduler.stats.items() if not k.endswith("_seconds")
     }
-    digest, pinned_stats = _PINNED_ESP_DYN_HP[shards]
+    digest, pinned_stats, pinned_probes = _PINNED_ESP_DYN_HP[shards]
     assert stats == pinned_stats
+    assert probes == pinned_probes
     assert hashlib.sha256(repr(tuples).encode()).hexdigest() == digest

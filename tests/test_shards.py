@@ -118,7 +118,9 @@ _PINNED_SINGLE_SHARD = {
             dyn_rejected_fairness=0, dyn_rejected_resources=0,
             jobs_started=186, jobs_backfilled=44, total_delay_charged=0.0,
             reservations_created=925, profile_builds=1,
-            profile_advances=196, backfill_quick_rejects=7319,
+            profile_advances=196,
+            # 7319 before failed probes screened the requests they imply
+            backfill_quick_rejects=12367,
             shard_passes_skipped=0,
         ),
     ),
@@ -129,7 +131,9 @@ _PINNED_SINGLE_SHARD = {
             dyn_rejected_fairness=0, dyn_rejected_resources=124,
             jobs_started=180, jobs_backfilled=50, total_delay_charged=0.0,
             reservations_created=1054, profile_builds=2,
-            profile_advances=231, backfill_quick_rejects=7812,
+            profile_advances=231,
+            # 7812 before failed probes screened the requests they imply
+            backfill_quick_rejects=13589,
             shard_passes_skipped=109,
         ),
     ),
@@ -141,7 +145,9 @@ _PINNED_SINGLE_SHARD = {
             jobs_started=173, jobs_backfilled=57,
             total_delay_charged=2395.499999999999,
             reservations_created=1031, profile_builds=2,
-            profile_advances=239, backfill_quick_rejects=8290,
+            profile_advances=239,
+            # 8290 before failed probes screened the requests they imply
+            backfill_quick_rejects=13602,
             shard_passes_skipped=97,
         ),
     ),
@@ -153,7 +159,9 @@ _PINNED_SINGLE_SHARD = {
             jobs_started=173, jobs_backfilled=57,
             total_delay_charged=2770.666666666665,
             reservations_created=1032, profile_builds=2,
-            profile_advances=240, backfill_quick_rejects=8291,
+            profile_advances=240,
+            # 8291 before failed probes screened the requests they imply
+            backfill_quick_rejects=13603,
             shard_passes_skipped=97,
         ),
     ),
