@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
@@ -73,33 +74,58 @@ class DynRequest:
         )
 
 
-class JobQueue:
-    """Ordered container of queued (idle) jobs.
+def _rank(job: Job) -> tuple[bool, float, int]:
+    return (not job.top_priority, job.submit_time, job.seq)
 
-    Submission order is preserved; the scheduler applies its own priority
-    ordering on top.  The queue only ever contains jobs in state ``QUEUED``.
+
+def _gated(job: Job) -> bool:
+    return job.hold is not None or job.depends_on is not None
+
+
+class JobQueue:
+    """Queued (idle) jobs in rank order — ESP Z-type first, then
+    ``submit_time``, then ``seq`` — which is the priority order of
+    queue-time weights (:meth:`Prioritizer.order`); a preempted job
+    re-queues at its rank.  Jobs carrying a hold or dependency are counted
+    (holds change through :meth:`set_hold`), so a pass with none skips the
+    gate walk.  The queue only ever contains jobs in state ``QUEUED``.
     """
 
     def __init__(self) -> None:
         self._jobs: list[Job] = []
-        #: ids of ``_jobs`` and how many of them are ESP Z-type, kept by
-        #: push/remove so membership and the lockdown test are O(1)
+        #: ids of ``_jobs`` and how many of them are ESP Z-type or gated,
+        #: kept by push/remove so membership and both tests are O(1)
         self._ids: set[str] = set()
         self._top_priority = 0
+        self._gated = 0
 
     def push(self, job: Job) -> None:
         if job.state is not JobState.QUEUED:
             raise ValueError(f"{job.job_id} is {job.state.value}, not queued")
         if job.job_id in self._ids:
             raise ValueError(f"{job.job_id} already queued")
-        self._jobs.append(job)
+        jobs = self._jobs
+        if not jobs or _rank(jobs[-1]) < _rank(job):
+            jobs.append(job)
+        else:
+            insort(jobs, job, key=_rank)
         self._ids.add(job.job_id)
         self._top_priority += job.top_priority
+        self._gated += _gated(job)
 
     def remove(self, job: Job) -> None:
-        self._jobs.remove(job)
+        if job.job_id not in self._ids:
+            raise ValueError(f"{job.job_id} is not queued")
+        del self._jobs[bisect_left(self._jobs, _rank(job), key=_rank)]
         self._ids.remove(job.job_id)
         self._top_priority -= job.top_priority
+        self._gated -= _gated(job)
+
+    def set_hold(self, job: Job, kind: str | None) -> None:
+        """Set (or clear, with None) ``job.hold``, keeping the gate count."""
+        if job.job_id in self._ids:
+            self._gated += (kind is not None or job.depends_on is not None) - _gated(job)
+        job.hold = kind
 
     def __len__(self) -> int:
         return len(self._jobs)
@@ -111,13 +137,18 @@ class JobQueue:
         return job.job_id in self._ids
 
     def snapshot(self) -> list[Job]:
-        """Submission-ordered copy (safe to mutate)."""
+        """Rank-ordered copy (safe to mutate)."""
         return list(self._jobs)
 
     @property
     def has_top_priority_job(self) -> bool:
         """True while an ESP Z-type job is waiting (triggers the lockdown)."""
         return self._top_priority > 0
+
+    @property
+    def has_gated_job(self) -> bool:
+        """True while a queued job carries a hold or a dependency."""
+        return self._gated > 0
 
     def __repr__(self) -> str:
         return f"<JobQueue {len(self._jobs)} queued>"

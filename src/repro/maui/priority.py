@@ -15,6 +15,8 @@ elementwise decay reproduces the scalar results exactly.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 import numpy as np
 
 from repro.jobs.job import Job
@@ -122,8 +124,26 @@ class Prioritizer:
             score += 1e15
         return score
 
-    def order(self, jobs: list[Job], now: float) -> list[Job]:
-        """Jobs sorted by descending priority; ties resolve in submit order."""
+    def order(self, jobs: list[Job], now: float, ranked: bool = False) -> list[Job]:
+        """Jobs sorted by descending priority; ties resolve in submit order.
+
+        A ``ranked`` list (:class:`JobQueue` rank order) is returned unscored
+        under FIFO weights, whose order it is (proof: docs/PERFORMANCE.md,
+        "Rank-ordered queue").
+        """
+        w = self.weights
+        if ranked and not (
+            w.expansion_factor or w.fairshare or w.service or w.credential
+            or w.queue_time < 0
+        ):
+            # Z-type jobs are a prefix; every Z score stays at 1e15 or more
+            # (no wait is negative) and every other one below it
+            top = bisect_left(jobs, True, key=lambda j: not j.top_priority)
+            if (top == 0 or jobs[top - 1].submit_time <= now) and (
+                top == len(jobs)
+                or w.queue_time * (now - jobs[top].submit_time) < 1e15
+            ):
+                return jobs
         return sorted(
             jobs,
             key=lambda j: (-self.priority(j, now), j.submit_time, j.seq),

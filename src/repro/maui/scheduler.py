@@ -350,7 +350,9 @@ class MauiScheduler:
         classified: dict[str, tuple[str, str | None]] | None = (
             {} if self._ledger is not None else None
         )
-        ordered = timed(prof, "prioritize", self._eligible_static, now, classified)
+        ordered = timed(
+            prof, "prioritize", self._eligible_static, now, classified, cancel=True
+        )
         lockdown = self.server.queue.has_top_priority_job
         started, backfilled, self._next_reservation_start, replayable = timed(
             prof, "static_pass", self.static_pass.run,
@@ -396,6 +398,7 @@ class MauiScheduler:
         self,
         now: float,
         exclusions: dict[str, tuple[str, str | None]] | None = None,
+        cancel: bool = False,
     ) -> list[Job]:
         """Queued jobs eligible for priority scheduling (Algorithm step 6).
 
@@ -403,23 +406,30 @@ class MauiScheduler:
 
         * holds — a held job stays queued but frozen until released;
         * dependencies — unmet dependencies keep the job queued but
-          invisible to the planner; a failed ``afterok`` cancels it;
+          invisible to the planner; with ``cancel`` (the iteration's own
+          call, never a query) a failed ``afterok`` cancels it;
         * throttling — at most ``max_eligible_jobs_per_user`` queued jobs
           per user are considered, and a user at the
           ``max_running_jobs_per_user`` cap contributes no more eligible
           jobs than the cap leaves headroom for.
 
+        The queue is kept in rank order and counts its jobs that carry a
+        hold or a dependency: with none, the gate walk is skipped, and
+        under FIFO weights :meth:`Prioritizer.order` scores no job.
+
         ``exclusions`` (diagnostics/ledger only) collects
         ``job_id -> (cause, detail)`` for every job a gate filtered out,
         naming the specific hold kind, dependency target or throttle limit.
         """
-        eligible: list[Job] = []
-        for job in self.server.queue.snapshot():
+        queue = self.server.queue
+        gated = queue.has_gated_job
+        eligible = [] if gated else queue.snapshot()
+        for job in queue.snapshot() if gated else ():
             if job.hold is not None:
                 if exclusions is not None:
                     exclusions[job.job_id] = (f"{job.hold}_held", f"{job.hold} hold")
                 continue
-            if self.server.dependency_failed(job):
+            if cancel and self.server.dependency_failed(job):
                 self.server.cancel_queued(job, reason="dependency failed")
                 continue
             if self.server.dependency_satisfied(job):
@@ -429,7 +439,7 @@ class MauiScheduler:
                     "dependency_held",
                     f"dependency on {job.depends_on}",
                 )
-        ordered = self.prioritizer.order(eligible, now)
+        ordered = self.prioritizer.order(eligible, now, ranked=True)
         max_running = self.config.max_running_jobs_per_user
         max_eligible = self.config.max_eligible_jobs_per_user
         if max_running is None and max_eligible is None:

@@ -335,7 +335,7 @@ class Server:
             raise ValueError(f"unknown hold kind: {kind!r}")
         if job.state is not JobState.QUEUED:
             raise RuntimeError(f"{job.job_id} is {job.state.value}, cannot hold")
-        job.hold = kind
+        self.queue.set_hold(job, kind)
         self.trace.record(
             self.engine.now,
             EventKind.JOB_HOLD,
@@ -350,7 +350,7 @@ class Server:
         """Release a held job back into scheduling (Torque ``qrls``)."""
         if job.hold is None:
             return
-        job.hold = None
+        self.queue.set_hold(job, None)
         self.trace.record(
             self.engine.now,
             EventKind.JOB_RELEASE,

@@ -6,6 +6,7 @@ from repro.apps.synthetic import FixedRuntimeApp
 from repro.cluster.allocation import ResourceRequest
 from repro.jobs.job import Job, JobState
 from repro.maui.config import MauiConfig
+from repro.sim.events import EventKind
 from repro.system import BatchSystem
 
 
@@ -48,6 +49,26 @@ class TestAfterok:
         assert first.state is JobState.ABORTED
         assert second.state is JobState.ABORTED
         assert second.start_time is None
+
+    def test_queries_do_not_cancel(self, system):
+        """``explain`` (like a delay measurement) only asks: the dependent
+        of an aborted ``afterok`` target stays queued until a pass runs."""
+        first = system.submit(job(cores=4), FixedRuntimeApp(100.0))
+        system.run(until=5.0)
+        system.server.abort_job(first, "crash")
+        second = system.submit(
+            job(cores=4, depends_on=first.job_id), FixedRuntimeApp(50.0)
+        )
+        aborts = system.trace.count(EventKind.JOB_ABORT)
+        for _ in range(2):
+            assert system.scheduler.explain(second)["blocked_by"] == (
+                f"dependency on {first.job_id}"
+            )
+        assert second.state is JobState.QUEUED
+        assert system.trace.count(EventKind.JOB_ABORT) == aborts
+        system.run(until=5.0)
+        assert second.state is JobState.ABORTED and second.end_time == 5.0
+        assert system.trace.count(EventKind.JOB_ABORT) == aborts + 1
 
     def test_dangling_dependency_holds_job(self, system):
         orphan = system.submit(

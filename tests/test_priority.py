@@ -4,9 +4,12 @@ import copy
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.allocation import ResourceRequest
 from repro.jobs.job import Job
+from repro.jobs.queue import JobQueue
 from repro.maui.config import PriorityWeightsConfig
 from repro.maui.priority import FairshareTracker, Prioritizer
 
@@ -111,6 +114,127 @@ class TestPriority:
         shuffled = expected[::-2] + expected[-2::-2]
         assert sorted(shuffled, key=id) == sorted(expected, key=id)
         assert prio.order(shuffled, now) == expected
+
+
+def by_key(prio, jobs, now):
+    return sorted(jobs, key=lambda j: (-prio.priority(j, now), j.submit_time, j.seq))
+
+
+def ranked(jobs):
+    queue = JobQueue()
+    for job in jobs:
+        queue.push(job)
+    return queue.snapshot()
+
+
+def counting(prio):
+    """Count ``prio.priority`` calls made by ``prio.order``."""
+    calls = []
+    score = prio.priority
+
+    def counted(job, now):
+        calls.append(job)
+        return score(job, now)
+
+    prio.priority = counted
+    return calls
+
+
+class TestRankedOrder:
+    """``order(..., ranked=True)`` on the queue's rank order returns it
+    unscored under FIFO weights, and equals the keyed sort always."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        draws=st.lists(
+            st.tuples(
+                st.sampled_from([0.0, 1.0, 1e6]) | st.floats(0.0, 1e7),
+                st.booleans(),
+            ),
+            max_size=12,
+        ),
+        queue_time=st.sampled_from([0.0, 1e-3, 1.0, 1e9]),
+        lag=st.sampled_from([0.0, 1e-9]) | st.floats(0.0, 1e8),
+        rng=st.randoms(use_true_random=False),
+    )
+    def test_equals_keyed_sort(self, draws, queue_time, lag, rng):
+        prio, _ = make_prioritizer(queue_time=queue_time)
+        jobs = [make_job(submit=s, top_priority=top) for s, top in draws]
+        shuffled = jobs[:]
+        rng.shuffle(shuffled)
+        rank = ranked(shuffled)
+        now = max((j.submit_time for j in jobs), default=0.0) + lag
+        expected = by_key(prio, shuffled, now)
+        calls = counting(prio)
+        assert prio.order(rank, now, ranked=True) == expected
+        oldest = min(
+            (j.submit_time for j in jobs if not j.top_priority), default=now
+        )
+        if queue_time * (now - oldest) < 1e15:
+            assert calls == []
+
+    def test_fifo_scores_nothing(self):
+        prio, _ = make_prioritizer()
+        rank = ranked([make_job(submit=t) for t in (3.0, 1.0, 2.0, 1.0)])
+        calls = counting(prio)
+        assert prio.order(rank, 10.0, ranked=True) is rank
+        assert calls == []
+        # an unranked input is always sorted
+        assert prio.order(rank[::-1], 10.0) == rank and calls
+
+    @pytest.mark.parametrize(
+        "weights, first, second",
+        [
+            pytest.param(
+                dict(queue_time=0.0, expansion_factor=1.0),
+                dict(walltime=1000.0), dict(walltime=10.0),
+                id="expansion_factor",
+            ),
+            pytest.param(
+                dict(queue_time=0.0, fairshare=1000.0), dict(user="heavy"), dict(user="light"),
+                id="fairshare",
+            ),
+            pytest.param(
+                dict(queue_time=0.0, service=1.0),
+                dict(request=ResourceRequest(cores=2)),
+                dict(request=ResourceRequest(cores=16)),
+                id="service",
+            ),
+            pytest.param(
+                dict(queue_time=0.0, credential=1.0, user_priorities={"vip": 1e6}),
+                dict(user="nobody"), dict(user="vip"),
+                id="credential",
+            ),
+            pytest.param(dict(queue_time=-1.0), {}, {}, id="negative_queue_time"),
+        ],
+    )
+    def test_other_weights_sort(self, weights, first, second):
+        prio, fairshare = make_prioritizer(**weights)
+        fairshare.add_usage("heavy", 10_000.0)
+        rank = ranked([make_job(submit=0.0, **first), make_job(submit=1.0, **second)])
+        calls = counting(prio)
+        ordered = prio.order(rank, 10.0, ranked=True)
+        assert calls and ordered == by_key(prio, rank, 10.0) == rank[::-1]
+
+    def test_wait_past_the_z_bound_sorts(self):
+        """A non-Z score of at least ``1e15`` can pass a Z job."""
+        prio, _ = make_prioritizer(queue_time=1e9)
+        old = make_job(submit=0.0)
+        z = make_job(submit=1e7, top_priority=True)
+        rank = ranked([old, z])
+        assert rank == [z, old]
+        calls = counting(prio)
+        assert prio.order(rank, 2e7, ranked=True) == [old, z]
+        assert calls
+
+    def test_z_job_submitted_after_now_sorts(self):
+        """Only a wait of at least 0 keeps a Z score at ``1e15`` or more."""
+        prio, _ = make_prioritizer()
+        plain = make_job(submit=0.0)
+        z = make_job(submit=1e15 + 100.0, top_priority=True)
+        calls = counting(prio)
+        assert prio.order(ranked([plain, z]), 10.0, ranked=True) == [plain, z]
+        assert calls
 
 
 class TestFairshareTracker:

@@ -591,7 +591,10 @@ def test_randomized_reserve_and_claim_rounds_at_shard_shape(batch):
 #: digests and every other stat are the original recording.  The third
 #: entry counts ``AvailabilityProfile.fits_at`` calls — window probes the
 #: screen let through (7748 / 3142 before the screen recalled failed
-#: probes); a change that re-asks an answered question moves it.
+#: probes); a change that re-asks an answered question moves it.  The
+#: fourth counts ``Prioritizer.priority`` calls: the queue is kept in rank
+#: order, which is the priority order of these queue-time weights, so no
+#: job is scored (37507 / 36040 when every pass sorted on a float key).
 _PINNED_ESP_DYN_HP = {
     1: (
         "2e2acf886f803557352fa884bf8b2d5b6c02b94418b89f2b00d08bece4d52c26",
@@ -609,6 +612,7 @@ _PINNED_ESP_DYN_HP = {
             "shard_merges": 0, "shard_passes_skipped": 53,
         },
         973,
+        0,
     ),
     2: (
         "c648dad6ff40966a0c45d23586d3e55f6ac3d53b837ffb6fa7ba65c12b1d9b4f",
@@ -626,6 +630,7 @@ _PINNED_ESP_DYN_HP = {
             "shard_merges": 19, "shard_passes_skipped": 453,
         },
         792,
+        0,
     ),
 }
 
@@ -636,6 +641,7 @@ def test_esp_dyn_hp_schedule_and_counters_pinned(shards, monkeypatch):
     import hashlib
 
     from repro.experiments.configs import all_configurations
+    from repro.maui.priority import Prioritizer
     from repro.system import BatchSystem
     from repro.workloads.esp import make_esp_workload
 
@@ -654,6 +660,15 @@ def test_esp_dyn_hp_schedule_and_counters_pinned(shards, monkeypatch):
         return fits_at(self, *args)
 
     monkeypatch.setattr(AvailabilityProfile, "fits_at", counted)
+    priority = Prioritizer.priority
+    scores = 0
+
+    def scored(self, *args):
+        nonlocal scores
+        scores += 1
+        return priority(self, *args)
+
+    monkeypatch.setattr(Prioritizer, "priority", scored)
     system.run(max_events=5_000_000)
     tuples = [
         (r.submit_time, r.start_time, r.end_time, r.state)
@@ -662,7 +677,8 @@ def test_esp_dyn_hp_schedule_and_counters_pinned(shards, monkeypatch):
     stats = {
         k: v for k, v in system.scheduler.stats.items() if not k.endswith("_seconds")
     }
-    digest, pinned_stats, pinned_probes = _PINNED_ESP_DYN_HP[shards]
+    digest, pinned_stats, pinned_probes, pinned_scores = _PINNED_ESP_DYN_HP[shards]
     assert stats == pinned_stats
     assert probes == pinned_probes
+    assert scores == pinned_scores
     assert hashlib.sha256(repr(tuples).encode()).hexdigest() == digest
