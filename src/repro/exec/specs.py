@@ -88,14 +88,23 @@ class Table2RunSpec:
     num_nodes: int = 15
     cores_per_node: int = 8
     shards: int | None = None
+    #: drive the run through the scheduler service (repro.service) instead
+    #: of directly — results stay identical either way
+    via_service: bool = False
 
 
 def run_table2_result(spec: Table2RunSpec):
     """Simulate one configuration and return the (picklable) ESPResult."""
-    from repro.experiments.runner import run_esp_configuration
+    from repro.experiments.runner import (
+        run_esp_configuration,
+        run_esp_configuration_via_service,
+    )
     from repro.experiments.table2 import with_shards
 
-    return run_esp_configuration(
+    runner = (
+        run_esp_configuration_via_service if spec.via_service else run_esp_configuration
+    )
+    return runner(
         with_shards(_configuration(spec.config_name), spec.shards),
         num_nodes=spec.num_nodes,
         cores_per_node=spec.cores_per_node,

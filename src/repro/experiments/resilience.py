@@ -83,9 +83,7 @@ def run_resilience(
     )
 
 
-def render_resilience(
-    rows: list[dict], *, title: str = "Resilience — ESP under failure injection"
-) -> str:
+def render_resilience(rows: list[dict]) -> str:
     headers = [
         "Config",
         "Time[min]",
@@ -114,7 +112,9 @@ def render_resilience(
                 row["delivery_degraded"],
             ]
         )
-    return render_table(headers, body, title=title)
+    return render_table(
+        headers, body, title="Resilience — ESP under failure injection"
+    )
 
 
 def export_resilience_json(

@@ -28,32 +28,33 @@ def with_shards(configuration, shards: int | None):
 
 
 def run_table2(
-    seed: int = 2014, *, workers: int = 1, telemetry=None, shards: int | None = None
+    seed: int = 2014,
+    *,
+    workers: int = 1,
+    telemetry=None,
+    shards: int | None = None,
+    via_service: bool = False,
 ) -> list[ESPResult]:
     """Run (or reuse) all four configurations; Static is the baseline row.
 
-    Serial runs go through the on-disk result cache as before.  With
-    ``workers > 1`` the four configurations run as fresh simulations in
-    worker processes (the pickle cache is a per-process optimisation;
-    results are identical either way).  ``shards`` overrides the scheduler
-    shard count; shard-overridden runs bypass the result cache so they
-    never alias the default entries.
+    Serial default runs go through the in-process result cache.  Other
+    runs are fresh simulations, in worker processes with ``workers > 1``
+    (results are identical either way).  ``shards`` overrides the
+    scheduler shard count and ``via_service`` drives each run through the
+    scheduler service; both bypass the cache so they never alias the
+    default entries.
     """
     from repro.exec import map_specs, resolve_workers
     from repro.exec.specs import Table2RunSpec, run_table2_result
 
-    if resolve_workers(workers) == 1:
-        if shards is None:
-            return [
-                run_esp_configuration_cached(cfg.name, seed=seed)
-                for cfg in all_configurations()
-            ]
+    if resolve_workers(workers) == 1 and shards is None and not via_service:
         return [
-            run_esp_configuration(with_shards(cfg, shards), seed=seed)
+            run_esp_configuration_cached(cfg.name, seed=seed)
             for cfg in all_configurations()
         ]
     specs = [
-        Table2RunSpec(cfg.name, seed, shards=shards) for cfg in all_configurations()
+        Table2RunSpec(cfg.name, seed, shards=shards, via_service=via_service)
+        for cfg in all_configurations()
     ]
     return map_specs(
         run_table2_result, specs, workers=workers, telemetry=telemetry, label="table2"

@@ -25,7 +25,6 @@ from repro.service.backend import (
     Backend,
     ReplayBackend,
     SimBackend,
-    make_backend,
     parse_request,
 )
 from repro.service.core import PolicyCore
@@ -45,7 +44,6 @@ __all__ = [
     "ServiceError",
     "SimBackend",
     "UnknownJob",
-    "make_backend",
     "parse_request",
     "principal_of",
 ]

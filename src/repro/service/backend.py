@@ -24,13 +24,12 @@ from typing import Any, Callable, Iterable, Protocol, runtime_checkable
 from repro.apps.synthetic import FixedRuntimeApp
 from repro.cluster.allocation import ResourceRequest
 from repro.jobs.job import Job
-from repro.maui.config import MauiConfig
 from repro.metrics.collector import WorkloadMetrics
 from repro.service.core import PolicyCore
 from repro.sim.events import EventKind, TraceEvent
 from repro.workloads.spec import JobSpec
 
-__all__ = ["Backend", "ReplayBackend", "SimBackend", "make_backend", "parse_request"]
+__all__ = ["Backend", "ReplayBackend", "SimBackend", "parse_request"]
 
 
 def parse_request(text: str) -> ResourceRequest:
@@ -278,29 +277,3 @@ class ReplayBackend(SimBackend):
             evolving=bool(payload.get("evolving", False)),
             app_factory=(lambda rt=runtime: FixedRuntimeApp(rt)),
         )
-
-
-def make_backend(
-    kind: str,
-    *,
-    num_nodes: int = 15,
-    cores_per_node: int = 8,
-    config: MauiConfig | None = None,
-    telemetry=None,
-    trace_maxlen: int | None = None,
-) -> Backend:
-    """Build a backend by name (``sim`` or ``replay``) — the CLI's factory."""
-    cls: type[SimBackend]
-    if kind == "sim":
-        cls = SimBackend
-    elif kind == "replay":
-        cls = ReplayBackend
-    else:
-        raise ValueError(f"unknown backend {kind!r} (expected 'sim' or 'replay')")
-    return cls(
-        num_nodes=num_nodes,
-        cores_per_node=cores_per_node,
-        config=config,
-        telemetry=telemetry,
-        trace_maxlen=trace_maxlen,
-    )

@@ -121,8 +121,11 @@ class TestPerfObservatoryCLI:
     """perf-report / bench-trend subcommands and the windowed metrics view."""
 
     def test_parser_accepts_perf_artifacts(self):
-        for artifact in ("perf-report", "bench-trend"):
-            assert build_parser().parse_args([artifact]).artifact == artifact
+        assert build_parser().parse_args(["perf-report"]).artifact == "perf-report"
+        args = build_parser().parse_args(
+            ["bench-trend", "--baseline", "b.json", "--current", "c.json"]
+        )
+        assert args.artifact == "bench-trend"
         args = build_parser().parse_args(
             ["perf-report", "--phases", "p.jsonl", "--windows", "w.jsonl",
              "--window-width", "300"]
@@ -223,9 +226,11 @@ class TestPerfObservatoryCLI:
                      "--fail-on-regress"]) == 0
         assert "no regressions" in capsys.readouterr().out
 
-    def test_bench_trend_requires_paths(self):
-        with pytest.raises(SystemExit):
+    def test_bench_trend_requires_paths(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
             main(["bench-trend"])
+        assert excinfo.value.code == 2
+        assert "required: --baseline, --current" in capsys.readouterr().err
 
 
 class TestFairnessRenderers:

@@ -27,7 +27,6 @@ from repro.service import (
     ServiceClosed,
     SimBackend,
     UnknownJob,
-    make_backend,
     parse_request,
     principal_of,
 )
@@ -520,12 +519,6 @@ class TestBackendPlumbing:
         for text in ("", "cores=4", "nodes=x:ppn=2", "procs=abc"):
             with pytest.raises(ValueError):
                 parse_request(text)
-
-    def test_make_backend(self):
-        assert isinstance(make_backend("sim"), SimBackend)
-        assert isinstance(make_backend("replay"), ReplayBackend)
-        with pytest.raises(ValueError):
-            make_backend("slurm")
 
     def test_sim_backend_rejects_core_and_kwargs(self):
         core = PolicyCore(num_nodes=1, cores_per_node=8)
