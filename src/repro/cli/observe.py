@@ -141,10 +141,11 @@ def _cmd_timeline(args) -> str:
 
 
 def _cmd_metrics(args) -> str:
-    """The metrics registry (Prometheus text), DFS ledger, shares and spans.
+    """The metrics registry (Prometheus text), DFS ledger and shares.
 
     With --windows, whole-run percentile rows and the per-window table of a
-    recorded .windows.jsonl dump instead of a run.
+    recorded .windows.jsonl dump instead of a run.  Wall-clock timings are
+    perf-report's.
     """
     from repro.obs.console import render_window_percentiles, render_window_table
 
@@ -176,8 +177,6 @@ def _cmd_metrics(args) -> str:
             render_ledger_table(ledger),
             "",
             render_fairness_table(telemetry.fairness.account_rows()),
-            "",
-            telemetry.tracer.render_summary(),
         ]
     )
 

@@ -61,8 +61,6 @@ class Cluster:
         ``clock`` is the simulation engine (read for ``.now``); the busy
         integral is anchored at the current time and usage level.
         """
-        if telemetry is None or not telemetry.enabled:
-            return
         telemetry.reset_busy_clock(clock.now, self.used_cores)
         self._on_busy_change = lambda busy: telemetry.on_busy_change(clock.now, busy)
 

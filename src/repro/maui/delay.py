@@ -44,9 +44,8 @@ def measure_delays(
     ``profile`` is not mutated.  ``baseline`` may carry a pre-computed
     priority pass over the *unclaimed* profile (it must come from
     ``plan_static(ordered_jobs, profile.copy(), now, depth)`` on exactly
-    these inputs); the scheduler reuses one baseline across every dynamic
-    request resolved under an unchanged state instead of re-planning per
-    request.  Jobs planned in the baseline but unschedulable under the
+    these inputs); the scheduler passes the one its ``_delay_context``
+    built for the request.  Jobs planned in the baseline but unschedulable under the
     hypothesis (cannot happen with finite claims, since every claim ends)
     would surface as missing keys and are ignored.
     """

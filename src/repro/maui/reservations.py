@@ -1,16 +1,18 @@
-"""Priority-pass planning: StartNow/StartLater classification and reservations.
+"""What-if planning: StartNow/StartLater classification and reservations.
 
 ``plan_static`` walks the prioritised queue and, against a working copy of
 the availability profile, gives every considered job its earliest possible
 start.  Jobs that fit immediately are *StartNow*; blocked jobs receive future
 reservations and are *StartLater*.  Planning stops once ``depth`` StartLater
-reservations exist (Fig. 5: depth is ``ReservationDepth`` for backfilling and
-``max(ReservationDepth, ReservationDelayDepth)`` for delay measurement).
+reservations exist (Fig. 5: the delay measurement plans to
+``max(ReservationDepth, ReservationDelayDepth)``).
 
-Because claims are applied sequentially in priority order, the first *k*
-reservations of a deep plan are identical to a shallower plan's — the
-scheduler exploits this to plan once at ``plan_depth`` and reuse the prefix
-for backfill.
+This is not the planner that starts jobs: the scheduler's static pass
+(:mod:`repro.maui.staticpass`) is a separate walk.  ``plan_static`` serves
+only the questions asked of a hypothetical — the baseline and claimed plans
+of the delay measurement (:mod:`repro.maui.delay`, from
+``MauiScheduler._delay_context``) and the planned start that
+``MauiScheduler.explain`` reports.
 """
 
 from __future__ import annotations
@@ -81,8 +83,7 @@ class StaticPlan:
     #: partition in view); they are skipped, never silently dropped
     unschedulable: list[Job] = field(default_factory=list)
     #: memoised :meth:`starts_by_job` — plans are written once by
-    #: ``plan_static`` and then read many times (a cached baseline plan is
-    #: consulted by every dynamic request of an iteration)
+    #: ``plan_static`` and then only read
     _starts: dict[str, float] | None = field(
         default=None, repr=False, compare=False
     )

@@ -39,6 +39,7 @@ from repro.maui.profiles import ViewProfiles
 from repro.maui.reservations import StaticPlan, plan_static
 from repro.maui.staticpass import StaticPass
 from repro.obs.clock import perf_ns as _perf_ns
+from repro.obs.instruments import mirror_scheduler
 from repro.obs.perf import timed
 from repro.rms.server import Server
 from repro.sim.engine import Engine, PRIORITY_SCHEDULER
@@ -100,9 +101,6 @@ class MauiScheduler:
             "shard_merges": 0,
             "shard_passes_skipped": 0,
         }
-        #: the two wall-clock measurements' target; what the scheduler
-        #: *counts* is read out of ``stats`` and ``dfs`` when metrics are
-        self._obs = None
         #: optional :class:`repro.obs.ledger.DecisionLedger`; None keeps
         #: every ledger hook a single attribute-is-None check (off path)
         self._ledger = None
@@ -112,10 +110,10 @@ class MauiScheduler:
         #: optional :class:`repro.obs.fairness.FairnessObservatory`; fed
         #: from the statistics update — same single-is-None hook discipline
         self._fair = None
-        if self.telemetry is not None and self.telemetry.enabled:
-            from repro.obs.instruments import SchedulerInstruments
-
-            self._obs = SchedulerInstruments(self.telemetry, self.stats, self.dfs)
+        if self.telemetry is not None:
+            # what the scheduler counts is read out of ``stats`` and
+            # ``dfs`` when metrics are
+            mirror_scheduler(self.telemetry, self.stats, self.dfs)
             self._ledger = getattr(self.telemetry, "ledger", None)
             self._prof = getattr(self.telemetry, "profiler", None)
             self._fair = getattr(self.telemetry, "fairness", None)
@@ -290,18 +288,8 @@ class MauiScheduler:
     # ------------------------------------------------------------------
     def iteration(self) -> None:
         """One full scheduling cycle (Algorithm 2; Algorithm 1 if static)."""
-        obs = self._obs
-        if obs is not None:
-            wall_start_ns = _perf_ns()
-            events_before = self.trace.total_recorded
         now = self.engine.now
         timed(self._prof, "sched_iteration", self._iterate, now, sim_time=now)
-        if obs is not None:
-            obs.end_iteration(
-                now,
-                _perf_ns() - wall_start_ns,
-                self.trace.total_recorded - events_before,
-            )
 
     def _iterate(self, now: float) -> None:
         """The cycle as a walk over its phases: statistics, dynamic
@@ -338,7 +326,7 @@ class MauiScheduler:
 
         if self.server.dyn_queue:
             if self.config.dynamic_enabled:
-                timed(prof, "dyn_requests", self._process_dynamic_requests, now)
+                self._process_dynamic_requests(now)
             else:
                 for dreq in list(self.server.dyn_queue):
                     self._reject(dreq, "dynamic allocation disabled", kind="resources")
@@ -572,19 +560,17 @@ class MauiScheduler:
         return profile, ordered, profile_nodes, baseline
 
     def _process_dynamic_requests(self, now: float) -> None:
-        obs = self._obs
+        """Serve every pending request, each as one ``dyn_request`` phase
+        (the profiler's per-request Fig. 12 view) and timed into
+        ``stats["dyn_handle_seconds"]`` either way."""
         for dreq in self._ordered_dynamic_requests():
             wall_start_ns = _perf_ns()
-            events_before = self.trace.total_recorded if obs is not None else 0
             try:
-                self._handle_dynamic_request(dreq, now)
+                timed(
+                    self._prof, "dyn_request", self._handle_dynamic_request, dreq, now
+                )
             finally:
-                wall_ns = _perf_ns() - wall_start_ns
-                self.stats["dyn_handle_seconds"] += wall_ns / 1e9
-                if obs is not None:
-                    obs.end_dyn_handle(
-                        now, wall_ns, self.trace.total_recorded - events_before
-                    )
+                self.stats["dyn_handle_seconds"] += (_perf_ns() - wall_start_ns) / 1e9
 
     def _handle_dynamic_request(self, dreq: DynRequest, now: float) -> None:
         if dreq.is_extension:

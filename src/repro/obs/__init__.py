@@ -1,4 +1,4 @@
-"""Observability layer: live metrics, span tracing, streaming trace pipeline.
+"""Observability layer: live metrics, phase profiling, streaming trace pipeline.
 
 The paper's whole evaluation is observations of scheduler behaviour; this
 package makes those observations *live* instead of post-mortem:
@@ -8,11 +8,10 @@ package makes those observations *live* instead of post-mortem:
   keeps are read out of it at collect time (:mod:`~repro.obs.instruments`);
 * :class:`~repro.obs.sampler.PeriodicSampler` — sim-time-driven time series
   (utilization, queue depth, DFS ledger levels);
-* :class:`~repro.obs.tracing.SpanTracer` — wall-clock profiling of
-  scheduler iterations and dynamic-request servicing (live Fig. 12 data);
-* :class:`~repro.obs.perf.PhaseProfiler` — phase-level breakdown of
-  *where inside* an iteration the wall-clock goes
-  (``Telemetry(profiling=True)``);
+* :class:`~repro.obs.perf.PhaseProfiler` — the one telemetry instrument
+  that reads the wall clock: where a scheduler iteration spends it, and
+  the cost of serving each dynamic request (live Fig. 12 data;
+  ``Telemetry(profiling=True)``);
 * :class:`~repro.obs.windows.WindowedMetrics` — bounded-memory streaming
   aggregates over time windows with P² percentile sketches
   (``Telemetry(windows=...)``);
@@ -46,7 +45,6 @@ from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.sampler import PeriodicSampler
 from repro.obs.slo import SLObjective, SLOEngine, parse_slo
 from repro.obs.telemetry import DEFAULT_SAMPLE_INTERVAL, Telemetry
-from repro.obs.tracing import Span, SpanTracer
 from repro.obs.windows import GroupStats, P2Quantile, WindowedMetrics
 
 __all__ = [
@@ -64,8 +62,6 @@ __all__ = [
     "PhaseProfiler",
     "SLOEngine",
     "SLObjective",
-    "Span",
-    "SpanTracer",
     "Telemetry",
     "WindowedMetrics",
     "jain_index",

@@ -1,10 +1,8 @@
 """One wall-clock shim for every observability timing site.
 
-Historically each instrument called ``time.perf_counter_ns`` directly
-(tracing, the scheduler's iteration timer, the exec-engine progress ETA),
-which made wall-clock-dependent behaviour impossible to pin down in tests.
-All of them now read through :func:`perf_ns`, and tests can freeze or
-script the clock deterministically:
+The phase profiler and the scheduler's ``dyn_handle_seconds`` timer read
+the wall clock through :func:`perf_ns`, so tests can freeze or script it
+deterministically:
 
 >>> from repro.obs import clock
 >>> manual = clock.ManualClock()

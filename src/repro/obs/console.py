@@ -203,9 +203,11 @@ def _phase_tree_lines(
             else "      "
         )
         label = "  " * depth + name
+        mean_us = 1e3 * node["total_ms"] / node["count"] if node["count"] else 0.0
         lines.append(
             f"  {label:<34} {node['count']:>8} {node['total_ms']:>12.3f} "
-            f"{node['self_ms']:>12.3f}{share}"
+            f"{node['self_ms']:>12.3f} {mean_us:>10.1f} "
+            f"{1e3 * node['max_ms']:>10.1f}{share}"
         )
         if node["children"]:
             _phase_tree_lines(node["children"], lines, depth + 1, node["total_ms"])
@@ -215,12 +217,13 @@ def render_phase_tree(tree: Mapping[str, Mapping]) -> str:
     """The profiler's nested phase tree as an indented fixed-width table.
 
     One row per phase path: call count, inclusive wall time, self time
-    (inclusive minus profiled children) and the share of the parent's
-    inclusive time.  Children are sorted by inclusive time, so the hot path
-    reads top-to-bottom.
+    (inclusive minus profiled children), mean and max inclusive time per
+    call, and the share of the parent's inclusive time.  Children are
+    sorted by inclusive time, so the hot path reads top-to-bottom.
     """
     lines = [
-        f"  {'phase':<34} {'count':>8} {'total[ms]':>12} {'self[ms]':>12} share"
+        f"  {'phase':<34} {'count':>8} {'total[ms]':>12} {'self[ms]':>12} "
+        f"{'mean[us]':>10} {'max[us]':>10} share"
     ]
     if not tree:
         lines.append("  (no phases recorded)")

@@ -10,9 +10,8 @@ text, where it is read from); ``docs/OBSERVABILITY.md`` § Instruments is
 the human-readable catalogue, kept equal to the registry by
 ``tests/test_obs_pipeline.py``.
 
-What is still pushed is what is *measured* rather than mirrored: the two
-wall-clock histograms with their spans (:class:`SchedulerInstruments`),
-the busy-core integral (``Telemetry.on_busy_change``) and what the ledger,
+What is still pushed is what is *measured* rather than mirrored: the
+busy-core integral (``Telemetry.on_busy_change``) and what the ledger,
 profiler, fairness observatory and SLO engine register for themselves —
 those are the hook sites the is-None checks in the core still guard.
 """
@@ -25,7 +24,7 @@ from repro.sim.events import EventKind
 
 __all__ = [
     "SCHEDULER_COUNTERS", "SERVICE_COUNTERS", "FAULT_COUNTERS", "DELIVERY_COUNTERS",
-    "LIFECYCLE_COUNTERS", "DEPTH_GAUGES", "SchedulerInstruments", "mirror_stats", "mirror_server",
+    "LIFECYCLE_COUNTERS", "DEPTH_GAUGES", "mirror_stats", "mirror_server", "mirror_scheduler",
 ]
 
 #: ``MauiScheduler.stats`` — rows are (stats key, metric, help)
@@ -100,7 +99,7 @@ DEPTH_GAUGES = (
 
 def mirror_stats(telemetry, table, stats: dict) -> None:
     """Export ``stats`` as ``table``'s counters, read when the registry is."""
-    if telemetry is None or not telemetry.enabled:
+    if telemetry is None:
         return
     registry = telemetry.registry
     counters = [
@@ -117,7 +116,7 @@ def mirror_stats(telemetry, table, stats: dict) -> None:
 def mirror_server(telemetry, server) -> None:
     """Lifecycle counters off the server's trace (one subscriber keyed on
     the event kind), depth gauges off its live structures."""
-    if telemetry is None or not telemetry.enabled:
+    if telemetry is None:
         return
     registry = telemetry.registry
     by_kind: dict[EventKind, list] = {}
@@ -136,39 +135,21 @@ def mirror_server(telemetry, server) -> None:
         registry.gauge(name, help_text, callback=partial(read, server))
 
 
-class SchedulerInstruments:
-    """The scheduler's wall-clock measurements, and its mirrors' wiring."""
+def mirror_scheduler(telemetry, stats: dict, dfs) -> None:
+    """The scheduler's ``stats`` counters, and one DFS-ledger gauge per
+    principal charged in the current interval."""
+    mirror_stats(telemetry, SCHEDULER_COUNTERS, stats)
+    registry = telemetry.registry
 
-    def __init__(self, telemetry, stats: dict, dfs) -> None:
-        registry = telemetry.registry
-        self.tracer = telemetry.tracer
-        mirror_stats(telemetry, SCHEDULER_COUNTERS, stats)
+    def refresh_ledger() -> None:
+        # one series per principal in ``dfs.snapshot()``; one that has
+        # left the ledger since reads 0 through its callback
+        for kind, name in dfs.snapshot():
+            registry.gauge(
+                "repro_dfs_ledger_delay_seconds",
+                "Cumulative delay charged this DFS interval",
+                labels={"kind": kind, "principal": name},
+                callback=partial(dfs.cumulative_delay, kind, name),
+            )
 
-        def refresh_ledger() -> None:
-            # one series per principal in ``dfs.snapshot()``; one that has
-            # left the ledger since reads 0 through its callback
-            for kind, name in dfs.snapshot():
-                registry.gauge(
-                    "repro_dfs_ledger_delay_seconds",
-                    "Cumulative delay charged this DFS interval",
-                    labels={"kind": kind, "principal": name},
-                    callback=partial(dfs.cumulative_delay, kind, name),
-                )
-
-        registry.on_collect(refresh_ledger)
-        self.iteration_seconds = registry.histogram(
-            "repro_sched_iteration_seconds",
-            "Wall-clock cost of one full scheduling iteration",
-        )
-        self.dyn_handle_seconds = registry.histogram(
-            "repro_dyn_handle_seconds",
-            "Wall-clock cost of servicing one dynamic request (Fig. 12)",
-        )
-
-    def end_iteration(self, sim_time: float, wall_ns: int, events: int) -> None:
-        self.iteration_seconds.observe(wall_ns / 1e9)
-        self.tracer.record("sched_iteration", sim_time, wall_ns, events)
-
-    def end_dyn_handle(self, sim_time: float, wall_ns: int, events: int) -> None:
-        self.dyn_handle_seconds.observe(wall_ns / 1e9)
-        self.tracer.record("dyn_request", sim_time, wall_ns, events)
+    registry.on_collect(refresh_ledger)

@@ -1,11 +1,12 @@
 """Phase-level wall-clock profiler for the scheduler/engine hot paths.
 
-The span tracer answers "how long did one scheduler iteration take"; this
-module answers "*where inside it* did the time go".  A
-:class:`PhaseProfiler` maintains an explicit begin/end stack and accounts
-each phase under its full call *path* — ``profile_build`` timed inside
-``static_pass`` and inside ``delay_measure`` are kept as two separate rows,
-so parent totals are never double-counted and the invariant
+The one telemetry instrument that reads the wall clock.  It answers both
+"how long did one scheduler iteration, or one dynamic request, take" and
+"*where inside it* did the time go".  A :class:`PhaseProfiler` maintains
+an explicit begin/end stack and accounts each phase under its full call
+*path* — ``profile_build`` timed inside ``static_pass`` and inside
+``delay_measure`` are kept as two separate rows, so parent totals are
+never double-counted and the invariant
 
     parent.total ≈ parent.self + Σ direct-children.total
 
@@ -189,7 +190,7 @@ class PhaseProfiler:
     def tree(self) -> dict:
         """Nested self-profile tree (the ``BENCH_*.json`` embed).
 
-        Shape: ``{name: {count, total_ms, self_ms, children: {...}}}`` —
+        Shape: ``{name: {count, total_ms, self_ms, max_ms, children: {...}}}`` —
         JSON-serialisable, ms-rounded to keep snapshots diffable.
         """
         return stats_tree(self._stats)
@@ -242,24 +243,24 @@ class PhaseProfiler:
 def stats_tree(stats: dict[tuple[str, ...], PhaseStat]) -> dict:
     """Nest per-path aggregates into the self-profile tree shape.
 
-    ``{name: {count, total_ms, self_ms, children: {...}}}``, ms rounded to
-    4 decimal places — shared by the live profiler and the offline
-    ``perf-report`` aggregation.
+    ``{name: {count, total_ms, self_ms, max_ms, children: {...}}}``, ms
+    rounded to 4 decimal places — shared by the live profiler and the
+    offline ``perf-report`` aggregation.
     """
     root: dict = {}
     for path, stat in sorted(stats.items()):
         level = root
-        for name in path[:-1]:
-            level = level.setdefault(
-                name, {"count": 0, "total_ms": 0.0, "self_ms": 0.0, "children": {}}
-            )["children"]
-        node = level.setdefault(
-            path[-1],
-            {"count": 0, "total_ms": 0.0, "self_ms": 0.0, "children": {}},
-        )
+        for name in path:
+            node = level.setdefault(
+                name,
+                {"count": 0, "total_ms": 0.0, "self_ms": 0.0, "max_ms": 0.0,
+                 "children": {}},
+            )
+            level = node["children"]
         node["count"] = stat.count
         node["total_ms"] = round(stat.total_ns / 1e6, 4)
         node["self_ms"] = round(stat.self_ns / 1e6, 4)
+        node["max_ms"] = round(stat.max_ns / 1e6, 4)
     return root
 
 

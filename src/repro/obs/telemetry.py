@@ -1,6 +1,7 @@
-"""The telemetry facade: one object bundling registry, tracer and sampler.
+"""The telemetry facade: one object bundling registry, sampler and hooks.
 
-``Telemetry`` is what users hand to :class:`~repro.system.BatchSystem`:
+``Telemetry`` is what users hand to :class:`~repro.system.BatchSystem`;
+telemetry off is ``telemetry=None`` (the default):
 
 >>> from repro.obs import Telemetry
 >>> from repro.system import BatchSystem
@@ -11,13 +12,15 @@ Metrics that mirror a count the components already keep (the trace, a
 ``stats`` dict, a queue) are read out of them when the registry is read
 and cost a run nothing, telemetry on or off
 (:mod:`repro.obs.instruments`).  What is *measured* is still pushed — the
-scheduler's two wall-clock sites, the busy-core integral below, and the
-ledger / profiler / fairness / windows hooks: with no telemetry object
-(the default) each of those is a ``None`` sentinel and its hook site a
-single attribute-is-None check, benchmarked to stay within 5 % of the
-uninstrumented scheduler hot path (``benchmarks/test_obs_overhead.py``).
+busy-core integral below and the ledger / profiler / fairness / windows
+hooks: with no telemetry object each of those is a ``None`` sentinel and
+its hook site a single attribute-is-None check, benchmarked to stay
+within 5 % of the uninstrumented scheduler hot path
+(``benchmarks/test_obs_overhead.py``).  Wall-clock time is read by the
+phase profiler alone (``profiling=True``), so an export without it is a
+pure function of the seed.
 
-Besides the three sub-systems, the facade maintains the **busy-core
+Besides its sub-systems, the facade maintains the **busy-core
 integral**: every cluster claim/release reports the new busy count, and the
 running integral of busy-cores over sim-time makes utilization computable
 in O(1) at any moment — even when the event trace is a bounded ring that no
@@ -28,7 +31,6 @@ from __future__ import annotations
 
 from repro.obs.registry import MetricsRegistry
 from repro.obs.sampler import PeriodicSampler
-from repro.obs.tracing import SpanTracer
 
 __all__ = ["Telemetry", "DEFAULT_SAMPLE_INTERVAL"]
 
@@ -37,14 +39,12 @@ DEFAULT_SAMPLE_INTERVAL = 60.0
 
 
 class Telemetry:
-    """Registry + span tracer + periodic sampler + busy-core accounting."""
+    """Registry + periodic sampler + busy-core accounting + optional hooks."""
 
     def __init__(
         self,
         *,
-        enabled: bool = True,
         sample_interval: float | None = DEFAULT_SAMPLE_INTERVAL,
-        span_maxlen: int = 4096,
         decision_ledger: bool = False,
         profiling: bool = False,
         phase_trace_maxlen: int = 4096,
@@ -54,13 +54,11 @@ class Telemetry:
         slo=None,
         share_targets: dict[str, float] | None = None,
     ) -> None:
-        self.enabled = enabled
         self.registry = MetricsRegistry()
-        self.tracer = SpanTracer(maxlen=span_maxlen)
         #: optional causal decision ledger (``decision_ledger=True``);
         #: BatchSystem attaches it to the trace, the scheduler records into it
         self.ledger = None
-        if enabled and decision_ledger:
+        if decision_ledger:
             from repro.obs.ledger import DecisionLedger
 
             self.ledger = DecisionLedger(registry=self.registry)
@@ -68,7 +66,7 @@ class Telemetry:
         #: to the engine and scheduler, which keep a plain ``None`` sentinel
         #: otherwise — the same hook discipline as the ledger
         self.profiler = None
-        if enabled and profiling:
+        if profiling:
             from repro.obs.perf import PhaseProfiler
 
             self.profiler = PhaseProfiler(
@@ -78,7 +76,7 @@ class Telemetry:
         #: sim-seconds or a pre-configured
         #: :class:`~repro.obs.windows.WindowedMetrics` instance
         self.windows = None
-        if enabled and windows is not None:
+        if windows is not None:
             from repro.obs.windows import WindowedMetrics
 
             self.windows = (
@@ -96,7 +94,7 @@ class Telemetry:
         #: the scheduler keeps a plain ``None`` sentinel otherwise — the
         #: same hook discipline as the ledger and profiler
         self.fairness = None
-        if enabled and (fairness or slo):
+        if fairness or slo:
             from repro.obs.fairness import FairnessObservatory, principal_of
 
             self.fairness = FairnessObservatory(
@@ -109,7 +107,7 @@ class Telemetry:
         #: optional declarative SLO engine (``slo=["p99_wait < 4h", ...]``);
         #: evaluated at window-frame close, so windows are required
         self.slo = None
-        if enabled and slo:
+        if slo:
             if self.windows is None:
                 raise ValueError("slo= requires windows=")
             from repro.obs.slo import SLOEngine
@@ -126,11 +124,6 @@ class Telemetry:
         self._busy_last_value = 0
         self._busy_integral = 0.0
 
-    @classmethod
-    def disabled(cls) -> "Telemetry":
-        """A telemetry object that records nothing (explicit no-op)."""
-        return cls(enabled=False, sample_interval=None)
-
     # ------------------------------------------------------------------
     # sampler lifecycle (wired by BatchSystem)
     # ------------------------------------------------------------------
@@ -141,7 +134,7 @@ class Telemetry:
         the top of ``BatchSystem.run()``, once the workload's events are in
         the queue; arming it on an empty engine would immediately stop it.
         """
-        if not self.enabled or self.sample_interval is None:
+        if self.sample_interval is None:
             return None
         if self.sampler is None:
             self.sampler = PeriodicSampler(engine, self.sample_interval)
@@ -155,8 +148,8 @@ class Telemetry:
             self.sampler.start()
 
     def add_source(self, name: str, fn) -> None:
-        """Register a sampled time-series source (no-op when disabled)."""
-        if not self.enabled or self.sample_interval is None:
+        """Register a sampled time-series source (no-op when sampling is off)."""
+        if self.sample_interval is None:
             return
         self._pending_sources[name] = fn
         if self.sampler is not None:
@@ -198,5 +191,4 @@ class Telemetry:
         return total
 
     def __repr__(self) -> str:
-        state = "enabled" if self.enabled else "disabled"
-        return f"<Telemetry {state} registry={len(self.registry)} {self.tracer!r}>"
+        return f"<Telemetry registry={len(self.registry)}>"

@@ -97,7 +97,6 @@ class TestMain:
         assert "# TYPE repro_sched_iterations_total counter" in out
         assert "repro_jobs_completed_total 230" in out  # the ESP workload
         assert "DFS ledger" in out
-        assert "sched_iteration" in out  # span summary table
 
     def test_verbose_flag_emits_component_logs(self, capsys):
         import logging

@@ -163,28 +163,43 @@ class TestJsonl:
 
 
 class TestDisabledPath:
-    def test_no_telemetry_and_disabled_telemetry_agree_with_baseline(self):
-        plain = run_system()
-        disabled = run_system(telemetry=Telemetry.disabled())
-        assert normalized(plain.trace) == normalized(disabled.trace)
-        assert len(disabled.telemetry.registry) == 0
-        assert disabled.telemetry.sampler is None
-
     def test_enabled_telemetry_does_not_perturb_the_simulation(self):
         plain = run_system()
         instrumented = run_system(telemetry=Telemetry())
         assert normalized(plain.trace) == normalized(instrumented.trace)
 
     def test_uninstrumented_components_have_no_obs(self):
-        """Uninstrumented = nobody reads the components: no subscriber on
-        the trace, nothing in the registry, and the two pushed hooks that
-        remain (wall clock, busy integral) unset."""
-        for system in (run_system(), run_system(telemetry=Telemetry.disabled())):
-            assert system.trace.subscribers == ()
-            assert system.scheduler._obs is None
-            assert system.cluster._on_busy_change is None
-            if system.telemetry is not None:
-                assert len(system.telemetry.registry) == 0
+        """Uninstrumented (``telemetry=None``) = nobody reads the
+        components: no subscriber on the trace, and the one pushed hook
+        that remains (the busy integral) unset."""
+        system = run_system()
+        assert system.telemetry is None
+        assert system.trace.subscribers == ()
+        assert system.cluster._on_busy_change is None
+
+
+def test_export_without_profiling_is_fixed_by_the_seed():
+    """Two same-seed Dyn-HP runs in one process export the same bytes: no
+    wall-clock reading reaches the registry unless the phase profiler is
+    on, so no ``*_seconds`` histogram is exported either."""
+    import re
+
+    from repro.experiments.configs import all_configurations
+    from repro.experiments.runner import run_esp_configuration
+    from repro.obs import to_prometheus_text
+
+    dyn_hp = next(c for c in all_configurations() if c.name == "Dyn-HP")
+    first, second = (
+        to_prometheus_text(
+            run_esp_configuration(
+                dyn_hp, seed=2014, telemetry=Telemetry(sample_interval=None)
+            ).telemetry.registry
+        )
+        for _ in range(2)
+    )
+    assert "repro_jobs_completed_total 230" in first
+    assert first == second
+    assert not re.search(r"^# TYPE \w+_seconds histogram$", first, flags=re.M)
 
 
 class TestSampler:

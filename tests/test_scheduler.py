@@ -431,7 +431,7 @@ class TestIterationSkip:
     def test_skip_counter_mirrored_into_registry(self):
         from repro.obs import Telemetry
 
-        telemetry = Telemetry(enabled=True)
+        telemetry = Telemetry()
         system = BatchSystem(
             2, 8, MauiConfig(timer_interval=10.0), telemetry=telemetry
         )

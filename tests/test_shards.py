@@ -184,9 +184,8 @@ def test_table2_exports_match_monolithic_golden(tmp_path):
     ``reservation_create`` and ``sched_iteration`` lines set aside (written
     per unit of planning work — a reservation placed or moved, a pass run —
     not per decision; the golden's header has the proof), and the number of
-    those lines pinned; the metrics with the lines of the two wall-clock
-    histograms set aside (``#drop``).  Job ids are process-global, hence
-    the fresh interpreter."""
+    those lines pinned; the metrics whole, as they hold no wall-clock
+    reading.  Job ids are process-global, hence the fresh interpreter."""
     root = Path(__file__).resolve().parent.parent
     subprocess.run(
         [sys.executable, "-m", "repro.cli", "table2", "--telemetry-out",
@@ -198,18 +197,13 @@ def test_table2_exports_match_monolithic_golden(tmp_path):
     lines = [line.split() for line in golden.read_text().splitlines()]
     digests = [line for line in lines if not line[0].startswith("#")]
     counts = [line[1:] for line in lines if line[0] == "#count"]
-    drops = [line[1:] for line in lines if line[0] == "#drop"]
-    assert len(digests) == 12 and len(counts) == 8 and len(drops) == 8
+    assert len(digests) == 12 and len(counts) == 8
     exports = {name: (tmp_path / name).read_bytes().splitlines(keepends=True)
                for _, name in digests}
     for kind, count, name in counts:
         marker = b'"kind": "%s"' % kind.encode()
         assert sum(marker in line for line in exports[name]) == int(count), (name, kind)
         exports[name] = [line for line in exports[name] if marker not in line]
-    for marker, name in drops:
-        exports[name] = [
-            line for line in exports[name] if marker.encode() not in line
-        ]
     for digest, name in digests:
         assert hashlib.sha256(b"".join(exports[name])).hexdigest() == digest, name
 
