@@ -32,7 +32,7 @@ def test_engine_event_throughput(benchmark):
     so the row falls by about half at PR 15.  Accepted because the queue
     is under 3 % of every end-to-end workload's wall clock and no
     ``bench/run.py`` metric moved with either backend forced
-    (docs/PERFORMANCE.md, "Removed in PR 15").
+    (docs/history/PR15.md).
     """
 
     def run_events():

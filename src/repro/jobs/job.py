@@ -35,7 +35,6 @@ class JobState(enum.Enum):
     DYNQUEUED = "dynqueued"
     COMPLETED = "completed"
     ABORTED = "aborted"
-    PREEMPTED = "preempted"
 
 
 _job_counter = itertools.count(1)

@@ -76,8 +76,7 @@ def qalter(
     Only queued jobs can be altered — Torque refuses to change running jobs'
     resource lists, and so do we.
     """
-    if job.state is not JobState.QUEUED:
-        raise RuntimeError(f"{job.job_id} is {job.state.value}; only queued jobs alter")
+    server._move(job, "alter")
     if walltime is not None:
         new_walltime = parse_duration(walltime)
         if new_walltime <= 0:
@@ -100,7 +99,6 @@ _STATE_LETTER = {
     JobState.DYNQUEUED: "D",
     JobState.COMPLETED: "C",
     JobState.ABORTED: "A",
-    JobState.PREEMPTED: "P",
 }
 
 

@@ -1,8 +1,9 @@
 """The ``pbs_server``: job queues, lifecycle, and the dynamic-request path.
 
-The server owns all job state transitions.  The scheduler (a separate
-component, as in Torque/Maui) decides *what* to run and calls back into the
-server to actually start jobs, grant or reject dynamic requests, and preempt
+The server owns all job state transitions: each one is a row of ``_MOVES``
+made by :meth:`Server._move`.  The scheduler (a separate component, as in
+Torque/Maui) decides *what* to run and calls back into the server to
+actually start jobs, grant or reject dynamic requests, and preempt
 backfilled jobs.  Every transition is recorded in the shared trace log.
 
 Workflow for a dynamic allocation (paper Fig. 3):
@@ -35,6 +36,24 @@ from repro.sim.events import EventKind, TraceLog
 __all__ = ["Server", "Application"]
 
 log = logging.getLogger("repro.rms.server")
+
+_Q, _R, _D = JobState.QUEUED, JobState.RUNNING, JobState.DYNQUEUED
+_DONE, _FAILED = JobState.COMPLETED, JobState.ABORTED
+#: the job lifecycle: operation -> {state it may leave: state it enters}.
+#: A self-loop (``alter``, ``resize``) only checks that the operation is
+#: allowed; any other operation in any other state is refused.
+_MOVES: dict[str, dict[JobState, JobState]] = {
+    "submit": dict.fromkeys(JobState, _Q),
+    "alter": {_Q: _Q},
+    "start": {_Q: _R},
+    "cancel": {_Q: _FAILED},
+    "ask": {_R: _D},
+    "answer": {_D: _R},
+    "resize": {_R: _R, _D: _D},
+    "complete": {_R: _DONE, _D: _DONE},
+    "abort": {_R: _FAILED, _D: _FAILED},
+    "requeue": {_R: _Q, _D: _Q},
+}
 
 
 class Application(Protocol):
@@ -73,11 +92,11 @@ class Server:
         # the lifecycle counters and depth gauges read the trace and the
         # structures above; no transition below reports to them
         mirror_server(telemetry, self)
-        #: jobs currently holding resources — the scheduler's working set.
-        #: ``jobs`` grows without bound over a run; every hot-path consumer
-        #: (statistics accrual, profile construction, preemption planning)
-        #: reads this index instead of scanning history.
-        self._active_jobs: dict[str, Job] = {}
+        #: the TM context of every job holding resources — the scheduler's
+        #: working set.  ``jobs`` grows without bound over a run; every
+        #: hot-path consumer (statistics accrual, profile construction,
+        #: preemption planning) reads this index instead of scanning history.
+        self._contexts: dict[str, TMContext] = {}
         #: jobs that finished since the scheduler last accrued usage; the
         #: statistics update drains this so final run segments are charged
         #: exactly once without re-scanning all finished jobs
@@ -97,8 +116,6 @@ class Server:
         #: fingerprints
         self.alter_epoch: int = 0
         self._apps: dict[str, Application | None] = {}
-        self._contexts: dict[str, TMContext] = {}
-        self._walltime_limits: dict[str, EventHandle] = {}
         #: invoked (coalesced by the scheduler) whenever job/resource state
         #: changes — the Maui wake-up condition (i) of Section III-A.
         self.on_state_change: Callable[[], None] | None = None
@@ -144,6 +161,25 @@ class Server:
         self._discard_folded = bool(fold_and_discard)
 
     # ------------------------------------------------------------------
+    def _move(self, job: Job, op: str, *, claim: Allocation | None = None) -> None:
+        """Make lifecycle move ``op`` on ``job``, or raise ``RuntimeError``
+        and change nothing when its state does not allow it.
+
+        ``claim`` is taken on the cluster between the check and the write,
+        so a claim that fails leaves the job in the state it was in.
+        """
+        to = _MOVES[op].get(job.state)
+        if to is None:
+            held = (
+                "has a pending dynamic request"
+                if job.state is _D
+                else f"is {job.state.value}"
+            )
+            raise RuntimeError(f"{job.job_id} {held}, cannot {op}")
+        if claim is not None:
+            self.cluster.claim(claim)
+        job.state = to
+
     def _notify(self) -> None:
         self.state_version += 1
         if self._windows is not None:
@@ -160,7 +196,7 @@ class Server:
         and re-sort the list they get.
         """
         if self._active_jobs_cache_version != self.state_version:
-            active = list(self._active_jobs.values())
+            active = [ctx.job for ctx in self._contexts.values()]
             active.sort(key=lambda j: (j.start_time, j.seq))
             self._active_jobs_cache = active
             self._active_jobs_cache_version = self.state_version
@@ -169,7 +205,7 @@ class Server:
     @property
     def active_count(self) -> int:
         """Number of jobs currently holding resources (O(1))."""
-        return len(self._active_jobs)
+        return len(self._contexts)
 
     def drain_finished_for_stats(self) -> list[Job]:
         """Jobs finished since the last drain, in completion order.
@@ -244,7 +280,7 @@ class Server:
         if job.job_id in self.jobs:
             raise ValueError(f"{job.job_id} already submitted")
         job.submit_time = self.engine.now
-        job.state = JobState.QUEUED
+        self._move(job, "submit")
         self.jobs[job.job_id] = job
         self._apps[job.job_id] = app
         self.queue.push(job)
@@ -267,20 +303,16 @@ class Server:
     # ------------------------------------------------------------------
     def start_job(self, job: Job, allocation: Allocation, *, backfilled: bool = False) -> None:
         """Start a queued job on the given allocation (scheduler's ``qrun``)."""
-        if job.state is not JobState.QUEUED:
-            raise RuntimeError(f"{job.job_id} is {job.state.value}, cannot start")
         if allocation.total_cores < job.moldable_floor:
             raise RuntimeError(
                 f"{job.job_id} allocation {allocation.total_cores}c smaller than "
                 f"the acceptable minimum {job.moldable_floor}c"
             )
-        self.cluster.claim(allocation)
+        self._move(job, "start", claim=allocation)
         self.queue.remove(job)
-        job.state = JobState.RUNNING
         job.start_time = self.engine.now
         job.allocation = allocation
         job.backfilled = backfilled
-        self._active_jobs[job.job_id] = job
         ms = self.moms.join(job, allocation)
         self.trace.record(
             self.engine.now,
@@ -296,11 +328,10 @@ class Server:
         log.info("start %s on %dc (backfill=%s wait=%.0fs)", job.job_id,
                  allocation.total_cores, backfilled, job.wait_time or 0.0)
         # walltime enforcement: the job is killed when its time slice expires
-        self._walltime_limits[job.job_id] = self.engine.after(
+        limit = self.engine.after(
             job.walltime, self._walltime_expired, job, priority=PRIORITY_LIMIT
         )
-        ctx = TMContext(self, job)
-        self._contexts[job.job_id] = ctx
+        ctx = self._contexts[job.job_id] = TMContext(self, job, limit)
         app = self._apps[job.job_id]
         if app is not None:
             app.launch(ctx)
@@ -310,18 +341,17 @@ class Server:
 
     def complete_job(self, job: Job) -> None:
         """Normal completion, reported by the application through TM."""
-        self._teardown(job, JobState.COMPLETED, EventKind.JOB_END)
+        self._teardown(job, "complete", EventKind.JOB_END)
         self._notify()
 
     def _walltime_expired(self, job: Job) -> None:
-        if not job.is_active:
-            return
-        self._teardown(job, JobState.ABORTED, EventKind.JOB_ABORT, reason="walltime")
+        # the limit is cancelled whenever the job leaves its nodes
+        self._teardown(job, "abort", EventKind.JOB_ABORT, reason="walltime")
         self._notify()
 
     def abort_job(self, job: Job, reason: str) -> None:
         """Abnormal termination requested by the application or operator."""
-        self._teardown(job, JobState.ABORTED, EventKind.JOB_ABORT, reason=reason)
+        self._teardown(job, "abort", EventKind.JOB_ABORT, reason=reason)
         self._notify()
 
     def hold_job(self, job: Job, kind: str = "user") -> None:
@@ -333,8 +363,7 @@ class Server:
         """
         if kind not in ("user", "system"):
             raise ValueError(f"unknown hold kind: {kind!r}")
-        if job.state is not JobState.QUEUED:
-            raise RuntimeError(f"{job.job_id} is {job.state.value}, cannot hold")
+        self._move(job, "alter")
         self.queue.set_hold(job, kind)
         self.trace.record(
             self.engine.now,
@@ -362,10 +391,8 @@ class Server:
 
     def cancel_queued(self, job: Job, reason: str = "cancelled") -> None:
         """Remove a queued job before it ever starts (``qdel``)."""
-        if job.state is not JobState.QUEUED:
-            raise RuntimeError(f"{job.job_id} is {job.state.value}, not queued")
+        self._move(job, "cancel")
         self.queue.remove(job)
-        job.state = JobState.ABORTED
         job.end_time = self.engine.now
         self.trace.record(
             self.engine.now,
@@ -379,24 +406,34 @@ class Server:
         # the jobs behind it may now start earlier: wake the scheduler
         self._notify()
 
-    def _teardown(self, job: Job, state: JobState, kind: EventKind, **extra) -> None:
-        if not job.is_active:
-            raise RuntimeError(f"{job.job_id} is {job.state.value}, cannot tear down")
-        # a pending dynamic request dies with the job
-        for dreq in [d for d in self.dyn_queue if d.job is job]:
+    def _leave(self, job: Job, op: str) -> Allocation:
+        """Take an active job off its nodes by ``op`` (``complete``,
+        ``abort`` or ``requeue``).
+
+        Its pending dynamic request or grant retry, walltime limit, TM
+        timers, moms and active-index entry go with it.  A requeued job's
+        request is answered None, so the application sees a rejection; the
+        other two drop it.  Returns the allocation, still claimed.
+        """
+        self._move(job, op)
+        dropped = [d for d in self.dyn_queue if d.job is job]
+        for dreq in dropped:
             self.dyn_queue.remove(dreq)
-        self._cancel_pending_delivery(job, resolve=False)
-        limit = self._walltime_limits.pop(job.job_id, None)
-        if limit is not None:
-            limit.cancel()
-        ctx = self._contexts.pop(job.job_id)
-        ctx._cancel_all_timers()
-        assert job.allocation is not None
+        pending = self._pending_deliveries.pop(job.job_id, None)
+        if pending is not None:
+            pending[0].cancel()
+            dropped.append(pending[1])
+        if op == "requeue":
+            for dreq in dropped:
+                dreq.resolve(None)
+        self._contexts.pop(job.job_id)._cancel_all_timers()
         self.moms.exit(job)
-        self.cluster.release(job.allocation)
-        job.state = state
+        assert job.allocation is not None
+        return job.allocation
+
+    def _teardown(self, job: Job, op: str, kind: EventKind, **extra) -> None:
+        self.cluster.release(self._leave(job, op))
         job.end_time = self.engine.now
-        self._active_jobs.pop(job.job_id, None)
         self._finished_unaccounted.append(job)
         if self._windows is not None:
             self._windows.fold_job(job)
@@ -431,37 +468,16 @@ class Server:
         passes, and ``on_estimate`` receives the scheduler's availability
         estimates along the way.
         """
-        if job.state is not JobState.RUNNING:
-            raise RuntimeError(
-                f"{job.job_id} is {job.state.value}; dynamic request needs RUNNING"
-            )
         if timeout is not None and timeout <= 0:
             raise ValueError(f"negotiation timeout must be positive: {timeout}")
-        job.state = JobState.DYNQUEUED
-        deadline = None if timeout is None else self.engine.now + timeout
-        dreq = DynRequest(
+        return self._ask(DynRequest(
             job=job,
             request=request,
             submit_time=self.engine.now,
             callback=callback,
-            deadline=deadline,
+            deadline=None if timeout is None else self.engine.now + timeout,
             on_estimate=on_estimate,
-        )
-        self.dyn_queue.append(dreq)
-        if deadline is not None:
-            self.engine.at(deadline, self._negotiation_expired, dreq)
-        self.trace.record(
-            self.engine.now,
-            EventKind.DYN_REQUEST,
-            job_id=job.job_id,
-            user=job.user,
-            request=str(request),
-            negotiated=dreq.negotiated,
-        )
-        log.info("dyn_request %s wants %s%s", job.job_id, request,
-                 " (negotiated)" if dreq.negotiated else "")
-        self._notify()
-        return dreq
+        ), str(request))
 
     def extend_walltime_request(
         self,
@@ -476,30 +492,33 @@ class Server:
         the same DFS policies.  On grant the callback receives the job's own
         (unchanged) allocation; on rejection, None.
         """
-        if job.state is not JobState.RUNNING:
-            raise RuntimeError(
-                f"{job.job_id} is {job.state.value}; extension needs RUNNING"
-            )
         if extra_seconds <= 0:
             raise ValueError(f"extension must be positive: {extra_seconds}")
-        job.state = JobState.DYNQUEUED
-        dreq = DynRequest(
+        return self._ask(DynRequest(
             job=job,
             request=None,
             submit_time=self.engine.now,
             callback=callback,
             extend_walltime=extra_seconds,
-        )
+        ), f"walltime+{extra_seconds:.0f}s")
+
+    def _ask(self, dreq: DynRequest, wants: str) -> DynRequest:
+        """Queue a running job's request (job → ``dynqueued``)."""
+        job = dreq.job
+        self._move(job, "ask")
         self.dyn_queue.append(dreq)
+        if dreq.deadline is not None:
+            self.engine.at(dreq.deadline, self._negotiation_expired, dreq)
         self.trace.record(
             self.engine.now,
             EventKind.DYN_REQUEST,
             job_id=job.job_id,
             user=job.user,
-            request=f"walltime+{extra_seconds:.0f}s",
-            negotiated=False,
+            request=wants,
+            negotiated=dreq.negotiated,
         )
-        log.info("extension request %s +%.0fs", job.job_id, extra_seconds)
+        log.info("dyn_request %s wants %s%s", job.job_id, wants,
+                 " (negotiated)" if dreq.negotiated else "")
         self._notify()
         return dreq
 
@@ -509,18 +528,16 @@ class Server:
         if dreq not in self.dyn_queue:
             raise RuntimeError(f"{dreq!r} is not pending")
         assert dreq.extend_walltime is not None
+        self._move(job, "answer")
         self.dyn_queue.remove(dreq)
         job.walltime += dreq.extend_walltime
         self.walltime_epoch += 1
         # move the kill switch to the new limit
-        limit = self._walltime_limits.pop(job.job_id, None)
-        if limit is not None:
-            limit.cancel()
-        assert job.start_time is not None
-        self._walltime_limits[job.job_id] = self.engine.at(
+        ctx = self._contexts[job.job_id]
+        ctx.limit.cancel()
+        ctx.limit = self.engine.at(
             job.walltime_end, self._walltime_expired, job, priority=PRIORITY_LIMIT
         )
-        job.state = JobState.RUNNING
         job.dyn_granted += 1
         self.trace.record(
             self.engine.now,
@@ -574,11 +591,10 @@ class Server:
     def _deliver_grant(self, dreq: DynRequest, allocation: Allocation) -> None:
         """Actually hand the expanded allocation to the job (may raise)."""
         job = dreq.job
-        self.cluster.claim(allocation)
+        self._move(job, "answer", claim=allocation)
         self.moms.dyn_join(job, allocation)
         assert job.allocation is not None
         job.allocation = job.allocation + allocation
-        job.state = JobState.RUNNING
         job.dyn_granted += 1
         self.trace.record(
             self.engine.now,
@@ -651,50 +667,25 @@ class Server:
         the application sees an ordinary rejection and continues at its
         current allocation.
         """
-        job = dreq.job
-        faults = self._faults
-        if faults is not None:
-            faults.note_degraded()
-        job.dyn_rejected += 1
-        if job.state is JobState.DYNQUEUED:
-            job.state = JobState.RUNNING
-        self.trace.record(
-            self.engine.now,
-            EventKind.DYN_REJECT,
-            job_id=job.job_id,
-            user=job.user,
-            request=str(dreq.request),
-            reason=f"grant delivery failed after {attempts} attempt(s): {reason}",
+        if self._faults is not None:
+            self._faults.note_degraded()
+        self._refuse(
+            dreq, f"grant delivery failed after {attempts} attempt(s): {reason}"
         )
-        log.info("dyn_grant to %s degraded after %d attempt(s)", job.job_id, attempts)
-        if not dreq.resolved:
-            dreq.resolve(None)
         self._notify()
-
-    def _cancel_pending_delivery(self, job: Job, *, resolve: bool) -> None:
-        """Drop an in-flight delivery retry when its job leaves RUNNING.
-
-        The owning job is being requeued or torn down: the retry timer must
-        not fire a grant at a dead allocation.  ``resolve`` delivers a clean
-        rejection to the (old) application callback — used on preemption,
-        matching how pending ``dyn_queue`` entries are handled there — while
-        teardown drops the request silently, like :meth:`_teardown` does.
-        """
-        pending = self._pending_deliveries.pop(job.job_id, None)
-        if pending is None:
-            return
-        handle, dreq, _allocation, _attempt = pending
-        handle.cancel()
-        if resolve and not dreq.resolved:
-            dreq.resolve(None)
 
     def reject_dynamic(self, dreq: DynRequest, reason: str = "") -> None:
         """Reject the request; the application continues on its current set."""
-        job = dreq.job
         if dreq not in self.dyn_queue:
             raise RuntimeError(f"{dreq!r} is not pending")
         self.dyn_queue.remove(dreq)
-        job.state = JobState.RUNNING
+        self._refuse(dreq, reason)
+        # no notify: a rejection frees nothing and starts nothing
+
+    def _refuse(self, dreq: DynRequest, reason: str) -> None:
+        """Answer a request None: its job runs on at its current allocation."""
+        job = dreq.job
+        self._move(job, "answer")
         job.dyn_rejected += 1
         self.trace.record(
             self.engine.now,
@@ -706,12 +697,10 @@ class Server:
         )
         log.info("dyn_reject %s: %s", job.job_id, reason or "no reason")
         dreq.resolve(None)
-        # no notify: a rejection frees nothing and starts nothing
 
     def dyn_free(self, job: Job, released: Allocation) -> None:
         """Release part of a running job's allocation (``tm_dynfree``)."""
-        if not job.is_active:
-            raise RuntimeError(f"{job.job_id} is not active")
+        self._move(job, "resize")
         self.moms.dyn_disjoin(job, released)
         assert job.allocation is not None
         job.allocation = job.allocation - released
@@ -737,12 +726,11 @@ class Server:
         initiates the operation, the application decides how much it can
         shed and performs the release through ``tm_dynfree``.
         """
-        if not job.is_active:
-            raise RuntimeError(f"{job.job_id} is not active")
         if cores_wanted <= 0:
             raise ValueError(f"cores_wanted must be positive: {cores_wanted}")
-        ctx = self._contexts.get(job.job_id)
-        if ctx is None or ctx.shrink_handler is None:
+        self._move(job, "resize")
+        ctx = self._contexts[job.job_id]
+        if ctx.shrink_handler is None:
             return 0
         assert job.allocation is not None
         before = job.allocation.total_cores
@@ -780,22 +768,13 @@ class Server:
         """
         if stub is parent:
             raise ValueError("cannot merge a job into itself")
-        if not stub.is_active or not parent.is_active:
-            raise RuntimeError("both jobs must be running to merge")
-        assert stub.allocation is not None and parent.allocation is not None
-        transferred = stub.allocation
-        # node-side: helper processes exit, parent spans the new nodes
-        self.moms.exit(stub)
-        self.moms.dyn_join(parent, transferred)
+        self._move(parent, "resize")
+        # node-side: helper processes exit, parent spans the new nodes;
         # cluster core counts are unchanged: ownership moves, usage doesn't
-        limit = self._walltime_limits.pop(stub.job_id, None)
-        if limit is not None:
-            limit.cancel()
-        ctx = self._contexts.pop(stub.job_id)
-        ctx._cancel_all_timers()
-        stub.state = JobState.COMPLETED
+        transferred = self._leave(stub, "complete")
+        self.moms.dyn_join(parent, transferred)
+        assert parent.allocation is not None
         stub.end_time = self.engine.now
-        self._active_jobs.pop(stub.job_id, None)
         self._finished_unaccounted.append(stub)
         if self._windows is not None:
             self._windows.fold_job(stub)
@@ -909,11 +888,9 @@ class Server:
         handler with TM) get a chance to stash their progress first and will
         resume from it; everything else restarts from scratch.
         """
-        if not job.is_active:
-            raise RuntimeError(f"{job.job_id} is not active")
-        ctx_for_checkpoint = self._contexts.get(job.job_id)
-        if ctx_for_checkpoint is not None and ctx_for_checkpoint.checkpoint_handler:
-            ctx_for_checkpoint.checkpoint_handler()
+        ctx = self._contexts.get(job.job_id)
+        if ctx is not None and ctx.checkpoint_handler:
+            ctx.checkpoint_handler()
             self.trace.record(
                 self.engine.now,
                 EventKind.CHECKPOINT,
@@ -922,18 +899,7 @@ class Server:
                 work_saved=job.metadata.get("checkpoint_work", 0.0),
             )
             log.info("checkpoint %s before preemption", job.job_id)
-        for dreq in [d for d in self.dyn_queue if d.job is job]:
-            self.dyn_queue.remove(dreq)
-            dreq.resolve(None)
-        self._cancel_pending_delivery(job, resolve=True)
-        limit = self._walltime_limits.pop(job.job_id, None)
-        if limit is not None:
-            limit.cancel()
-        ctx = self._contexts.pop(job.job_id)
-        ctx._cancel_all_timers()
-        assert job.allocation is not None
-        released = job.allocation
-        self.moms.exit(job)
+        released = self._leave(job, "requeue")
         self.cluster.release(released)
         self.trace.record(
             self.engine.now,
@@ -945,11 +911,9 @@ class Server:
         # not added to the finished-for-stats drain: preemption resets
         # start_time, and the accounting rule has always been that the
         # preempted segment accrues no fairshare usage
-        self._active_jobs.pop(job.job_id, None)
         job.allocation = None
         job.start_time = None
         job.backfilled = False
-        job.state = JobState.QUEUED
         job.metadata["preempt_count"] = job.metadata.get("preempt_count", 0) + 1
         self.queue.push(job)
         log.info("preempt %s released %dc", job.job_id, released.total_cores)

@@ -20,8 +20,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 from repro.cluster.allocation import Allocation, ResourceRequest
-from repro.jobs.job import Job, JobState
-from repro.sim.engine import Engine, EventHandle
+from repro.jobs.job import Job
+from repro.sim.engine import EventHandle
 
 if TYPE_CHECKING:
     from repro.rms.server import Server
@@ -32,9 +32,11 @@ __all__ = ["TMContext"]
 class TMContext:
     """Per-job runtime handle given to the application model."""
 
-    def __init__(self, server: "Server", job: Job) -> None:
+    def __init__(self, server: "Server", job: Job, limit: EventHandle) -> None:
         self._server = server
         self.job = job
+        #: the walltime kill switch; None once the job has left its nodes
+        self.limit: EventHandle | None = limit
         self._timers: list[EventHandle] = []
         #: registered by malleable applications: ``handler(cores_wanted)``
         #: releases what it can afford via ``tm_dynfree`` and returns the
@@ -50,10 +52,6 @@ class TMContext:
     # clock access for application-side events
     # ------------------------------------------------------------------
     @property
-    def engine(self) -> Engine:
-        return self._server.engine
-
-    @property
     def now(self) -> float:
         return self._server.engine.now
 
@@ -64,6 +62,8 @@ class TMContext:
         return handle
 
     def _cancel_all_timers(self) -> None:
+        self.limit.cancel()
+        self.limit = None
         for handle in self._timers:
             handle.cancel()
         self._timers.clear()
@@ -108,12 +108,6 @@ class TMContext:
         earliest-availability estimates through ``on_estimate``; the
         application continues computing meanwhile.
         """
-        if self.job.state is JobState.DYNQUEUED:
-            raise RuntimeError(
-                f"{self.job.job_id} already has a pending dynamic request"
-            )
-        if not self.job.is_active:
-            raise RuntimeError(f"{self.job.job_id} is not running")
         self._server.dyn_request(
             self.job, request, callback, timeout=timeout, on_estimate=on_estimate
         )
@@ -150,12 +144,6 @@ class TMContext:
         hypothetical reservation is the job's own cores held past the
         original walltime.
         """
-        if self.job.state is JobState.DYNQUEUED:
-            raise RuntimeError(
-                f"{self.job.job_id} already has a pending dynamic request"
-            )
-        if not self.job.is_active:
-            raise RuntimeError(f"{self.job.job_id} is not running")
         self._server.extend_walltime_request(self.job, extra_seconds, callback)
 
     def register_checkpoint_handler(self, handler: Callable[[], None]) -> None:

@@ -29,17 +29,13 @@ def _swf_status(record) -> int:
 
     An aborted job that never started is a cancellation (``qdel`` while
     queued); an aborted job with a start is a failure/kill (walltime
-    overrun, operator abort, node loss).  A job left PREEMPTED at export
-    time was requeued and then never ran again, which SWF also calls a
-    failure.  Anything non-terminal (still queued/running when the trace
-    was cut) stays ``-1``, "unknown".
+    overrun, operator abort, node loss).  Anything non-terminal (still
+    queued/running when the trace was cut) stays ``-1``, "unknown".
     """
     if record.state == JobState.COMPLETED.value:
         return 1
     if record.state == JobState.ABORTED.value:
         return 5 if record.start_time is None else 0
-    if record.state == JobState.PREEMPTED.value:
-        return 0
     return -1
 
 

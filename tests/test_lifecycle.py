@@ -1,0 +1,304 @@
+"""The job lifecycle, driven as a state machine.
+
+A Hypothesis ``RuleBasedStateMachine`` plays scheduler, applications and
+operator against a bare :class:`~repro.rms.server.Server`: it submits,
+starts, completes, aborts, cancels, holds, asks for cores and time, grants
+(sometimes through a dropped first delivery), rejects, preempts, merges,
+fails and recovers nodes and lets time pass, and on purpose makes calls the
+job's state forbids.  After every step the server, the cluster and the moms
+must agree.  A rot guard keeps every ``job.state`` write inside
+:meth:`Server._move`.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
+
+from repro.cluster.allocation import Allocation, ResourceRequest
+from repro.cluster.machine import Cluster
+from repro.jobs.job import Job, JobFlexibility, JobState
+from repro.rms.client import qalter
+from repro.rms.server import Server
+from repro.sim.engine import Engine
+from tests.test_faults import ScriptedFaults
+
+NODES, CORES = 3, 4
+SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+
+
+Q, R, D = JobState.QUEUED, JobState.RUNNING, JobState.DYNQUEUED
+ACTIVE = {R, D}
+PICK = st.integers(0, 15)
+
+#: calls a job's state forbids: operation -> (states that allow it, call)
+ILLEGAL = {
+    "start": ({Q}, lambda m, j: m.server.start_job(
+        j, m.cluster.find_allocation(j.request) or Allocation({0: 1}))),
+    "cancel": ({Q}, lambda m, j: m.server.cancel_queued(j)),
+    "hold": ({Q}, lambda m, j: m.server.hold_job(j)),
+    "qalter": ({Q}, lambda m, j: qalter(m.server, j, walltime=50.0)),
+    "complete": (ACTIVE, lambda m, j: m.server.complete_job(j)),
+    "abort": (ACTIVE, lambda m, j: m.server.abort_job(j, "operator")),
+    "preempt": (ACTIVE, lambda m, j: m.server.preempt_job(j)),
+    "dyn_free": (ACTIVE, lambda m, j: m.server.dyn_free(j, Allocation({0: 1}))),
+    "shrink": (ACTIVE, lambda m, j: m.server.request_shrink(j, 1)),
+    "merge": (ACTIVE, lambda m, j: m.server.merge_allocations(j, m.parent_for(j))),
+    "ask": ({R}, lambda m, j: m.server.dyn_request(
+        j, ResourceRequest(cores=1), m.answered.append)),
+    "extend": ({R}, lambda m, j: m.server.extend_walltime_request(
+        j, 10.0, m.answered.append)),
+}
+
+
+class Lifecycle(RuleBasedStateMachine):
+    @initialize()
+    def boot(self) -> None:
+        self.engine = Engine()
+        self.cluster = Cluster.homogeneous(NODES, CORES)
+        self.server = Server(self.engine, self.cluster)
+        self.faults = ScriptedFaults(drops=(), max_retries=1)
+        self.server.attach_faults(self.faults)
+        self.answered: list = []
+
+    # -- helpers ---------------------------------------------------------
+    def _snapshot(self):
+        server = self.server
+        return (
+            [(j.job_id, j.state, j.allocation, j.hold, j.walltime)
+             for j in server.jobs.values()],
+            [n.used for n in self.cluster.nodes],
+            [m.used for m in server.moms.moms.values()],
+            [j.job_id for j in server.queue],
+            list(server.dyn_queue),
+            dict(server._pending_deliveries),
+            len(server.trace),
+            server.state_version,
+            server.alter_epoch,
+            self.engine.pending,
+            len(self.answered),
+        )
+
+    def _refused(self, call, *args, error=RuntimeError, match=None) -> None:
+        before = self._snapshot()
+        with pytest.raises(error, match=match):
+            call(*args)
+        assert self._snapshot() == before
+
+    def _in(self, states, pick: int) -> Job | None:
+        jobs = [j for j in self.server.jobs.values() if j.state in states]
+        return jobs[pick % len(jobs)] if jobs else None
+
+    def parent_for(self, stub: Job) -> Job:
+        # with no other active job, a job that never ran (refused as well)
+        others = (j for j in self.server.active_jobs() if j is not stub)
+        return next(others, Job(request=ResourceRequest(cores=1), walltime=1.0))
+
+    # -- submission and the static path ----------------------------------
+    @rule(
+        cores=st.integers(1, CORES + 2),
+        walltime=st.sampled_from([30.0, 300.0]),
+        start=st.booleans(),
+    )
+    def submit(self, cores: int, walltime: float, start: bool) -> None:
+        job = self.server.submit(Job(
+            request=ResourceRequest(cores=cores),
+            walltime=walltime,
+            flexibility=JobFlexibility.EVOLVING,
+        ))
+        if start:
+            self._start(job, backfilled=False)
+
+    @precondition(lambda self: self.server.queue)
+    @rule(pick=PICK, backfilled=st.booleans())
+    def start(self, pick: int, backfilled: bool) -> None:
+        self._start(self._in({Q}, pick), backfilled)
+
+    def _start(self, job: Job, backfilled: bool) -> None:
+        allocation = self.cluster.find_allocation(job.request)
+        if allocation is None:
+            # no node has these cores free: the failed claim must leave the
+            # job queued
+            taken = Allocation({0: job.request.cores})
+            self._refused(self.server.start_job, job, taken, error=ValueError)
+        else:
+            self.server.start_job(job, allocation, backfilled=backfilled)
+
+    @precondition(lambda self: self.server.queue)
+    @rule(pick=PICK, cancel=st.booleans())
+    def cancel_hold_or_release(self, pick: int, cancel: bool) -> None:
+        job = self._in({Q}, pick)
+        if cancel:
+            self.server.cancel_queued(job)
+        elif job.hold is None:
+            self.server.hold_job(job)
+        else:
+            self.server.release_hold(job)
+
+    @precondition(lambda self: self.server.active_count)
+    @rule(pick=PICK, how=st.sampled_from(["complete", "abort", "preempt"]))
+    def leave(self, pick: int, how: str) -> None:
+        job = self._in(ACTIVE, pick)
+        if how == "complete":
+            self.server.complete_job(job)
+        elif how == "abort":
+            self.server.abort_job(job, "operator")
+        else:
+            self.server.preempt_job(job)
+
+    # -- the dynamic path --------------------------------------------------
+    @precondition(lambda self: self.server.active_count)
+    @rule(pick=PICK, cores=st.integers(1, CORES), time=st.booleans())
+    def ask(self, pick: int, cores: int, time: bool) -> None:
+        job = self._in({R}, pick)
+        if job is None:
+            return
+        if time:
+            self.server.extend_walltime_request(job, 10.0 * cores, self.answered.append)
+        else:
+            self.server.dyn_request(job, ResourceRequest(cores=cores), self.answered.append)
+
+    @precondition(lambda self: self.server.dyn_queue)
+    @rule(pick=PICK, drop=st.booleans())
+    def grant(self, pick: int, drop: bool) -> None:
+        dreq = self.server.dyn_queue[pick % len(self.server.dyn_queue)]
+        if dreq.is_extension:
+            self.server.grant_walltime_extension(dreq)
+            return
+        allocation = self.cluster.find_allocation(dreq.request)
+        if allocation is None:
+            return
+        self.faults.drops = {1} if drop else set()
+        self.server.grant_dynamic(dreq, allocation)
+
+    @precondition(lambda self: self.server.dyn_queue)
+    @rule(pick=PICK)
+    def reject(self, pick: int) -> None:
+        dreq = self.server.dyn_queue[pick % len(self.server.dyn_queue)]
+        self.server.reject_dynamic(dreq, "no")
+        self._refused(self.server.reject_dynamic, dreq)
+        self._refused(self.server.grant_dynamic, dreq, Allocation({0: 1}))
+
+    @precondition(lambda self: self.server.active_count >= 2)
+    @rule(pick=PICK, into=PICK)
+    def merge(self, pick: int, into: int) -> None:
+        # a helper with a request pending is the case worth merging most
+        stub = self._in({D}, pick) or self._in(ACTIVE, pick)
+        parents = [j for j in self.server.active_jobs() if j is not stub]
+        self.server.merge_allocations(stub, parents[into % len(parents)])
+
+    @precondition(lambda self: self.server.jobs)
+    @rule(pick=PICK, op=st.sampled_from(sorted(ILLEGAL)))
+    def illegal_call(self, pick: int, op: str) -> None:
+        allowed, call = ILLEGAL[op]
+        job = self._in(set(JobState) - allowed, pick)
+        if job is not None:
+            # a dynqueued job is refused for its pending request
+            match = "pending" if op == "ask" and job.state is D else None
+            self._refused(call, self, job, match=match)
+
+    @precondition(lambda self: self.server.active_count)
+    @rule(pick=PICK)
+    def merge_into_itself(self, pick: int) -> None:
+        job = self._in(ACTIVE, pick)
+        self._refused(self.server.merge_allocations, job, job, error=ValueError)
+
+    # -- nodes and time ----------------------------------------------------
+    @rule(
+        node=st.integers(0, NODES - 1),
+        requeue=st.booleans(),
+        dt=st.sampled_from([0.0, 1.0, 10.0, 50.0]),
+    )
+    def nodes_and_time(self, node: int, requeue: bool, dt: float) -> None:
+        """Let ``dt`` pass, or with ``dt`` 0 fail or recover ``node``."""
+        if dt:
+            self.engine.run(until=self.engine.now + dt)
+        elif not self.server.recover_node(node):
+            self.server.handle_node_failure(node, requeue=requeue)
+
+    # -- invariants ----------------------------------------------------------
+    @invariant()
+    def no_core_held_twice(self) -> None:
+        server = self.server
+        active = server.active_jobs()
+        for node in self.cluster.nodes:
+            held = sum(j.allocation[node.index] for j in active)
+            assert node.used == held == server.moms.moms[node.index].used
+        on_moms = {jid for m in server.moms.moms.values() for jid in m.jobs}
+        assert on_moms <= {j.job_id for j in active}
+
+    @invariant()
+    def free_plus_used_is_up_capacity(self) -> None:
+        cluster = self.cluster
+        assert cluster.free_cores + cluster.used_cores == cluster.up_cores
+
+    @invariant()
+    def queue_is_the_queued_jobs(self) -> None:
+        queued = {j.job_id for j in self.server.jobs.values() if j.state is Q}
+        assert {j.job_id for j in self.server.queue} == queued
+
+    @invariant()
+    def active_set_is_the_running_jobs(self) -> None:
+        running = {j.job_id for j in self.server.jobs.values() if j.state in ACTIVE}
+        assert {j.job_id for j in self.server.active_jobs()} == running
+        assert self.server.active_count == len(running)
+
+    @invariant()
+    def each_request_belongs_to_a_dynqueued_job(self) -> None:
+        server = self.server
+        owners = [d.job.job_id for d in server.dyn_queue]
+        owners += list(server._pending_deliveries)
+        assert len(owners) == len(set(owners))
+        dynqueued = {j.job_id for j in server.jobs.values() if j.state is D}
+        assert set(owners) == dynqueued
+        assert not any(d.resolved for d in server.dyn_queue)
+
+
+TestLifecycle = Lifecycle.TestCase
+TestLifecycle.settings = settings(
+    max_examples=80,
+    stateful_step_count=30,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+def test_state_is_written_only_by_the_move_method():
+    """Rot guard: ``.state =`` appears only in ``Server._move`` and in the
+    cluster's node transitions."""
+    writers = set()
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        scopes = [
+            n for n in ast.walk(tree)
+            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
+        ]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            else:
+                continue
+            if any(isinstance(t, ast.Attribute) and t.attr == "state" for t in targets):
+                inside = [f for f in scopes if f.lineno <= node.lineno <= f.end_lineno]
+                innermost = max(inside, key=lambda f: f.lineno, default=None)
+                name = innermost.name if innermost else "<module>"
+                writers.add((path.relative_to(SRC).as_posix(), name))
+    assert writers == {
+        ("rms/server.py", "_move"),
+        ("cluster/machine.py", "fail_node"),
+        ("cluster/machine.py", "recover_node"),
+    }

@@ -12,6 +12,7 @@ from repro.jobs.job import Job, JobFlexibility, JobState
 from repro.rms.server import Server
 from repro.sim.engine import Engine
 from repro.sim.events import EventKind
+from tests.test_faults import ScriptedFaults
 
 
 @pytest.fixture
@@ -264,6 +265,31 @@ class TestMerge:
         assert cluster.used_cores == 12
         assert server.moms.cores_held(parent) == 12
         assert server.moms.cores_held(stub) == 0
+
+    @pytest.mark.parametrize("pending", ["resources", "walltime", "grant_retry"])
+    def test_merge_drops_the_helpers_pending_request(self, bare, pending):
+        """A merged helper leaves nothing behind that could claim cores."""
+        engine, cluster, server = bare
+        parent = server.submit(make_job(request=ResourceRequest(cores=8)))
+        server.start_job(parent, Allocation({0: 8}))
+        stub = server.submit(make_job(request=ResourceRequest(cores=4), walltime=50.0))
+        server.start_job(stub, Allocation({1: 4}))
+        answers = []
+        if pending == "walltime":
+            server.extend_walltime_request(stub, 30.0, answers.append)
+        else:
+            server.dyn_request(stub, ResourceRequest(cores=4), answers.append)
+        if pending == "grant_retry":
+            server.attach_faults(ScriptedFaults(drops={1}))
+            server.grant_dynamic(server.dyn_queue[0], Allocation({2: 4}))
+        server.merge_allocations(stub, parent)
+        assert [d for d in server.dyn_queue if d.job is stub] == []
+        assert stub.job_id not in server._pending_deliveries
+        assert cluster.used_cores == 12
+        engine.run(until=20.0)  # past the retry's backoff
+        assert answers == []
+        assert cluster.used_cores == 12
+        assert server.moms.cores_held(parent) == 12
 
     def test_merge_into_self_rejected(self, bare):
         engine, cluster, server = bare
