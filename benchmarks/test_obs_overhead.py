@@ -332,10 +332,10 @@ def test_faults_absent_overhead_within_five_percent():
 # ----------------------------------------------------------------------
 def test_fairness_absent_overhead_within_five_percent():
     """Observatory off: the scheduler's statistics pass costs one
-    ``self._fair`` read per call plus one ``fair is not None`` check per
-    charged usage segment and per tracker roll.  An enabled run counts
-    both (accruals and samples are exactly the segment/roll executions);
-    every site is charged at 2x to stay generous.
+    ``self._fair`` read and one ``fair is not None`` check per call, and
+    each fairshare-tracker fold one call of its no-op feed.  An enabled run
+    counts both (accruals are exactly the folds); every site is charged at
+    2x to stay generous.
     """
     telemetry = Telemetry(sample_interval=None, fairness=True, windows=600.0)
     result = _run(telemetry=telemetry)
@@ -364,7 +364,7 @@ def test_fairness_absent_overhead_within_five_percent():
         "\n".join(
             [
                 f"  fairness hook checks per run: {hooks:>12,d}",
-                f"  (from {fair.accruals:,d} charged segments when enabled)",
+                f"  (from {fair.accruals:,d} tracker folds when enabled)",
                 f"  cost per is-None check      : {per_check * 1e9:>12.1f} ns",
                 f"  worst-case absent overhead  : {overhead * 1e3:>12.3f} ms",
                 f"  disabled run wall time      : {disabled_runtime * 1e3:>12.1f} ms",
@@ -387,7 +387,7 @@ def test_fairness_slo_enabled_run(benchmark):
 
     A recorded row, not a gate: on the 230-job ESP run the figure is
     dominated by the 600 s grouped windows the stack switches on (one
-    frame per ten simulated minutes, per-account sketches folded into
+    frame per ten simulated minutes, per-account samples folded into
     each), not by the observatory's sampler — 41 samples per run — and a
     single pair of ~0.3 s runs swings by more than the difference.  The
     enabled path is gated where it is large enough to measure:

@@ -242,8 +242,8 @@ def _cmd_why(args) -> str:
 def _cmd_fairness(args) -> str:
     """Per-account shares against fair-share targets, with Jain's index.
 
-    Plus per-account wait/slowdown/stretch distributions from the windowed
-    P² sketches.
+    Plus per-account wait/slowdown/stretch distributions with exact
+    percentiles from the windowed aggregates.
     """
     from repro.obs.console import render_fairness_table, render_group_table
 

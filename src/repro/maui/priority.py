@@ -8,6 +8,7 @@ provided for sites that weight historical usage, and for the SLURM-style
 baseline which prioritises dynamic requests through *static* fairshare
 (paper Section V).
 
+Usage accrues when a job's cores change, not per running job per pass.
 The fairshare decay roll is one vectorized multiply per interval instead
 of a per-user Python loop; per-user values are independent factor chains, so
 elementwise decay reproduces the scalar results exactly.
@@ -16,6 +17,8 @@ elementwise decay reproduces the scalar results exactly.
 from __future__ import annotations
 
 from bisect import bisect_left
+from types import SimpleNamespace
+from typing import Callable
 
 import numpy as np
 
@@ -31,12 +34,23 @@ PriorityWeights = PriorityWeightsConfig
 class FairshareTracker:
     """Decayed per-user historical usage in core-seconds.
 
-    Usage is accrued continuously by the scheduler's statistics update and
-    decays by ``fairshare_decay`` every ``fairshare_interval`` — Maui's
-    sliding-window fairshare in its simplest faithful form.
+    Usage is the integral of the cores a user holds over time, and decays
+    by ``fairshare_decay`` every ``fairshare_interval`` — Maui's
+    sliding-window fairshare in its simplest faithful form.  The server
+    reports every change of a job's cores through :meth:`hold`, which folds
+    the user's held cores into usage up to ``clock.now``; reads add the
+    unfolded tail since then, so usage costs O(1) per core change, not a
+    walk over the running jobs per scheduling pass.  ``clock`` is anything
+    with a ``now`` attribute, the simulation engine in a run.
     """
 
-    def __init__(self, interval: float, decay: float, start_time: float = 0.0) -> None:
+    def __init__(
+        self,
+        interval: float,
+        decay: float,
+        start_time: float = 0.0,
+        clock=None,
+    ) -> None:
         if interval <= 0:
             raise ValueError("fairshare interval must be positive")
         if not 0.0 <= decay <= 1.0:
@@ -44,18 +58,49 @@ class FairshareTracker:
         self.interval = interval
         self.decay = decay
         self.window_start = float(start_time)
+        self._clock = clock if clock is not None else SimpleNamespace(now=start_time)
         self._usage: dict[str, float] = {}
+        #: user -> cores held now, and the time they were last folded
+        self._held: dict[str, int] = {}
+        self._since: dict[str, float] = {}
+        #: told ``(job, core-seconds)`` at every fold :meth:`hold` makes
+        #: (the fairness observatory's feed); a no-op by default
+        self.feed: Callable[[Job, float], None] = lambda job, used: None
 
     def add_usage(self, user: str, core_seconds: float) -> None:
         if core_seconds < 0:
             raise ValueError("usage cannot be negative")
         self._usage[user] = self._usage.get(user, 0.0) + core_seconds
 
+    def hold(self, job: Job, cores: int) -> None:
+        """``job``'s allocation changed by ``cores`` (negative: released).
+
+        Its user's held cores are folded into usage up to ``clock.now``
+        first, so each held core is charged once, from the change that
+        took it to the change that gave it back.
+        """
+        user = job.user
+        now = self._clock.now
+        held = self._held.get(user, 0)
+        used = 0.0
+        if held:
+            used = held * (now - self._since[user])
+            self._usage[user] = self._usage.get(user, 0.0) + used
+        self.feed(job, used)
+        held += cores
+        if held:
+            self._held[user] = held
+            self._since[user] = now
+        else:
+            del self._held[user], self._since[user]
+
     def roll(self, now: float) -> None:
         """Roll accounting windows past ``now``, decaying every user once
         per window.
 
-        One elementwise multiply per window replaces the per-user loop.
+        Held cores are folded up to ``now`` first, so the decay applies to
+        everything used before ``now``.  One elementwise multiply per
+        window replaces the per-user loop.
         Users are dropped once their usage decays below 1e-9; since decay
         is ≤ 1, a value below the floor can never rise back above it, so
         filtering once at the end selects exactly the users the per-step
@@ -65,6 +110,11 @@ class FairshareTracker:
         interval = self.interval
         if now < self.window_start + interval:
             return
+        for user, held in self._held.items():
+            self._usage[user] = self._usage.get(user, 0.0) + held * (
+                now - self._since[user]
+            )
+            self._since[user] = now
         usage = self._usage
         if not usage:
             while now >= self.window_start + interval:
@@ -82,16 +132,24 @@ class FairshareTracker:
         }
 
     def usage(self, user: str) -> float:
-        return self._usage.get(user, 0.0)
+        """Decayed usage up to ``clock.now``, held cores included."""
+        value = self._usage.get(user, 0.0)
+        held = self._held.get(user)
+        if held:
+            value += held * (self._clock.now - self._since[user])
+        return value
 
     @property
     def total_usage(self) -> float:
-        return sum(self._usage.values())
+        now = self._clock.now
+        return sum(self._usage.values()) + sum(
+            held * (now - self._since[user]) for user, held in self._held.items()
+        )
 
     def normalized_usage(self, user: str) -> float:
         """This user's share of all tracked usage, in [0, 1]."""
         total = self.total_usage
-        return self._usage.get(user, 0.0) / total if total > 0 else 0.0
+        return self.usage(user) / total if total > 0 else 0.0
 
 
 class Prioritizer:

@@ -4,7 +4,8 @@ One :class:`MauiScheduler` instance attaches to a server and runs a
 scheduling iteration whenever job or resource state changes (Maui wake-up
 condition (i)), optionally also on a periodic timer.  Each iteration:
 
-1. updates statistics (fairshare usage accrual, DFS interval roll-over);
+1. updates statistics (fairshare and DFS interval roll-over; usage itself
+   accrues whenever a job's cores change);
 2. selects and prioritises eligible static jobs and — separately, in FIFO
    order — eligible dynamic requests;
 3. for every dynamic request: tries to allocate idle resources (dynamic
@@ -73,11 +74,11 @@ class MauiScheduler:
             self.config.weights.fairshare_interval,
             self.config.weights.fairshare_decay,
             start_time=engine.now,
+            clock=engine,
         )
         self.prioritizer = Prioritizer(self.config.weights, self.fairshare)
         self.dfs = DFSLedger(self.config.dfs, start_time=engine.now)
         self._wake_pending = False
-        self._last_stats_time = engine.now
         #: cumulative counters for reports and tests
         self.stats = {
             "iterations": 0,
@@ -107,8 +108,9 @@ class MauiScheduler:
         #: optional :class:`repro.obs.perf.PhaseProfiler`; same discipline —
         #: every phase hook on the disabled path is one is-None check
         self._prof = None
-        #: optional :class:`repro.obs.fairness.FairnessObservatory`; fed
-        #: from the statistics update — same single-is-None hook discipline
+        #: optional :class:`repro.obs.fairness.FairnessObservatory`; sampled
+        #: by the statistics update (its feed is the fairshare tracker's
+        #: folds) — same single-is-None hook discipline
         self._fair = None
         if self.telemetry is not None:
             # what the scheduler counts is read out of ``stats`` and
@@ -180,6 +182,7 @@ class MauiScheduler:
             )
         server.on_state_change = self.request_iteration
         server.on_node_event = self.handle_node_event
+        server.on_cores = self.fairshare.hold
         if self.config.timer_interval is not None:
             self.engine.after(self.config.timer_interval, self._timer_tick)
         for reservation in self.config.admin_reservations:
@@ -240,7 +243,7 @@ class MauiScheduler:
         if not force and self._quiescent():
             # Nothing a full pass could act on has changed: same job and
             # cluster state, no pending dynamic requests.  Statistics still
-            # accrue (so fairshare sums and DFS interval rolls are
+            # roll (so fairshare decay and DFS interval rolls are
             # bit-identical to unconditional iteration), but profile
             # construction, prioritisation, planning and backfill are all
             # skipped — unless an accounting window rolls right now, which
@@ -482,42 +485,20 @@ class MauiScheduler:
         self.request_iteration(force=True)
 
     def _update_statistics(self, now: float) -> None:
-        """Maui iteration step 4: accrue usage, roll accounting windows."""
+        """Maui iteration step 4: roll accounting windows, sample fairness."""
         timed(self._prof, "fairshare_update", self._accrue_usage, now, sim_time=now)
 
     def _accrue_usage(self, now: float) -> None:
-        """Charge every job its usage since the previous accrual.
+        """Roll the fairshare and DFS windows past ``now``.
 
-        Usage is accrued per job over its overlap with the window since the
-        previous iteration — including jobs that finished *within* the
-        window, whose final segment would otherwise never be charged.  The
-        core count used is the job's latest allocation width (expansions are
-        charged at full width from the window start; a second-order
-        approximation that errs against the expanding user).
+        Usage itself was folded by the tracker at every change of a job's
+        cores (:meth:`FairshareTracker.hold`); a read here sees it up to
+        ``now``.  The drain lets fold-and-discard drop the jobs that
+        finished since the previous pass.
         """
-        fair = self._fair
-        last = self._last_stats_time
-        if now > last:
-            # Only running jobs plus those that finished since the previous
-            # accrual window can overlap [last, now] — O(active) instead of
-            # O(all jobs ever submitted).  Sorting by submission order keeps
-            # the per-user floating-point sums bit-identical to the historic
-            # full scan (which walked the submission-ordered job dict).
-            chargeable = self.server.active_jobs()
-            chargeable += self.server.drain_finished_for_stats()
-            chargeable.sort(key=lambda j: j.seq)
-            for job in chargeable:
-                if job.start_time is None or job.allocation is None:
-                    continue
-                seg_start = max(last, job.start_time)
-                seg_end = now if job.end_time is None else min(now, job.end_time)
-                if seg_end > seg_start:
-                    used = job.allocation.total_cores * (seg_end - seg_start)
-                    self.fairshare.add_usage(job.user, used)
-                    if fair is not None:
-                        fair.accrue(job, used)
-        self._last_stats_time = now
+        self.server.drain_finished_for_stats()
         self.fairshare.roll(now)
+        fair = self._fair
         if fair is not None:
             fair.sample(now, self.fairshare)
         if self.dfs.roll(now):

@@ -13,7 +13,7 @@ package makes those observations *live* instead of post-mortem:
   the cost of serving each dynamic request (live Fig. 12 data;
   ``Telemetry(profiling=True)``);
 * :class:`~repro.obs.windows.WindowedMetrics` — bounded-memory streaming
-  aggregates over time windows with P² percentile sketches
+  aggregates over time windows with exact percentiles
   (``Telemetry(windows=...)``);
 * :class:`~repro.obs.fairness.FairnessObservatory` — per-account share
   trajectories, Jain's index and share-error tracking fed by the
@@ -45,7 +45,7 @@ from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.sampler import PeriodicSampler
 from repro.obs.slo import SLObjective, SLOEngine, parse_slo
 from repro.obs.telemetry import DEFAULT_SAMPLE_INTERVAL, Telemetry
-from repro.obs.windows import GroupStats, P2Quantile, WindowedMetrics
+from repro.obs.windows import GroupStats, WindowedMetrics
 
 __all__ = [
     "Counter",
@@ -57,7 +57,6 @@ __all__ = [
     "GroupStats",
     "Histogram",
     "MetricsRegistry",
-    "P2Quantile",
     "PeriodicSampler",
     "PhaseProfiler",
     "SLOEngine",

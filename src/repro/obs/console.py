@@ -272,7 +272,7 @@ def render_window_table(
 def render_window_percentiles(totals: Mapping) -> str:
     """Whole-run percentile rows from a windows dump's ``totals`` record."""
     lines = [
-        "whole-run streaming aggregates (P² sketches):",
+        "whole-run streaming aggregates (exact percentiles):",
         f"  {'metric':<18} {'mean':>10} {'p50':>10} {'p90':>10} {'p99':>10}",
     ]
     for key, label in (("wait", "wait[s]"), ("bounded_slowdown", "bounded slowdown")):
@@ -325,7 +325,7 @@ def render_fairness_table(
 def render_group_table(
     groups: Sequence[Mapping],
     *,
-    title: str = "per-account distributions (P² sketches)",
+    title: str = "per-account distributions (exact percentiles)",
 ) -> str:
     """One row per group: wait/slowdown/stretch means and percentiles."""
     lines = [

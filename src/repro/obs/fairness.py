@@ -12,7 +12,7 @@ per-account share-usage time series, and deriving from them:
 * **max share error**: the worst ``|actual share - target share|``
   across accounts at each sample;
 * exact (undecayed) per-account **used core-seconds**, accrued from the
-  same usage segments the scheduler charges into the fairshare tracker.
+  fairshare tracker's folds (one per change of a job's cores).
 
 Jobs are keyed by :func:`principal_of`: the job's account unless it is
 the ``"default"`` placeholder, else its user — the standard
@@ -71,12 +71,13 @@ def jain_index(values) -> float:
 
 
 class FairnessObservatory:
-    """Per-account share tracking fed by the scheduler's fairshare hook.
+    """Per-account share tracking fed by the scheduler's fairshare tracker.
 
-    The scheduler calls :meth:`accrue` for every usage segment it charges
-    into the fairshare tracker (exact core-seconds, no decay) and
-    :meth:`sample` after each tracker roll; sampling is gated by
-    ``sample_interval`` in sim-time so hot statistics updates stay cheap.
+    The tracker calls :meth:`accrue` at every fold it makes — one per
+    change of a job's cores (exact core-seconds, no decay) — and the
+    scheduler calls :meth:`sample` after each tracker roll; sampling is
+    gated by ``sample_interval`` in sim-time so hot statistics updates
+    stay cheap.
     """
 
     def __init__(
@@ -142,7 +143,9 @@ class FairnessObservatory:
     # scheduler feed
     # ------------------------------------------------------------------
     def accrue(self, job, core_seconds: float) -> None:
-        """A usage segment was charged into the fairshare tracker."""
+        """The tracker folded ``core_seconds`` of ``job``'s user (0.0 when
+        the user held no cores; its first start is where its principal is
+        learned)."""
         principal = self._principals.get(job.user)
         if principal is None:
             principal = self._principals[job.user] = principal_of(job)
@@ -173,7 +176,9 @@ class FairnessObservatory:
         return {p: w / total for p, w in weights.items()}
 
     def compute(self, tracker) -> dict[str, float] | None:
-        """Decayed usage share per principal from the fairshare tracker."""
+        """Decayed usage share per principal from the fairshare tracker;
+        None until some usage has accrued (a principal is learned at its
+        first start, before it has used anything)."""
         if not self._principals:
             return None
         users, principals = self._sorted()
@@ -184,7 +189,7 @@ class FairnessObservatory:
         total = sum(usage.values())
         if total > 0:
             return {p: usage[p] / total for p in principals}
-        return {p: 0.0 for p in principals}
+        return None
 
     def sample(self, now: float, tracker, *, force: bool = False) -> bool:
         """Take a share sample at sim-time ``now`` (interval-gated)."""

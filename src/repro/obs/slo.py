@@ -18,9 +18,9 @@ same causal chain that explains a wait.
 Metric vocabulary (per closed window):
 
 ========================= ====================================================
-``pNN_wait``              P² wait quantile (NN must be a configured quantile)
+``pNN_wait``              exact wait quantile (NN must be a configured quantile)
 ``mean_wait``/``max_wait`` streaming wait stats [s]
-``pNN_slowdown``          P² bounded-slowdown quantile
+``pNN_slowdown``          exact bounded-slowdown quantile
 ``mean_slowdown``         mean bounded slowdown
 ``utilization``           busy core-seconds over installed capacity
 ``mean_queue_depth``      time-weighted queue depth
@@ -192,7 +192,7 @@ class SLOEngine:
                 configured = ", ".join(f"{q:g}" for q in windows.quantiles)
                 raise ValueError(
                     f"SLO {obj.text!r} needs quantile {obj.quantile:g} but the "
-                    f"windows only sketch: {configured}"
+                    f"windows only compute: {configured}"
                 )
         self._windows = windows
         windows.on_frame_close = self._on_frame_close
@@ -208,12 +208,8 @@ class SLOEngine:
         """The objective's metric for one frame; None when no signal."""
         metric = obj.metric
         if obj.quantile is not None:
-            sketches = (
-                frame.wait_sketches
-                if metric.endswith("_wait")
-                else frame.slowdown_sketches
-            )
-            value = sketches[obj.quantile].value
+            sample = frame.wait if metric.endswith("_wait") else frame.slowdown
+            value = sample.quantiles(frame.quantiles)[obj.quantile]
             return None if math.isnan(value) else value
         if metric == "mean_wait":
             return frame.wait.mean if frame.wait.count else None

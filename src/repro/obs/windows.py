@@ -9,127 +9,42 @@ moment it finishes and never looks at it again:
 * **tumbling or sliding windows** over simulation time for utilization,
   waiting time, bounded slowdown and queue depth (``stride == width``
   gives tumbling windows; ``stride < width`` overlapping sliding ones);
-* **P² streaming quantile sketches** (Jain & Chlamtac, CACM 1985) for
-  percentiles without retaining samples — five markers per quantile;
+* **exact percentiles**: waits, slowdowns and stretches are kept as
+  8-byte floats in an ``array('d')``; a frame computes its quantiles once
+  when it closes and drops its values, whole-run and per-group
+  quantiles are computed at export;
 * whole-run running totals designed to agree with the retained-job
   :class:`~repro.metrics.collector.WorkloadMetrics` to 1e-9 on workloads
   where every job completes (verified on Table II in the test suite).
 
 With ``Server.attach_windows(..., fold_and_discard=True)`` the server
-additionally drops each folded job from its ``jobs`` index once the
-scheduler has accrued its final fairshare segment, so a replay holds
-O(windows) memory instead of O(jobs).
+additionally drops each folded job from its ``jobs`` index after the
+scheduler pass that saw it finish, so a replay retains no ``Job`` object:
+what grows with the trace is two floats per job for the whole-run
+quantiles.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from array import array
 from typing import IO, Callable
 
-__all__ = ["P2Quantile", "StreamingStat", "WindowFrame", "GroupStats",
+__all__ = ["StreamingStat", "Sample", "WindowFrame", "GroupStats",
            "WindowedMetrics", "read_windows_jsonl"]
 
 
-class P2Quantile:
-    """P² single-quantile estimator: O(1) memory, no retained samples.
-
-    Maintains five markers whose heights approximate the ``p`` quantile;
-    below five observations the exact value is interpolated from the
-    buffered samples, so small streams are exact.
-    """
-
-    __slots__ = ("p", "_buf", "_q", "_n", "_np", "_dn")
-
-    def __init__(self, p: float) -> None:
-        if not 0.0 < p < 1.0:
-            raise ValueError(f"quantile must be in (0, 1): {p}")
-        self.p = float(p)
-        self._buf: list[float] | None = []
-        self._q: list[float] = []
-        self._n: list[float] = []
-        self._np: list[float] = []
-        self._dn: list[float] = []
-
-    @property
-    def count(self) -> int:
-        if self._buf is not None:
-            return len(self._buf)
-        return int(self._n[4]) + 1
-
-    def observe(self, x: float) -> None:
-        x = float(x)
-        buf = self._buf
-        if buf is not None:
-            buf.append(x)
-            if len(buf) == 5:
-                buf.sort()
-                p = self.p
-                self._q = buf
-                self._n = [0.0, 1.0, 2.0, 3.0, 4.0]
-                self._np = [0.0, 2.0 * p, 4.0 * p, 2.0 + 2.0 * p, 4.0]
-                self._dn = [0.0, p / 2.0, p, (1.0 + p) / 2.0, 1.0]
-                self._buf = None
-            return
-        q, n, np_, dn = self._q, self._n, self._np, self._dn
-        if x < q[0]:
-            q[0] = x
-            k = 0
-        elif x >= q[4]:
-            if x > q[4]:
-                q[4] = x
-            k = 3
-        else:
-            k = 3
-            for i in range(1, 5):
-                if x < q[i]:
-                    k = i - 1
-                    break
-        for i in range(k + 1, 5):
-            n[i] += 1.0
-        for i in range(5):
-            np_[i] += dn[i]
-        for i in (1, 2, 3):
-            d = np_[i] - n[i]
-            if (d >= 1.0 and n[i + 1] - n[i] > 1.0) or (
-                d <= -1.0 and n[i - 1] - n[i] < -1.0
-            ):
-                sign = 1.0 if d >= 0.0 else -1.0
-                candidate = self._parabolic(i, sign)
-                if not q[i - 1] < candidate < q[i + 1]:
-                    candidate = self._linear(i, sign)
-                q[i] = candidate
-                n[i] += sign
-
-    def _parabolic(self, i: int, d: float) -> float:
-        q, n = self._q, self._n
-        return q[i] + d / (n[i + 1] - n[i - 1]) * (
-            (n[i] - n[i - 1] + d) * (q[i + 1] - q[i]) / (n[i + 1] - n[i])
-            + (n[i + 1] - n[i] - d) * (q[i] - q[i - 1]) / (n[i] - n[i - 1])
-        )
-
-    def _linear(self, i: int, d: float) -> float:
-        q, n = self._q, self._n
-        j = i + int(d)
-        return q[i] + d * (q[j] - q[i]) / (n[j] - n[i])
-
-    @property
-    def value(self) -> float:
-        """Current quantile estimate (NaN before any observation)."""
-        if self._buf is not None:
-            buf = sorted(self._buf)
-            if not buf:
-                return math.nan
-            if len(buf) == 1:
-                return buf[0]
-            h = (len(buf) - 1) * self.p
-            lo = int(h)
-            hi = min(lo + 1, len(buf) - 1)
-            return buf[lo] + (h - lo) * (buf[hi] - buf[lo])
-        return self._q[2]
-
-    def __repr__(self) -> str:
-        return f"<P2Quantile p={self.p} n={self.count} value={self.value:.4g}>"
+def _at(xs: list[float], p: float) -> float:
+    """The ``p`` quantile of sorted ``xs``: linear between the two values
+    around rank ``(n - 1) * p`` (numpy's ``"linear"`` method); NaN when
+    empty."""
+    if not xs:
+        return math.nan
+    h = (len(xs) - 1) * p
+    lo = int(h)
+    hi = min(lo + 1, len(xs) - 1)
+    return xs[lo] + (h - lo) * (xs[hi] - xs[lo])
 
 
 class StreamingStat:
@@ -162,13 +77,50 @@ class StreamingStat:
                 "min": self.min, "max": self.max}
 
 
+class Sample(StreamingStat):
+    """A :class:`StreamingStat` that keeps its values for exact quantiles.
+
+    :meth:`freeze` computes the quantiles once and drops the values, so a
+    closed window holds three floats, not its jobs' values.
+    """
+
+    __slots__ = ("values", "frozen")
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.values = array("d")
+        #: quantile -> value, set by :meth:`freeze`
+        self.frozen: dict[float, float] | None = None
+
+    def add(self, x: float) -> None:
+        super().add(x)
+        self.values.append(x)
+
+    def quantiles(self, ps) -> dict[float, float]:
+        """Exact quantile per ``p`` in ``ps`` (NaN when empty); once
+        frozen, the quantiles computed then."""
+        if self.frozen is not None:
+            return self.frozen
+        xs = sorted(self.values)
+        return {p: _at(xs, p) for p in ps}
+
+    def freeze(self, ps) -> None:
+        self.frozen = self.quantiles(ps)
+        self.values = array("d")
+
+    def as_dict(self, ps=()) -> dict[str, float]:
+        out = super().as_dict()
+        for p, v in self.quantiles(ps).items():
+            out[f"p{round(p * 100):02d}"] = None if math.isnan(v) else v
+        return out
+
+
 class WindowFrame:
     """Aggregates for one time window ``[start, end)``."""
 
     __slots__ = (
-        "index", "start", "end", "finished", "completed",
-        "wait", "slowdown", "wait_sketches", "slowdown_sketches",
-        "busy_core_seconds", "depth_integral", "depth_max",
+        "index", "start", "end", "quantiles", "finished", "completed",
+        "wait", "slowdown", "busy_core_seconds", "depth_integral", "depth_max",
         "worst_wait", "worst_wait_job", "worst_wait_user", "worst_wait_submit",
     )
 
@@ -177,12 +129,11 @@ class WindowFrame:
         self.index = index
         self.start = start
         self.end = end
+        self.quantiles = quantiles
         self.finished = 0
         self.completed = 0
-        self.wait = StreamingStat()
-        self.slowdown = StreamingStat()
-        self.wait_sketches = {q: P2Quantile(q) for q in quantiles}
-        self.slowdown_sketches = {q: P2Quantile(q) for q in quantiles}
+        self.wait = Sample()
+        self.slowdown = Sample()
         self.busy_core_seconds = 0.0
         self.depth_integral = 0.0
         self.depth_max = 0
@@ -196,6 +147,11 @@ class WindowFrame:
         self.worst_wait_user: str | None = None
         self.worst_wait_submit: float | None = None
 
+    def close(self) -> None:
+        """The window is over: compute its quantiles, drop its values."""
+        self.wait.freeze(self.quantiles)
+        self.slowdown.freeze(self.quantiles)
+
     def to_dict(self, total_cores: int | None) -> dict:
         width = self.end - self.start
         out = {
@@ -205,52 +161,39 @@ class WindowFrame:
             "end": self.end,
             "finished": self.finished,
             "completed": self.completed,
-            "wait": self.wait.as_dict(),
-            "bounded_slowdown": self.slowdown.as_dict(),
+            "wait": self.wait.as_dict(self.quantiles),
+            "bounded_slowdown": self.slowdown.as_dict(self.quantiles),
             "busy_core_seconds": self.busy_core_seconds,
             "queue_depth": {
                 "time_mean": self.depth_integral / width if width else 0.0,
                 "max": self.depth_max,
             },
         }
-        out["wait"].update(_sketch_values(self.wait_sketches))
-        out["bounded_slowdown"].update(_sketch_values(self.slowdown_sketches))
         if total_cores:
             out["utilization"] = self.busy_core_seconds / (total_cores * width)
         return out
-
-
-def _sketch_values(sketches: dict[float, P2Quantile]) -> dict[str, float]:
-    out = {}
-    for q, sketch in sketches.items():
-        v = sketch.value
-        out[f"p{round(q * 100):02d}"] = None if math.isnan(v) else v
-    return out
 
 
 class GroupStats:
     """Whole-run per-group (account) aggregates: the fairness dimension.
 
     One instance per group key (account, falling back to user — see
-    :func:`repro.obs.fairness.principal_of`), holding streaming wait,
-    bounded-slowdown and stretch statistics with P² percentile sketches.
-    Memory is O(groups), never O(jobs) — the fold-and-discard contract
-    extends to the group dimension unchanged.
+    :func:`repro.obs.fairness.principal_of`), holding wait,
+    bounded-slowdown and stretch samples with exact percentiles.
+    Memory is O(groups) plus three floats per job, never a ``Job``.
     """
 
-    __slots__ = ("key", "jobs", "completed", "wait", "slowdown", "stretch",
-                 "wait_sketches", "slowdown_sketches", "stretch_sketches")
+    __slots__ = ("key", "quantiles", "jobs", "completed", "wait", "slowdown",
+                 "stretch")
 
     def __init__(self, key: str, quantiles: tuple[float, ...]) -> None:
         self.key = key
+        self.quantiles = quantiles
         self.jobs = 0
         self.completed = 0
-        self.wait = StreamingStat()
-        self.slowdown = StreamingStat()
-        self.stretch = StreamingStat()
-        self.wait_sketches = {q: P2Quantile(q) for q in quantiles}
-        self.slowdown_sketches = {q: P2Quantile(q) for q in quantiles}
-        self.stretch_sketches = {q: P2Quantile(q) for q in quantiles}
+        self.wait = Sample()
+        self.slowdown = Sample()
+        self.stretch = Sample()
 
     def fold(self, wait: float, slowdown: float, stretch: float,
              completed: bool) -> None:
@@ -260,27 +203,17 @@ class GroupStats:
         self.wait.add(wait)
         self.slowdown.add(slowdown)
         self.stretch.add(stretch)
-        for sketch in self.wait_sketches.values():
-            sketch.observe(wait)
-        for sketch in self.slowdown_sketches.values():
-            sketch.observe(slowdown)
-        for sketch in self.stretch_sketches.values():
-            sketch.observe(stretch)
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "kind": "group",
             "key": self.key,
             "jobs": self.jobs,
             "completed": self.completed,
-            "wait": self.wait.as_dict(),
-            "bounded_slowdown": self.slowdown.as_dict(),
-            "stretch": self.stretch.as_dict(),
+            "wait": self.wait.as_dict(self.quantiles),
+            "bounded_slowdown": self.slowdown.as_dict(self.quantiles),
+            "stretch": self.stretch.as_dict(self.quantiles),
         }
-        out["wait"].update(_sketch_values(self.wait_sketches))
-        out["bounded_slowdown"].update(_sketch_values(self.slowdown_sketches))
-        out["stretch"].update(_sketch_values(self.stretch_sketches))
-        return out
 
 
 class WindowedMetrics:
@@ -315,6 +248,9 @@ class WindowedMetrics:
         self.total_cores = total_cores
         self.slowdown_tau = float(slowdown_tau)
         self.quantiles = tuple(sorted(set(float(q) for q in quantiles)))
+        for q in self.quantiles:
+            if not 0.0 < q < 1.0:
+                raise ValueError(f"quantile must be in (0, 1): {q}")
         #: the group-by-account dimension: a job attribute name or a
         #: callable ``job -> key``; None keeps folding ungrouped
         self._group_key: Callable | None = None
@@ -328,6 +264,8 @@ class WindowedMetrics:
         #: open frames keyed by window index (window k spans
         #: ``[k*stride, k*stride + width)``)
         self._open: dict[int, WindowFrame] = {}
+        #: the earliest end among open frames: nothing closes before it
+        self._next_end = math.inf
         self.closed: list[WindowFrame] = []
         self._frontier = 0.0
         # whole-run totals -------------------------------------------------
@@ -337,18 +275,17 @@ class WindowedMetrics:
         self.satisfied_dyn_jobs = 0
         self.first_submit = math.inf
         self.last_end = -math.inf
-        self.wait = StreamingStat()
-        self.slowdown = StreamingStat()
+        self.wait = Sample()
+        self.slowdown = Sample()
         self.turnaround = StreamingStat()
-        self.wait_sketches = {q: P2Quantile(q) for q in self.quantiles}
-        self.slowdown_sketches = {q: P2Quantile(q) for q in self.quantiles}
         # busy-core integral (mirrors Telemetry's, fed from the same hook)
         self._busy_t = 0.0
         self._busy_val = 0
         self.busy_core_seconds = 0.0
-        # queue-depth integral
+        # queue-depth integral; ``depth`` is the depth in force since
+        # ``_depth_t`` (the server reports changes only)
         self._depth_t = 0.0
-        self._depth_val = 0
+        self.depth = 0
         self.depth_integral = 0.0
         self.depth_max = 0
 
@@ -371,28 +308,47 @@ class WindowedMetrics:
     # ------------------------------------------------------------------
     # window bookkeeping
     # ------------------------------------------------------------------
+    def _frame(self, k: int) -> WindowFrame:
+        """Open frame ``k``, materialised on first use.
+
+        A new frame's peak depth starts at the depth in force when it
+        opened: any earlier depth it overlaps already materialised it.
+        """
+        frame = self._open.get(k)
+        if frame is None:
+            start = k * self.stride
+            frame = self._open[k] = WindowFrame(
+                k, start, start + self.width, self.quantiles
+            )
+            if self._depth_t <= start:
+                frame.depth_max = self.depth
+            if frame.end < self._next_end:
+                self._next_end = frame.end
+        return frame
+
     def _frames_covering(self, t: float) -> list[WindowFrame]:
         """Open frames whose span contains ``t`` (materialising them)."""
         stride, width = self.stride, self.width
+        if stride == width:  # tumbling: exactly one
+            return [self._frame(int(t // stride))]
         k_max = int(t // stride)
         k_min = max(0, int(math.floor((t - width) / stride)) + 1)
-        frames = []
-        for k in range(k_min, k_max + 1):
-            start = k * stride
-            if not start <= t < start + width:
-                continue
-            frame = self._open.get(k)
-            if frame is None:
-                frame = WindowFrame(k, start, start + width, self.quantiles)
-                self._open[k] = frame
-            frames.append(frame)
-        return frames
+        return [
+            self._frame(k)
+            for k in range(k_min, k_max + 1)
+            if k * stride <= t < k * stride + width
+        ]
 
     def _accrue_span(self, t0: float, t1: float, attr: str, value: float) -> None:
         """Distribute ``value * dt`` of integral over windows in [t0, t1)."""
         if value == 0.0 or t1 <= t0:
             return
         stride, width = self.stride, self.width
+        k = int(t0 // stride)
+        if stride == width and t1 <= (k + 1) * stride:  # inside one tumbling frame
+            frame = self._frame(k)
+            setattr(frame, attr, getattr(frame, attr) + value * (t1 - t0))
+            return
         k_min = max(0, int(math.floor((t0 - width) / stride)) + 1)
         k_max = int(t1 // stride)
         for k in range(k_min, k_max + 1):
@@ -400,33 +356,35 @@ class WindowedMetrics:
             overlap = min(t1, start + width) - max(t0, start)
             if overlap <= 0:
                 continue
-            frame = self._open.get(k)
-            if frame is None:
-                frame = WindowFrame(k, start, start + width, self.quantiles)
-                self._open[k] = frame
+            frame = self._frame(k)
             setattr(frame, attr, getattr(frame, attr) + value * overlap)
 
     def _advance(self, t: float) -> None:
         """Move the frontier to ``t``, closing frames safely behind it.
 
-        A frame only closes once *every* lagging integral feed has passed
-        its end — the busy/depth integrals accrue spans reaching back to
-        their last change, and closing early would let a later span
-        re-materialise a duplicate frame for the same window index.
+        A frame only closes once the busy integral has passed its end —
+        it accrues spans reaching back to its last change, and closing
+        early would let a later span re-materialise a duplicate frame for
+        the same window index.  The depth in force is accrued up to the
+        same point first: it holds until the server reports a change.
         """
         if t > self._frontier:
             self._frontier = t
-        if not self._open:
+        safe = min(self._frontier, self._busy_t)
+        if safe < self._next_end:
             return
-        safe = min(self._frontier, self._busy_t, self._depth_t)
-        done = [k for k, frame in self._open.items() if frame.end <= safe]
-        if done:
-            cb = self.on_frame_close
-            for k in sorted(done):
-                frame = self._open.pop(k)
-                self.closed.append(frame)
-                if cb is not None:
-                    cb(frame, self._frontier)
+        self._depth_to(safe)  # may open frames, which may close too
+        done = sorted(k for k, frame in self._open.items() if frame.end <= safe)
+        closing = [self._open.pop(k) for k in done]
+        self._next_end = min(
+            (frame.end for frame in self._open.values()), default=math.inf
+        )
+        cb = self.on_frame_close
+        for frame in closing:
+            frame.close()
+            self.closed.append(frame)
+            if cb is not None:
+                cb(frame, self._frontier)
 
     # ------------------------------------------------------------------
     # feeds
@@ -445,12 +403,17 @@ class WindowedMetrics:
         self._busy_val = busy
         self._advance(now)
 
+    def _depth_to(self, t: float) -> None:
+        """Accrue the depth in force over ``[_depth_t, t)``."""
+        if t > self._depth_t:
+            self.depth_integral += self.depth * (t - self._depth_t)
+            self._accrue_span(self._depth_t, t, "depth_integral", self.depth)
+            self._depth_t = t
+
     def observe_queue_depth(self, now: float, depth: int) -> None:
-        """Queue depth changed at sim-time ``now`` (time-weighted)."""
-        self.depth_integral += self._depth_val * (now - self._depth_t)
-        self._accrue_span(self._depth_t, now, "depth_integral", self._depth_val)
-        self._depth_t = now
-        self._depth_val = depth
+        """Queue depth changed to ``depth`` at sim-time ``now``."""
+        self._depth_to(now)
+        self.depth = depth
         if depth > self.depth_max:
             self.depth_max = depth
         if depth > 0:
@@ -495,20 +458,12 @@ class WindowedMetrics:
         wait = start - submit
         self.wait.add(wait)
         self.turnaround.add(end - submit)
-        for sketch in self.wait_sketches.values():
-            sketch.observe(wait)
         run = end - start
         slowdown = max(1.0, (wait + run) / max(run, self.slowdown_tau))
         self.slowdown.add(slowdown)
-        for sketch in self.slowdown_sketches.values():
-            sketch.observe(slowdown)
         for frame in frames:
             frame.wait.add(wait)
             frame.slowdown.add(slowdown)
-            for sketch in frame.wait_sketches.values():
-                sketch.observe(wait)
-            for sketch in frame.slowdown_sketches.values():
-                sketch.observe(slowdown)
             if wait > frame.worst_wait:
                 frame.worst_wait = wait
                 frame.worst_wait_job = job.job_id
@@ -572,14 +527,12 @@ class WindowedMetrics:
             "satisfied_dyn_jobs": self.satisfied_dyn_jobs,
             "first_submit": None if math.isinf(self.first_submit) else self.first_submit,
             "last_end": None if math.isinf(self.last_end) else self.last_end,
-            "wait": self.wait.as_dict(),
-            "bounded_slowdown": self.slowdown.as_dict(),
+            "wait": self.wait.as_dict(self.quantiles),
+            "bounded_slowdown": self.slowdown.as_dict(self.quantiles),
             "turnaround": self.turnaround.as_dict(),
             "busy_core_seconds": self.busy_core_seconds,
             "queue_depth": {"max": self.depth_max},
         }
-        out["wait"].update(_sketch_values(self.wait_sketches))
-        out["bounded_slowdown"].update(_sketch_values(self.slowdown_sketches))
         if self.total_cores and self.jobs_finished:
             out["utilization"] = self.utilization
         return out

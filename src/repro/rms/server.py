@@ -94,12 +94,12 @@ class Server:
         mirror_server(telemetry, self)
         #: the TM context of every job holding resources — the scheduler's
         #: working set.  ``jobs`` grows without bound over a run; every
-        #: hot-path consumer (statistics accrual, profile construction,
-        #: preemption planning) reads this index instead of scanning history.
+        #: hot-path consumer (profile construction, preemption planning)
+        #: reads this index instead of scanning history.
         self._contexts: dict[str, TMContext] = {}
-        #: jobs that finished since the scheduler last accrued usage; the
-        #: statistics update drains this so final run segments are charged
-        #: exactly once without re-scanning all finished jobs
+        #: jobs that finished since the scheduler's last pass; its
+        #: statistics update drains this, which is when fold-and-discard
+        #: drops them
         self._finished_unaccounted: list[Job] = []
         #: monotone counter bumped on every state change; the scheduler's
         #: quiescence check and the active-jobs cache key on it
@@ -123,6 +123,10 @@ class Server:
         #: recovers — the scheduler re-plans reservations laid on the old
         #: node set (repro.faults drives these transitions)
         self.on_node_event: Callable[[int], None] | None = None
+        #: told ``(job, cores)`` at every change of a job's cores: start,
+        #: grant, release, merge and every exit (the scheduler's fairshare
+        #: tracker accrues usage there); a no-op by default
+        self.on_cores: Callable[[Job, int], None] = lambda job, cores: None
         #: optional transient-failure hooks (:mod:`repro.faults`); None
         #: keeps the grant-delivery path a single attribute-is-None check
         self._faults = None
@@ -151,9 +155,9 @@ class Server:
 
         Every finishing job is folded into ``windows`` at teardown; with
         ``fold_and_discard`` it is additionally dropped from the ``jobs``
-        index after :meth:`drain_finished_for_stats` hands it to the
-        scheduler, so long replays hold O(windows) memory instead of
-        O(jobs).  Note that retained-job reporting
+        index when the scheduler's next pass drains it
+        (:meth:`drain_finished_for_stats`), so long replays hold O(windows)
+        memory instead of O(jobs).  Note that retained-job reporting
         (:meth:`~repro.metrics.collector.WorkloadMetrics.from_server`)
         is unavailable once jobs have been discarded.
         """
@@ -183,7 +187,9 @@ class Server:
     def _notify(self) -> None:
         self.state_version += 1
         if self._windows is not None:
-            self._windows.observe_queue_depth(self.engine.now, len(self.queue))
+            depth = len(self.queue)
+            if depth != self._windows.depth:
+                self._windows.observe_queue_depth(self.engine.now, depth)
         if self.on_state_change is not None:
             self.on_state_change()
 
@@ -210,18 +216,12 @@ class Server:
     def drain_finished_for_stats(self) -> list[Job]:
         """Jobs finished since the last drain, in completion order.
 
-        Owned by the scheduler's statistics update: each finished job must
-        have its final ``[last stats time, end_time]`` segment charged once.
-        Preempted jobs are deliberately *not* listed — their ``start_time``
-        is reset on preemption, matching the historical accounting rule
-        that a preempted segment accrues no fairshare usage.
-
-        With fold-and-discard active, each drained job is dropped from the
-        server's indexes here — the returned list keeps the objects alive
-        exactly long enough for the caller's final fairshare accrual, after
-        which nothing references them and they are collectable.  Their
-        terminal state survives in a compact map so dependencies on them
-        still resolve.
+        Called by the scheduler's statistics update once per pass.  Its
+        one job is to let fold-and-discard drop the folded jobs after the
+        pass that saw them finish: each drained job leaves the server's
+        indexes here, and its terminal state survives in a compact map so
+        dependencies on it still resolve.  Usage is not charged here; it
+        accrued when the job's cores changed (``on_cores``).
         """
         drained = self._finished_unaccounted
         self._finished_unaccounted = []
@@ -313,6 +313,7 @@ class Server:
         job.start_time = self.engine.now
         job.allocation = allocation
         job.backfilled = backfilled
+        self.on_cores(job, allocation.total_cores)
         ms = self.moms.join(job, allocation)
         self.trace.record(
             self.engine.now,
@@ -429,6 +430,7 @@ class Server:
         self._contexts.pop(job.job_id)._cancel_all_timers()
         self.moms.exit(job)
         assert job.allocation is not None
+        self.on_cores(job, -job.allocation.total_cores)
         return job.allocation
 
     def _teardown(self, job: Job, op: str, kind: EventKind, **extra) -> None:
@@ -595,6 +597,7 @@ class Server:
         self.moms.dyn_join(job, allocation)
         assert job.allocation is not None
         job.allocation = job.allocation + allocation
+        self.on_cores(job, allocation.total_cores)
         job.dyn_granted += 1
         self.trace.record(
             self.engine.now,
@@ -704,6 +707,7 @@ class Server:
         self.moms.dyn_disjoin(job, released)
         assert job.allocation is not None
         job.allocation = job.allocation - released
+        self.on_cores(job, -released.total_cores)
         self.cluster.release(released)
         self.trace.record(
             self.engine.now,
@@ -780,6 +784,7 @@ class Server:
             self._windows.fold_job(stub)
         stub.allocation = None
         parent.allocation = parent.allocation + transferred
+        self.on_cores(parent, transferred.total_cores)
         parent.dyn_granted += 1
         # cores=0: the busy-core ledger already counts the transferred cores
         # from the stub's start event; the parent's end event releases them.
@@ -908,9 +913,8 @@ class Server:
             user=job.user,
             cores=released.total_cores,
         )
-        # not added to the finished-for-stats drain: preemption resets
-        # start_time, and the accounting rule has always been that the
-        # preempted segment accrues no fairshare usage
+        # not added to the finished-for-stats drain: the job is queued
+        # again, not finished; its usage up to now was folded by _leave
         job.allocation = None
         job.start_time = None
         job.backfilled = False

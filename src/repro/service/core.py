@@ -90,6 +90,9 @@ class PolicyCore:
             # so `why` can explain them through the causal chain
             telemetry.slo.attach_trace(self.trace, ledger=telemetry.ledger)
         self.scheduler = MauiScheduler(self.engine, self.cluster, self.server, config)
+        if telemetry is not None and telemetry.fairness is not None:
+            # the observatory's core-seconds are the fairshare tracker's folds
+            self.scheduler.fairshare.feed = telemetry.fairness.accrue
         #: optional :class:`repro.faults.FaultInjector`; built last so the
         #: failure trace replays against the fully wired stack.  A model
         #: that injects nothing leaves the run bit-identical to no model.

@@ -682,3 +682,68 @@ def test_esp_dyn_hp_schedule_and_counters_pinned(shards, monkeypatch):
     assert probes == pinned_probes
     assert scores == pinned_scores
     assert hashlib.sha256(repr(tuples).encode()).hexdigest() == digest
+
+
+#: ESP Dyn-HP, seed 2014, 15x8, one shard, windows attached: accounting
+#: costs what changed.  The fairshare tracker folds once per change of a
+#: job's cores (230 starts + 43 grants + 230 exits; no release) and the
+#: server reports the queue depth once per change of it (230 submits + 230
+#: starts), however many passes the scheduler runs.
+_PINNED_ESP_DYN_HP_ACCOUNTING = {"folds": 503, "depth_reports": 460}
+
+
+@pytest.mark.parametrize("skip", [True, False], ids=["skip", "always_iterate"])
+def test_esp_dyn_hp_accounting_counts_pinned(skip, monkeypatch):
+    import dataclasses
+
+    from repro.experiments.configs import all_configurations
+    from repro.maui.priority import FairshareTracker
+    from repro.obs import Telemetry
+    from repro.obs.windows import WindowedMetrics
+    from repro.sim.events import EventKind
+    from repro.system import BatchSystem
+    from repro.workloads.esp import make_esp_workload
+
+    counts = {"folds": 0, "depth_reports": 0}
+
+    def counting(name, original):
+        def wrapper(self, *args):
+            counts[name] += 1
+            return original(self, *args)
+        return wrapper
+
+    monkeypatch.setattr(
+        FairshareTracker, "hold", counting("folds", FairshareTracker.hold)
+    )
+    monkeypatch.setattr(
+        WindowedMetrics,
+        "observe_queue_depth",
+        counting("depth_reports", WindowedMetrics.observe_queue_depth),
+    )
+    config = next(c for c in all_configurations() if c.name == "Dyn-HP")
+    maui = dataclasses.replace(config.maui, scheduler_shards=1)
+    system = BatchSystem(
+        num_nodes=15, cores_per_node=8, config=maui,
+        telemetry=Telemetry(sample_interval=None, windows=3600.0),
+    )
+    system.scheduler.iteration_skip_enabled = skip
+    make_esp_workload(
+        120, dynamic=config.dynamic_workload, seed=2014
+    ).submit_to(system)
+    system.run(max_events=5_000_000)
+    kinds = [(e.kind, e.payload.get("cores")) for e in system.trace]
+    starts = sum(k in (EventKind.JOB_START, EventKind.BACKFILL_START) for k, _ in kinds)
+    core_changes = starts + sum(
+        bool(cores)
+        for k, cores in kinds
+        if k in (EventKind.DYN_GRANT, EventKind.DYN_RELEASE, EventKind.JOB_END,
+                 EventKind.JOB_ABORT, EventKind.PREEMPT)
+    )
+    depth_changes = starts + sum(
+        k is EventKind.JOB_SUBMIT or k is EventKind.PREEMPT
+        or (k is EventKind.JOB_ABORT and not cores)
+        for k, cores in kinds
+    )
+    assert counts == {"folds": core_changes, "depth_reports": depth_changes}
+    assert counts == _PINNED_ESP_DYN_HP_ACCOUNTING
+    assert (system.scheduler.stats["iterations"] > 478) is not skip

@@ -10,6 +10,7 @@ deterministic export contract.
 import io
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from repro.maui.config import MauiConfig
@@ -128,6 +129,21 @@ class TestEngine:
         (row,) = engine.summary()
         assert row["evaluations"] == 1
         assert row["breaches"] == 1
+
+    def test_exact_p90_breaches_where_p2_read_under_the_bound(self):
+        # 90 % zeros / 10 % thousands: the p90 wait is 1000 s, which breaches
+        # "p90_wait < 15m"; the P² sketch read 617 s here and held it
+        rng = np.random.default_rng(21)
+        waits = np.where(rng.uniform(size=2000) < 0.9, 0.0, 1000.0)
+        windows = WindowedMetrics(3600.0)
+        engine = SLOEngine(["p90_wait < 15m"])
+        engine.attach_windows(windows)
+        for i, wait in enumerate(waits):
+            windows.fold_job(_job(f"job.{i}", "u", 0.0, wait, wait + 10.0))
+        _advance(windows, 4000.0)
+        (breach,) = engine.breaches
+        assert breach["value"] == 1000.0
+        assert breach["value"] == float(np.quantile(waits, 0.9))
 
     def test_worst_value_direction_per_bound(self):
         windows, engine = self._engine(["mean_wait < 100", "p90_wait > 0"])

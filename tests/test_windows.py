@@ -1,9 +1,10 @@
-"""Streaming windowed metrics: P² sketches, window bookkeeping, equivalence.
+"""Streaming windowed metrics: exact quantiles, window bookkeeping, equivalence.
 
-Three layers of guarantees: the P² quantile sketch tracks exact quantiles
-closely (and *is* exact below five samples); window frames partition busy /
-queue-depth integrals without loss or duplication; and folding every
-completed job through :class:`WindowedMetrics` reproduces the retained-job
+Three layers of guarantees: window quantiles are exact, numpy's
+``"linear"`` quantile to a relative 1e-12 (the two interpolate in a
+different order); window frames partition busy / queue-depth integrals
+without loss or duplication; and folding every completed job through
+:class:`WindowedMetrics` reproduces the retained-job
 :class:`WorkloadMetrics` on a real Table II run to 1e-9 — while
 ``fold_and_discard`` keeps the server's job index from growing at all.
 """
@@ -21,7 +22,7 @@ from repro.jobs.job import Job, JobState
 from repro.maui.config import MauiConfig
 from repro.obs import Telemetry
 from repro.obs.windows import (
-    P2Quantile,
+    Sample,
     StreamingStat,
     WindowedMetrics,
     read_windows_jsonl,
@@ -30,43 +31,52 @@ from repro.system import BatchSystem
 from repro.workloads.random_workload import make_random_workload
 
 
+#: numpy interpolates ``a + (b - a) * t`` from the nearer end; same value
+#: to within this relative tolerance
+REL = 1e-12
+
+
+def _numpy(xs, p):
+    return float(np.quantile(xs, p, method="linear"))
+
+
+def _sampled(xs, p):
+    """``p`` quantile of ``xs`` fed one by one through a :class:`Sample`."""
+    sample = Sample()
+    for x in xs:
+        sample.add(float(x))
+    return sample, sample.quantiles((p,))[p]
+
+
 class TestP2Quantile:
+    """Exact quantiles where the P² sketch used to estimate them."""
+
     def test_exact_below_five_samples(self):
         rng = np.random.default_rng(3)
         for n in (1, 2, 3, 4):
             for p in (0.5, 0.9):
                 xs = rng.uniform(0, 100, n)
-                sketch = P2Quantile(p)
-                for x in xs:
-                    sketch.observe(float(x))
-                assert sketch.value == pytest.approx(
-                    float(np.quantile(xs, p)), abs=1e-9
-                ), (n, p)
+                _, value = _sampled(xs, p)
+                assert value == pytest.approx(_numpy(xs, p), rel=REL), (n, p)
 
     def test_empty_is_nan(self):
-        assert math.isnan(P2Quantile(0.5).value)
+        assert math.isnan(Sample().quantiles((0.5,))[0.5])
+        assert Sample().as_dict((0.5,))["p50"] is None
 
     @pytest.mark.parametrize("p", [0.5, 0.9, 0.99])
     def test_tracks_gaussian(self, p):
         rng = np.random.default_rng(11)
         xs = rng.normal(100, 15, 5000)
-        sketch = P2Quantile(p)
-        for x in xs:
-            sketch.observe(float(x))
-        exact = float(np.quantile(xs, p))
-        # P² error stays well under 5 % of the distribution scale
-        assert abs(sketch.value - exact) <= 0.05 * 15.0
+        _, value = _sampled(xs, p)
+        assert value == pytest.approx(_numpy(xs, p), rel=REL)
 
     @pytest.mark.parametrize("p", [0.5, 0.9, 0.99])
     def test_tracks_heavy_tail(self, p):
         rng = np.random.default_rng(12)
         xs = rng.exponential(300, 5000)
-        sketch = P2Quantile(p)
-        for x in xs:
-            sketch.observe(float(x))
-        exact = float(np.quantile(xs, p))
-        assert abs(sketch.value - exact) <= 0.03 * max(exact, 1.0)
-        assert sketch.count == 5000
+        sample, value = _sampled(xs, p)
+        assert value == pytest.approx(_numpy(xs, p), rel=REL)
+        assert sample.count == 5000
 
 
 class TestStreamingStat:
@@ -102,6 +112,42 @@ class TestWindowBookkeeping:
         assert frames[1].busy_core_seconds == pytest.approx(40.0)
         assert frames[2].busy_core_seconds == pytest.approx(20.0)
         assert w.busy_core_seconds == pytest.approx(100.0)
+
+    def test_depth_max_starts_at_the_depth_in_force(self):
+        # depth 3 from t=0 until t=35: windows 1-3 opened with 3 queued
+        w = WindowedMetrics(10.0)
+        w.observe_queue_depth(0.0, 3)
+        w.observe_queue_depth(35.0, 0)
+        frames = {f.index: f.to_dict(None)["queue_depth"] for f in w.frames}
+        assert [frames[k]["max"] for k in range(4)] == [3, 3, 3, 3]
+        assert [frames[k]["time_mean"] for k in range(4)] == [3.0, 3.0, 3.0, 1.5]
+
+    def test_quiet_window_closes_with_the_depth_in_force(self):
+        # no depth change for three windows: a closing frame accrues the
+        # depth still in force, and one opened by a fold starts at it
+        w = WindowedMetrics(10.0)
+        w.reset_busy(0.0, 0)
+        w.observe_queue_depth(0.0, 2)
+        w.fold_job(_fake_job(0.0, 1.0, 25.0))
+        w.on_busy_change(40.0, 0)
+        closed = {f.index: f.to_dict(None)["queue_depth"] for f in w.closed}
+        assert sorted(closed) == [0, 1, 2, 3]
+        assert all(d == {"time_mean": 2.0, "max": 2} for d in closed.values())
+
+    @pytest.mark.parametrize("q", [0.0, 1.0, 1.5])
+    def test_quantiles_must_lie_in_the_open_unit_interval(self, q):
+        with pytest.raises(ValueError, match="quantile must be in"):
+            WindowedMetrics(10.0, quantiles=(0.5, q))
+
+    def test_closed_frame_keeps_quantiles_not_values(self):
+        w = WindowedMetrics(10.0)
+        w.reset_busy(0.0, 0)
+        for wait in (1.0, 2.0, 3.0, 4.0):
+            w.fold_job(_fake_job(0.0, wait, wait + 1.0))
+        w.on_busy_change(20.0, 0)
+        (frame,) = w.closed
+        assert len(frame.wait.values) == 0
+        assert frame.to_dict(None)["wait"]["p50"] == pytest.approx(2.5)
 
     def test_queue_depth_time_mean_and_max(self):
         w = WindowedMetrics(10.0)
@@ -405,44 +451,31 @@ class TestWorstWaitAnchor:
 
 
 class TestP2Adversarial:
-    """P² accuracy on distributions that stress the marker update rule."""
+    """Distributions that stressed the P² marker update rule."""
 
     def test_constant_stream_is_exact(self):
-        sketch = P2Quantile(0.99)
-        for _ in range(10_000):
-            sketch.observe(42.0)
-        assert sketch.value == pytest.approx(42.0)
+        _, value = _sampled([42.0] * 10_000, 0.99)
+        assert value == 42.0
 
     @pytest.mark.parametrize("p", [0.5, 0.9, 0.99])
     def test_two_point_distribution(self, p):
-        # 90 % zeros / 10 % thousands: quantiles this side of 0.9 must
-        # stay near 0, beyond it near 1000 — P² interpolates between
-        # markers so allow a band, but the ordering must hold
+        # 90 % zeros / 10 % thousands: below 0.9 the quantile is 0, above
+        # it 1000 — where P² interpolated between markers
         rng = np.random.default_rng(21)
         xs = np.where(rng.uniform(size=20_000) < 0.9, 0.0, 1000.0)
-        sketch = P2Quantile(p)
-        for x in xs:
-            sketch.observe(float(x))
-        if p < 0.9:
-            assert sketch.value <= 100.0
-        else:
-            assert sketch.value >= 500.0
+        _, value = _sampled(xs, p)
+        assert value == pytest.approx(_numpy(xs, p), rel=REL)
+        assert value == (0.0 if p < 0.9 else 1000.0)
 
     @pytest.mark.parametrize("p", [0.9, 0.99])
     def test_pareto_tail(self, p):
-        # heavy-tailed (infinite-variance) waits: relative error at the
-        # tracked quantile stays within 15 %
+        # heavy-tailed (infinite-variance) waits
         rng = np.random.default_rng(22)
         xs = rng.pareto(1.5, 50_000) * 100.0
-        sketch = P2Quantile(p)
-        for x in xs:
-            sketch.observe(float(x))
-        exact = float(np.quantile(xs, p))
-        assert abs(sketch.value - exact) <= 0.15 * exact
+        _, value = _sampled(xs, p)
+        assert value == pytest.approx(_numpy(xs, p), rel=REL)
 
     def test_sorted_ascending_stream(self):
-        # monotone input is the classic P² worst case; median of 0..9999
-        sketch = P2Quantile(0.5)
-        for x in range(10_000):
-            sketch.observe(float(x))
-        assert abs(sketch.value - 4999.5) <= 0.05 * 10_000
+        # monotone input, the classic P² worst case: median of 0..9999
+        _, value = _sampled(range(10_000), 0.5)
+        assert value == 4999.5
