@@ -32,7 +32,7 @@ from benchmarks.test_replay_stream import (
     NUM_NODES,
     _synthetic_swf,
 )
-from repro.experiments.configs import all_configurations
+from repro.experiments.configs import configuration
 from repro.experiments.runner import run_esp_configuration
 from repro.maui.config import MauiConfig
 from repro.obs import Telemetry
@@ -40,7 +40,7 @@ from repro.sim.events import EventKind
 from repro.system import BatchSystem
 from repro.workloads import evolving_ify, from_swf
 
-_DYN_HP = next(c for c in all_configurations() if c.name == "Dyn-HP")
+_DYN_HP = configuration("Dyn-HP")
 
 
 def _run(telemetry=None):

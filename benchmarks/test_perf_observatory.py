@@ -11,7 +11,7 @@ frames, never O(jobs).
 import pytest
 
 from benchmarks.conftest import record_bench, register_report
-from repro.experiments.configs import all_configurations
+from repro.experiments.configs import configuration
 from repro.experiments.runner import run_esp_configuration
 from repro.maui.config import MauiConfig
 from repro.obs import Telemetry
@@ -20,7 +20,7 @@ from repro.obs.windows import WindowedMetrics
 from repro.system import BatchSystem
 from repro.workloads.random_workload import make_random_workload
 
-_DYN_HP = next(c for c in all_configurations() if c.name == "Dyn-HP")
+_DYN_HP = configuration("Dyn-HP")
 
 
 @pytest.mark.benchmark(group="perf")

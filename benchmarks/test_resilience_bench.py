@@ -11,11 +11,11 @@ silently doubles requeues).
 import pytest
 
 from benchmarks.conftest import record_bench, register_report
-from repro.experiments.configs import all_configurations
+from repro.experiments.configs import configuration
 from repro.experiments.resilience import default_fault_model
 from repro.experiments.runner import run_esp_configuration
 
-_DYN_HP = next(c for c in all_configurations() if c.name == "Dyn-HP")
+_DYN_HP = configuration("Dyn-HP")
 
 
 @pytest.mark.benchmark(group="resilience")

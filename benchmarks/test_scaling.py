@@ -6,15 +6,15 @@ any core count.  This bench runs the Dyn-HP configuration on machines from
 availability-profile machinery stay tractable?) and schedule quality (ESP
 efficiency: ideal work time over actual makespan).
 
-Each scale is one :class:`~repro.exec.specs.ScalingRunSpec` through the
-shared spec worker function, so the bench measures exactly what a parallel
-campaign over machine sizes would execute per worker.
+Each scale is one :func:`~repro.experiments.runner.run_esp_configuration`
+call, the same run every experiment makes.
 """
 
 import pytest
 
 from benchmarks.conftest import record_bench, register_report
-from repro.exec.specs import ScalingRunSpec, run_scaling_row
+from repro.experiments.configs import configuration
+from repro.experiments.runner import run_esp_configuration
 from repro.metrics.report import render_table
 from repro.workloads.esp import ESP_JOB_TYPES, esp_core_count
 
@@ -22,8 +22,21 @@ SIZES = [8, 15, 32, 64]  # nodes of 8 cores
 _rows: dict[int, list] = {}
 
 
-def run_at_scale(nodes: int) -> dict:
-    return run_scaling_row(ScalingRunSpec(nodes))
+def run_at_scale(nodes: int, cores_per_node: int = 8, seed: int = 2014) -> dict:
+    """Simulate the dynamic ESP workload (Dyn-HP) at one machine scale."""
+    run = run_esp_configuration(
+        configuration("Dyn-HP"), num_nodes=nodes, cores_per_node=cores_per_node, seed=seed
+    )
+    m = run.metrics
+    return {
+        "nodes": nodes,
+        "completed": m.completed_jobs,
+        "satisfied": m.satisfied_dyn_jobs,
+        "util_pct": 100.0 * m.utilization,
+        "workload_time": m.workload_time,
+        "time_min": m.workload_time_minutes,
+        "iterations": run.scheduler_stats["iterations"],
+    }
 
 
 def ideal_work_seconds(total_cores: int) -> float:

@@ -13,13 +13,10 @@ import timeit
 import pytest
 
 from benchmarks.conftest import record_bench, register_report
-from repro.experiments.configs import all_configurations
-from repro.experiments.runner import (
-    run_esp_configuration,
-    run_esp_configuration_via_service,
-)
+from repro.experiments.configs import configuration
+from repro.experiments.runner import run_esp_configuration
 
-_DYN_HP = next(c for c in all_configurations() if c.name == "Dyn-HP")
+_DYN_HP = configuration("Dyn-HP")
 
 
 def _run_direct():
@@ -27,7 +24,7 @@ def _run_direct():
 
 
 def _run_via_service():
-    return run_esp_configuration_via_service(_DYN_HP, seed=2014)
+    return run_esp_configuration(_DYN_HP, seed=2014, via_service=True)
 
 
 @pytest.mark.benchmark(group="service")

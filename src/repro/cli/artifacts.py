@@ -140,26 +140,22 @@ def _cmd_gantt(args) -> str:
     --ledger records the causal decision ledger and overlays its per-grant
     attribution.
     """
-    from repro.maui.config import MauiConfig
-    from repro.metrics.gantt import render_gantt
-    from repro.system import BatchSystem
-    from repro.workloads.esp import make_esp_workload
-
-    telemetry = None
-    if args.ledger:
-        from repro.obs import Telemetry
-
-        telemetry = Telemetry(decision_ledger=True)
-    system = BatchSystem(
-        15, 8, MauiConfig(reservation_depth=5, reservation_delay_depth=5),
-        telemetry=telemetry,
+    from repro.cluster.machine import Cluster
+    from repro.experiments.runner import (
+        DEFAULT_CORES_PER_NODE,
+        DEFAULT_NODES,
+        run_esp_configuration_cached,
     )
-    make_esp_workload(120, dynamic=True, seed=args.seed).submit_to(system)
-    system.run(max_events=5_000_000)
-    ledger = telemetry.ledger if telemetry is not None else None
-    return (
-        "Dynamic ESP schedule (Dyn-HP), one row per node:\n"
-        + render_gantt(system.trace, system.cluster, width=100, ledger=ledger)
+    from repro.metrics.gantt import render_gantt
+
+    telemetry = {"decision_ledger": True} if args.ledger else {}
+    result = run_esp_configuration_cached("Dyn-HP", seed=args.seed, **telemetry)
+    ledger = result.telemetry.ledger if args.ledger else None
+    return "Dynamic ESP schedule (Dyn-HP), one row per node:\n" + render_gantt(
+        result.trace,
+        Cluster.homogeneous(DEFAULT_NODES, DEFAULT_CORES_PER_NODE),
+        width=100,
+        ledger=ledger,
     )
 
 

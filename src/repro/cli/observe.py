@@ -9,29 +9,19 @@ when given one.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from repro.cli.common import Commands, load_input, positive_float
 
 
-@lru_cache(maxsize=4)
-def _instrumented_dyn_hp(
-    seed: int,
-    sample_interval: float,
-    trace_maxlen: int | None,
-    with_ledger: bool = False,
-):
-    """One telemetry-enabled Dyn-HP run, shared by trace/timeline/ledger/why."""
-    from repro.experiments.configs import all_configurations
-    from repro.experiments.runner import run_esp_configuration
-    from repro.obs import Telemetry
+def _dyn_hp(args, **telemetry):
+    """The Dyn-HP run of ``--seed``, shared by every command of the process."""
+    from repro.experiments.runner import run_esp_configuration_cached
 
-    configuration = next(c for c in all_configurations() if c.name == "Dyn-HP")
-    telemetry = Telemetry(
-        sample_interval=sample_interval, decision_ledger=with_ledger
-    )
-    return run_esp_configuration(
-        configuration, seed=seed, telemetry=telemetry, trace_maxlen=trace_maxlen
+    return run_esp_configuration_cached(
+        "Dyn-HP",
+        seed=args.seed,
+        trace_maxlen=args.trace_maxlen,
+        sample_interval=args.sample_interval,
+        **telemetry,
     )
 
 
@@ -46,28 +36,14 @@ _DEFAULT_SLO = (
 )
 
 
-@lru_cache(maxsize=2)
-def _fairness_dyn_hp(
-    seed: int,
-    sample_interval: float,
-    trace_maxlen: int | None,
-    slo: tuple[str, ...] | None = None,
-):
+def _fairness_dyn_hp(args, slo: tuple[str, ...] | None = None):
     """Dyn-HP with the fairness observatory (+ SLO engine + ledger)."""
-    from repro.experiments.configs import all_configurations
-    from repro.experiments.runner import run_esp_configuration
-    from repro.obs import Telemetry
-
-    configuration = next(c for c in all_configurations() if c.name == "Dyn-HP")
-    telemetry = Telemetry(
-        sample_interval=sample_interval,
+    return _dyn_hp(
+        args,
         decision_ledger=slo is not None,
         windows=600.0,
         fairness=True,
-        slo=list(slo) if slo else None,
-    )
-    return run_esp_configuration(
-        configuration, seed=seed, telemetry=telemetry, trace_maxlen=trace_maxlen
+        slo=slo,
     )
 
 
@@ -92,9 +68,7 @@ def _load_ledger(args):
 
         ledger = load_input(args.ledger_file, load_ledger_jsonl, "ledger dump")
         return ledger, f"ledger dump {args.ledger_file}"
-    result = _instrumented_dyn_hp(
-        args.seed, args.sample_interval, args.trace_maxlen, True
-    )
+    result = _dyn_hp(args, decision_ledger=True)
     return result.telemetry.ledger, f"Dyn-HP ESP run (seed {args.seed})"
 
 
@@ -113,7 +87,7 @@ def _cmd_trace(args) -> str:
             f"trace dump {args.trace_file} — last {args.tail} of "
             f"{len(trace)} events:\n" + render_event_tail(trace, n=args.tail)
         )
-    result = _instrumented_dyn_hp(args.seed, args.sample_interval, args.trace_maxlen)
+    result = _dyn_hp(args)
     return (
         f"Dyn-HP ESP run (seed {args.seed}) — last {args.tail} trace events:\n"
         + render_event_tail(result.trace, n=args.tail)
@@ -124,7 +98,7 @@ def _cmd_timeline(args) -> str:
     """Utilization and queue-depth sparklines over the sampled time series."""
     from repro.obs.console import render_series_sparkline
 
-    result = _instrumented_dyn_hp(args.seed, args.sample_interval, args.trace_maxlen)
+    result = _dyn_hp(args)
     series = result.telemetry.series
     lines = [
         f"Dyn-HP ESP run (seed {args.seed}) — sampled every "
@@ -162,8 +136,7 @@ def _cmd_metrics(args) -> str:
     from repro.obs import to_prometheus_text
     from repro.obs.console import render_fairness_table, render_ledger_table
 
-    result = _fairness_dyn_hp(args.seed, args.sample_interval, args.trace_maxlen)
-    telemetry = result.telemetry
+    telemetry = _fairness_dyn_hp(args).telemetry
     ledger = {}
     for instrument in telemetry.registry.collect():
         if instrument.name == "repro_dfs_ledger_delay_seconds":
@@ -247,8 +220,7 @@ def _cmd_fairness(args) -> str:
     """
     from repro.obs.console import render_fairness_table, render_group_table
 
-    result = _fairness_dyn_hp(args.seed, args.sample_interval, args.trace_maxlen)
-    telemetry = result.telemetry
+    telemetry = _fairness_dyn_hp(args).telemetry
     fair = telemetry.fairness
     summary = fair.summary()
     return "\n".join(
@@ -279,10 +251,7 @@ def _cmd_slo(args) -> str:
     )
 
     objectives = tuple(args.slo) if args.slo else _DEFAULT_SLO
-    result = _fairness_dyn_hp(
-        args.seed, args.sample_interval, args.trace_maxlen, objectives
-    )
-    telemetry = result.telemetry
+    telemetry = _fairness_dyn_hp(args, objectives).telemetry
     engine = telemetry.slo
     sections = [
         f"Dyn-HP ESP run (seed {args.seed}) — SLO engine "
@@ -344,13 +313,11 @@ def _cmd_perf_report(args) -> str:
                 )
             )
         return "\n".join(sections)
-    from repro.experiments.configs import all_configurations
-    from repro.experiments.runner import run_esp_configuration
-    from repro.obs import Telemetry
+    from repro.experiments.runner import run_esp_configuration_cached
 
-    configuration = next(c for c in all_configurations() if c.name == "Dyn-HP")
-    telemetry = Telemetry(profiling=True, windows=args.window_width)
-    run_esp_configuration(configuration, seed=args.seed, telemetry=telemetry)
+    telemetry = run_esp_configuration_cached(
+        "Dyn-HP", seed=args.seed, profiling=True, windows=args.window_width
+    ).telemetry
     prof = telemetry.profiler
     windows = telemetry.windows
     coverage = prof.child_coverage(("engine_dispatch", "sched_iteration"))

@@ -6,14 +6,17 @@ configurations × seeds × ablations.  Every run is hermetic (a fresh
 parallelise perfectly across processes.  This package provides the one
 engine all experiment drivers share:
 
-* :func:`map_specs` — ordered parallel map over picklable run specs with a
-  graceful in-process fallback, so ``workers=1`` output is *bit-identical*
-  to ``workers=N``;
-* :func:`resolve_workers` — the ``--jobs`` contract (``0`` → all CPUs,
-  ``< 1`` otherwise rejected);
-* :mod:`repro.exec.specs` — the picklable run-spec dataclasses and
-  module-level worker functions for the ESP sweep, Table II, random
-  campaigns and the scaling bench.
+* :func:`map_specs` — ordered parallel map of a module-level function over
+  picklable arguments, with a graceful in-process fallback, so
+  ``workers=1`` output is *bit-identical* to ``workers=N``;
+* :func:`resolve_workers` — the ``--jobs`` contract (``0`` → every CPU the
+  process may run on, ``< 1`` otherwise rejected).
+
+Each campaign keeps its worker function in its own module
+(:mod:`repro.experiments.table2`, :mod:`~repro.experiments.sweep`,
+:mod:`~repro.experiments.resilience`, :mod:`repro.workloads.random_workload`)
+and maps it over configurations, seeds or ``(configuration, seed)`` cells,
+binding the fixed arguments with :func:`functools.partial`.
 """
 
 from repro.exec.engine import ExecProgress, map_specs, resolve_workers

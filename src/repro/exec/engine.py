@@ -39,12 +39,15 @@ def resolve_workers(jobs: int | None) -> int:
     """Normalise a ``--jobs``-style worker count.
 
     ``None`` means "not requested" and resolves to 1 (serial); ``0`` means
-    "use every CPU" (``os.cpu_count()``); anything below 1 otherwise is a
-    caller error.
+    "use every CPU this process may run on" (its affinity set where the
+    platform has one, else ``os.cpu_count()``); anything below 1 otherwise
+    is a caller error.
     """
     if jobs is None:
         return 1
     if jobs == 0:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     if jobs < 1:
         raise ValueError(f"workers must be >= 1 (or 0 for all CPUs): {jobs}")
@@ -109,7 +112,8 @@ def map_specs(
 ) -> list[R]:
     """``[fn(spec) for spec in specs]``, optionally across worker processes.
 
-    ``fn`` must be a module-level callable and each spec picklable when
+    ``fn`` must be a module-level callable, or a :func:`functools.partial`
+    of one over picklable arguments, and each spec picklable when
     ``workers > 1``.  Spec *i* is always submitted *i*-th (deterministic
     seed→worker assignment under any fixed pool size) and results are merged
     back in submission order, so the returned list is independent of worker

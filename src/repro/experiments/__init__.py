@@ -25,6 +25,7 @@ from repro.experiments.configs import (
     STATIC,
     ESPConfiguration,
     all_configurations,
+    configuration,
 )
 from repro.experiments.runner import ESPResult, run_esp_configuration
 
@@ -36,5 +37,6 @@ __all__ = [
     "ESPResult",
     "STATIC",
     "all_configurations",
+    "configuration",
     "run_esp_configuration",
 ]

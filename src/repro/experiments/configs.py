@@ -23,6 +23,7 @@ __all__ = [
     "DYN_500",
     "DYN_600",
     "all_configurations",
+    "configuration",
     "dynamic_target_config",
 ]
 
@@ -104,3 +105,13 @@ DYN_600 = ESPConfiguration(
 def all_configurations() -> list[ESPConfiguration]:
     """Table II rows in paper order."""
     return [STATIC, DYN_HP, DYN_500, DYN_600]
+
+
+def configuration(name: str) -> ESPConfiguration:
+    """The configuration whose Table II row label is ``name``."""
+    configurations = all_configurations()
+    for candidate in configurations:
+        if candidate.name == name:
+            return candidate
+    valid = ", ".join(c.name for c in configurations)
+    raise ValueError(f"unknown ESP configuration {name!r}; expected one of {valid}")

@@ -16,15 +16,18 @@ golden check (`cmp` of two exports) relies on.
 from __future__ import annotations
 
 import json
+from functools import partial
 from pathlib import Path
 
-from repro.experiments.configs import all_configurations
+from repro.experiments.configs import ESPConfiguration, all_configurations
+from repro.experiments.runner import run_esp_configuration
 from repro.faults import FaultModel
 from repro.metrics.report import render_table
 
 __all__ = [
     "default_fault_model",
     "run_resilience",
+    "resilience_row",
     "render_resilience",
     "export_resilience_json",
 ]
@@ -66,21 +69,37 @@ def run_resilience(
 ) -> list[dict]:
     """Run every configuration under the fault model; rows in config order."""
     from repro.exec import map_specs
-    from repro.exec.specs import ResilienceRunSpec, run_resilience_row
 
     if fault_model is None:
         fault_model = default_fault_model()
-    specs = [
-        ResilienceRunSpec(cfg.name, seed, fault_model)
-        for cfg in all_configurations()
-    ]
     return map_specs(
-        run_resilience_row,
-        specs,
+        partial(resilience_row, seed=seed, fault_model=fault_model),
+        all_configurations(),
         workers=workers,
         telemetry=telemetry,
         label="resilience",
     )
+
+
+def resilience_row(
+    configuration: ESPConfiguration, *, seed: int, fault_model: FaultModel
+) -> dict:
+    """Simulate one configuration under the fault model; its machine-readable row."""
+    run = run_esp_configuration(configuration, seed=seed, fault_model=fault_model)
+    m = run.metrics
+    row = {
+        "config": configuration.name,
+        "seed": seed,
+        "fault_seed": fault_model.seed,
+        "completed": m.completed_jobs,
+        "satisfied": m.satisfied_dyn_jobs,
+        "time_min": m.workload_time_minutes,
+        "util_pct": 100.0 * m.utilization,
+        "throughput": m.throughput_jobs_per_minute,
+        "mean_wait": m.mean_wait,
+    }
+    row.update(run.resilience)
+    return row
 
 
 def render_resilience(rows: list[dict]) -> str:

@@ -6,7 +6,7 @@ import asyncio
 from dataclasses import dataclass
 from functools import lru_cache
 
-from repro.experiments.configs import ESPConfiguration
+from repro.experiments.configs import ESPConfiguration, configuration
 from repro.metrics.collector import WorkloadMetrics
 from repro.system import BatchSystem
 from repro.workloads.esp import make_esp_workload
@@ -15,7 +15,6 @@ __all__ = [
     "ESPResult",
     "run_esp_configuration",
     "run_esp_configuration_cached",
-    "run_esp_configuration_via_service",
 ]
 
 #: the paper's testbed: 15 compute nodes × 2× quad-core Xeon X5570
@@ -31,8 +30,10 @@ class ESPResult:
     configuration: ESPConfiguration
     metrics: WorkloadMetrics
     scheduler_stats: dict
-    #: the run's telemetry facade and trace, kept only for instrumented runs
+    #: the telemetry facade the run recorded into (None without one)
     telemetry: object | None = None
+    #: the run's event trace (its bare event list once the result is
+    #: stripped for a worker process's return trip)
     trace: object | None = None
     #: fault-injector report (``FaultInjector.report()``) when the run was
     #: executed under a fault model, else None
@@ -67,6 +68,7 @@ def run_esp_configuration(
     telemetry=None,
     trace_maxlen: int | None = None,
     fault_model=None,
+    via_service: bool = False,
 ) -> ESPResult:
     """Simulate the (dynamic) ESP workload under one configuration.
 
@@ -74,6 +76,14 @@ def run_esp_configuration(
     time series and spans for the run; ``trace_maxlen`` bounds the event
     trace to a ring of that many events.  ``fault_model`` runs the
     workload under seeded fault injection (``repro.faults``).
+
+    ``via_service`` submits the workload through
+    :class:`repro.service.SchedulerService` on the simulator backend and
+    drains it instead of running the system directly.  By the service's
+    bit-identity contract the result is the same either way (same
+    schedules, same stats, byte-equal trace/ledger exports); the
+    ``table2 --via-service`` CI golden check and ``tests/test_service.py``
+    compare the two paths.
     """
     system = BatchSystem(
         num_nodes=num_nodes,
@@ -89,8 +99,11 @@ def run_esp_configuration(
         seed=seed,
         walltime_factor=walltime_factor,
     )
-    workload.submit_to(system)
-    system.run(max_events=10_000_000 if fault_model is not None else 5_000_000)
+    if via_service:
+        asyncio.run(_drain_through_service(system, workload))
+    else:
+        workload.submit_to(system)
+        system.run(max_events=10_000_000 if fault_model is not None else 5_000_000)
     if system.server.queue or system.server.active_count:
         raise RuntimeError(
             f"{configuration.name}: workload did not drain "
@@ -101,7 +114,7 @@ def run_esp_configuration(
         metrics=system.metrics(),
         scheduler_stats=dict(system.scheduler.stats),
         telemetry=telemetry,
-        trace=system.trace if telemetry is not None else None,
+        trace=system.trace,
         resilience=(
             system.fault_injector.report()
             if system.fault_injector is not None
@@ -110,78 +123,13 @@ def run_esp_configuration(
     )
 
 
-def run_esp_configuration_via_service(
-    configuration: ESPConfiguration,
-    *,
-    num_nodes: int = DEFAULT_NODES,
-    cores_per_node: int = DEFAULT_CORES_PER_NODE,
-    seed: int = DEFAULT_SEED,
-    walltime_factor: float = 1.0,
-    telemetry=None,
-    trace_maxlen: int | None = None,
-    fault_model=None,
-) -> ESPResult:
-    """The same ESP run, driven through the scheduler service.
-
-    Submits every spec through :class:`repro.service.SchedulerService` on
-    the simulator backend and drains — the service's bit-identity contract
-    says the returned result is indistinguishable from
-    :func:`run_esp_configuration` (same schedules, same stats, byte-equal
-    trace/ledger exports); the ``table2 --via-service`` CI golden check and
-    ``tests/test_service.py`` both compare the two paths.
-    """
+async def _drain_through_service(system: BatchSystem, workload) -> None:
     from repro.service import SchedulerService, SimBackend
 
-    backend = SimBackend(
-        num_nodes=num_nodes,
-        cores_per_node=cores_per_node,
-        config=configuration.maui,
-        telemetry=telemetry,
-        trace_maxlen=trace_maxlen,
-        fault_model=fault_model,
-    )
-    workload = make_esp_workload(
-        total_cores=num_nodes * cores_per_node,
-        dynamic=configuration.dynamic_workload,
-        seed=seed,
-        walltime_factor=walltime_factor,
-    )
-
-    async def _drive() -> None:
-        async with SchedulerService(backend) as service:
-            for spec in workload:
-                await service.submit(spec)
-            await service.drain()
-
-    asyncio.run(_drive())
-    core = backend.core
-    if core.server.queue or core.server.active_count:
-        raise RuntimeError(
-            f"{configuration.name}: workload did not drain through the service "
-            f"({len(core.server.queue)} queued)"
-        )
-    return ESPResult(
-        configuration=configuration,
-        metrics=backend.metrics(),
-        scheduler_stats=dict(core.scheduler.stats),
-        telemetry=telemetry,
-        trace=core.trace if telemetry is not None else None,
-        resilience=(
-            core.fault_injector.report() if core.fault_injector is not None else None
-        ),
-    )
-
-
-@lru_cache(maxsize=16)
-def _cached(config_name: str, num_nodes: int, cores_per_node: int, seed: int) -> ESPResult:
-    from repro.experiments.configs import all_configurations
-
-    configuration = next(
-        c for c in all_configurations() if c.name == config_name
-    )
-    return run_esp_configuration(
-        configuration, num_nodes=num_nodes, cores_per_node=cores_per_node, seed=seed
-    )
+    async with SchedulerService(SimBackend(system)) as service:
+        for spec in workload:
+            await service.submit(spec)
+        await service.drain()
 
 
 def run_esp_configuration_cached(
@@ -190,10 +138,44 @@ def run_esp_configuration_cached(
     num_nodes: int = DEFAULT_NODES,
     cores_per_node: int = DEFAULT_CORES_PER_NODE,
     seed: int = DEFAULT_SEED,
+    trace_maxlen: int | None = None,
+    **telemetry,
 ) -> ESPResult:
     """Memoised runner for the four canonical configurations.
 
     The figure harnesses (8-11) share runs with Table II instead of
-    re-simulating the same workload several times.
+    re-simulating the same workload several times, and the CLI's
+    observability commands share their Dyn-HP run the same way.  Keywords
+    beyond the machine, seed and ``trace_maxlen`` are the
+    :class:`repro.obs.Telemetry` the run records into (none: no
+    telemetry); they must be hashable.
     """
-    return _cached(config_name, num_nodes, cores_per_node, seed)
+    return _cached(
+        config_name,
+        num_nodes,
+        cores_per_node,
+        seed,
+        trace_maxlen,
+        tuple(sorted(telemetry.items())),
+    )
+
+
+@lru_cache(maxsize=16)
+def _cached(
+    config_name: str,
+    num_nodes: int,
+    cores_per_node: int,
+    seed: int,
+    trace_maxlen: int | None,
+    telemetry: tuple,
+) -> ESPResult:
+    from repro.obs import Telemetry
+
+    return run_esp_configuration(
+        configuration(config_name),
+        num_nodes=num_nodes,
+        cores_per_node=cores_per_node,
+        seed=seed,
+        telemetry=Telemetry(**dict(telemetry)) if telemetry else None,
+        trace_maxlen=trace_maxlen,
+    )

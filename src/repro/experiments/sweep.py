@@ -11,10 +11,11 @@ are order-robust and which are single-run artefacts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from repro.experiments.configs import all_configurations
+from repro.experiments.configs import ESPConfiguration, all_configurations
 from repro.experiments.runner import run_esp_configuration
 from repro.metrics.report import render_table
 
@@ -64,23 +65,41 @@ def run_seed_sweep(
     run.  ``telemetry`` (parent-side) surfaces sweep progress/ETA gauges.
     """
     from repro.exec import map_specs
-    from repro.exec.specs import SweepRunSpec, run_sweep_row
 
     if seeds is None:
         seeds = [1, 2, 3, 7, 42, 99, 1234, 2014]
     configurations = all_configurations()
-    specs = [
-        SweepRunSpec(configuration.name, seed, trace_maxlen)
-        for configuration in configurations
-        for seed in seeds
-    ]
     rows = map_specs(
-        run_sweep_row, specs, workers=workers, telemetry=telemetry, label="sweep"
+        partial(_sweep_row, trace_maxlen=trace_maxlen),
+        [(configuration, seed) for configuration in configurations for seed in seeds],
+        workers=workers,
+        telemetry=telemetry,
+        label="sweep",
     )
     result = SweepResult(seeds=list(seeds))
     for i, configuration in enumerate(configurations):
         result.samples[configuration.name] = rows[i * len(seeds) : (i + 1) * len(seeds)]
     return result
+
+
+def _sweep_row(cell: tuple[ESPConfiguration, int], *, trace_maxlen: int | None) -> dict:
+    """Simulate one (configuration, seed) cell and return its metric row."""
+    configuration, seed = cell
+    telemetry = None
+    if trace_maxlen is not None:
+        from repro.obs import Telemetry
+
+        telemetry = Telemetry(sample_interval=None)
+    m = run_esp_configuration(
+        configuration, seed=seed, telemetry=telemetry, trace_maxlen=trace_maxlen
+    ).metrics
+    return {
+        "time_min": m.workload_time_minutes,
+        "satisfied": m.satisfied_dyn_jobs,
+        "util_pct": 100.0 * m.utilization,
+        "throughput": m.throughput_jobs_per_minute,
+        "mean_wait": m.mean_wait,
+    }
 
 
 def render_sweep(result: SweepResult) -> str:

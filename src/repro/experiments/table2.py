@@ -3,14 +3,14 @@
 from __future__ import annotations
 
 import dataclasses
+from functools import partial
 from pathlib import Path
 
-from repro.experiments.configs import all_configurations
+from repro.experiments.configs import ESPConfiguration, all_configurations
 from repro.experiments.runner import (
     ESPResult,
     run_esp_configuration,
     run_esp_configuration_cached,
-    run_esp_configuration_via_service,
 )
 from repro.metrics.report import render_table
 
@@ -45,54 +45,52 @@ def run_table2(
     default entries.
     """
     from repro.exec import map_specs, resolve_workers
-    from repro.exec.specs import Table2RunSpec, run_table2_result
 
     if resolve_workers(workers) == 1 and shards is None and not via_service:
         return [
             run_esp_configuration_cached(cfg.name, seed=seed)
             for cfg in all_configurations()
         ]
-    specs = [
-        Table2RunSpec(cfg.name, seed, shards=shards, via_service=via_service)
-        for cfg in all_configurations()
-    ]
     return map_specs(
-        run_table2_result, specs, workers=workers, telemetry=telemetry, label="table2"
+        partial(run_esp_configuration, seed=seed, via_service=via_service),
+        [with_shards(cfg, shards) for cfg in all_configurations()],
+        workers=workers,
+        telemetry=telemetry,
+        label="table2",
     )
 
 
 def _run_instrumented_config(
-    config_name: str,
+    cfg: ESPConfiguration,
     seed: int,
     out_dir: str | Path | None,
     *,
     decision_ledger: bool = False,
     profile: bool = False,
     window_width: float = 600.0,
-    shards: int | None = None,
     slo: tuple[str, ...] | None = None,
     via_service: bool = False,
 ) -> ESPResult:
     """Run one configuration with full telemetry and write its dumps.
 
-    This is the single implementation behind both the serial loop and the
-    parallel exec-engine worker (``Table2InstrumentedSpec``) — one writer
-    is what makes ``-j N`` dumps byte-identical to serial ones.  With
-    ``via_service`` the run is driven through the scheduler service on the
-    simulator backend instead of directly — by the service's bit-identity
-    contract the dumps must stay byte-identical (the CI golden check).
+    :func:`run_table2_instrumented` maps this over the configurations,
+    in-process or in worker processes: one writer is what makes ``-j N``
+    dumps byte-identical to serial ones.  The result comes back without
+    its telemetry, and with its trace and the metrics' trace as one plain
+    event list, so it is the same picklable object on either path; the
+    dumps carry the telemetry.
     """
     from repro.obs import Telemetry, export_jsonl, to_prometheus_text
 
-    cfg = next(c for c in all_configurations() if c.name == config_name)
     telemetry = Telemetry(
         decision_ledger=decision_ledger,
         profiling=profile,
         windows=window_width if (profile or slo) else None,
-        slo=list(slo) if slo else None,
+        slo=slo,
     )
-    runner = run_esp_configuration_via_service if via_service else run_esp_configuration
-    result = runner(with_shards(cfg, shards), seed=seed, telemetry=telemetry)
+    result = run_esp_configuration(
+        cfg, seed=seed, telemetry=telemetry, via_service=via_service
+    )
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -114,7 +112,12 @@ def _run_instrumented_config(
         if telemetry.slo is not None:
             with open(out / f"{cfg.name}.slo.jsonl", "w") as fp:
                 telemetry.slo.export_jsonl(fp)
-    return result
+    # the telemetry and the metrics' backrefs hold engine and sampler
+    # closures; the bare event list is all utilization needs to replay
+    events = list(result.trace)
+    result.metrics._telemetry = None
+    result.metrics._trace = events
+    return dataclasses.replace(result, telemetry=None, trace=events)
 
 
 def run_table2_instrumented(
@@ -156,42 +159,21 @@ def run_table2_instrumented(
     simulator backend (``repro.service``); the CI service golden check
     byte-compares its dumps against the direct path's.
     """
-    from repro.exec import map_specs, resolve_workers
+    from repro.exec import map_specs
 
-    if resolve_workers(workers) == 1:
-        return [
-            _run_instrumented_config(
-                cfg.name,
-                seed,
-                out_dir,
-                decision_ledger=decision_ledger,
-                profile=profile,
-                window_width=window_width,
-                shards=shards,
-                slo=slo,
-                via_service=via_service,
-            )
-            for cfg in all_configurations()
-        ]
-    from repro.exec.specs import Table2InstrumentedSpec, run_table2_instrumented_result
-
-    specs = [
-        Table2InstrumentedSpec(
-            cfg.name,
-            seed,
-            None if out_dir is None else str(out_dir),
-            decision_ledger=decision_ledger,
-            profile=profile,
-            window_width=window_width,
-            shards=shards,
-            slo=tuple(slo) if slo else None,
-            via_service=via_service,
-        )
-        for cfg in all_configurations()
-    ]
+    worker = partial(
+        _run_instrumented_config,
+        seed=seed,
+        out_dir=out_dir,
+        decision_ledger=decision_ledger,
+        profile=profile,
+        window_width=window_width,
+        slo=tuple(slo) if slo else None,
+        via_service=via_service,
+    )
     return map_specs(
-        run_table2_instrumented_result,
-        specs,
+        worker,
+        [with_shards(cfg, shards) for cfg in all_configurations()],
         workers=workers,
         label="table2-instrumented",
     )

@@ -142,9 +142,18 @@ class WorkloadMetrics:
         Normally reconstructed by replaying the trace; when the trace is a
         bounded ring that has dropped events, replay would under-count, so
         the telemetry busy-core integral (maintained live by the cluster
-        hooks, exact regardless of trace retention) is used instead.
+        hooks, exact regardless of trace retention) is used instead; without
+        a telemetry such a trace has no exact answer, so it raises
+        ``ValueError``.
         """
-        if getattr(self._trace, "dropped", 0) and self._telemetry is not None:
+        dropped = getattr(self._trace, "dropped", 0)
+        if dropped and self._telemetry is None:
+            raise ValueError(
+                f"utilization needs the whole run, but the trace ring dropped "
+                f"{dropped} events: pass a Telemetry (its busy-core integral "
+                f"is exact) or use an unbounded trace (trace_maxlen=None)"
+            )
+        if dropped:
             busy = self._telemetry.busy_core_seconds(upto=self.last_end)
         else:
             busy = busy_core_seconds(self._trace, self.first_submit, self.last_end)

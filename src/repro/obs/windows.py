@@ -2,7 +2,8 @@
 
 Every aggregator in :mod:`repro.metrics` retains one :class:`JobRecord`
 per job, so memory grows linearly with trace length — fine for the 230-job
-ESP workload, fatal for million-job archive replays (ROADMAP item 1).
+ESP workload, fatal for million-job archive replays (ROADMAP item 2,
+the 100k-job replay).
 This module folds each *completed* job into running aggregates at the
 moment it finishes and never looks at it again:
 

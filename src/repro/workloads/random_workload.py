@@ -8,6 +8,8 @@ dynamic-ESP pattern.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from repro.apps.synthetic import EvolvingWorkApp, FixedRuntimeApp
@@ -120,26 +122,64 @@ def run_random_campaign(
     distinct from the per-seed facades created inside each run.
     """
     from repro.exec import map_specs
-    from repro.exec.specs import CampaignRunSpec, run_campaign_row
 
     if seeds is None:
         seeds = [0, 1, 2]
-    specs = [
-        CampaignRunSpec(
-            num_jobs,
-            seed,
-            num_nodes,
-            cores_per_node,
-            config,
-            trace_maxlen,
-            evolving_share,
-            mean_interarrival,
-        )
-        for seed in seeds
-    ]
-    return map_specs(
-        run_campaign_row, specs, workers=workers, telemetry=telemetry, label="campaign"
+    worker = partial(
+        _campaign_row,
+        num_jobs=num_jobs,
+        num_nodes=num_nodes,
+        cores_per_node=cores_per_node,
+        config=config,
+        trace_maxlen=trace_maxlen,
+        evolving_share=evolving_share,
+        mean_interarrival=mean_interarrival,
     )
+    return map_specs(
+        worker, seeds, workers=workers, telemetry=telemetry, label="campaign"
+    )
+
+
+def _campaign_row(
+    seed: int,
+    *,
+    num_jobs: int,
+    num_nodes: int,
+    cores_per_node: int,
+    config,
+    trace_maxlen: int | None,
+    evolving_share: float,
+    mean_interarrival: float,
+) -> dict:
+    """Simulate one campaign seed and return its summary row."""
+    from repro.obs import Telemetry
+    from repro.system import BatchSystem
+
+    system = BatchSystem(
+        num_nodes,
+        cores_per_node,
+        config,
+        telemetry=Telemetry(),
+        trace_maxlen=trace_maxlen,
+    )
+    make_random_workload(
+        num_jobs,
+        num_nodes * cores_per_node,
+        evolving_share=evolving_share,
+        mean_interarrival=mean_interarrival,
+        seed=seed,
+    ).submit_to(system)
+    system.run(max_events=5_000_000)
+    m = system.metrics()
+    return {
+        "seed": seed,
+        "completed": m.completed_jobs,
+        "satisfied": m.satisfied_dyn_jobs,
+        "util_pct": 100.0 * m.utilization,
+        "mean_wait": m.mean_wait,
+        "trace_events": len(system.trace),
+        "trace_dropped": system.trace.dropped,
+    }
 
 
 def make_diurnal_workload(

@@ -13,7 +13,7 @@ import types
 from collections import Counter
 from pathlib import Path
 
-from repro.experiments.configs import all_configurations
+from repro.experiments.configs import configuration
 from repro.system import BatchSystem
 from repro.workloads.esp import make_esp_workload
 
@@ -57,7 +57,7 @@ def test_dynamic_pass_calls_the_patched_names(monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(scheduler, name, counting)
-    config = next(c for c in all_configurations() if c.name == "Dyn-HP")
+    config = configuration("Dyn-HP")
     system = BatchSystem(num_nodes=8, cores_per_node=4, config=config.maui)
     make_esp_workload(32, dynamic=True, seed=2014).submit_to(system)
     system.run(max_events=5_000_000)

@@ -93,7 +93,7 @@ class TestJobsFlag:
 
         args = build_parser().parse_args(["campaign", "-j", "0"])
         assert args.jobs == 0
-        assert resolve_workers(args.jobs) == (os.cpu_count() or 1)
+        assert resolve_workers(args.jobs) == len(os.sched_getaffinity(0))
 
     def test_negative_rejected(self):
         with pytest.raises(SystemExit):
@@ -195,9 +195,10 @@ class TestServe:
     def test_serve_replay_roundtrip(self, capsys, tmp_path):
         import json
 
+        from repro.experiments.configs import configuration
         from repro.experiments.table2 import _run_instrumented_config
 
-        _run_instrumented_config("Static", 2014, tmp_path)
+        _run_instrumented_config(configuration("Static"), 2014, tmp_path)
         trace = tmp_path / "Static.trace.jsonl"
         assert trace.exists()
         assert main(["serve", "--replay-from", str(trace)]) == 0
@@ -209,7 +210,7 @@ class TestServe:
 class TestViaService:
     def test_shards_reach_the_runner(self, monkeypatch):
         """``table2 --via-service --shards 2`` runs every config at 2 shards."""
-        from repro.experiments import runner
+        from repro.experiments import table2
 
         class Reached(Exception):
             pass
@@ -217,13 +218,13 @@ class TestViaService:
         seen = []
 
         def fake_runner(configuration, **kwargs):
-            seen.append(configuration.maui.scheduler_shards)
+            seen.append((configuration.maui.scheduler_shards, kwargs["via_service"]))
             raise Reached
 
-        monkeypatch.setattr(runner, "run_esp_configuration_via_service", fake_runner)
+        monkeypatch.setattr(table2, "run_esp_configuration", fake_runner)
         with pytest.raises(Reached):
             main(["table2", "--via-service", "--shards", "2"])
-        assert seen == [2]
+        assert seen == [(2, True)]
 
 
 #: every flag of the flat parser this CLI replaced (``-v`` aside): a value

@@ -23,7 +23,17 @@ class TestResolveWorkers:
         assert resolve_workers(None) == 1
 
     def test_zero_means_all_cpus(self):
-        assert resolve_workers(0) == (os.cpu_count() or 1)
+        assert resolve_workers(0) == len(os.sched_getaffinity(0))
+
+    def test_zero_counts_only_cpus_the_process_may_run_on(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert resolve_workers(0) == 1
+
+    def test_zero_without_affinity_counts_every_cpu(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert resolve_workers(0) == 8
 
     def test_positive_passthrough(self):
         assert resolve_workers(1) == 1

@@ -34,12 +34,12 @@ def test_campaign_parallel_matches_serial():
 
 
 def test_table2_parallel_matches_fresh_serial():
-    from repro.exec.specs import Table2RunSpec, run_table2_result
     from repro.experiments.configs import all_configurations
+    from repro.experiments.runner import run_esp_configuration
     from repro.experiments.table2 import run_table2
 
     parallel = run_table2(workers=2)
-    serial = [run_table2_result(Table2RunSpec(c.name, 2014)) for c in all_configurations()]
+    serial = [run_esp_configuration(c, seed=2014) for c in all_configurations()]
     def decisions(stats):
         # everything except actual wall-clock timers, which legitimately vary
         return {k: v for k, v in stats.items() if k != "dyn_handle_seconds"}

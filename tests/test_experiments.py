@@ -6,7 +6,11 @@ the cost is four ~0.5s simulations for this whole module.
 
 import pytest
 
-from repro.experiments.configs import all_configurations, dynamic_target_config
+from repro.experiments.configs import (
+    all_configurations,
+    configuration,
+    dynamic_target_config,
+)
 from repro.experiments.fig7 import run_fig7, run_quadflow_case
 from repro.experiments.fig8 import run_fig8
 from repro.experiments.fig9 import run_fig9
@@ -183,3 +187,11 @@ class TestConfigHelpers:
     def test_paper_references_attached(self):
         for cfg in all_configurations():
             assert "time_min" in cfg.paper_reference
+
+    def test_unknown_configuration_names_the_four(self):
+        with pytest.raises(ValueError) as info:
+            configuration("nope")
+        message = str(info.value)
+        assert "'nope'" in message
+        for name in ("Static", "Dyn-HP", "Dyn-500", "Dyn-600"):
+            assert name in message

@@ -535,12 +535,15 @@ class TestESPUnderInjection:
 
     @pytest.mark.slow
     def test_resilience_row_deterministic(self):
-        from repro.exec.specs import ResilienceRunSpec, run_resilience_row
+        from repro.experiments.configs import configuration
+        from repro.experiments.resilience import resilience_row
 
-        spec = ResilienceRunSpec(
-            "Dyn-HP",
-            2014,
-            FaultModel(seed=7, mtbf=6000.0, mttr=900.0,
-                       grant_delivery_failure_rate=0.05),
-        )
-        assert run_resilience_row(spec) == run_resilience_row(spec)
+        def row():
+            return resilience_row(
+                configuration("Dyn-HP"),
+                seed=2014,
+                fault_model=FaultModel(seed=7, mtbf=6000.0, mttr=900.0,
+                                       grant_delivery_failure_rate=0.05),
+            )
+
+        assert row() == row()

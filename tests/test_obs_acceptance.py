@@ -7,6 +7,9 @@ counts that :class:`repro.metrics.collector.WorkloadMetrics` reports — the
 streamed telemetry and the post-hoc metrics are two views of one truth.
 """
 
+import dataclasses
+import re
+
 import pytest
 
 from repro.experiments.table2 import run_table2_instrumented
@@ -20,7 +23,7 @@ TOTAL_CORES = 15 * 8
 @pytest.fixture(scope="module")
 def instrumented(tmp_path_factory):
     out_dir = tmp_path_factory.mktemp("telemetry")
-    results = run_table2_instrumented(seed=2014, out_dir=out_dir)
+    results = run_table2_instrumented(seed=2014, out_dir=out_dir, decision_ledger=True)
     return out_dir, results
 
 
@@ -76,3 +79,44 @@ def test_jsonl_trace_equals_in_memory_trace(instrumented):
     for result in results:
         restored = read_jsonl(str(out_dir / f"{result.name}.trace.jsonl"))
         assert list(restored) == list(result.trace), result.name
+
+
+def _renumbered(path) -> str:
+    """The dump with job ids renumbered by first appearance.
+
+    Job ids come from a process-global counter, so a configuration run in
+    a worker process numbers its jobs from wherever that process's counter
+    stood; everything else in the dump is fixed by (configuration, seed).
+    """
+    ids: dict[str, str] = {}
+    return re.sub(
+        r"job\.\d+",
+        lambda m: ids.setdefault(m.group(0), f"job.#{len(ids)}"),
+        path.read_text(),
+    )
+
+
+def test_worker_processes_give_the_serial_results_and_dumps(
+    instrumented, tmp_path
+):
+    """``workers=2`` runs the same worker as ``workers=1``: equal Table II
+    rows, results of the same shape, and the same dumps."""
+    out_dir, serial = instrumented
+    parallel = run_table2_instrumented(
+        seed=2014, out_dir=tmp_path, decision_ledger=True, workers=2
+    )
+    assert [r.table2_row(serial[0]) for r in serial] == [
+        r.table2_row(parallel[0]) for r in parallel
+    ]
+    for a, b in zip(serial, parallel):
+        for field in dataclasses.fields(a):
+            assert type(getattr(a, field.name)) is type(getattr(b, field.name))
+        assert a.telemetry is None and type(a.trace) is list
+        name = a.name
+        assert (out_dir / f"{name}.metrics.prom").read_bytes() == (
+            tmp_path / f"{name}.metrics.prom"
+        ).read_bytes()
+        for suffix in ("trace", "ledger"):
+            assert _renumbered(out_dir / f"{name}.{suffix}.jsonl") == _renumbered(
+                tmp_path / f"{name}.{suffix}.jsonl"
+            ), (name, suffix)

@@ -128,6 +128,19 @@ class TestRingBuffer:
             full.metrics().utilization, rel=1e-9
         )
 
+    def test_bounded_utilization_without_telemetry_names_the_drop(self):
+        """A ring that dropped events cannot be replayed; the error says
+        so, with the count and both remedies, instead of blaming the log."""
+        bounded = run_system(trace_maxlen=50)
+        dropped = bounded.trace.dropped
+        assert dropped > 0
+        with pytest.raises(ValueError) as info:
+            bounded.metrics().utilization
+        message = str(info.value)
+        assert f"dropped {dropped} events" in message
+        assert "pass a Telemetry" in message
+        assert "unbounded trace" in message
+
 
 class TestJsonl:
     def test_round_trip_reproduces_identical_events(self):
@@ -184,11 +197,11 @@ def test_export_without_profiling_is_fixed_by_the_seed():
     on, so no ``*_seconds`` histogram is exported either."""
     import re
 
-    from repro.experiments.configs import all_configurations
+    from repro.experiments.configs import configuration
     from repro.experiments.runner import run_esp_configuration
     from repro.obs import to_prometheus_text
 
-    dyn_hp = next(c for c in all_configurations() if c.name == "Dyn-HP")
+    dyn_hp = configuration("Dyn-HP")
     first, second = (
         to_prometheus_text(
             run_esp_configuration(

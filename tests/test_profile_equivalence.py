@@ -295,7 +295,7 @@ def test_incremental_scheduler_profile_matches_scratch_rebuild():
     step function (over the union of both breakpoint sets — the advance may
     keep semantically-neutral leftovers) must equal the scratch rebuild's.
     """
-    from repro.experiments.configs import all_configurations
+    from repro.experiments.configs import configuration
     from repro.maui.profiles import ViewProfiles
     from repro.system import BatchSystem
     from repro.workloads.esp import make_esp_workload
@@ -316,7 +316,7 @@ def test_incremental_scheduler_profile_matches_scratch_rebuild():
 
     ViewProfiles._advance = checked
     try:
-        config = next(c for c in all_configurations() if c.name == "Dyn-HP")
+        config = configuration("Dyn-HP")
         system = BatchSystem(num_nodes=8, cores_per_node=4, config=config.maui)
         workload = make_esp_workload(
             total_cores=32, dynamic=config.dynamic_workload, seed=2014
@@ -640,12 +640,12 @@ def test_esp_dyn_hp_schedule_and_counters_pinned(shards, monkeypatch):
     import dataclasses
     import hashlib
 
-    from repro.experiments.configs import all_configurations
+    from repro.experiments.configs import configuration
     from repro.maui.priority import Prioritizer
     from repro.system import BatchSystem
     from repro.workloads.esp import make_esp_workload
 
-    config = next(c for c in all_configurations() if c.name == "Dyn-HP")
+    config = configuration("Dyn-HP")
     maui = dataclasses.replace(config.maui, scheduler_shards=shards)
     system = BatchSystem(num_nodes=15, cores_per_node=8, config=maui)
     make_esp_workload(
@@ -696,7 +696,7 @@ _PINNED_ESP_DYN_HP_ACCOUNTING = {"folds": 503, "depth_reports": 460}
 def test_esp_dyn_hp_accounting_counts_pinned(skip, monkeypatch):
     import dataclasses
 
-    from repro.experiments.configs import all_configurations
+    from repro.experiments.configs import configuration
     from repro.maui.priority import FairshareTracker
     from repro.obs import Telemetry
     from repro.obs.windows import WindowedMetrics
@@ -720,7 +720,7 @@ def test_esp_dyn_hp_accounting_counts_pinned(skip, monkeypatch):
         "observe_queue_depth",
         counting("depth_reports", WindowedMetrics.observe_queue_depth),
     )
-    config = next(c for c in all_configurations() if c.name == "Dyn-HP")
+    config = configuration("Dyn-HP")
     maui = dataclasses.replace(config.maui, scheduler_shards=1)
     system = BatchSystem(
         num_nodes=15, cores_per_node=8, config=maui,

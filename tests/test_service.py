@@ -126,18 +126,15 @@ class TestBitIdentity:
         assert dumps["service"][1] == dumps["direct"][1]
 
     def test_runner_helper_matches_direct_metrics(self):
-        from repro.experiments.configs import all_configurations
-        from repro.experiments.runner import (
-            run_esp_configuration,
-            run_esp_configuration_via_service,
-        )
+        from repro.experiments.configs import configuration
+        from repro.experiments.runner import run_esp_configuration
 
-        cfg = next(c for c in all_configurations() if c.name == "Dyn-HP")
+        cfg = configuration("Dyn-HP")
         reset_job_ids()
         direct = run_esp_configuration(cfg, num_nodes=NODES, cores_per_node=PPN)
         reset_job_ids()
-        via = run_esp_configuration_via_service(
-            cfg, num_nodes=NODES, cores_per_node=PPN
+        via = run_esp_configuration(
+            cfg, num_nodes=NODES, cores_per_node=PPN, via_service=True
         )
         assert via.metrics.workload_time == direct.metrics.workload_time
         assert via.metrics.satisfied_dyn_jobs == direct.metrics.satisfied_dyn_jobs

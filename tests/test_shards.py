@@ -45,14 +45,10 @@ from repro.workloads import evolving_ify, make_random_workload
 from repro.workloads.esp import make_esp_workload
 from repro.workloads.spec import JobSpec, Workload
 
-from repro.experiments.configs import all_configurations
+from repro.experiments.configs import all_configurations, configuration
 from tests.conftest import reset_job_ids
 
 CONFIG_NAMES = [c.name for c in all_configurations()]
-
-
-def _config(name):
-    return next(c for c in all_configurations() if c.name == name)
 
 
 def _run_esp(config, shards, *, num_nodes=8, cores_per_node=4, seed=2014):
@@ -171,7 +167,7 @@ _PINNED_SINGLE_SHARD = {
 @pytest.mark.parametrize("name", CONFIG_NAMES)
 def test_single_shard_bit_identical_to_monolithic(name):
     digest, pinned_stats = _PINNED_SINGLE_SHARD[name]
-    tuples, stats, _ = _run_esp(_config(name), shards=1)
+    tuples, stats, _ = _run_esp(configuration(name), shards=1)
     assert stats == pinned_stats
     assert hashlib.sha256(repr(tuples).encode()).hexdigest() == digest
 
@@ -213,7 +209,7 @@ def test_table2_exports_match_monolithic_golden(tmp_path):
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("shards", [2, 4])
 def test_multi_shard_same_seed_identical(shards):
-    config = _config("Dyn-HP")
+    config = configuration("Dyn-HP")
     a_tuples, a_stats, _ = _run_esp(config, shards=shards)
     b_tuples, b_stats, _ = _run_esp(config, shards=shards)
     assert a_tuples == b_tuples
@@ -223,7 +219,7 @@ def test_multi_shard_same_seed_identical(shards):
 def test_multi_shard_workload_drains():
     """Every ESP config drains at 2 and 4 shards and exercises the merge."""
     for name in CONFIG_NAMES:
-        tuples, stats, system = _run_esp(_config(name), shards=2)
+        tuples, stats, system = _run_esp(configuration(name), shards=2)
         assert all(t[3] == "completed" for t in tuples), name
         # the full-machine Z job cannot fit any single shard
         assert stats["shard_merges"] > 0, name

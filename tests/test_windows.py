@@ -227,14 +227,11 @@ class TestEquivalenceOnTable2:
 
     @pytest.fixture(scope="class")
     def run(self):
-        from repro.experiments.configs import all_configurations
+        from repro.experiments.configs import configuration
         from repro.experiments.runner import run_esp_configuration
 
-        configuration = next(
-            c for c in all_configurations() if c.name == "Dyn-HP"
-        )
         telemetry = Telemetry(windows=600.0)
-        result = run_esp_configuration(configuration, telemetry=telemetry)
+        result = run_esp_configuration(configuration("Dyn-HP"), telemetry=telemetry)
         return result.metrics, telemetry.windows
 
     def test_means_match_to_1e9(self, run):
