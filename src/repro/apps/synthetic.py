@@ -30,6 +30,23 @@ from repro.sim.engine import EventHandle
 __all__ = ["FixedRuntimeApp", "EvolvingWorkApp", "MoldableWorkApp", "MalleableWorkApp"]
 
 
+def _give_back(allocation: Allocation, cores: int) -> dict[int, int]:
+    """Up to ``cores`` of ``allocation``'s cores to hand back via
+    ``tm_dynfree``: highest node indices first, never the mother superior's
+    last core."""
+    ms = min(allocation.node_indices)
+    give: dict[int, int] = {}
+    for node in sorted(allocation.node_indices, reverse=True):
+        if cores == 0:
+            break
+        held = allocation[node]
+        take = min(held - 1 if node == ms else held, cores)
+        if take > 0:
+            give[node] = take
+            cores -= take
+    return give
+
+
 class FixedRuntimeApp:
     """A rigid payload: runs for exactly ``runtime`` seconds, then exits.
 
@@ -247,27 +264,14 @@ class EvolvingWorkApp:
         if not self._ctx.job.is_active or self.release_cores <= 0:
             return
         self._advance()
-        allocation = self._ctx.allocation
-        ms = min(allocation.node_indices)
-        remaining = self.release_cores
-        give: dict[int, int] = {}
-        for node in sorted(allocation.node_indices, reverse=True):
-            if remaining == 0:
-                break
-            held = allocation[node]
-            # never strip the mother superior's last core
-            available = held - 1 if node == ms else held
-            take = min(available, remaining)
-            if take > 0:
-                give[node] = take
-                remaining -= take
+        give = _give_back(self._ctx.allocation, self.release_cores)
         if give:
             self._ctx.tm_dynfree(give)
             self._sync_speed()
             self._reschedule_completion()  # speed dropped; completion moves out
 
     def __repr__(self) -> str:
-        return f"<EvolvingWorkApp W={self.static_runtime:.0f}s done={self._work_done:.0f}>"
+        return f"<{type(self).__name__} W={self.static_runtime:.0f}s done={self._work_done:.0f}>"
 
 
 class MoldableWorkApp(EvolvingWorkApp):
@@ -328,21 +332,10 @@ class MalleableWorkApp(EvolvingWorkApp):
         target = min(cores_wanted, affordable)
         if target == 0:
             return 0
-        ms = min(allocation.node_indices)
-        give: dict[int, int] = {}
-        remaining = target
-        for node in sorted(allocation.node_indices, reverse=True):
-            if remaining == 0:
-                break
-            held = allocation[node]
-            available = held - 1 if node == ms else held
-            take = min(available, remaining)
-            if take > 0:
-                give[node] = take
-                remaining -= take
+        give = _give_back(allocation, target)
         if not give or not self._ctx.tm_dynfree(give):
             return 0
-        released = target - remaining
+        released = sum(give.values())
         self.shrunk_by += released
         self._sync_speed()
         self._reschedule_completion()

@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.apps.synthetic import FixedRuntimeApp
-from repro.cluster.allocation import ResourceRequest
 from repro.maui.config import MauiConfig
 from repro.metrics.collector import WorkloadMetrics
 from repro.system import BatchSystem
@@ -27,13 +25,12 @@ from repro.workloads.esp import (
     ESP_EXTRA_CORES,
     ESP_JOB_TYPES,
     ESP_REQUEST_FRACTION,
-    esp_core_count,
+    ESPJobType,
+    _esp_schedule,
+    esp_job_spec,
     expected_dynamic_runtime,
 )
 from repro.workloads.spec import JobSpec, Workload
-from repro.workloads.submission import esp_submission_times
-
-import numpy as np
 
 __all__ = [
     "make_guaranteeing_esp_workload",
@@ -52,54 +49,23 @@ def make_guaranteeing_esp_workload(
     :func:`repro.workloads.esp.make_esp_workload` for the same seed, so
     results are directly comparable.
     """
-    regular_types = [t for t in ESP_JOB_TYPES if t.letter != "Z"]
-    z_type = next(t for t in ESP_JOB_TYPES if t.letter == "Z")
-    ordered = []
-    for jtype in regular_types:
-        ordered.extend([jtype] * jtype.count)
-    rng = np.random.default_rng(seed)
-    rng.shuffle(ordered)
-    regular_times, z_times = esp_submission_times(len(ordered), z_type.count)
 
-    specs: list[JobSpec] = []
-    for submit_time, jtype in zip(regular_times, ordered):
-        base_cores = esp_core_count(jtype.fraction, total_cores)
+    def regular(jtype: ESPJobType, submit_time: float, cores: int) -> JobSpec:
+        runtime = jtype.static_execution_time
         if jtype.is_evolving:
             runtime = expected_dynamic_runtime(
-                jtype.static_execution_time,
-                base_cores,
-                ESP_EXTRA_CORES,
-                ESP_REQUEST_FRACTION,
+                runtime, cores, ESP_EXTRA_CORES, ESP_REQUEST_FRACTION
             )
-            cores = base_cores + ESP_EXTRA_CORES
-        else:
-            runtime = jtype.static_execution_time
-            cores = base_cores
-        specs.append(
-            JobSpec(
-                submit_time=submit_time,
-                request=ResourceRequest(cores=cores),
-                walltime=runtime * walltime_factor,
-                user=jtype.user,
-                esp_type=jtype.letter,
-                app_factory=(lambda rt=runtime: FixedRuntimeApp(rt)),
-            )
+            cores += ESP_EXTRA_CORES
+        return esp_job_spec(
+            submit_time, cores, runtime, walltime_factor, jtype.user,
+            esp_type=jtype.letter,
         )
-    for submit_time in z_times:
-        specs.append(
-            JobSpec(
-                submit_time=submit_time,
-                request=ResourceRequest(cores=esp_core_count(z_type.fraction, total_cores)),
-                walltime=z_type.static_execution_time * walltime_factor,
-                user=z_type.user,
-                esp_type="Z",
-                top_priority=True,
-                app_factory=(
-                    lambda rt=z_type.static_execution_time: FixedRuntimeApp(rt)
-                ),
-            )
-        )
-    return Workload(specs=specs, name="guaranteeing-esp")
+
+    return _esp_schedule(
+        "guaranteeing-esp", regular, total_cores, seed=seed,
+        walltime_factor=walltime_factor,
+    )
 
 
 @dataclass(frozen=True)

@@ -11,32 +11,31 @@ starts.  Consequences the paper points out, both reproduced here:
 * releases must return whole helper-job allocations (our native
   ``tm_dynfree`` can return any subset).
 
-:class:`SlurmEvolvingApp` mirrors :class:`~repro.apps.synthetic.EvolvingWorkApp`
-but obtains resources by helper-job submission.  The helper carries the
+:class:`SlurmEvolvingApp` is an :class:`~repro.apps.synthetic.EvolvingWorkApp`
+that obtains resources by helper-job submission.  The helper carries the
 parent's remaining walltime and merges via
 :meth:`repro.rms.server.Server.merge_allocations` the moment it starts.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import dataclasses
 
+from repro.apps.synthetic import EvolvingWorkApp
 from repro.cluster.allocation import ResourceRequest
 from repro.jobs.job import Job, JobState
 from repro.maui.config import MauiConfig
 from repro.metrics.collector import WorkloadMetrics
 from repro.rms.tm import TMContext
-from repro.sim.engine import EventHandle
 from repro.system import BatchSystem
 from repro.workloads.esp import (
     ESP_EXTRA_CORES,
-    ESP_JOB_TYPES,
     ESP_REQUEST_FRACTION,
-    esp_core_count,
+    ESPJobType,
+    _esp_schedule,
+    esp_job_spec,
 )
 from repro.workloads.spec import JobSpec, Workload
-from repro.workloads.submission import esp_submission_times
-from repro.apps.synthetic import FixedRuntimeApp
 
 __all__ = ["SlurmEvolvingApp", "make_slurm_esp_workload", "run_slurm_esp"]
 
@@ -51,71 +50,34 @@ class _ExpansionStub:
         self.owner._on_stub_started(ctx)
 
 
-class SlurmEvolvingApp:
+class SlurmEvolvingApp(EvolvingWorkApp):
     """Evolving workload that expands the SLURM way.
 
-    At the trigger fraction it submits a helper job (same user, sized like
-    the expansion, walltime = parent's remaining walltime) instead of calling
-    ``tm_dynget``.  Progress follows the same linear work model as
-    :class:`~repro.apps.synthetic.EvolvingWorkApp`.
+    The linear work model of :class:`EvolvingWorkApp`, with two overrides:
+    at the trigger fraction it submits a helper job (same user, sized like
+    the expansion, walltime = parent's remaining walltime) instead of
+    calling ``tm_dynget``, and on completion it cancels a helper still
+    queued.
     """
 
     def __init__(
         self, system: BatchSystem, static_runtime: float, extra_cores: int = ESP_EXTRA_CORES
     ) -> None:
-        if static_runtime <= 0:
-            raise ValueError("static_runtime must be positive")
+        super().__init__(static_runtime)
         self.system = system
-        self.static_runtime = static_runtime
         self.extra_cores = extra_cores
-        self._ctx: TMContext | None = None
-        self._work_done = 0.0
-        self._last_update = 0.0
-        self._base_cores = 0
-        self._speed = 1.0
-        self._completion: EventHandle | None = None
         self.stub: Job | None = None
 
-    # -- work model (identical to EvolvingWorkApp) -----------------------
-    @property
-    def speed(self) -> float:
-        return self._speed
-
-    def _advance(self) -> None:
-        assert self._ctx is not None
-        self._work_done += (self._ctx.now - self._last_update) * self._speed
-        self._last_update = self._ctx.now
-
-    def _sync_speed(self) -> None:
-        assert self._ctx is not None
-        self._speed = self._ctx.cores / self._base_cores
-
-    def _reschedule_completion(self) -> None:
-        assert self._ctx is not None
-        if self._completion is not None:
-            self._completion.cancel()
-        remaining = max(0.0, self.static_runtime - self._work_done)
-        self._completion = self._ctx.after(remaining / self.speed, self._complete)
+    def launch(self, ctx: TMContext) -> None:
+        self.stub = None
+        super().launch(ctx)
+        ctx.after(self._time_to_fraction(ESP_REQUEST_FRACTION), self._submit_stub)
 
     def _complete(self) -> None:
-        assert self._ctx is not None
-        self._advance()
         # the helper is pointless once the parent is done: cancel it
         if self.stub is not None and self.stub.state is JobState.QUEUED:
             self.system.server.cancel_queued(self.stub, reason="parent finished")
-        self._ctx.finish()
-
-    # -- lifecycle -------------------------------------------------------
-    def launch(self, ctx: TMContext) -> None:
-        self._ctx = ctx
-        self._work_done = 0.0
-        self._last_update = ctx.now
-        self._base_cores = ctx.cores
-        self._speed = 1.0
-        self.stub = None
-        self._reschedule_completion()
-        trigger = ESP_REQUEST_FRACTION * self.static_runtime
-        ctx.after(trigger, self._submit_stub)
+        super()._complete()
 
     def _submit_stub(self) -> None:
         assert self._ctx is not None
@@ -153,48 +115,23 @@ def make_slurm_esp_workload(
     system: BatchSystem, *, seed: int = 2014, walltime_factor: float = 1.0
 ) -> Workload:
     """Dynamic ESP where F-J expand via SLURM-style helper jobs."""
-    total_cores = system.cluster.total_cores
-    regular_types = [t for t in ESP_JOB_TYPES if t.letter != "Z"]
-    z_type = next(t for t in ESP_JOB_TYPES if t.letter == "Z")
-    ordered = []
-    for jtype in regular_types:
-        ordered.extend([jtype] * jtype.count)
-    rng = np.random.default_rng(seed)
-    rng.shuffle(ordered)
-    regular_times, z_times = esp_submission_times(len(ordered), z_type.count)
 
-    specs: list[JobSpec] = []
-    for submit_time, jtype in zip(regular_times, ordered):
-        cores = esp_core_count(jtype.fraction, total_cores)
+    def regular(jtype: ESPJobType, submit_time: float, cores: int) -> JobSpec:
         runtime = jtype.static_execution_time
-        if jtype.is_evolving:
-            factory = lambda rt=runtime: SlurmEvolvingApp(system, rt)
-        else:
-            factory = lambda rt=runtime: FixedRuntimeApp(rt)
-        specs.append(
-            JobSpec(
-                submit_time=submit_time,
-                request=ResourceRequest(cores=cores),
-                walltime=runtime * walltime_factor,
-                user=jtype.user,
-                esp_type=jtype.letter,
-                evolving=jtype.is_evolving,
-                app_factory=factory,
-            )
+        spec = esp_job_spec(
+            submit_time, cores, runtime, walltime_factor, jtype.user,
+            esp_type=jtype.letter,
         )
-    for submit_time in z_times:
-        specs.append(
-            JobSpec(
-                submit_time=submit_time,
-                request=ResourceRequest(cores=esp_core_count(z_type.fraction, total_cores)),
-                walltime=z_type.static_execution_time * walltime_factor,
-                user=z_type.user,
-                esp_type="Z",
-                top_priority=True,
-                app_factory=(lambda rt=z_type.static_execution_time: FixedRuntimeApp(rt)),
-            )
+        if not jtype.is_evolving:
+            return spec
+        return dataclasses.replace(
+            spec, evolving=True, app_factory=lambda: SlurmEvolvingApp(system, runtime)
         )
-    return Workload(specs=specs, name="slurm-esp")
+
+    return _esp_schedule(
+        "slurm-esp", regular, system.cluster.total_cores, seed=seed,
+        walltime_factor=walltime_factor,
+    )
 
 
 def run_slurm_esp(

@@ -111,6 +111,7 @@ def _cmd_baselines(args) -> str:
     from repro.baselines import run_guaranteeing_esp, run_slurm_esp
     from repro.experiments.runner import run_esp_configuration_cached
     from repro.metrics.report import render_table
+    from repro.workloads.esp import ESP_JOB_TYPES
 
     static = run_esp_configuration_cached("Static", seed=args.seed).metrics
     dyn_hp = run_esp_configuration_cached("Dyn-HP", seed=args.seed).metrics
@@ -123,7 +124,8 @@ def _cmd_baselines(args) -> str:
         ["SLURM-style", f"{slurm.workload_time_minutes:.1f}",
          slurm.satisfied_dyn_jobs, f"{slurm.mean_wait:.0f}",
          "helper jobs in static queue"],
-        ["Guaranteeing", f"{guaranteed.metrics.workload_time_minutes:.1f}", 69,
+        ["Guaranteeing", f"{guaranteed.metrics.workload_time_minutes:.1f}",
+         sum(t.count for t in ESP_JOB_TYPES if t.is_evolving),
          f"{guaranteed.metrics.mean_wait:.0f}",
          f"{guaranteed.wasted_reserved_core_seconds / 3600:.0f} core-h reserved idle"],
     ]

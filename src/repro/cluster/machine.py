@@ -12,6 +12,7 @@ from typing import Iterable, Sequence
 
 from repro.cluster.allocation import Allocation, ResourceRequest
 from repro.cluster.node import Node, NodeState
+from repro.cluster.profile import AvailabilityProfile
 
 __all__ = ["Cluster"]
 
@@ -185,37 +186,16 @@ class Cluster:
         """Find a concrete allocation satisfying ``request`` from free cores.
 
         Returns ``None`` when the request does not fit right now.  Placement
-        policy: pack shaped requests on the emptiest eligible nodes; fill
-        flexible requests from the *most*-loaded eligible nodes first so idle
-        nodes stay whole for shaped requests (a standard anti-fragmentation
-        heuristic).
+        is the availability profile's, so a start now and a start the
+        planner foresees pick alike: pack shaped requests on the emptiest
+        eligible nodes; fill flexible requests from the *most*-loaded
+        eligible nodes first so idle nodes stay whole for shaped requests (a
+        standard anti-fragmentation heuristic).
         """
         free = self.free_by_node(partitions=partitions)
         for idx in exclude_nodes:
             free.pop(idx, None)
-        if request.is_shaped:
-            candidates = sorted(
-                (idx for idx, f in free.items() if f >= request.ppn),
-                key=lambda idx: (-free[idx], idx),
-            )
-            if len(candidates) < request.nodes:
-                return None
-            chosen = sorted(candidates[: request.nodes])
-            return Allocation({idx: request.ppn for idx in chosen})
-        if sum(free.values()) < request.cores:
-            return None
-        remaining = request.cores
-        picks: dict[int, int] = {}
-        for idx in sorted(free, key=lambda i: (free[i], i)):
-            if free[idx] <= 0:
-                continue
-            take = min(free[idx], remaining)
-            picks[idx] = take
-            remaining -= take
-            if remaining == 0:
-                break
-        assert remaining == 0
-        return Allocation(picks)
+        return AvailabilityProfile.fit_free(free, request)
 
     def claim(self, allocation: Allocation) -> None:
         """Mark the allocation's cores as used.

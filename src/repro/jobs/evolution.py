@@ -15,7 +15,20 @@ from typing import Iterable
 
 from repro.cluster.allocation import ResourceRequest
 
-__all__ = ["EvolutionStep", "EvolutionProfile"]
+__all__ = [
+    "ESP_EXTRA_CORES",
+    "ESP_REQUEST_FRACTION",
+    "ESP_RETRY_FRACTION",
+    "EvolutionStep",
+    "EvolutionProfile",
+]
+
+#: the dynamic-ESP growth shape, the one definition every ESP variant,
+#: random workload and trace transform reads: "4 additional cores each",
+#: first asked for after 16 % of the SET, retried once after 25 %
+ESP_EXTRA_CORES = 4
+ESP_REQUEST_FRACTION = 0.16
+ESP_RETRY_FRACTION = 0.25
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,16 +87,12 @@ class EvolutionProfile:
             previous_end = step.attempt_fractions[-1]
 
     @classmethod
-    def esp_default(cls, extra_cores: int = 4) -> "EvolutionProfile":
+    def esp_default(cls, extra_cores: int = ESP_EXTRA_CORES) -> "EvolutionProfile":
         """The dynamic-ESP profile: +4 cores at 16 %, retry at 25 %."""
-        return cls(
-            steps=(
-                EvolutionStep(
-                    at_fraction=0.16,
-                    request=ResourceRequest(cores=extra_cores),
-                    retry_fractions=(0.25,),
-                ),
-            )
+        return cls.single(
+            ESP_REQUEST_FRACTION,
+            ResourceRequest(cores=extra_cores),
+            (ESP_RETRY_FRACTION,),
         )
 
     @classmethod

@@ -47,8 +47,11 @@ def principal_of(job) -> str:
     """The fairness principal a job charges: account, else user.
 
     ``Job.account`` defaults to the ``"default"`` placeholder; standard
-    fairshare-tree semantics fall back to the user in that case, so
-    existing workloads group per-user without modification.
+    fairshare-tree semantics fall back to the user in that case (and for
+    an empty or unset account), so existing workloads group per-user
+    without modification.  ``job`` may also be a
+    :class:`~repro.workloads.spec.JobSpec`: the scheduler service throttles
+    admission by this same principal.
     """
     account = job.account
     if account and account != "default":

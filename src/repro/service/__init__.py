@@ -19,8 +19,8 @@ from repro.service.api import (
     ServiceClosed,
     ServiceError,
     UnknownJob,
-    principal_of,
 )
+from repro.obs.fairness import principal_of
 from repro.service.backend import (
     Backend,
     ReplayBackend,

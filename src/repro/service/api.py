@@ -24,7 +24,6 @@ __all__ = [
     "ServiceClosed",
     "ServiceError",
     "UnknownJob",
-    "principal_of",
 ]
 
 
@@ -59,18 +58,6 @@ class AdmissionError(ServiceError):
 # ----------------------------------------------------------------------
 # tenancy
 # ----------------------------------------------------------------------
-def principal_of(user: str, account: str | None) -> str:
-    """The throttling principal for a submission.
-
-    Mirrors the fairness observatory's accounting rule: the account is the
-    principal, except the placeholder ``"default"`` (a job submitted with
-    no explicit account) falls back to the user.
-    """
-    if account is None or account == "default":
-        return user
-    return account
-
-
 @dataclass(frozen=True)
 class AdmissionPolicy:
     """Per-principal admission throttling for the service's submit path.

@@ -25,6 +25,7 @@ from typing import Any, Callable
 
 from repro.cluster.allocation import ResourceRequest
 from repro.jobs.job import Job
+from repro.obs.fairness import principal_of
 from repro.obs.instruments import SERVICE_COUNTERS, mirror_stats
 from repro.service.api import (
     AdmissionError,
@@ -34,7 +35,6 @@ from repro.service.api import (
     QueueInfo,
     ServiceClosed,
     UnknownJob,
-    principal_of,
 )
 from repro.service.backend import Backend
 from repro.workloads.spec import JobSpec
@@ -325,7 +325,7 @@ class SchedulerService:
         return total
 
     def _do_submit(self, spec: JobSpec) -> JobInfo:
-        principal = principal_of(spec.user, spec.account)
+        principal = principal_of(spec)
         open_total = self._prune_open()
         open_mine = len(self._open.get(principal, ()))
         try:

@@ -15,12 +15,18 @@ Every rigid type is owned by a distinct user and all evolving types by
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from repro.apps.synthetic import EvolvingWorkApp, FixedRuntimeApp
 from repro.cluster.allocation import ResourceRequest
-from repro.jobs.evolution import EvolutionProfile, EvolutionStep
+from repro.jobs.evolution import (
+    ESP_EXTRA_CORES,
+    ESP_REQUEST_FRACTION,
+    ESP_RETRY_FRACTION,
+    EvolutionProfile,
+)
 from repro.workloads.spec import JobSpec, Workload
 from repro.workloads.submission import esp_submission_times
 
@@ -28,6 +34,7 @@ __all__ = [
     "ESPJobType",
     "ESP_JOB_TYPES",
     "esp_core_count",
+    "esp_job_spec",
     "expected_dynamic_runtime",
     "make_esp_workload",
 ]
@@ -68,12 +75,6 @@ ESP_JOB_TYPES: tuple[ESPJobType, ...] = (
     ESPJobType("M", "user09", 0.25000, 15, 187.0),
     ESPJobType("Z", "user10", 1.00000, 2, 100.0),
 )
-
-#: extra cores each evolving job requests (paper: "4 additional cores each")
-ESP_EXTRA_CORES = 4
-#: first request after 16 % of SET, retry after 25 % (Cylinder-derived)
-ESP_REQUEST_FRACTION = 0.16
-ESP_RETRY_FRACTION = 0.25
 
 
 def esp_core_count(fraction: float, total_cores: int) -> int:
@@ -117,85 +118,99 @@ def make_esp_workload(
         protocol with this window instead of the paper's 25 % retry (the
         Section III-C outlook, studied by the negotiation ablation bench).
     """
+
+    def regular(jtype: ESPJobType, submit_time: float, cores: int) -> JobSpec:
+        return esp_job_spec(
+            submit_time, cores, jtype.static_execution_time, walltime_factor,
+            jtype.user, evolving=dynamic and jtype.is_evolving,
+            negotiation_timeout=negotiation_timeout, esp_type=jtype.letter,
+        )
+
+    name = "dynamic-esp" if dynamic else "static-esp"
+    return _esp_schedule(
+        name, regular, total_cores, seed=seed, walltime_factor=walltime_factor,
+        burst=burst, interval=interval,
+    )
+
+
+def _esp_schedule(
+    name: str,
+    regular: Callable[[ESPJobType, float, int], JobSpec],
+    total_cores: int,
+    *,
+    seed: int,
+    walltime_factor: float,
+    burst: int = 50,
+    interval: float = 30.0,
+) -> Workload:
+    """The ESP submission schedule every ESP variant shares.
+
+    The 228 regular jobs are shuffled by ``seed`` (the fixed "particular
+    order"), submitted by :func:`esp_submission_times` and turned into
+    specs by ``regular(jtype, submit_time, cores)``, ``cores`` being the
+    type's share of ``total_cores``; the two top-priority Z jobs follow.
+    A variant supplies only ``regular``.
+    """
     if walltime_factor < 1.0:
         raise ValueError("walltime must cover the static execution time")
-    regular_types = [t for t in ESP_JOB_TYPES if t.letter != "Z"]
-    z_type = next(t for t in ESP_JOB_TYPES if t.letter == "Z")
-
+    *regular_types, z_type = ESP_JOB_TYPES  # Z is Table I's last row
     ordered: list[ESPJobType] = []
     for jtype in regular_types:
         ordered.extend([jtype] * jtype.count)
     rng = np.random.default_rng(seed)
-    rng.shuffle(ordered)  # the fixed "particular order" for this seed
-
+    rng.shuffle(ordered)
     regular_times, z_times = esp_submission_times(
         len(ordered), z_type.count, burst=burst, interval=interval
     )
-
-    specs: list[JobSpec] = []
-    for submit_time, jtype in zip(regular_times, ordered):
-        specs.append(
-            _make_spec(
-                jtype, submit_time, total_cores, dynamic, walltime_factor,
-                negotiation_timeout,
-            )
+    specs = [
+        regular(jtype, submit_time, esp_core_count(jtype.fraction, total_cores))
+        for submit_time, jtype in zip(regular_times, ordered)
+    ]
+    specs.extend(
+        esp_job_spec(
+            submit_time, esp_core_count(z_type.fraction, total_cores),
+            z_type.static_execution_time, walltime_factor, z_type.user,
+            esp_type=z_type.letter, top_priority=True,
         )
-    for k, submit_time in enumerate(z_times):
-        specs.append(
-            JobSpec(
-                submit_time=submit_time,
-                request=ResourceRequest(cores=esp_core_count(z_type.fraction, total_cores)),
-                walltime=z_type.static_execution_time * walltime_factor,
-                user=z_type.user,
-                esp_type="Z",
-                top_priority=True,
-                app_factory=_fixed_app_factory(z_type.static_execution_time),
-            )
-        )
-    name = "dynamic-esp" if dynamic else "static-esp"
+        for submit_time in z_times
+    )
     return Workload(specs=specs, name=name)
 
 
-def _make_spec(
-    jtype: ESPJobType,
+def esp_job_spec(
     submit_time: float,
-    total_cores: int,
-    dynamic: bool,
+    cores: int,
+    runtime: float,
     walltime_factor: float,
+    user: str,
+    *,
+    evolving: bool = False,
+    extra_cores: int = ESP_EXTRA_CORES,
     negotiation_timeout: float | None = None,
+    **fields,
 ) -> JobSpec:
-    cores = esp_core_count(jtype.fraction, total_cores)
-    runtime = jtype.static_execution_time
+    """One job of ``runtime`` seconds' work on ``cores`` cores, asking for
+    ``walltime_factor`` times that: rigid, or with ``evolving`` a
+    :class:`EvolvingWorkApp` growing by the dynamic-ESP shape —
+    ``extra_cores`` at 16 % of its work, retried at 25 % unless it
+    negotiates for ``negotiation_timeout`` seconds instead.  ``fields`` are
+    further :class:`JobSpec` fields."""
     evolution = None
-    app_factory = _fixed_app_factory(runtime)
-    if dynamic and jtype.is_evolving:
+    app_factory = lambda: FixedRuntimeApp(runtime)
+    if evolving:
         retries = () if negotiation_timeout is not None else (ESP_RETRY_FRACTION,)
-        evolution = EvolutionProfile(
-            steps=(
-                EvolutionStep(
-                    at_fraction=ESP_REQUEST_FRACTION,
-                    request=ResourceRequest(cores=ESP_EXTRA_CORES),
-                    retry_fractions=retries,
-                ),
-            )
+        evolution = EvolutionProfile.single(
+            ESP_REQUEST_FRACTION, ResourceRequest(cores=extra_cores), retries
         )
-        app_factory = _evolving_app_factory(runtime, negotiation_timeout)
+        app_factory = lambda: EvolvingWorkApp(
+            runtime, negotiation_timeout=negotiation_timeout
+        )
     return JobSpec(
         submit_time=submit_time,
         request=ResourceRequest(cores=cores),
         walltime=runtime * walltime_factor,
-        user=jtype.user,
-        esp_type=jtype.letter,
+        user=user,
         evolution=evolution,
         app_factory=app_factory,
-    )
-
-
-def _fixed_app_factory(runtime: float):
-    return lambda: FixedRuntimeApp(runtime)
-
-
-def _evolving_app_factory(set_seconds: float, negotiation_timeout: float | None = None):
-    return lambda: EvolvingWorkApp(
-        set_seconds, negotiation_timeout=negotiation_timeout
+        **fields,
     )

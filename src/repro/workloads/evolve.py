@@ -16,7 +16,12 @@ import numpy as np
 
 from repro.apps.synthetic import EvolvingWorkApp
 from repro.cluster.allocation import ResourceRequest
-from repro.jobs.evolution import EvolutionProfile
+from repro.jobs.evolution import (
+    ESP_EXTRA_CORES,
+    ESP_REQUEST_FRACTION,
+    ESP_RETRY_FRACTION,
+    EvolutionProfile,
+)
 from repro.workloads.spec import JobSpec, Workload
 
 __all__ = ["evolving_ify"]
@@ -27,9 +32,9 @@ def evolving_ify(
     fraction: float,
     seed: int,
     *,
-    extra_cores: int = 4,
-    at_fraction: float = 0.16,
-    retry_fraction: float = 0.25,
+    extra_cores: int = ESP_EXTRA_CORES,
+    at_fraction: float = ESP_REQUEST_FRACTION,
+    retry_fraction: float = ESP_RETRY_FRACTION,
 ) -> Workload:
     """Convert a seeded fraction of a workload's jobs to evolving jobs.
 

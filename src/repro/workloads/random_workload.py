@@ -12,10 +12,9 @@ from functools import partial
 
 import numpy as np
 
-from repro.apps.synthetic import EvolvingWorkApp, FixedRuntimeApp
-from repro.cluster.allocation import ResourceRequest
-from repro.jobs.evolution import EvolutionProfile
-from repro.workloads.spec import JobSpec, Workload
+from repro.jobs.evolution import ESP_EXTRA_CORES
+from repro.workloads.esp import esp_job_spec
+from repro.workloads.spec import Workload
 
 __all__ = [
     "make_random_workload",
@@ -38,7 +37,7 @@ def make_random_workload(
     mean_interarrival: float = 60.0,
     runtime_range: tuple[float, float] = (120.0, 3600.0),
     size_range: tuple[int, int] = (1, 32),
-    extra_cores: int = 4,
+    extra_cores: int = ESP_EXTRA_CORES,
     num_users: int = 8,
     walltime_factor: float = 1.2,
     seed: int = 0,
@@ -66,32 +65,14 @@ def make_random_workload(
     sizes = np.clip(sizes, size_range[0], size_range[1])
     evolving = rng.random(num_jobs) < evolving_share
 
-    specs: list[JobSpec] = []
-    for i in range(num_jobs):
-        user = f"ruser{int(rng.integers(num_users)):02d}"
-        runtime = float(runtimes[i])
-        cores = int(sizes[i])
-        if evolving[i]:
-            specs.append(
-                JobSpec(
-                    submit_time=float(arrivals[i]),
-                    request=ResourceRequest(cores=cores),
-                    walltime=runtime * walltime_factor,
-                    user=user,
-                    evolution=EvolutionProfile.esp_default(extra_cores),
-                    app_factory=(lambda rt=runtime: EvolvingWorkApp(rt)),
-                )
-            )
-        else:
-            specs.append(
-                JobSpec(
-                    submit_time=float(arrivals[i]),
-                    request=ResourceRequest(cores=cores),
-                    walltime=runtime * walltime_factor,
-                    user=user,
-                    app_factory=(lambda rt=runtime: FixedRuntimeApp(rt)),
-                )
-            )
+    specs = [
+        esp_job_spec(
+            float(arrivals[i]), int(sizes[i]), float(runtimes[i]), walltime_factor,
+            f"ruser{int(rng.integers(num_users)):02d}",
+            evolving=bool(evolving[i]), extra_cores=extra_cores,
+        )
+        for i in range(num_jobs)
+    ]
     return Workload(specs=specs, name=f"random-{num_jobs}")
 
 
@@ -191,7 +172,7 @@ def make_diurnal_workload(
     evolving_share: float = 0.3,
     runtime_range: tuple[float, float] = (300.0, 7200.0),
     size_range: tuple[int, int] = (1, 32),
-    extra_cores: int = 4,
+    extra_cores: int = ESP_EXTRA_CORES,
     num_users: int = 10,
     walltime_factor: float = 1.3,
     seed: int = 0,
@@ -240,30 +221,12 @@ def make_diurnal_workload(
     )
     evolving = rng.random(len(arrivals)) < evolving_share
 
-    specs: list[JobSpec] = []
-    for i, submit in enumerate(arrivals):
-        user = f"duser{int(rng.integers(num_users)):02d}"
-        runtime = float(runtimes[i])
-        cores = int(sizes[i])
-        if evolving[i]:
-            specs.append(
-                JobSpec(
-                    submit_time=submit,
-                    request=ResourceRequest(cores=cores),
-                    walltime=runtime * walltime_factor,
-                    user=user,
-                    evolution=EvolutionProfile.esp_default(extra_cores),
-                    app_factory=(lambda rt=runtime: EvolvingWorkApp(rt)),
-                )
-            )
-        else:
-            specs.append(
-                JobSpec(
-                    submit_time=submit,
-                    request=ResourceRequest(cores=cores),
-                    walltime=runtime * walltime_factor,
-                    user=user,
-                    app_factory=(lambda rt=runtime: FixedRuntimeApp(rt)),
-                )
-            )
+    specs = [
+        esp_job_spec(
+            submit, int(sizes[i]), float(runtimes[i]), walltime_factor,
+            f"duser{int(rng.integers(num_users)):02d}",
+            evolving=bool(evolving[i]), extra_cores=extra_cores,
+        )
+        for i, submit in enumerate(arrivals)
+    ]
     return Workload(specs=specs, name=f"diurnal-{num_days}d")

@@ -11,7 +11,7 @@ from repro.cluster.allocation import ResourceRequest
 from repro.jobs.job import Job, JobState
 from repro.maui.config import MauiConfig
 from repro.system import BatchSystem
-from repro.workloads.esp import ESP_JOB_TYPES, esp_core_count
+from repro.workloads.esp import ESP_JOB_TYPES, esp_core_count, make_esp_workload
 
 
 class TestSlurmEvolvingApp:
@@ -120,3 +120,19 @@ class TestGuaranteeing:
         dyn_hp = run_esp_configuration_cached("Dyn-HP", seed=2014)
         # Section II-B: preallocation hurts rigid-dominated workloads
         assert guaranteed.metrics.mean_wait > dyn_hp.metrics.mean_wait
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: make_esp_workload(walltime_factor=0.5),
+        lambda: make_guaranteeing_esp_workload(walltime_factor=0.5),
+        lambda: make_slurm_esp_workload(BatchSystem(15, 8), walltime_factor=0.5),
+    ],
+    ids=["esp", "guaranteeing", "slurm"],
+)
+def test_every_esp_variant_checks_the_walltime(build):
+    """A walltime below the SET would kill each job before it finishes;
+    the native builder and both baselines refuse it alike."""
+    with pytest.raises(ValueError, match="walltime must cover the static execution time"):
+        build()

@@ -367,9 +367,31 @@ class TestTenantApi:
 
 class TestAdmission:
     def test_principal_resolution(self):
-        assert principal_of("ann", None) == "ann"
-        assert principal_of("ann", "default") == "ann"
-        assert principal_of("ann", "proj7") == "proj7"
+        assert principal_of(spec(user="ann")) == "ann"
+        assert principal_of(spec(user="ann", account="default")) == "ann"
+        assert principal_of(spec(user="ann", account="")) == "ann"
+        assert principal_of(spec(user="ann", account="proj7")) == "proj7"
+
+    def test_empty_account_throttles_per_user(self):
+        """Admission charges a job the principal fairness charges it: an
+        empty account falls back to the user, so two users' jobs are two
+        principals, not one shared ``""``."""
+        backend = SimBackend(num_nodes=2, cores_per_node=4)
+        policy = AdmissionPolicy(max_open_per_account=1)
+
+        async def scenario():
+            async with SchedulerService(backend, admission=policy) as service:
+                await service.submit(spec(cores=4, user="alice", account=""))
+                await service.submit(spec(cores=4, user="bob", account=""))
+                with pytest.raises(AdmissionError) as excinfo:
+                    await service.submit(spec(cores=4, user="bob", account=""))
+                await service.drain()
+                return excinfo.value, service.stats
+
+        error, stats = asyncio.run(scenario())
+        assert error.principal == "bob"
+        assert stats["submitted"] == 2
+        assert stats["admission_rejected"] == 1
 
     def test_policy_validates_limits(self):
         with pytest.raises(ValueError):
