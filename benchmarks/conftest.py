@@ -6,8 +6,9 @@ the rendered artifact here; the terminal summary prints them all, so
 the timings and the reproduced results.
 
 Benchmarks additionally record machine-readable numbers via
-:func:`record_bench`; at session end they are written to the repo-root
-snapshot file (see ``docs/PERFORMANCE.md`` for how to read it).  The
+:func:`record_bench` (timed rows via :func:`record_timed`); at session end
+they are written to the repo-root snapshot file (see
+``docs/PERFORMANCE.md`` for how to read it).  The
 filename comes from the ``BENCH_SNAPSHOT`` environment variable (default
 ``BENCH_PR16.json``), so each PR's CI can keep its own snapshot without
 editing this file.  ``repro-batchsim bench-trend`` diffs two snapshots
@@ -61,6 +62,22 @@ def record_bench(group: str, name: str, **values) -> None:
     calls with the same name overwrite — the snapshot keeps the last run.
     """
     _BENCH.setdefault(group, {})[name] = values
+
+
+def record_timed(
+    group: str, name: str, benchmark, *, per_second=None, **values
+) -> None:
+    """:func:`record_bench` with the benchmark's mean time as ``wall_seconds``.
+
+    ``per_second`` maps names to counts, each recorded as count / mean.
+    Records nothing when the run took no timings (``--benchmark-disable``
+    leaves ``benchmark.stats`` None), so the test's assertions still run.
+    """
+    if benchmark.stats is None:
+        return
+    mean = benchmark.stats.stats.mean
+    rates = {key: count / mean for key, count in (per_second or {}).items()}
+    record_bench(group, name, wall_seconds=mean, **rates, **values)
 
 
 def pytest_sessionfinish(session, exitstatus):

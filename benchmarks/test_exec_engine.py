@@ -13,7 +13,7 @@ in ``tests/test_exec_determinism.py``.
 
 import pytest
 
-from benchmarks.conftest import record_bench, usable_cpu_count
+from benchmarks.conftest import record_timed, usable_cpu_count
 from repro.experiments.sweep import run_seed_sweep
 
 SEEDS = [1, 2014]
@@ -31,7 +31,6 @@ def test_sweep_wall_clock(benchmark, workers):
     assert all(len(rows) == len(SEEDS) for rows in result.samples.values())
     usable = usable_cpu_count()
     values = dict(
-        wall_seconds=benchmark.stats.stats.mean,
         runs=4 * len(SEEDS),
         workers=workers,
         usable_cpus=usable,
@@ -43,4 +42,4 @@ def test_sweep_wall_clock(benchmark, workers):
             f"only {usable} usable CPU(s): {workers} workers cannot "
             "run concurrently, wall clock includes fork+pickle overhead"
         )
-    record_bench("exec", f"seed_sweep_workers_{workers}", **values)
+    record_timed("exec", f"seed_sweep_workers_{workers}", benchmark, **values)

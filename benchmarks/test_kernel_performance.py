@@ -12,7 +12,7 @@ headline number into the bench snapshot via
 
 import pytest
 
-from benchmarks.conftest import record_bench
+from benchmarks.conftest import record_timed
 from repro.cluster.allocation import Allocation, ResourceRequest
 from repro.cluster.profile import AvailabilityProfile
 from repro.maui.config import MauiConfig
@@ -49,11 +49,11 @@ def test_engine_event_throughput(benchmark):
         return count
 
     assert benchmark(run_events) == 10_000
-    record_bench(
+    record_timed(
         "kernel", "engine_event_throughput",
-        wall_seconds=benchmark.stats.stats.mean,
+        benchmark,
         events=10_000,
-        events_per_second=10_000 / benchmark.stats.stats.mean,
+        per_second={"events_per_second": 10_000},
     )
 
 
@@ -83,9 +83,9 @@ def test_engine_cancel_churn(benchmark):
 
     heap_size = benchmark(churn)
     assert heap_size < 10_000  # compaction actually ran
-    record_bench(
+    record_timed(
         "kernel", "engine_cancel_churn",
-        wall_seconds=benchmark.stats.stats.mean,
+        benchmark,
         events=10_000,
         final_heap_size=heap_size,
     )
@@ -107,9 +107,9 @@ def test_profile_earliest_fit_under_load(benchmark):
 
     t, alloc = benchmark(query)
     assert alloc.total_cores == 60
-    record_bench(
+    record_timed(
         "kernel", "profile_earliest_fit",
-        wall_seconds=benchmark.stats.stats.mean,
+        benchmark,
         breakpoints=200,
     )
 
@@ -149,9 +149,9 @@ def test_profile_earliest_fit_shard_rounds(benchmark):
 
     starts = benchmark(rounds)
     assert len(starts) == 5 and all(s > 0.0 for s in starts)
-    record_bench(
+    record_timed(
         "kernel", "profile_earliest_fit_shard",
-        wall_seconds=benchmark.stats.stats.mean,
+        benchmark,
         nodes=16, breakpoints=12, rounds=5,
     )
 
@@ -176,9 +176,9 @@ def test_profile_fit_from_min(benchmark):
 
     a, b = benchmark(pick)
     assert a.total_cores == 40 and b.total_cores == 16
-    record_bench(
+    record_timed(
         "kernel", "profile_fit_from_min",
-        wall_seconds=benchmark.stats.stats.mean,
+        benchmark,
         nodes=16, picks=2,
     )
 
@@ -217,10 +217,10 @@ def test_scheduler_iteration_deep_queue(benchmark):
         system.scheduler.iteration()
 
     benchmark.pedantic(iterate, setup=setup, rounds=50, warmup_rounds=2, iterations=1)
-    record_bench(
+    record_timed(
         "kernel",
         "scheduler_iteration_deep_queue_cache_on",
-        wall_seconds=benchmark.stats.stats.mean,
+        benchmark,
         queued_jobs=60,
     )
 
@@ -245,10 +245,10 @@ def test_scheduler_iteration_deep_queue_sharded(benchmark, shards):
         system.scheduler.iteration()
 
     benchmark.pedantic(iterate, setup=setup, rounds=50, warmup_rounds=2, iterations=1)
-    record_bench(
+    record_timed(
         "kernel",
         f"scheduler_iteration_deep_queue_shards{shards}",
-        wall_seconds=benchmark.stats.stats.mean,
+        benchmark,
         queued_jobs=60,
         shards=shards,
     )
@@ -277,9 +277,9 @@ def test_scheduler_iterations_skipped(benchmark):
     stats = benchmark(run_timer_system)
     assert stats["iterations_skipped"] > 0
     assert stats["iterations"] + stats["iterations_skipped"] >= 5_000
-    record_bench(
+    record_timed(
         "kernel", "scheduler_iterations_skipped",
-        wall_seconds=benchmark.stats.stats.mean,
+        benchmark,
         iterations=stats["iterations"],
         iterations_skipped=stats["iterations_skipped"],
         skip_ratio=stats["iterations_skipped"]
@@ -303,9 +303,9 @@ def test_profile_maintenance_incremental(benchmark):
     benchmark(scheduler.profiles.build, None)
     assert scheduler.stats["profile_advances"] > advances_before
     assert scheduler.stats["profile_advance_fallbacks"] == 0
-    record_bench(
+    record_timed(
         "kernel", "profile_maintenance_incremental",
-        wall_seconds=benchmark.stats.stats.mean,
+        benchmark,
         active_jobs=15,
     )
 
@@ -316,8 +316,8 @@ def test_profile_maintenance_scratch(benchmark):
     job replayed into a fresh profile."""
     scheduler = _loaded_system().scheduler
     benchmark(scheduler.profiles.build_uncached, None)
-    record_bench(
+    record_timed(
         "kernel", "profile_maintenance_scratch",
-        wall_seconds=benchmark.stats.stats.mean,
+        benchmark,
         active_jobs=15,
     )

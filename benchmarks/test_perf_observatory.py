@@ -10,7 +10,7 @@ frames, never O(jobs).
 
 import pytest
 
-from benchmarks.conftest import record_bench, register_report
+from benchmarks.conftest import record_bench, record_timed, register_report
 from repro.experiments.configs import configuration
 from repro.experiments.runner import run_esp_configuration
 from repro.maui.config import MauiConfig
@@ -37,10 +37,10 @@ def test_profiled_run_phase_tree(benchmark):
     assert prof.depth == 0
     coverage = prof.child_coverage(("engine_dispatch", "sched_iteration"))
     assert coverage >= 0.9  # acceptance: phases tile the iteration within 10%
-    record_bench(
+    record_timed(
         "perf",
         "phase_profile",
-        wall_seconds=benchmark.stats.stats.mean,
+        benchmark,
         phases_recorded=prof.total_phase_count(),
         sched_child_coverage=coverage,
         tree=prof.tree(),
@@ -83,12 +83,12 @@ def test_windowed_fold_throughput_100k(benchmark):
     assert w.jobs_finished == jobs
     span_windows = int(jobs * interarrival / width) + 2
     assert len(w.frames) <= span_windows  # bounded: O(windows), not O(jobs)
-    record_bench(
+    record_timed(
         "perf",
         "windowed_fold_100k",
-        wall_seconds=benchmark.stats.stats.mean,
+        benchmark,
         jobs=jobs,
-        jobs_per_second=jobs / benchmark.stats.stats.mean,
+        per_second={"jobs_per_second": jobs},
         frames_materialised=len(w.frames),
         frames_bound=span_windows,
     )

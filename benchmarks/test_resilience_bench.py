@@ -10,7 +10,7 @@ silently doubles requeues).
 
 import pytest
 
-from benchmarks.conftest import record_bench, register_report
+from benchmarks.conftest import record_timed, register_report
 from repro.experiments.configs import configuration
 from repro.experiments.resilience import default_fault_model
 from repro.experiments.runner import run_esp_configuration
@@ -30,10 +30,10 @@ def test_faulted_dyn_hp_run(benchmark):
     resilience = result.resilience
     assert resilience is not None
     assert resilience["node_failures"] > 0
-    record_bench(
+    record_timed(
         "resilience",
         "faulted_run",
-        wall_seconds=benchmark.stats.stats.mean,
+        benchmark,
         completed=result.metrics.completed_jobs,
         node_failures=resilience["node_failures"],
         jobs_requeued=resilience["jobs_requeued"],
@@ -57,9 +57,9 @@ def test_clean_baseline_run(benchmark):
         lambda: run_esp_configuration(_DYN_HP, seed=2014), rounds=3, iterations=1
     )
     assert result.metrics.completed_jobs == 230
-    record_bench(
+    record_timed(
         "resilience",
         "clean_baseline",
-        wall_seconds=benchmark.stats.stats.mean,
+        benchmark,
         completed=result.metrics.completed_jobs,
     )

@@ -12,7 +12,7 @@ call, the same run every experiment makes.
 
 import pytest
 
-from benchmarks.conftest import record_bench, register_report
+from benchmarks.conftest import record_timed, register_report
 from repro.experiments.configs import configuration
 from repro.experiments.runner import run_esp_configuration
 from repro.metrics.report import render_table
@@ -55,9 +55,9 @@ def test_esp_at_machine_scale(benchmark, nodes):
     assert row["completed"] == 230
     total_cores = nodes * 8
     efficiency = ideal_work_seconds(total_cores) / (total_cores * row["workload_time"])
-    record_bench(
+    record_timed(
         "scaling", f"esp_dyn_hp_{nodes}x8",
-        wall_seconds=benchmark.stats.stats.mean,
+        benchmark,
         iterations=row["iterations"],
         utilization_pct=row["util_pct"],
     )

@@ -8,7 +8,7 @@ mapping of node index to core count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
 
@@ -27,26 +27,25 @@ class ResourceRequest:
     cores: int = 0
     nodes: int = 0
     ppn: int = 0
+    #: True for ``nodes=N:ppn=P`` requests
+    is_shaped: bool = field(init=False, repr=False, compare=False)
+    #: total number of cores the request represents
+    total_cores: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        shaped = self.nodes > 0 or self.ppn > 0
-        if shaped:
+        # derived once, and before the messages below format ``self``
+        shaped = self.nodes > 0
+        object.__setattr__(self, "is_shaped", shaped)
+        object.__setattr__(
+            self, "total_cores", self.nodes * self.ppn if shaped else self.cores
+        )
+        if shaped or self.ppn > 0:
             if self.cores:
                 raise ValueError("specify either cores= or nodes=/ppn=, not both")
             if self.nodes <= 0 or self.ppn <= 0:
                 raise ValueError(f"nodes and ppn must both be positive: {self}")
         elif self.cores <= 0:
             raise ValueError(f"request must ask for at least one core: {self}")
-
-    @property
-    def is_shaped(self) -> bool:
-        """True for ``nodes=N:ppn=P`` requests."""
-        return self.nodes > 0
-
-    @property
-    def total_cores(self) -> int:
-        """Total number of cores the request represents."""
-        return self.nodes * self.ppn if self.is_shaped else self.cores
 
     def __str__(self) -> str:
         if self.is_shaped:

@@ -303,9 +303,12 @@ class StaticPass:
         prof = self._prof
         if prof is not None:
             prof.begin("backfill_scan" + self._name(plan)[0])
-        shard = self.shards.shard_map.shards[plan.sid]
-        alloc = AvailabilityProfile.fit_free(
-            self.cluster.free_for_nodes(shard.nodes), job.request
+        # shard nodes ascend and a node that is not UP reads 0 free, which
+        # no pick takes: the same answer as ``fit_free`` on the free map
+        nodes = self.shards.shard_map.shards[plan.sid].nodes
+        node = self.cluster.node
+        alloc = AvailabilityProfile._fit_from_min(
+            [node(n).free for n in nodes], job.request, nodes
         )
         if prof is not None:
             prof.end()

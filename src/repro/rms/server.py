@@ -89,6 +89,9 @@ class Server:
         #: FIFO of unresolved dynamic requests (paper: prioritised FIFO).
         self.dyn_queue: list[DynRequest] = []
         self.jobs: dict[str, Job] = {}
+        #: how many of ``jobs`` are in each state, kept by :meth:`_move`, so
+        #: queue depths cost O(1) instead of a walk over ``jobs``
+        self.state_counts: dict[JobState, int] = dict.fromkeys(JobState, 0)
         # the lifecycle counters and depth gauges read the trace and the
         # structures above; no transition below reports to them
         mirror_server(telemetry, self)
@@ -182,6 +185,9 @@ class Server:
             raise RuntimeError(f"{job.job_id} {held}, cannot {op}")
         if claim is not None:
             self.cluster.claim(claim)
+        counts = self.state_counts
+        counts[job.state] -= 1
+        counts[to] += 1
         job.state = to
 
     def _notify(self) -> None:
@@ -228,6 +234,7 @@ class Server:
         if self._discard_folded and drained:
             for job in drained:
                 if self.jobs.pop(job.job_id, None) is not None:
+                    self.state_counts[job.state] -= 1
                     self._apps.pop(job.job_id, None)
                     self._discarded_states[job.job_id] = job.state
                     self.jobs_discarded += 1
@@ -280,6 +287,8 @@ class Server:
         if job.job_id in self.jobs:
             raise ValueError(f"{job.job_id} already submitted")
         job.submit_time = self.engine.now
+        # counted in the state it arrives in, which the move then leaves
+        self.state_counts[job.state] += 1
         self._move(job, "submit")
         self.jobs[job.job_id] = job
         self._apps[job.job_id] = app

@@ -24,7 +24,7 @@ import logging
 from typing import Any, Callable
 
 from repro.cluster.allocation import ResourceRequest
-from repro.jobs.job import Job
+from repro.jobs.job import Job, JobState
 from repro.obs.fairness import principal_of
 from repro.obs.instruments import SERVICE_COUNTERS, mirror_stats
 from repro.service.api import (
@@ -37,6 +37,7 @@ from repro.service.api import (
     UnknownJob,
 )
 from repro.service.backend import Backend
+from repro.sim.events import EventKind, TraceEvent
 from repro.workloads.spec import JobSpec
 
 __all__ = ["SchedulerService"]
@@ -66,6 +67,8 @@ class _Command:
 
 _SHUTDOWN = object()
 
+_EXITS = (EventKind.JOB_END, EventKind.JOB_ABORT)
+
 
 class SchedulerService:
     """Submission/query front-end over a pluggable scheduler backend."""
@@ -84,9 +87,11 @@ class SchedulerService:
         self.batch_events = batch_events
         self._queue: asyncio.Queue | None = None
         self._consumer: asyncio.Task | None = None
-        #: principal -> ids of jobs admitted through this service that have
-        #: not yet been seen terminal (pruned lazily on admission checks)
-        self._open: dict[str, set[str]] = {}
+        #: job id -> principal of each job admitted through this service
+        #: that has not ended yet, and principal -> how many; a job leaves
+        #: both at its ``JOB_END`` or ``JOB_ABORT`` (:meth:`_on_event`)
+        self._owner: dict[str, str] = {}
+        self._open: dict[str, int] = {}
         self.stats: dict[str, int] = {
             "commands": 0,
             "submitted": 0,
@@ -97,6 +102,8 @@ class SchedulerService:
             "events_processed": 0,
         }
         mirror_stats(backend.core.telemetry, SERVICE_COUNTERS, self.stats)
+        # for the service's whole life: the backend can advance after stop()
+        backend.core.trace.subscribe(self._on_event)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -309,32 +316,28 @@ class SchedulerService:
             raise UnknownJob(job_id)
         return job
 
-    def _prune_open(self) -> int:
-        """Drop terminal jobs from the open-count index; return the total."""
-        total = 0
-        for principal, ids in list(self._open.items()):
-            for job_id in list(ids):
-                job = self.backend.find_job(job_id)
-                # a discarded (folded) job is by definition terminal
-                if job is None or job.is_finished:
-                    ids.discard(job_id)
-            if ids:
-                total += len(ids)
+    def _on_event(self, ev: TraceEvent) -> None:
+        """Close an admitted job at its exit event."""
+        if ev.kind in _EXITS:
+            principal = self._owner.pop(ev.payload["job_id"], None)
+            if principal is None:
+                return
+            if self._open[principal] > 1:
+                self._open[principal] -= 1
             else:
                 del self._open[principal]
-        return total
 
     def _do_submit(self, spec: JobSpec) -> JobInfo:
         principal = principal_of(spec)
-        open_total = self._prune_open()
-        open_mine = len(self._open.get(principal, ()))
+        open_mine = self._open.get(principal, 0)
         try:
-            self.admission.check(principal, open_mine, open_total)
+            self.admission.check(principal, open_mine, len(self._owner))
         except AdmissionError:
             self.stats["admission_rejected"] += 1
             raise
         job = self.backend.submit(spec)
-        self._open.setdefault(principal, set()).add(job.job_id)
+        self._owner[job.job_id] = principal
+        self._open[principal] = open_mine + 1
         self.stats["submitted"] += 1
         return JobInfo.from_job(job)
 
@@ -349,23 +352,17 @@ class SchedulerService:
 
     def _do_queue_info(self) -> QueueInfo:
         server = self.backend.core.server
-        counts = {"queued": 0, "running": 0, "dynqueued": 0, "finished": 0}
-        for job in server.jobs.values():
-            if job.is_finished:
-                counts["finished"] += 1
-            else:
-                counts[job.state.value] = counts.get(job.state.value, 0) + 1
-        counts["finished"] += server.jobs_discarded
-        self._prune_open()
+        counts = server.state_counts
         return QueueInfo(
             now=self.backend.now,
-            queued=counts["queued"],
-            running=counts["running"],
-            dynqueued=counts["dynqueued"],
-            finished=counts["finished"],
+            queued=counts[JobState.QUEUED],
+            running=counts[JobState.RUNNING],
+            dynqueued=counts[JobState.DYNQUEUED],
+            finished=counts[JobState.COMPLETED] + counts[JobState.ABORTED]
+            + server.jobs_discarded,
             total_jobs=len(server.jobs) + server.jobs_discarded,
             pending_events=self.backend.pending(),
-            open_by_principal={p: len(ids) for p, ids in sorted(self._open.items())},
+            open_by_principal=dict(sorted(self._open.items())),
         )
 
     def __repr__(self) -> str:

@@ -1,5 +1,6 @@
 """Tests for ResourceRequest and Allocation."""
 
+import dataclasses
 import pickle
 
 import pytest
@@ -41,6 +42,36 @@ class TestResourceRequest:
     def test_ppn_without_nodes_rejected(self):
         with pytest.raises(ValueError):
             ResourceRequest(ppn=8)
+
+    def test_rejection_messages_name_the_request(self):
+        with pytest.raises(ValueError, match="at least one core: procs=0$"):
+            ResourceRequest(cores=0)
+        with pytest.raises(ValueError, match="both be positive: procs=0$"):
+            ResourceRequest(ppn=8)
+        with pytest.raises(ValueError, match="both be positive: nodes=2:ppn=0$"):
+            ResourceRequest(nodes=2)
+
+    @pytest.mark.parametrize(
+        "req, to_30",
+        [(ResourceRequest(cores=12), {"cores": 30}),
+         (ResourceRequest(nodes=3, ppn=8), {"ppn": 10})],
+        ids=["procs", "shaped"],
+    )
+    def test_derived_totals_are_not_part_of_the_value(self, req, to_30):
+        """``total_cores`` and ``is_shaped`` are derived once at
+        construction; equality, hash, repr, ``replace`` and pickling (the
+        ``-j`` worker path) see only the three fields."""
+        fields = (req.cores, req.nodes, req.ppn)
+        assert req == ResourceRequest(*fields) and hash(req) == hash(fields)
+        assert req != ResourceRequest(cores=5)
+        assert repr(req) == "ResourceRequest(cores=%d, nodes=%d, ppn=%d)" % fields
+        wider = dataclasses.replace(req, **to_30)
+        assert wider.total_cores == 30 and wider.is_shaped == req.is_shaped
+        back = pickle.loads(pickle.dumps(req))
+        assert back == req and hash(back) == hash(req)
+        assert (back.total_cores, back.is_shaped) == (req.total_cores, req.is_shaped)
+        with pytest.raises(TypeError):
+            ResourceRequest(cores=4, total_cores=4)
 
 
 class TestAllocation:

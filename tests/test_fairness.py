@@ -92,6 +92,20 @@ class TestSingleJobDelay:
     def test_beyond_cap_denied(self):
         assert not self._led(100.0).evaluate([Victim(make_job(), 101.0)], "evil", 0.0)
 
+    def test_exactly_the_cap_allowed(self):
+        job = make_job()
+        job.accrued_delay = 40.0
+        assert self._led(100.0).evaluate([Victim(job, 60.0)], "evil", 0.0)
+
+    def test_just_above_the_cap_names_job_and_sum(self):
+        job = make_job()
+        job.accrued_delay = 40.0
+        decision = self._led(100.0).evaluate([Victim(job, 61.0)], "evil", 0.0)
+        assert not decision
+        assert decision.reason == (
+            f"job {job.job_id} single-delay cap exceeded (101s > 100s)"
+        )
+
     def test_accrued_delay_counts(self):
         led = self._led(100.0)
         job = make_job()
@@ -132,6 +146,20 @@ class TestTargetDelay:
         led.commit(v1, "evil")
         v2 = [Victim(make_job(), 60.0)]  # same user "victim"
         assert not led.evaluate(v2, "evil", 0.0)
+
+    def test_exactly_the_cap_allowed(self):
+        led = self._led(100.0)
+        led.commit([Victim(make_job(), 40.0)], "evil")
+        assert led.evaluate([Victim(make_job(), 60.0)], "evil", 0.0)
+
+    def test_just_above_the_cap_names_principal_and_sum(self):
+        led = self._led(100.0)
+        led.commit([Victim(make_job(), 40.0)], "evil")
+        decision = led.evaluate([Victim(make_job(), 61.0)], "evil", 0.0)
+        assert not decision
+        assert decision.reason == (
+            "user victim target-delay cap exceeded (101s > 100s per interval)"
+        )
 
     def test_sum_within_single_grant(self):
         led = self._led(100.0)

@@ -4,15 +4,16 @@ A Hypothesis ``RuleBasedStateMachine`` plays scheduler, applications and
 operator against a bare :class:`~repro.rms.server.Server`: it submits,
 starts, completes, aborts, cancels, holds, asks for cores and time, grants
 (sometimes through a dropped first delivery), rejects, preempts, merges,
-fails and recovers nodes and lets time pass, and on purpose makes calls the
-job's state forbids.  After every step the server, the cluster and the moms
-must agree.  A rot guard keeps every ``job.state`` write inside
-:meth:`Server._move`.
+fails and recovers nodes, lets time pass, folds and discards finished jobs,
+and on purpose makes calls the job's state forbids.  After every step the
+server, the cluster, the moms and the trace must agree.  A rot guard keeps
+every ``job.state`` write inside :meth:`Server._move`.
 """
 
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -29,9 +30,11 @@ from hypothesis.stateful import (
 from repro.cluster.allocation import Allocation, ResourceRequest
 from repro.cluster.machine import Cluster
 from repro.jobs.job import Job, JobFlexibility, JobState
+from repro.obs.windows import WindowedMetrics
 from repro.rms.client import qalter
 from repro.rms.server import Server
 from repro.sim.engine import Engine
+from repro.sim.events import EventKind
 from tests.test_faults import ScriptedFaults
 
 NODES, CORES = 3, 4
@@ -40,6 +43,11 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 Q, R, D = JobState.QUEUED, JobState.RUNNING, JobState.DYNQUEUED
 ACTIVE = {R, D}
+#: the one exit event each terminal state records
+EXIT_EVENT = {
+    JobState.COMPLETED: EventKind.JOB_END,
+    JobState.ABORTED: EventKind.JOB_ABORT,
+}
 PICK = st.integers(0, 15)
 
 #: calls a job's state forbids: operation -> (states that allow it, call)
@@ -84,6 +92,7 @@ class Lifecycle(RuleBasedStateMachine):
             list(server.dyn_queue),
             dict(server._pending_deliveries),
             len(server.trace),
+            dict(server.state_counts),
             server.state_version,
             server.alter_epoch,
             self.engine.pending,
@@ -227,6 +236,14 @@ class Lifecycle(RuleBasedStateMachine):
         elif not self.server.recover_node(node):
             self.server.handle_node_failure(node, requeue=requeue)
 
+    @rule(discard=st.booleans())
+    def drain_for_stats(self, discard: bool) -> None:
+        """The scheduler's statistics feed; once ``discard`` is drawn, it
+        folds and drops the finished jobs, as a bounded-memory replay does."""
+        if discard and not self.server._discard_folded:
+            self.server.attach_windows(WindowedMetrics(100.0), fold_and_discard=True)
+        self.server.drain_finished_for_stats()
+
     # -- invariants ----------------------------------------------------------
     @invariant()
     def no_core_held_twice(self) -> None:
@@ -263,6 +280,25 @@ class Lifecycle(RuleBasedStateMachine):
         dynqueued = {j.job_id for j in server.jobs.values() if j.state is D}
         assert set(owners) == dynqueued
         assert not any(d.resolved for d in server.dyn_queue)
+
+    @invariant()
+    def state_counts_are_a_recount(self) -> None:
+        recount = Counter(j.state for j in self.server.jobs.values())
+        assert self.server.state_counts == {s: recount[s] for s in JobState}
+
+    @invariant()
+    def each_exit_is_recorded_once(self) -> None:
+        """Every job that ended, retained or discarded, recorded exactly one
+        exit event, of its terminal state's kind."""
+        server = self.server
+        ended = {j.job_id: j.state for j in server.jobs.values() if j.is_finished}
+        ended.update(server._discarded_states)
+        recorded = Counter(
+            (e.payload["job_id"], e.kind)
+            for e in server.trace
+            if e.kind in EXIT_EVENT.values()
+        )
+        assert recorded == Counter((jid, EXIT_EVENT[s]) for jid, s in ended.items())
 
 
 TestLifecycle = Lifecycle.TestCase

@@ -18,6 +18,7 @@ from repro.apps.synthetic import FixedRuntimeApp
 from repro.cluster.allocation import ResourceRequest
 from repro.jobs.job import JobState
 from repro.maui.config import MauiConfig
+from repro.obs import Telemetry
 from repro.service import (
     AdmissionError,
     AdmissionPolicy,
@@ -30,6 +31,7 @@ from repro.service import (
     parse_request,
     principal_of,
 )
+from repro.sim.events import EventKind
 from repro.system import BatchSystem
 from repro.workloads.esp import make_esp_workload
 from repro.workloads.spec import JobSpec
@@ -462,6 +464,161 @@ class TestAdmission:
     def test_default_policy_admits_everything(self):
         policy = AdmissionPolicy()
         policy.check("anyone", 10_000, 10_000)
+
+
+class _PruneByWalk:
+    """The admission index as the service once kept it, as an oracle:
+    every read looks each open job up again and drops the ones that
+    ended, or that the backend no longer holds (folded and discarded)."""
+
+    def __init__(self, backend) -> None:
+        self.backend = backend
+        self.open: dict[str, set[str]] = {}
+
+    def admitted(self, principal: str, job_id: str) -> None:
+        self.open.setdefault(principal, set()).add(job_id)
+
+    def counts(self) -> dict[str, int]:
+        for principal, ids in list(self.open.items()):
+            for job_id in list(ids):
+                job = self.backend.find_job(job_id)
+                if job is None or job.is_finished:
+                    ids.discard(job_id)
+            if not ids:
+                del self.open[principal]
+        return {p: len(ids) for p, ids in sorted(self.open.items())}
+
+
+class _WalkCounting(dict):
+    """A job index that counts every walk over it."""
+
+    def __init__(self, jobs) -> None:
+        super().__init__(jobs)
+        self.walks = 0
+
+    def _walked(self, view):
+        self.walks += 1
+        return view
+
+    def __iter__(self):
+        return self._walked(super().__iter__())
+
+    def keys(self):
+        return self._walked(super().keys())
+
+    def values(self):
+        return self._walked(super().values())
+
+    def items(self):
+        return self._walked(super().items())
+
+
+class TestAdmissionIndex:
+    """The open-job index shrinks at each admitted job's exit event, and
+    reads it without a walk."""
+
+    @pytest.mark.parametrize("discard", [False, True], ids=["retained", "folded"])
+    def test_index_matches_prune_by_walk(self, discard):
+        """Two tenants through submit, cancel, a requeueing and an aborting
+        node failure, a future-dated submit and (folded) fold-and-discard:
+        after every command the open counts and each admission verdict equal
+        the walk's."""
+        telemetry = Telemetry(windows=600.0, fold_and_discard=True) if discard else None
+        backend = SimBackend(
+            num_nodes=2, cores_per_node=4, config=MauiConfig(), telemetry=telemetry
+        )
+        policy = AdmissionPolicy(max_open_per_account=3, max_total_open=5)
+        oracle = _PruneByWalk(backend)
+        core = backend.core
+        core.engine.at(10.0, core.server.handle_node_failure, 0)
+        core.engine.at(20.0, lambda: core.server.handle_node_failure(1, requeue=False))
+        core.engine.at(30.0, core.server.recover_node, 0)
+        core.engine.at(40.0, core.server.recover_node, 1)
+        verdicts = []
+
+        async def scenario():
+            async with SchedulerService(backend, admission=policy) as service:
+
+                async def agree():
+                    info = await service.queue_info()
+                    assert info.open_by_principal == oracle.counts()
+
+                async def submit(job_spec):
+                    counts = oracle.counts()
+                    principal = principal_of(job_spec)
+                    try:
+                        policy.check(
+                            principal, counts.get(principal, 0), sum(counts.values())
+                        )
+                        want = True
+                    except AdmissionError:
+                        want = False
+                    try:
+                        info = await service.submit(job_spec)
+                    except AdmissionError:
+                        got = None
+                    else:
+                        got = info.job_id
+                        oracle.admitted(principal, got)
+                    assert (got is not None) == want
+                    verdicts.append(want)
+                    await agree()
+                    return got
+
+                alice = [await submit(spec(cores=4, user="alice")) for _ in range(4)]
+                bob = [await submit(spec(cores=4, user="bob")) for _ in range(3)]
+                await service.cancel(alice[2], "user abort")
+                await agree()
+                await submit(spec(submit=50.0, cores=4, user="bob"))
+                await submit(spec(cores=4, user="bob"))
+                for until in (15.0, 25.0, 45.0, 60.0, 150.0):
+                    await service.run_until(until)
+                    await agree()
+                    await submit(spec(cores=2, walltime=30.0, user="alice"))
+                await service.drain()
+                await agree()
+                return alice, bob, await service.queue_info()
+
+        alice, bob, final = asyncio.run(scenario())
+        server = core.server
+        assert alice[3] is None and bob[2] is None  # per-tenant, then total cap
+        assert verdicts.count(False) >= 3 and final.open_by_principal == {}
+        assert server.trace.count(EventKind.PREEMPT) == 1  # node 0 requeued one
+        aborts = server.trace.of_kind(EventKind.JOB_ABORT)
+        assert sorted(e.payload["reason"] for e in aborts) == [
+            "node 1 failed", "user abort"
+        ]
+        assert (server.jobs_discarded > 0) == discard
+
+    @pytest.mark.parametrize("retained", [10, 1000])
+    def test_reads_make_no_lookup_and_no_walk(self, retained, monkeypatch):
+        backend = SimBackend(num_nodes=1, cores_per_node=8)
+        server = backend.core.server
+        lookups = []
+        find_job = backend.find_job
+
+        def counted_find_job(job_id):
+            lookups.append(job_id)
+            return find_job(job_id)
+
+        async def scenario():
+            async with SchedulerService(backend) as service:
+                for _ in range(retained):
+                    await service.submit(spec(cores=1, walltime=10.0))
+                await service.drain()
+                monkeypatch.setattr(backend, "find_job", counted_find_job)
+                monkeypatch.setattr(server, "jobs", _WalkCounting(server.jobs))
+                before = await service.queue_info()
+                await service.submit(spec(cores=1, user="v"))
+                return before, await service.queue_info()
+
+        before, after = asyncio.run(scenario())
+        assert lookups == [] and server.jobs.walks == 0
+        assert (before.finished, before.total_jobs) == (retained, retained)
+        assert before.queued == before.running == 0
+        assert before.open_by_principal == {}
+        assert (after.queued, after.total_jobs) == (1, retained + 1)
+        assert after.open_by_principal == {"v": 1}
 
 
 class TestReplayBackend:
