@@ -28,13 +28,9 @@ class DynRequest:
     """
 
     job: Job
-    request: ResourceRequest | None
+    request: ResourceRequest
     submit_time: float
     callback: Callable[[Allocation | None], None]
-    #: runtime-elasticity variant (after Kumar et al. [23], paper Section V):
-    #: instead of more cores, the job asks to keep its *current* cores for
-    #: this many extra seconds; ``request`` is None for these
-    extend_walltime: float | None = None
     #: absolute simulation time after which the request is auto-rejected;
     #: None = classic immediate grant-or-reject semantics
     deadline: float | None = None
@@ -48,10 +44,6 @@ class DynRequest:
     @property
     def negotiated(self) -> bool:
         return self.deadline is not None
-
-    @property
-    def is_extension(self) -> bool:
-        return self.extend_walltime is not None
 
     def publish_estimate(self, available_at: float) -> None:
         """Publish a (new) availability estimate to the application."""

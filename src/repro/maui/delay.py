@@ -31,15 +31,11 @@ def measure_delays(
     now: float,
     depth: int,
     *,
-    claim_start: float | None = None,
     baseline: StaticPlan | None = None,
 ) -> list[Victim]:
-    """Per-victim delays a grant of ``claim`` (held over
-    ``[claim_start, claim_end)``, default from ``now``) would cause to the
-    first ``depth``-StartLater prefix of the queue.
-
-    Resource grants claim from ``now``; walltime extensions claim a *future*
-    window — the job's own cores held past its original walltime end.
+    """Per-victim delays a grant of ``claim`` (held over ``[now,
+    claim_end)``) would cause to the first ``depth``-StartLater prefix of
+    the queue.
 
     ``profile`` is not mutated.  ``baseline`` may carry a pre-computed
     priority pass over the *unclaimed* profile (it must come from
@@ -51,12 +47,11 @@ def measure_delays(
     """
     if not ordered_jobs:
         return []
-    start = now if claim_start is None else max(claim_start, now)
     if baseline is None:
         baseline = plan_static(ordered_jobs, profile.copy(), now, depth)
     hypothetical_profile = profile.copy()
-    if claim_end > start:
-        hypothetical_profile.add_claim(start, claim_end, claim)
+    if claim_end > now:
+        hypothetical_profile.add_claim(now, claim_end, claim)
     hypothetical = plan_static(ordered_jobs, hypothetical_profile, now, depth)
     base_starts = baseline.starts_by_job()
     hyp_starts = hypothetical.starts_by_job()

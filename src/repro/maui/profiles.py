@@ -116,10 +116,8 @@ class ViewProfiles:
 
         The node intersection is a pure function of the (immutable)
         allocation, so per view it is memoized on allocation identity —
-        expansion rebinds ``job.allocation`` and always misses.  Walltime
-        ends are read fresh every call (extensions mutate the job in
-        place).  Rebuilding the per-view memo dict each call prunes
-        finished jobs for free.
+        expansion rebinds ``job.allocation`` and always misses.  Rebuilding
+        the per-view memo dict each call prunes finished jobs for free.
         """
         snap: dict[str, tuple[tuple, float]] = {}
         memo = self._footprint_memos.get(view_key, {})

@@ -554,9 +554,6 @@ class MauiScheduler:
                 self.stats["dyn_handle_seconds"] += (_perf_ns() - wall_start_ns) / 1e9
 
     def _handle_dynamic_request(self, dreq: DynRequest, now: float) -> None:
-        if dreq.is_extension:
-            self._handle_extension_request(dreq, now)
-            return
         job = dreq.job
         assert job.start_time is not None
         claim_end = job.walltime_end
@@ -603,7 +600,24 @@ class MauiScheduler:
             )
             return
 
-        victims, decision = self._fairness_verdict(job, alloc, None, claim_end, now)
+        # Measure the delays holding ``alloc`` until the job's walltime end
+        # would inflict on the queue as planned on the static partitions,
+        # and ask the DFS policies.
+        profile, ordered, profile_nodes, baseline = timed(
+            self._prof, "delay_context", self._delay_context, now
+        )
+        claim_inside = Allocation(
+            {n: c for n, c in alloc.items() if n in profile_nodes}
+        )
+        if claim_inside.is_empty:
+            victims = []
+        else:
+            victims = timed(
+                self._prof, "delay_measure", measure_delays,
+                ordered, profile, claim_inside, claim_end, now,
+                self.config.plan_depth, baseline=baseline,
+            )
+        decision = self.dfs.evaluate(victims, job.user, now)
         if decision:
             self._grant(
                 dreq, alloc, victims=victims, reason=decision.reason,
@@ -613,30 +627,6 @@ class MauiScheduler:
             self._deny(
                 dreq, decision.reason, kind="fairness", now=now, victims=victims
             )
-
-    def _fairness_verdict(
-        self, job: Job, claim: Allocation, claim_start: float | None,
-        claim_end: float, now: float,
-    ):
-        """Measure the delays holding ``claim`` over ``[claim_start or now,
-        claim_end)`` would inflict on the queue as planned on the static
-        partitions, and ask the DFS policies.  Returns ``(victims,
-        decision)``; the caller commits the charge if it grants."""
-        profile, ordered, profile_nodes, baseline = timed(
-            self._prof, "delay_context", self._delay_context, now
-        )
-        claim_inside = Allocation(
-            {n: c for n, c in claim.items() if n in profile_nodes}
-        )
-        if claim_inside.is_empty:
-            victims = []
-        else:
-            victims = timed(
-                self._prof, "delay_measure", measure_delays,
-                ordered, profile, claim_inside, claim_end, now,
-                self.config.plan_depth, claim_start=claim_start, baseline=baseline,
-            )
-        return victims, self.dfs.evaluate(victims, job.user, now)
 
     def _steal_from_malleable(self, dreq: DynRequest) -> Allocation | None:
         """Shrink running malleable jobs until the request fits (or give up).
@@ -680,63 +670,27 @@ class MauiScheduler:
                 blocked.update(reservation.cores_by_node)
         return blocked
 
-    def _handle_extension_request(self, dreq: DynRequest, now: float) -> None:
-        """Walltime extension: the job keeps its own cores for longer.
-
-        The hypothetical reservation is the job's current allocation over
-        ``[old walltime end, new walltime end)`` — resources are trivially
-        "available" (the job already holds them); only fairness can refuse.
-        """
-        job = dreq.job
-        assert job.start_time is not None and job.allocation is not None
-        assert dreq.extend_walltime is not None
-        old_end = job.walltime_end
-        victims, decision = self._fairness_verdict(
-            job, job.allocation, old_end, old_end + dreq.extend_walltime, now
-        )
-        if decision:
-            self._grant(
-                dreq, None, victims=victims, reason=decision.reason,
-                charged=self.dfs.commit(victims, job.user),
-            )
-        else:
-            self.trace.record(
-                now,
-                EventKind.WALLTIME_EXTENSION_DENY,
-                job_id=job.job_id,
-                user=job.user,
-                extension=dreq.extend_walltime,
-                reason=decision.reason,
-            )
-            self._reject(dreq, decision.reason, kind="fairness", victims=victims)
-
     def _grant(
         self,
         dreq: DynRequest,
-        alloc: Allocation | None,
+        alloc: Allocation,
         *,
         victims,
         charged: float,
         reason: str = "",
         preempted: list[str] | None = None,
     ) -> None:
-        """Grant ``alloc`` — or, with no allocation, the walltime extension
-        ``dreq`` asks for."""
         if self._ledger is not None:
             self._ledger.note_dyn_grant(
                 dreq, self.engine.now,
-                cores=alloc.total_cores if alloc is not None else 0,
+                cores=alloc.total_cores,
                 victims=victims, charged=charged,
                 policy=self.config.dfs.policy.value, reason=reason,
                 fingerprint=self.profiles.state(), preempted=preempted,
-                extension=dreq.extend_walltime,
             )
         self.stats["dyn_granted"] += 1
         self.stats["total_delay_charged"] += charged
-        if alloc is not None:
-            self.server.grant_dynamic(dreq, alloc)
-        else:
-            self.server.grant_walltime_extension(dreq)
+        self.server.grant_dynamic(dreq, alloc)
 
     def _reject(self, dreq, reason: str, *, kind: str, victims=()) -> None:
         if self._ledger is not None:

@@ -318,24 +318,17 @@ class ShardBook:
         self._assign.pop(job_id, None)
 
     # -- plans that outlive their pass ----------------------------------
-    def resources(self, sid: int) -> tuple[int, int, int]:
+    def resources(self, sid: int) -> tuple[int, int]:
         """Resource half of a shard's fingerprint.
 
         The shard version counter covers every claim, release and node
-        event on the shard's nodes; the server's walltime epoch covers
-        walltime extensions, which move a future release without any
-        cluster bump; its alter epoch covers ``qalter``, which changes
-        what a queued job asks for under an unchanged id.  Both epochs are
-        global, so an extension or a ``qalter`` re-plans every shard once,
-        not only the shards its job touches — accepted: no workload grants
-        an extension (docs/PERFORMANCE.md, "Kept shard plans").
+        event on the shard's nodes; the server's alter epoch covers
+        ``qalter``, which changes what a queued job asks for under an
+        unchanged id.  The epoch is global, so a ``qalter`` re-plans every
+        shard once, not only the shard its job is routed to
+        (docs/PERFORMANCE.md, "Kept shard plans").
         """
-        server = self.server
-        return (
-            self.cluster.shard_versions[sid],
-            server.walltime_epoch,
-            server.alter_epoch,
-        )
+        return (self.cluster.shard_versions[sid], self.server.alter_epoch)
 
     def match(
         self, routed: list[list[str]], now: float, reuse: bool

@@ -3,14 +3,13 @@
 from repro.metrics.collector import JobRecord, WorkloadMetrics
 from repro.metrics.gantt import render_gantt
 from repro.metrics.report import render_series, render_table
-from repro.metrics.stats import describe, jains_fairness_index, utilization_timeline
+from repro.metrics.stats import describe, utilization_timeline
 from repro.metrics.validate import validate_trace
 
 __all__ = [
     "JobRecord",
     "WorkloadMetrics",
     "describe",
-    "jains_fairness_index",
     "render_gantt",
     "render_series",
     "render_table",

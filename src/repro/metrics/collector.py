@@ -183,14 +183,6 @@ class WorkloadMetrics:
                 series.append((idx, record.wait_time))
         return series
 
-    def wait_times_for_type(self, esp_type: str) -> list[float]:
-        """Waits of one ESP job type in submission order (Fig. 9)."""
-        return [
-            r.wait_time
-            for r in self.records
-            if r.esp_type == esp_type and r.wait_time is not None
-        ]
-
     def records_for_user(self, user: str) -> list[JobRecord]:
         return [r for r in self.records if r.user == user]
 
@@ -205,9 +197,9 @@ class WorkloadMetrics:
     @property
     def wait_fairness_index(self) -> float:
         """Jain's fairness index over per-user mean waits (1.0 = uniform)."""
-        from repro.metrics.stats import jains_fairness_index
+        from repro.obs.fairness import jain_index
 
-        return jains_fairness_index(list(self.mean_wait_by_user().values()))
+        return jain_index(self.mean_wait_by_user().values())
 
     @property
     def mean_wait(self) -> float:

@@ -8,7 +8,7 @@ import numpy as np
 
 from repro.sim.events import EventKind, TraceLog
 
-__all__ = ["describe", "utilization_timeline", "busy_core_seconds", "jains_fairness_index"]
+__all__ = ["describe", "utilization_timeline", "busy_core_seconds"]
 
 #: events that change the number of busy cores, with their sign
 _CORE_DELTA_KINDS = {
@@ -66,26 +66,6 @@ def busy_core_seconds(trace: TraceLog, start: float, end: float) -> float:
         if seg_end > seg_start:
             total += float(busy[i]) * (seg_end - seg_start)
     return total
-
-
-def jains_fairness_index(values: Sequence[float]) -> float:
-    """Jain's fairness index over per-user quantities.
-
-    ``(sum x)^2 / (n * sum x^2)`` — 1.0 when everyone experiences the same
-    value, 1/n when one user takes everything.  Applied to per-user mean
-    waiting times it quantifies the uniformity the paper's Figs. 9-11 argue
-    for visually: DFS configurations should score closer to the static
-    baseline than Dyn-HP does.
-    """
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
-        return 1.0
-    if np.any(arr < 0):
-        raise ValueError("fairness index needs non-negative values")
-    denom = arr.size * float((arr ** 2).sum())
-    if denom == 0:
-        return 1.0
-    return float(arr.sum()) ** 2 / denom
 
 
 def describe(values: Sequence[float]) -> dict[str, float]:

@@ -60,11 +60,15 @@ def principal_of(job) -> str:
 
 
 def jain_index(values) -> float:
-    """Jain's fairness index of a sequence; 1.0 when empty or all zero."""
+    """Jain's fairness index ``(sum x)^2 / (n * sum x^2)`` of non-negative
+    values: 1.0 when all are equal, empty or all zero, 1/n when one value
+    holds everything."""
     total = 0.0
     square = 0.0
     n = 0
     for x in values:
+        if x < 0:
+            raise ValueError("fairness index needs non-negative values")
         total += x
         square += x * x
         n += 1

@@ -5,7 +5,7 @@ grants inflict on queued rigid jobs* (Figs. 8-11).  Aggregate waits cannot
 show that causally — this module records a structured, append-only
 :class:`Decision` for every scheduler verdict (static start, backfill
 placement, reservation create/slide, dynamic grant/deny, throttle
-rejection, preemption, walltime-extension verdict), each carrying causal
+rejection, preemption), each carrying causal
 references: blocking job ids, the DFS policy consulted, and a fingerprint
 of the availability-profile state ``(server state version, cluster
 version, sim time)`` the verdict was computed against.
@@ -67,8 +67,6 @@ class DecisionKind(enum.Enum):
     DYN_GRANT = "dyn_grant"
     DYN_DENY = "dyn_deny"
     DYN_DEFER = "dyn_defer"
-    EXTENSION_GRANT = "extension_grant"
-    EXTENSION_DENY = "extension_deny"
     THROTTLE_REJECT = "throttle_reject"
     PREEMPTION = "preemption"
     NODE_FAILURE_REQUEUE = "node_failure_requeue"
@@ -405,9 +403,8 @@ class DecisionLedger:
         reason: str,
         fingerprint: tuple,
         preempted: list[str] | None = None,
-        extension: float | None = None,
     ) -> str:
-        """A dynamic (or walltime-extension) request was granted.
+        """A dynamic request was granted.
 
         Records the grant decision with the rigid jobs it displaces and
         charges each victim's measured delay under a fresh ``grant_id`` —
@@ -446,10 +443,7 @@ class DecisionLedger:
         }
         if preempted:
             payload["preempted"] = list(preempted)
-        if extension is not None:
-            payload["walltime_extension"] = extension
-        kind = DecisionKind.EXTENSION_GRANT if extension is not None else DecisionKind.DYN_GRANT
-        decision = self._record(kind, now, dreq.job.job_id, payload)
+        decision = self._record(DecisionKind.DYN_GRANT, now, dreq.job.job_id, payload)
         self._grant_totals[grant_id] = total_delay
         for victim in delayed:
             self._charges.setdefault(victim.job.job_id, []).append(
@@ -471,7 +465,7 @@ class DecisionLedger:
         policy: str,
         fingerprint: tuple,
     ) -> None:
-        """A dynamic (or extension) request was rejected."""
+        """A dynamic request was rejected."""
         delayed = [v for v in victims if v.delay > ATTRIBUTION_EPSILON]
         payload: dict[str, Any] = {
             "user": dreq.job.user,
@@ -483,12 +477,7 @@ class DecisionLedger:
             ],
             "profile_fingerprint": list(fingerprint),
         }
-        kind = (
-            DecisionKind.EXTENSION_DENY
-            if dreq.is_extension
-            else DecisionKind.DYN_DENY
-        )
-        self._record(kind, now, dreq.job.job_id, payload)
+        self._record(DecisionKind.DYN_DENY, now, dreq.job.job_id, payload)
 
     def note_dyn_defer(self, dreq, now: float, *, estimate: float) -> None:
         """A negotiated request was deferred with an availability estimate."""
@@ -607,12 +596,8 @@ class DecisionLedger:
         return [d for d in self._decisions if d.kind is kind]
 
     def grants(self) -> list[Decision]:
-        """All grant decisions (resource and walltime-extension)."""
-        return [
-            d
-            for d in self._decisions
-            if d.kind in (DecisionKind.DYN_GRANT, DecisionKind.EXTENSION_GRANT)
-        ]
+        """All grant decisions."""
+        return self.of_kind(DecisionKind.DYN_GRANT)
 
     def grant_total(self, grant_id: str) -> float:
         """Total delay measured for a grant when it was made."""
@@ -694,7 +679,7 @@ def load_ledger_jsonl(source: str | Path) -> DecisionLedger:
             ledger._decisions.append(decision)
             if decision.job_id is not None:
                 ledger._chain.setdefault(decision.job_id, []).append(decision)
-            if decision.kind in (DecisionKind.DYN_GRANT, DecisionKind.EXTENSION_GRANT):
+            if decision.kind is DecisionKind.DYN_GRANT:
                 grant_id = decision.payload.get("grant_id")
                 if grant_id is not None:
                     ledger._grant_totals[grant_id] = float(

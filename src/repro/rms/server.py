@@ -109,10 +109,6 @@ class Server:
         self.state_version: int = 0
         self._active_jobs_cache: list[Job] = []
         self._active_jobs_cache_version: int = -1
-        #: bumps whenever a *running* job's walltime is extended — the one
-        #: mutation that moves a future release without touching cluster
-        #: state; part of the scheduler's per-shard plan fingerprints
-        self.walltime_epoch: int = 0
         #: bumps whenever a *queued* job's request or walltime is altered
         #: (``qalter``) — the one mutation that changes what a queue plans
         #: to without changing its membership or order; part of the same
@@ -481,41 +477,14 @@ class Server:
         """
         if timeout is not None and timeout <= 0:
             raise ValueError(f"negotiation timeout must be positive: {timeout}")
-        return self._ask(DynRequest(
+        dreq = DynRequest(
             job=job,
             request=request,
             submit_time=self.engine.now,
             callback=callback,
             deadline=None if timeout is None else self.engine.now + timeout,
             on_estimate=on_estimate,
-        ), str(request))
-
-    def extend_walltime_request(
-        self,
-        job: Job,
-        extra_seconds: float,
-        callback: Callable[[Allocation | None], None],
-    ) -> DynRequest:
-        """Ask for more *time* on the current allocation (Kumar et al. [23]).
-
-        Queued like a dynamic resource request; the scheduler measures the
-        delay the longer reservation would cause to planned jobs and applies
-        the same DFS policies.  On grant the callback receives the job's own
-        (unchanged) allocation; on rejection, None.
-        """
-        if extra_seconds <= 0:
-            raise ValueError(f"extension must be positive: {extra_seconds}")
-        return self._ask(DynRequest(
-            job=job,
-            request=None,
-            submit_time=self.engine.now,
-            callback=callback,
-            extend_walltime=extra_seconds,
-        ), f"walltime+{extra_seconds:.0f}s")
-
-    def _ask(self, dreq: DynRequest, wants: str) -> DynRequest:
-        """Queue a running job's request (job → ``dynqueued``)."""
-        job = dreq.job
+        )
         self._move(job, "ask")
         self.dyn_queue.append(dreq)
         if dreq.deadline is not None:
@@ -525,54 +494,13 @@ class Server:
             EventKind.DYN_REQUEST,
             job_id=job.job_id,
             user=job.user,
-            request=wants,
+            request=str(request),
             negotiated=dreq.negotiated,
         )
-        log.info("dyn_request %s wants %s%s", job.job_id, wants,
+        log.info("dyn_request %s wants %s%s", job.job_id, request,
                  " (negotiated)" if dreq.negotiated else "")
         self._notify()
         return dreq
-
-    def grant_walltime_extension(self, dreq: DynRequest) -> None:
-        """Extend the job's time slice (the extension analogue of a grant)."""
-        job = dreq.job
-        if dreq not in self.dyn_queue:
-            raise RuntimeError(f"{dreq!r} is not pending")
-        assert dreq.extend_walltime is not None
-        self._move(job, "answer")
-        self.dyn_queue.remove(dreq)
-        job.walltime += dreq.extend_walltime
-        self.walltime_epoch += 1
-        # move the kill switch to the new limit
-        ctx = self._contexts[job.job_id]
-        ctx.limit.cancel()
-        ctx.limit = self.engine.at(
-            job.walltime_end, self._walltime_expired, job, priority=PRIORITY_LIMIT
-        )
-        job.dyn_granted += 1
-        self.trace.record(
-            self.engine.now,
-            EventKind.DYN_GRANT,
-            job_id=job.job_id,
-            user=job.user,
-            cores=0,
-            nodes=[],
-            walltime_extension=dreq.extend_walltime,
-            new_walltime=job.walltime,
-        )
-        # dedicated observation for the extension path (previously only the
-        # generic cores=0 DYN_GRANT hinted at what actually happened)
-        self.trace.record(
-            self.engine.now,
-            EventKind.WALLTIME_EXTENSION_GRANT,
-            job_id=job.job_id,
-            user=job.user,
-            extension=dreq.extend_walltime,
-            new_walltime=job.walltime,
-        )
-        log.info("extension granted %s -> walltime %.0fs", job.job_id, job.walltime)
-        dreq.resolve(job.allocation)
-        self._notify()
 
     def _negotiation_expired(self, dreq: DynRequest) -> None:
         if dreq.resolved or dreq not in self.dyn_queue:

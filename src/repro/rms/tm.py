@@ -133,19 +133,6 @@ class TMContext:
             return False
         return True
 
-    def tm_extend_walltime(
-        self, extra_seconds: float, callback: Callable[[Allocation | None], None]
-    ) -> None:
-        """Request extra runtime on the current allocation.
-
-        Runtime elasticity in the *time* dimension (after Kumar et al.,
-        IPDPSW 2012 — paper ref. [23]): the request goes through the same
-        dynamic queue and fairness policies as resource requests; the
-        hypothetical reservation is the job's own cores held past the
-        original walltime.
-        """
-        self._server.extend_walltime_request(self.job, extra_seconds, callback)
-
     def register_checkpoint_handler(self, handler: Callable[[], None]) -> None:
         """Declare this job checkpointable under preemption.
 

@@ -43,8 +43,6 @@ class EventKind(enum.Enum):
     # delivered to the mother superior (repro.faults); retried with backoff
     GRANT_DELIVERY_FAIL = "grant_delivery_fail"
     # paths that previously left no observation behind
-    WALLTIME_EXTENSION_GRANT = "walltime_extension_grant"
-    WALLTIME_EXTENSION_DENY = "walltime_extension_deny"
     MALLEABLE_SHRINK = "malleable_shrink"
     CHECKPOINT = "checkpoint"
     MOLDABLE_START = "moldable_start"

@@ -72,6 +72,13 @@ class TestMeasureDelays:
         victims = measure_delays([blocked], prof, Allocation({3: 8}), 10.0, 0.0, 5)
         assert victims[0].delay == 0.0
 
+    def test_claim_ending_now_delays_nobody(self):
+        # an empty claim interval adds nothing to the profile
+        prof = profile(busy_until={0: 100.0})
+        queued = [job(32), job(8)]
+        victims = measure_delays(queued, prof, Allocation({1: 8}), 0.0, 0.0, 5)
+        assert {v.job: v.delay for v in victims} == {j: 0.0 for j in queued}
+
     def test_multiple_victims_ordered_delays(self):
         prof = profile(busy_until={0: 100.0, 1: 100.0})
         first, second = job(32, walltime=50.0), job(32, walltime=50.0)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro.cluster.allocation import ResourceRequest
 from repro.jobs.job import Job
 from repro.maui.config import DFSConfig, DFSPolicy, PrincipalLimits
-from repro.maui.fairness import DFSLedger, Victim
+from repro.maui.fairness import _EPSILON, DFSLedger, Victim
 
 
 def make_job(user="victim", group="vgroup", **kw):
@@ -58,6 +58,17 @@ class TestPermVeto:
             users={"victim": PrincipalLimits(dyn_delay_perm=False)},
         )
         assert led.evaluate([Victim(make_job(), 0.0)], "evil", 0.0)
+
+    def test_delay_of_exactly_epsilon_not_vetoed(self):
+        """A delay no larger than the noise floor is no delay: it cannot
+        trip the permission veto."""
+        led = ledger(
+            DFSPolicy.TARGET_DELAY,
+            users={"victim": PrincipalLimits(dyn_delay_perm=False)},
+        )
+        decision = led.evaluate([Victim(make_job(), _EPSILON)], "evil", 0.0)
+        assert decision
+        assert decision.reason == "no foreign job delayed"
 
 
 class TestSameUserExemption:
@@ -218,6 +229,13 @@ class TestCommit:
         led.commit([Victim(job, 0.0)], "evil")
         assert job.accrued_delay == 0.0
 
+    def test_commit_skips_a_delay_of_exactly_epsilon(self):
+        led = ledger(DFSPolicy.TARGET_DELAY)
+        job = make_job()
+        assert led.commit([Victim(job, _EPSILON)], "evil") == 0.0
+        assert job.accrued_delay == 0.0
+        assert led.snapshot() == {}
+
 
 class TestDecay:
     def test_roll_applies_decay(self):
@@ -255,6 +273,15 @@ class TestDecay:
         led.roll(100.0)
         assert led.evaluate([Victim(make_job(), 4080.0)], "evil", 100.0)
         assert not led.evaluate([Victim(make_job(), 4081.0)], "evil", 100.0)
+
+    def test_decay_to_exactly_epsilon_is_kept(self):
+        """The prune drops only what decays *below* the noise floor."""
+        led = DFSLedger(DFSConfig(policy=DFSPolicy.TARGET_DELAY, interval=100.0, decay=0.5))
+        led.commit([Victim(make_job(), 2 * _EPSILON)], "evil")
+        led.roll(100.0)
+        assert led.snapshot() == {("user", "victim"): _EPSILON}
+        led.roll(200.0)
+        assert led.snapshot() == {}
 
     def test_no_roll_before_boundary(self):
         led = DFSLedger(DFSConfig(policy=DFSPolicy.TARGET_DELAY, interval=100.0))

@@ -8,7 +8,7 @@ from repro.cluster.allocation import ResourceRequest
 from repro.jobs.evolution import EvolutionProfile
 from repro.jobs.job import Job, JobFlexibility
 from repro.maui.config import DFSConfig, DFSPolicy, MauiConfig, PrincipalLimits
-from repro.metrics.stats import jains_fairness_index
+from repro.obs.fairness import jain_index
 from repro.system import BatchSystem
 
 
@@ -79,17 +79,17 @@ class TestClassAndQosLimits:
 
 class TestWaitFairnessIndex:
     def test_uniform_is_one(self):
-        assert jains_fairness_index([5.0, 5.0, 5.0]) == pytest.approx(1.0)
+        assert jain_index([5.0, 5.0, 5.0]) == pytest.approx(1.0)
 
     def test_single_hog_is_one_over_n(self):
-        assert jains_fairness_index([9.0, 0.0, 0.0]) == pytest.approx(1 / 3)
+        assert jain_index([9.0, 0.0, 0.0]) == pytest.approx(1 / 3)
 
     def test_empty_is_one(self):
-        assert jains_fairness_index([]) == 1.0
+        assert jain_index([]) == 1.0
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            jains_fairness_index([-1.0])
+            jain_index([-1.0])
 
     def test_esp_fairness_ordering(self):
         """DFS restores per-user wait uniformity relative to Dyn-HP.

@@ -196,17 +196,6 @@ class TestDecisionRecording:
         attribution = ledger.attribution(small.job_id, upto=system.now)
         assert attribution["components"].get("requeued", 0.0) > 0.0
 
-    def test_extension_verdicts(self):
-        from tests.test_walltime_extension import OverrunningApp, overrunner
-
-        system, ledger = ledger_system()
-        job = system.submit(overrunner(), OverrunningApp())
-        system.run()
-        (grant,) = ledger.of_kind(DecisionKind.EXTENSION_GRANT)
-        assert grant.job_id == job.job_id
-        assert grant.payload["walltime_extension"] == 200.0
-        assert grant.payload["cores"] == 0  # time, not resources
-
 
 class TestHolds:
     def test_hold_wait_is_attributed_to_the_hold(self):

@@ -2,7 +2,7 @@
 
 A Hypothesis ``RuleBasedStateMachine`` plays scheduler, applications and
 operator against a bare :class:`~repro.rms.server.Server`: it submits,
-starts, completes, aborts, cancels, holds, asks for cores and time, grants
+starts, completes, aborts, cancels, holds, asks for cores, grants
 (sometimes through a dropped first delivery), rejects, preempts, merges,
 fails and recovers nodes, lets time pass, folds and discards finished jobs,
 and on purpose makes calls the job's state forbids.  After every step the
@@ -65,8 +65,6 @@ ILLEGAL = {
     "merge": (ACTIVE, lambda m, j: m.server.merge_allocations(j, m.parent_for(j))),
     "ask": ({R}, lambda m, j: m.server.dyn_request(
         j, ResourceRequest(cores=1), m.answered.append)),
-    "extend": ({R}, lambda m, j: m.server.extend_walltime_request(
-        j, 10.0, m.answered.append)),
 }
 
 
@@ -79,6 +77,8 @@ class Lifecycle(RuleBasedStateMachine):
         self.faults = ScriptedFaults(drops=(), max_retries=1)
         self.server.attach_faults(self.faults)
         self.answered: list = []
+        #: job id -> walltime end at its latest start
+        self.started_ends: dict[str, float] = {}
 
     # -- helpers ---------------------------------------------------------
     def _snapshot(self):
@@ -143,6 +143,7 @@ class Lifecycle(RuleBasedStateMachine):
             self._refused(self.server.start_job, job, taken, error=ValueError)
         else:
             self.server.start_job(job, allocation, backfilled=backfilled)
+            self.started_ends[job.job_id] = job.walltime_end
 
     @precondition(lambda self: self.server.queue)
     @rule(pick=PICK, cancel=st.booleans())
@@ -168,23 +169,17 @@ class Lifecycle(RuleBasedStateMachine):
 
     # -- the dynamic path --------------------------------------------------
     @precondition(lambda self: self.server.active_count)
-    @rule(pick=PICK, cores=st.integers(1, CORES), time=st.booleans())
-    def ask(self, pick: int, cores: int, time: bool) -> None:
+    @rule(pick=PICK, cores=st.integers(1, CORES))
+    def ask(self, pick: int, cores: int) -> None:
         job = self._in({R}, pick)
         if job is None:
             return
-        if time:
-            self.server.extend_walltime_request(job, 10.0 * cores, self.answered.append)
-        else:
-            self.server.dyn_request(job, ResourceRequest(cores=cores), self.answered.append)
+        self.server.dyn_request(job, ResourceRequest(cores=cores), self.answered.append)
 
     @precondition(lambda self: self.server.dyn_queue)
     @rule(pick=PICK, drop=st.booleans())
     def grant(self, pick: int, drop: bool) -> None:
         dreq = self.server.dyn_queue[pick % len(self.server.dyn_queue)]
-        if dreq.is_extension:
-            self.server.grant_walltime_extension(dreq)
-            return
         allocation = self.cluster.find_allocation(dreq.request)
         if allocation is None:
             return
@@ -280,6 +275,13 @@ class Lifecycle(RuleBasedStateMachine):
         dynqueued = {j.job_id for j in server.jobs.values() if j.state is D}
         assert set(owners) == dynqueued
         assert not any(d.resolved for d in server.dyn_queue)
+
+    @invariant()
+    def walltime_is_fixed_at_start(self) -> None:
+        """A running job's limit never moves, so a kept plan's future
+        releases stay valid until the cluster or the queue changes."""
+        for job in self.server.active_jobs():
+            assert job.walltime_end == self.started_ends[job.job_id]
 
     @invariant()
     def state_counts_are_a_recount(self) -> None:

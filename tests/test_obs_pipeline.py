@@ -241,43 +241,6 @@ class TestSampler:
         )
 
 
-class _OverrunningApp:
-    """Needs 400s but asked for 300s; requests +200s walltime at t=250."""
-
-    def launch(self, ctx) -> None:
-        self.ctx = ctx
-        ctx.after(250.0, self._ask)
-        ctx.after(400.0, ctx.finish)
-
-    def _ask(self) -> None:
-        if self.ctx.job.is_active:
-            self.ctx.tm_extend_walltime(200.0, lambda grant: None)
-
-
-class TestNewEventKinds:
-    def test_walltime_extension_grant_recorded(self):
-        from repro.cluster.allocation import ResourceRequest
-        from repro.jobs.job import Job, JobFlexibility
-
-        system = BatchSystem(2, 8)
-        system.submit(
-            Job(
-                request=ResourceRequest(cores=8),
-                walltime=300.0,
-                user="late",
-                flexibility=JobFlexibility.EVOLVING,
-            ),
-            _OverrunningApp(),
-        )
-        system.run()
-        grants = system.trace.of_kind(EventKind.WALLTIME_EXTENSION_GRANT)
-        assert len(grants) == 1
-        assert grants[0].payload["extension"] == 200.0
-        assert grants[0].payload["new_walltime"] == 500.0
-        # the new kind supplements the pre-existing observable stream
-        assert system.trace.count(EventKind.DYN_GRANT) == 1
-
-
 # ----------------------------------------------------------------------
 # metrics read their sources: the trace, the queues, the cluster, the ledger
 # ----------------------------------------------------------------------

@@ -266,7 +266,7 @@ class TestMerge:
         assert server.moms.cores_held(parent) == 12
         assert server.moms.cores_held(stub) == 0
 
-    @pytest.mark.parametrize("pending", ["resources", "walltime", "grant_retry"])
+    @pytest.mark.parametrize("pending", ["resources", "grant_retry"])
     def test_merge_drops_the_helpers_pending_request(self, bare, pending):
         """A merged helper leaves nothing behind that could claim cores."""
         engine, cluster, server = bare
@@ -275,10 +275,7 @@ class TestMerge:
         stub = server.submit(make_job(request=ResourceRequest(cores=4), walltime=50.0))
         server.start_job(stub, Allocation({1: 4}))
         answers = []
-        if pending == "walltime":
-            server.extend_walltime_request(stub, 30.0, answers.append)
-        else:
-            server.dyn_request(stub, ResourceRequest(cores=4), answers.append)
+        server.dyn_request(stub, ResourceRequest(cores=4), answers.append)
         if pending == "grant_retry":
             server.attach_faults(ScriptedFaults(drops={1}))
             server.grant_dynamic(server.dyn_queue[0], Allocation({2: 4}))

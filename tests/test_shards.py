@@ -471,13 +471,11 @@ def _decision_stats(system):
     return {k: v for k, v in system.scheduler.stats.items() if k not in _MECHANISM}
 
 
-class _ExtendingApp:
-    """Runs ``runtime`` seconds and asks for ``extra`` walltime at ``ask_at``
-    — the one mutation that moves a shard's future release without touching
-    the cluster."""
+class _GrowingApp:
+    """Runs ``runtime`` seconds and asks for one more core at ``ask_at``."""
 
-    def __init__(self, runtime, ask_at, extra):
-        self.runtime, self.ask_at, self.extra = runtime, ask_at, extra
+    def __init__(self, runtime, ask_at):
+        self.runtime, self.ask_at = runtime, ask_at
 
     def launch(self, ctx):
         self.ctx = ctx
@@ -486,7 +484,7 @@ class _ExtendingApp:
 
     def _ask(self):
         if self.ctx.job.is_active:
-            self.ctx.tm_extend_walltime(self.extra, lambda grant: None)
+            self.ctx.tm_dynget(ResourceRequest(cores=1), lambda grant: None)
 
 
 @settings(
@@ -509,7 +507,7 @@ class _ExtendingApp:
         ),
         max_size=8,
     ),
-    extend_at=st.floats(min_value=0.0, max_value=1200.0),
+    grow_at=st.floats(min_value=0.0, max_value=1200.0),
     fail_at=st.floats(min_value=0.0, max_value=1500.0),
     fail_node=st.integers(min_value=0, max_value=5),
     alter_at=st.floats(min_value=0.0, max_value=1500.0),
@@ -518,14 +516,14 @@ class _ExtendingApp:
 @example(  # the default shard count is always among the examples run
     shards=1, seed=2014, spanning_at=700.0, lockdown_at=1200.0,
     fillers=[(50.0, 2, 40.0), (300.0, 3, 900.0), (600.0, 1, 2500.0)],
-    extend_at=100.0, fail_at=900.0, fail_node=2, alter_at=400.0, stop=800.0,
+    grow_at=100.0, fail_at=900.0, fail_node=2, alter_at=400.0, stop=800.0,
 )
 def test_pass_cache_dropped_exactly_as_without_ledger(
-    shards, seed, spanning_at, lockdown_at, fillers, extend_at, fail_at,
+    shards, seed, spanning_at, lockdown_at, fillers, grow_at, fail_at,
     fail_node, alter_at, stop,
 ):
     """Random queues with a spanning job, a lockdown job, hole-sized and
-    window-crossing backfill candidates, a walltime extension, a node
+    window-crossing backfill candidates, a mid-run dynamic request, a node
     failure and a ``qalter``: after every pass the cache holds the same
     shards with the ledger attached as without it, it is empty whenever a
     spanning or top-priority job queues (the ``span`` job spans only where
@@ -543,9 +541,9 @@ def test_pass_cache_dropped_exactly_as_without_ledger(
             lockdown_at, ResourceRequest(cores=4), 300.0, "zed", top_priority=True,
             app_factory=lambda: FixedRuntimeApp(200.0),
         ),
-        JobSpec(  # moves its shard's release from t+600 to t+1000
-            extend_at, ResourceRequest(cores=3), 600.0, "late", evolving=True,
-            app_factory=lambda: _ExtendingApp(700.0, 300.0, 400.0),
+        JobSpec(  # asks for one more core mid-run, then overruns its walltime
+            grow_at, ResourceRequest(cores=3), 600.0, "late", evolving=True,
+            app_factory=lambda: _GrowingApp(700.0, 300.0),
         ),
     ] + [
         JobSpec(
@@ -873,58 +871,6 @@ def test_node_event_drops_retained_profiles(shards=2):
     assert cache == {}
 
 
-def test_granted_extension_replans_every_shard(shards=2):
-    """A walltime extension moves a future release without touching the
-    cluster; the server's walltime epoch is in every shard's resource
-    signature, so a grant to a job on shard 0 alone voids *every* kept
-    plan — one re-plan of shard 1 more than strictly needed, accepted
-    (docs/PERFORMANCE.md, "Kept shard plans") — and the run equals the
-    skip-off oracle."""
-
-    def spec(at, app=lambda: FixedRuntimeApp(1000.0), **request):
-        return JobSpec(at, ResourceRequest(**request), 1000.0, "u", app_factory=app)
-
-    workload = Workload(
-        # all of shard 0; asks at t=30 to run until t=1200, and does
-        [spec(0.0, lambda: _ExtendingApp(1200.0, 30.0, 200.0), nodes=2, ppn=4)]
-        + [spec(0.0, nodes=2, ppn=4)] * (shards - 1)  # all of shard 1
-        # A on shard 0 and B on shard 1, each reserved at t=1000
-        + [spec(10.0, cores=8)] * shards
-    )
-    maui = MauiConfig(reservation_depth=5, scheduler_shards=shards)
-    nodes = 2 * shards
-    passes = []
-
-    def watch(system):
-        scheduler, iteration = system.scheduler, system.scheduler.iteration
-
-        def watched():
-            iteration()
-            passes.append((system.engine.now, dict(scheduler.stats)))
-
-        scheduler.iteration = watched
-
-    on, on_ledger = _ledger_run(
-        workload, maui, skip=True, nodes=nodes, cores=4, watch=watch
-    )
-    before = [stats for now, stats in passes if now == 10.0][-1]
-    at_grant = next(stats for now, stats in passes if now == 30.0)
-    assert at_grant["dyn_granted"] == before["dyn_granted"] + 1
-    assert at_grant["shard_passes_skipped"] == before["shard_passes_skipped"]
-    assert at_grant["reservations_created"] == before["reservations_created"] + shards
-    jobs = sorted(on.server.jobs.values(), key=lambda j: j.seq)
-    assert set(jobs[0].allocation) <= {0, 1}  # the extended job: shard 0 only
-    assert [j.start_time for j in jobs[shards:]] == [1200.0, 1000.0][:shards]
-
-    off, off_ledger = _ledger_run(workload, maui, skip=False, nodes=nodes, cores=4)
-    assert _schedule(on) == _schedule(off)
-    assert _decision_stats(on) == _decision_stats(off)
-    with tempfile.TemporaryDirectory() as tmp:
-        assert _ledger_bytes(on_ledger, Path(tmp), "on") == _ledger_bytes(
-            off_ledger, Path(tmp), "off"
-        )
-
-
 @pytest.mark.parametrize(
     "case",
     [
@@ -935,7 +881,6 @@ def test_granted_extension_replans_every_shard(shards=2):
         test_priority_insert_ahead_of_the_tail_replans_the_whole_shard,
         *(functools.partial(test_qalter_replans_the_shard, *q) for q in _QALTERS),
         test_node_event_drops_retained_profiles,
-        test_granted_extension_replans_every_shard,
     ],
     ids=lambda case: getattr(case, "func", case).__name__.removeprefix("test_"),
 )
