@@ -46,10 +46,14 @@ class Cluster:
         self._free_cache: dict = {}
         self._free_cache_version: int = -1
         #: per-shard monotone version counters (installed by the scheduler's
-        #: :class:`~repro.maui.shards.ShardBook`, one shard included);
-        #: index ``shard_versions[s]`` bumps whenever a claim,
-        #: release or node state change touches a node of shard ``s``
+        #: :class:`~repro.maui.shards.ShardBook`, one shard included):
+        #: ``shard_versions[s]`` bumps whenever a claim, an unforeseen
+        #: release or a node state change touches a node of shard ``s``;
+        #: ``shard_releases[s]`` bumps instead on a *foreseen* release, a
+        #: job leaving at or after its walltime end, which every profile
+        #: already holds at that time (docs/PERFORMANCE.md, R7)
         self.shard_versions: list[int] = []
+        self.shard_releases: list[int] = []
         self._shard_of_node: dict[int, int] | None = None
         #: bumps only on node fail/recover — UP *capacity* (what shard
         #: routing keys on) never changes on a claim or release, so
@@ -163,15 +167,18 @@ class Cluster:
         shard plan's fingerprint."""
         self._shard_of_node = dict(shard_of_node)
         self.shard_versions = [0] * num_shards
+        self.shard_releases = [0] * num_shards
 
-    def _bump_shards_for(self, node_indices: Iterable[int]) -> None:
+    def _bump_shards_for(
+        self, node_indices: Iterable[int], counters: list[int]
+    ) -> None:
         mapping = self._shard_of_node
         if mapping is None:
             return
         for idx in node_indices:
             shard = mapping.get(idx)
             if shard is not None:
-                self.shard_versions[shard] += 1
+                counters[shard] += 1
 
     # ------------------------------------------------------------------
     # allocation
@@ -217,12 +224,17 @@ class Cluster:
             self._by_index[idx].used += count
             self._used_cores += count
         self.version += 1
-        self._bump_shards_for(allocation)
+        self._bump_shards_for(allocation, self.shard_versions)
         if self._on_busy_change is not None:
             self._on_busy_change(self.used_cores)
 
-    def release(self, allocation: Allocation) -> None:
-        """Return the allocation's cores to the free pool."""
+    def release(self, allocation: Allocation, *, foreseen: bool = False) -> None:
+        """Return the allocation's cores to the free pool.
+
+        ``foreseen``: the release happens at or after the walltime end the
+        profiles plan it for, so it bumps :attr:`shard_releases` instead of
+        :attr:`shard_versions` (:attr:`version` bumps either way).
+        """
         for idx, count in allocation.items():
             node = self._by_index.get(idx)
             if node is None:
@@ -235,7 +247,9 @@ class Cluster:
             self._by_index[idx].used -= count
             self._used_cores -= count
         self.version += 1
-        self._bump_shards_for(allocation)
+        self._bump_shards_for(
+            allocation, self.shard_releases if foreseen else self.shard_versions
+        )
         if self._on_busy_change is not None:
             self._on_busy_change(self.used_cores)
 
@@ -256,7 +270,7 @@ class Cluster:
         node.state = NodeState.DOWN
         self.version += 1
         self.topology_version += 1
-        self._bump_shards_for((index,))
+        self._bump_shards_for((index,), self.shard_versions)
         log.warning("node %s marked DOWN", node.name)
         return True
 
@@ -268,7 +282,7 @@ class Cluster:
         node.state = NodeState.UP
         self.version += 1
         self.topology_version += 1
-        self._bump_shards_for((index,))
+        self._bump_shards_for((index,), self.shard_versions)
         log.info("node %s recovered", node.name)
         return True
 

@@ -262,6 +262,19 @@ class AvailabilityProfile:
         block -= vec
         self._gen += 1
 
+    def cancel_claim(self, start: float, end: float, allocation: Allocation) -> None:
+        """Undo :meth:`add_claim` of the same window: the cores are free
+        again during ``[start, end)``.  Atomic like :meth:`add_release`;
+        the two breakpoints stay, neutral."""
+        vec = self._vector(allocation)
+        i0 = self._ensure_breakpoint(max(start, self._times[0]))
+        i1 = self._ensure_breakpoint(end)
+        block = self._mat[i0:i1]
+        if self._capacity is not None and (block + vec > self._capacity).any():
+            raise ValueError("cancelled claim exceeds node capacity in profile")
+        block += vec
+        self._gen += 1
+
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------

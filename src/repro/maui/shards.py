@@ -182,17 +182,25 @@ class ShardPlan:
     #: of this pass moved it) and the routed ids the plan covers
     resources: tuple | None = None
     queue: tuple = ()
+    #: ``cluster.shard_releases[sid]`` when matched and filed: releases the
+    #: profile foresaw, which keep the plan (R7)
+    releases: int = 0
     #: working profile with this plan's claims; built on the shard's first
     #: blocked job (R6), so None while every routed job started
     profile: AvailabilityProfile | None = None
     #: reservations counted against ``ReservationDepth`` (a spanning job
     #: counts on every shard without an entry in ``reserved``)
     res_count: int = 0
-    reserved: dict[str, float] = field(default_factory=dict)
-    #: earliest start in ``reserved``: once due, the plan is void
+    #: job id -> ``(start, allocation)`` of its reservation
+    reserved: dict[str, tuple[float, Allocation]] = field(default_factory=dict)
+    #: earliest start in ``reserved`` (under R7, of those walked so far):
+    #: once due, the plan is void unless a foreseen release starts it
     min_res_start: float | None = None
     #: ids examined and neither started nor proven unfittable
     blocked: set[str] = field(default_factory=set)
+    #: ids of moldable jobs examined and not started: freed cores can
+    #: change their outcome, so R7 re-walks from the first of them
+    moldable: set[str] = field(default_factory=set)
     #: jobs at the head of ``queue`` still to replay from this plan
     replay_left: int = 0
     #: the plan covers the whole routed queue: nothing to plan
@@ -321,10 +329,11 @@ class ShardBook:
     def resources(self, sid: int) -> tuple[int, int]:
         """Resource half of a shard's fingerprint.
 
-        The shard version counter covers every claim, release and node
-        event on the shard's nodes; the server's alter epoch covers
-        ``qalter``, which changes what a queued job asks for under an
-        unchanged id.  The epoch is global, so a ``qalter`` re-plans every
+        The shard version counter covers every claim, unforeseen release
+        and node event on the shard's nodes (a foreseen release moves
+        ``cluster.shard_releases`` instead, R7); the server's alter epoch
+        covers ``qalter``, which changes what a queued job asks for under
+        an unchanged id.  The epoch is global, so a ``qalter`` re-plans every
         shard once, not only the shard its job is routed to
         (docs/PERFORMANCE.md, "Kept shard plans").
         """
@@ -340,34 +349,75 @@ class ShardBook:
         all lie ahead is replayed, in walk order, for the jobs it covers:
         the whole routed queue (the shard is skipped) or, R1, a strict
         prefix of it — then only the new tail is planned, on the plan's own
-        profile brought to now.
+        profile brought to now.  After a foreseen release (R7) it covers
+        less (:meth:`_foreseen`), and a reservation due now is replayed as
+        a start.
         """
         if not reuse:
             return [ShardPlan(sid) for sid in range(len(routed))]
         plans = []
         for sid, ids in enumerate(routed):
             resources = self.resources(sid)
+            releases = self.cluster.shard_releases[sid]
             queue = tuple(ids)
             plan = self.plans.get(sid)
-            covered = len(plan.queue) if plan is not None else 0
+            covered = None
             if (
                 plan is not None
                 and plan.resources == resources
-                # a reservation that has come due voids the plan
-                and (plan.min_res_start is None or now < plan.min_res_start)
-                and queue[:covered] == plan.queue
-                and (plan.profile is not None or covered == len(queue))
+                and queue[: len(plan.queue)] == plan.queue
+                and (plan.profile is not None or len(plan.queue) == len(queue))
             ):
-                plan.skipped = covered == len(queue)
+                due = plan.min_res_start
+                if plan.releases == releases:
+                    # a reservation that has come due voids the plan
+                    if due is None or now < due:
+                        covered = len(plan.queue)
+                elif due is None or now <= due:
+                    covered = self._foreseen(plan)
+            if covered is None:
+                plan = ShardPlan(sid, resources, queue, releases)
+            else:
+                plan.skipped = covered == len(queue) and due != now
                 if not plan.skipped:
                     plan.profile.advance_to(now)
                 plan.replay_left = covered
                 plan.queue = queue
+                plan.releases = releases
                 plan.overlapped = False
-            else:
-                plan = ShardPlan(sid, resources, queue)
             plans.append(plan)
         return plans
+
+    def _foreseen(self, plan: ShardPlan) -> int:
+        """R7a: how much of a kept plan survives releases it foresaw.
+
+        The plan covers its queue up to the last reserved job, and short of
+        the first moldable one: a job blocked behind the reservations may
+        fit the freed cores now, a moldable job may mold into them.  The
+        jobs past the cut lose what the plan held for them and are walked
+        again; the earliest reservation is re-derived in walk order as the
+        covered jobs are replayed.  Returns the number of covered jobs.
+        """
+        queue = plan.queue
+        reserved = plan.reserved
+        cut = len(queue)
+        while cut and queue[cut - 1] not in reserved:
+            cut -= 1
+        if plan.moldable:
+            cut = next(
+                (i for i, job_id in enumerate(queue[:cut]) if job_id in plan.moldable),
+                cut,
+            )
+        for job_id in queue[cut:]:
+            plan.blocked.discard(job_id)
+            reservation = reserved.pop(job_id, None)
+            if reservation is not None:
+                start, alloc = reservation
+                end = start + self.server.jobs[job_id].walltime
+                plan.profile.cancel_claim(start, end, alloc)
+                plan.res_count -= 1
+        plan.min_res_start = None
+        return cut
 
     def file(self, plans: list[ShardPlan], keep: bool) -> tuple[int, bool]:
         """Keep the plans the next pass may start from; returns how many
@@ -394,5 +444,6 @@ class ShardBook:
             else:
                 if plan.resources is None:
                     plan.resources = self.resources(plan.sid)
+                    plan.releases = self.cluster.shard_releases[plan.sid]
                 self.plans[plan.sid] = plan
         return skipped, kept_all

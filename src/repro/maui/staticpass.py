@@ -149,7 +149,7 @@ class StaticPass:
                 plan = plans[sid]
                 if plan.replay_left:
                     plan.replay_left -= 1
-                    if self._replay(job.job_id, plan):
+                    if self._replay(job, plan, passed_blocked):
                         passed_blocked = True
                     continue
                 working = plan.profile
@@ -175,6 +175,8 @@ class StaticPass:
                 if alloc is not None:
                     self._start(job, plan, working, alloc, molded, passed_blocked)
                     continue
+                if job.min_cores and plan is not None:
+                    plan.moldable.add(job.job_id)
             # blocked: reserve if within depth, then maybe stop the pass.
             # Reservation depth is per shard; a spanning job counts against
             # every shard.
@@ -256,20 +258,37 @@ class StaticPass:
         if plan is None:
             for sid, part in self.shards.shard_map.split_allocation(alloc).items():
                 self._plans[sid].profile.add_claim(start, end, part)
-        elif working is not None:  # None: a start into free space (R6)
+        elif working is not None:  # None: a start into free space (R6) or
+            # onto its own reservation's claim (R7b)
             working.add_claim(start, end, alloc)
 
-    def _replay(self, job_id: str, plan: ShardPlan) -> bool:
+    def _replay(self, job: Job, plan: ShardPlan, backfilled: bool) -> bool:
         """Replay one job's outcome from ``plan``, exactly as the plan
         decided and *in walk order*: a start of a planned shard between two
         replayed jobs must see the same ``hole_until``, ``jumped`` and
         ``waiting_on`` a full re-plan would give it.  No RESERVATION_CREATE
         record and no ``note_reservation`` — the start is unchanged, which
         the ledger's own dedup would drop.  Returns whether the job blocks
-        (False: it can never fit and contributes nothing to the walk)."""
+        (False: it started, or it can never fit and contributes nothing to
+        the walk)."""
+        job_id = job.job_id
         outcome = self._outcome
-        start = plan.reserved.get(job_id)
-        if start is not None:
+        reservation = plan.reserved.get(job_id)
+        if reservation is not None:
+            start, alloc = reservation
+            if start == self._now:
+                # R7b: due on a foreseen release, so the reservation starts
+                # on its allocation; its claim [now, now + walltime) already
+                # is the running job's, and the tail may reserve one more
+                del plan.reserved[job_id]
+                plan.res_count -= 1
+                plan.blocked.discard(job_id)
+                self._start(job, plan, None, alloc, False, backfilled)
+                return False
+            # a no-op unless R7 re-derives it: in walk order, so a start
+            # is tested (R3) against the reservations ahead of it only
+            if plan.min_res_start is None or start < plan.min_res_start:
+                plan.min_res_start = start
             self._hold(job_id, start)
         elif job_id not in plan.blocked:
             if outcome is not None:
@@ -424,7 +443,7 @@ class StaticPass:
                     shard_plan.res_count += 1
             else:
                 plan.res_count += 1
-                plan.reserved[job.job_id] = start
+                plan.reserved[job.job_id] = (start, alloc)
                 if plan.min_res_start is None or start < plan.min_res_start:
                     plan.min_res_start = start
             self.stats["reservations_created"] += 1

@@ -34,7 +34,7 @@ from repro.apps.synthetic import FixedRuntimeApp
 from repro.cluster.allocation import Allocation, ResourceRequest
 from repro.cluster.machine import Cluster
 from repro.cluster.profile import AvailabilityProfile
-from repro.jobs.job import Job
+from repro.jobs.job import Job, JobFlexibility
 from repro.maui.config import MauiConfig
 from repro.maui.shards import SchedulerShard, ShardMap
 from repro.obs import Telemetry
@@ -105,7 +105,11 @@ def _pinned_stats(**moving):
 #: per-snapshot profile cache and the kept delay context went: the
 #: former's 0/1/1/2 hits (the deleted ``profile_cache_hits``) and the
 #: latter's 0/0/3/3 reuses (of 0/10/19/19 dynamic requests measured) are
-#: each one advance by an empty delta now.
+#: each one advance by an empty delta now.  Four work counters once more
+#: when a job ending at its walltime end stopped voiding its shard's plan
+#: (R7; the values before are in the comments): the plan is replayed up to
+#: its last reservation instead of re-placed, so fewer reservations and
+#: advances, fewer screened probes, and a few more shards skipped outright.
 _PINNED_SINGLE_SHARD = {
     "Static": (
         "93e91705555689114c6468661bb1686d9de949b58395668b42a30ebfedbf7306",
@@ -113,11 +117,12 @@ _PINNED_SINGLE_SHARD = {
             iterations=374, iterations_skipped=9, dyn_granted=0, dyn_rejected=0,
             dyn_rejected_fairness=0, dyn_rejected_resources=0,
             jobs_started=186, jobs_backfilled=44, total_delay_charged=0.0,
-            reservations_created=925, profile_builds=1,
-            profile_advances=196,
+            reservations_created=329,  # 925 before R7
+            profile_builds=1,
+            profile_advances=40,  # 196 before R7
             # 7319 before failed probes screened the requests they imply
-            backfill_quick_rejects=12367,
-            shard_passes_skipped=0,
+            backfill_quick_rejects=11971,  # 12367 before R7
+            shard_passes_skipped=1,  # 0 before R7
         ),
     ),
     "Dyn-HP": (
@@ -126,11 +131,12 @@ _PINNED_SINGLE_SHARD = {
             iterations=509, iterations_skipped=10, dyn_granted=10, dyn_rejected=124,
             dyn_rejected_fairness=0, dyn_rejected_resources=124,
             jobs_started=180, jobs_backfilled=50, total_delay_charged=0.0,
-            reservations_created=1054, profile_builds=2,
-            profile_advances=231,
+            reservations_created=422,  # 1054 before R7
+            profile_builds=2,
+            profile_advances=70,  # 231 before R7
             # 7812 before failed probes screened the requests they imply
-            backfill_quick_rejects=13589,
-            shard_passes_skipped=109,
+            backfill_quick_rejects=13172,  # 13589 before R7
+            shard_passes_skipped=111,  # 109 before R7
         ),
     ),
     "Dyn-500": (
@@ -140,11 +146,12 @@ _PINNED_SINGLE_SHARD = {
             dyn_rejected_fairness=8, dyn_rejected_resources=114,
             jobs_started=173, jobs_backfilled=57,
             total_delay_charged=2395.499999999999,
-            reservations_created=1031, profile_builds=2,
-            profile_advances=239,
+            reservations_created=439,  # 1031 before R7
+            profile_builds=2,
+            profile_advances=87,  # 239 before R7
             # 8290 before failed probes screened the requests they imply
-            backfill_quick_rejects=13602,
-            shard_passes_skipped=97,
+            backfill_quick_rejects=13214,  # 13602 before R7
+            shard_passes_skipped=99,  # 97 before R7
         ),
     ),
     "Dyn-600": (
@@ -154,11 +161,12 @@ _PINNED_SINGLE_SHARD = {
             dyn_rejected_fairness=7, dyn_rejected_resources=114,
             jobs_started=173, jobs_backfilled=57,
             total_delay_charged=2770.666666666665,
-            reservations_created=1032, profile_builds=2,
-            profile_advances=240,
+            reservations_created=440,  # 1032 before R7
+            profile_builds=2,
+            profile_advances=88,  # 240 before R7
             # 8291 before failed probes screened the requests they imply
-            backfill_quick_rejects=13603,
-            shard_passes_skipped=97,
+            backfill_quick_rejects=13215,  # 13603 before R7
+            shard_passes_skipped=99,  # 97 before R7
         ),
     ),
 }
@@ -350,10 +358,16 @@ def _ledger_run(workload, maui, *, skip, nodes, cores, until=None, watch=None):
 
 
 def _schedule(system):
+    """Every job's times and state, and the cores it last held by node: a
+    kept plan must place each start where a full re-plan does."""
+    placed = sorted(
+        (job_id, None if job.allocation is None else tuple(job.allocation.items()))
+        for job_id, job in system.server.jobs.items()
+    )
     return [
         (r.submit_time, r.start_time, r.end_time, r.state)
         for r in system.metrics().records
-    ]
+    ], placed
 
 
 def _ledger_bytes(ledger, tmp_path, name):
@@ -498,14 +512,21 @@ class _GrowingApp:
     # small jobs dropped into the run: the short ones fit the hole before a
     # shard's first reservation (R2/R3 keep the plan), the long ones
     # backfill across a reservation window (the plan must be dropped), and
-    # each arrives at the tail of a routed queue between completions (R1)
+    # each arrives at the tail of a routed queue between completions (R1);
+    # the ones that run their full walltime end on time (R7 keeps the plan)
     fillers=st.lists(
         st.tuples(
             st.floats(min_value=0.0, max_value=1500.0),
             st.integers(min_value=1, max_value=4),
             st.sampled_from([40.0, 150.0, 900.0, 2500.0]),
+            st.sampled_from([0.8, 1.0]),
         ),
         max_size=8,
+    ),
+    # a moldable filler: freed cores may change where it starts and at
+    # what size, so R7 re-walks from it
+    mold=st.tuples(
+        st.floats(min_value=0.0, max_value=1500.0), st.sampled_from([0.8, 1.0])
     ),
     grow_at=st.floats(min_value=0.0, max_value=1200.0),
     fail_at=st.floats(min_value=0.0, max_value=1500.0),
@@ -515,22 +536,32 @@ class _GrowingApp:
 )
 @example(  # the default shard count is always among the examples run
     shards=1, seed=2014, spanning_at=700.0, lockdown_at=1200.0,
-    fillers=[(50.0, 2, 40.0), (300.0, 3, 900.0), (600.0, 1, 2500.0)],
+    fillers=[(50.0, 2, 40.0, 0.8), (300.0, 3, 900.0, 0.8), (600.0, 1, 2500.0, 0.8)],
+    mold=(250.0, 0.8),
     grow_at=100.0, fail_at=900.0, fail_node=2, alter_at=400.0, stop=800.0,
 )
+@example(  # every filler ends at its walltime end: on-time completions
+    shards=1, seed=2014, spanning_at=1400.0, lockdown_at=1500.0,
+    fillers=[
+        (0.0, 4, 150.0, 1.0), (20.0, 3, 900.0, 1.0), (40.0, 2, 150.0, 1.0),
+        (60.0, 4, 900.0, 1.0), (300.0, 1, 40.0, 1.0), (500.0, 2, 2500.0, 1.0),
+    ],
+    mold=(400.0, 1.0),
+    grow_at=100.0, fail_at=1450.0, fail_node=5, alter_at=1300.0, stop=700.0,
+)
 def test_pass_cache_dropped_exactly_as_without_ledger(
-    shards, seed, spanning_at, lockdown_at, fillers, grow_at, fail_at,
+    shards, seed, spanning_at, lockdown_at, fillers, mold, grow_at, fail_at,
     fail_node, alter_at, stop,
 ):
     """Random queues with a spanning job, a lockdown job, hole-sized and
-    window-crossing backfill candidates, a mid-run dynamic request, a node
-    failure and a ``qalter``: after every pass the cache holds the same
-    shards with the ledger attached as without it, it is empty whenever a
-    spanning or top-priority job queues (the ``span`` job spans only where
-    there is more than one shard), and skip-on ≡ skip-off holds for the
-    schedule, every decision counter, the ledger bytes, every job's
-    attribution, and ``explain`` of every job caught queued at a mid-run
-    stop."""
+    window-crossing backfill candidates, jobs ending early and on time, a
+    moldable job, a mid-run dynamic request, a node failure and a
+    ``qalter``: after every pass the cache holds the same shards with the
+    ledger attached as without it, it is empty whenever a spanning or
+    top-priority job queues (the ``span`` job spans only where there is
+    more than one shard), and skip-on ≡ skip-off holds for the schedule,
+    every decision counter, the ledger bytes, every job's attribution, and
+    ``explain`` of every job caught queued at a mid-run stop."""
     base = make_random_workload(24, 24, size_range=(1, 8), seed=seed)
     extra = [
         JobSpec(  # spans every shard: planned on the cross-shard merge
@@ -548,9 +579,9 @@ def test_pass_cache_dropped_exactly_as_without_ledger(
     ] + [
         JobSpec(
             at, ResourceRequest(cores=cores), walltime, "fill",
-            app_factory=lambda walltime=walltime: FixedRuntimeApp(0.8 * walltime),
+            app_factory=lambda runtime=fraction * walltime: FixedRuntimeApp(runtime),
         )
-        for at, cores, walltime in fillers
+        for at, cores, walltime, fraction in fillers
     ]
     workload = Workload(base.specs + extra)
     maui = MauiConfig(
@@ -572,6 +603,15 @@ def test_pass_cache_dropped_exactly_as_without_ledger(
                     return
 
         system.engine.at(alter_at, alter)
+        mold_at, fraction = mold
+        system.submit_at(
+            mold_at,
+            Job(
+                request=ResourceRequest(cores=6), walltime=400.0, user="mold",
+                flexibility=JobFlexibility.MOLDABLE, min_cores=4,
+            ),
+            FixedRuntimeApp(fraction * 400.0),
+        )
 
         def watched():
             iteration()
@@ -652,6 +692,10 @@ def _plan_system(skip=True, maui=None, shards=2):
                     sid: plan.profile
                     for sid, plan in scheduler.static_pass.shards.plans.items()
                 },
+                "reserved": {
+                    sid: dict(plan.reserved)
+                    for sid, plan in scheduler.static_pass.shards.plans.items()
+                },
                 **{k: scheduler.stats[k] for k in _MECHANISM},
             }
         )
@@ -668,14 +712,14 @@ def _submit(system, at, user="u", walltime=100.0, runtime=None, **request):
     return job
 
 
-def _both(build, shards, echo=False):
+def _both(build, shards, echo=False, maui=None):
     """Run ``build(system) -> jobs`` with the skip on and off; the schedule
     must not depend on it.  Returns the skip-on passes and jobs.  ``echo``
     makes the skip-on run iterate always, so the echo pass R4 proves a
     replay (and never queues) runs and shows the plan it replays."""
     outcome = {}
     for skip in (True, False):
-        system, passes = _plan_system(skip, shards=shards)
+        system, passes = _plan_system(skip, maui, shards)
         system.scheduler.iteration_skip_enabled = not (skip and echo)
         jobs = build(system)
         system.run(max_events=1_000_000)
@@ -781,10 +825,11 @@ def test_hole_start_keeps_the_plan_and_overlapping_start_drops_it(shards=2):
 
 
 def test_due_reservation_replans_the_whole_shard(shards=2):
-    """A cached reservation that has come due voids the entry: the tail
-    append that would have been R1 is a full re-plan.  A reservation cannot
-    come due without its shard changing (its start is a release), so the
-    entry is aged by hand."""
+    """A cached reservation come due with no foreseen release behind it
+    voids the entry: the tail append that would have been R1 is a full
+    re-plan.  A run never gets there — a reservation starts at a release,
+    which either ends a job early (the plan is void anyway) or on time (R7b
+    starts the reservation) — so the entry is aged by hand."""
     system, passes = _plan_system(shards=shards)
     _fill_shards(system, shards)
     for _ in range(shards):  # one reserved per shard
@@ -800,6 +845,128 @@ def test_due_reservation_replans_the_whole_shard(shards=2):
     assert at_c["reservations_created"] == before["reservations_created"] + 2
     assert at_c["profile_advances"] == before["profile_advances"] + 1
     assert at_c["cached"][0] is not entry.profile
+
+
+def _half_shards(system, shards, short_runtime=200.0):
+    """Per shard, one node busy until t=1000 and the other until t=200 —
+    an on-time completion unless ``short_runtime`` ends it early."""
+    for _ in range(shards):  # least-loaded routing: one per shard
+        _submit(system, 0.0, walltime=1000.0, nodes=1, ppn=4)
+    for _ in range(shards):
+        _submit(
+            system, 0.0, walltime=200.0, runtime=short_runtime, nodes=1, ppn=4
+        )
+
+
+def test_on_time_completion_keeps_the_plan(shards=2):
+    """R7a: a job ending at its walltime end frees what the plan's profile
+    already freed then.  A reserved at t=1000 keeps its start, nothing
+    queues past it, so the shard is skipped: no reservation is placed and
+    no profile is advanced, where the oracle re-places A."""
+
+    def build(system):
+        _half_shards(system, shards)
+        return [_submit(system, 10.0, cores=8) for _ in range(shards)]
+
+    on, off, (a, *_) = _both(build, shards)
+    at_a, at_end = (next(p for p in on if p["now"] == t) for t in (10.0, 200.0))
+    assert a.start_time == 1000.0
+    assert at_end["reservations_created"] == at_a["reservations_created"] == shards
+    assert at_end["profile_advances"] == at_a["profile_advances"]
+    assert at_end["shard_passes_skipped"] == at_a["shard_passes_skipped"] + shards
+    assert at_end["cached"][0] is at_a["cached"][0] is not None
+    off_a, off_end = (next(p for p in off if p["now"] == t) for t in (10.0, 200.0))
+    assert off_end["reservations_created"] == off_a["reservations_created"] + shards
+
+
+def test_due_reservation_starts_on_an_on_time_completion(shards=2):
+    """R7b: a reservation due at an on-time completion starts on the
+    allocation it reserved, with no second claim, and frees its slot of the
+    reservation depth: B, blocked beyond depth 1, is the one reservation
+    placed, on the kept profile."""
+
+    def build(system):
+        _fill_shards(system, shards)
+        a = [_submit(system, 10.0, cores=8) for _ in range(shards)]
+        b = [_submit(system, 10.0, cores=8) for _ in range(shards)]
+        return a[0], b[0]
+
+    on, off, (a, b) = _both(
+        build, shards, maui=MauiConfig(reservation_depth=1)
+    )
+    at_a, at_due = (next(p for p in on if p["now"] == t) for t in (10.0, 1000.0))
+    assert (a.start_time, b.start_time) == (1000.0, 1100.0)
+    assert at_a["reserved"][0] == {a.job_id: (1000.0, a.allocation)}
+    assert at_due["reserved"][0] == {b.job_id: (1100.0, b.allocation)}
+    assert at_due["reservations_created"] == at_a["reservations_created"] + shards
+    assert at_due["profile_advances"] == at_a["profile_advances"]
+    assert at_due["cached"][0] is at_a["cached"][0]
+    off_a, off_due = (next(p for p in off if p["now"] == t) for t in (10.0, 1000.0))
+    assert off_due["profile_advances"] > off_a["profile_advances"]
+
+
+def test_tail_start_across_a_kept_reservation_drops_the_plan(shards=2):
+    """R7 with R3: after an on-time completion X, blocked beyond depth 1,
+    starts in the freed cores and runs across A's window (A leaves it two
+    cores).  The start is tested against the reservations replayed ahead
+    of it, so the shard's plan is dropped, as a fresh walk drops it."""
+
+    def build(system):
+        _half_shards(system, shards)
+        a = [_submit(system, 10.0, cores=6) for _ in range(shards)]
+        x = [_submit(system, 10.0, cores=2, walltime=2000.0) for _ in range(shards)]
+        return a[0], x[0]
+
+    on, off, (a, x) = _both(build, shards, maui=MauiConfig(reservation_depth=1))
+    at_end = next(p for p in on if p["now"] == 200.0)
+    assert (a.start_time, x.start_time) == (1000.0, 200.0)
+    assert at_end["cached"] == {}
+
+
+def test_early_completion_still_replans(shards=2):
+    """A job ending before its walltime end frees cores the plan did not
+    foresee: the shard is planned again from a fresh profile."""
+
+    def build(system):
+        _half_shards(system, shards, short_runtime=150.0)
+        return [_submit(system, 10.0, cores=8) for _ in range(shards)]
+
+    on, off, (a, *_) = _both(build, shards)
+    at_a, at_end = (next(p for p in on if p["now"] == t) for t in (10.0, 150.0))
+    assert a.start_time == 1000.0
+    assert at_end["reservations_created"] == at_a["reservations_created"] + shards
+    assert at_end["profile_advances"] == at_a["profile_advances"] + shards
+    assert at_end["cached"][0] is not at_a["cached"][0]
+
+
+def test_moldable_job_molds_into_cores_an_on_time_completion_frees(shards=2):
+    """R7a cuts before a moldable job: M, reserved behind A at full size,
+    molds into the four cores an on-time completion frees (and ends before
+    A's window), exactly as the oracle starts it.  Its reservation claim is
+    taken back off the kept profile first."""
+
+    def build(system):
+        _half_shards(system, shards)
+        a = [_submit(system, 10.0, cores=8) for _ in range(shards)]
+        m = [
+            Job(
+                request=ResourceRequest(cores=8), walltime=300.0, user="m",
+                flexibility=JobFlexibility.MOLDABLE, min_cores=2,
+            )
+            for _ in range(shards)
+        ]
+        for job in m:
+            system.submit_at(10.0, job, FixedRuntimeApp(300.0))
+        return a[0], m[0]
+
+    on, off, (a, m) = _both(build, shards)
+    at_a, at_end = (next(p for p in on if p["now"] == t) for t in (10.0, 200.0))
+    assert (a.start_time, m.start_time) == (1000.0, 200.0)
+    assert m.allocation.total_cores == 4
+    assert m.job_id in at_a["reserved"][0]
+    assert at_end["reserved"][0] == {a.job_id: at_a["reserved"][0][a.job_id]}
+    assert at_end["reservations_created"] == at_a["reservations_created"]
+    assert at_end["profile_advances"] == at_a["profile_advances"]
 
 
 def test_priority_insert_ahead_of_the_tail_replans_the_whole_shard(shards=2):
@@ -878,6 +1045,11 @@ def test_node_event_drops_retained_profiles(shards=2):
         test_in_order_start_keeps_the_plan,
         test_hole_start_keeps_the_plan_and_overlapping_start_drops_it,
         test_due_reservation_replans_the_whole_shard,
+        test_on_time_completion_keeps_the_plan,
+        test_due_reservation_starts_on_an_on_time_completion,
+        test_tail_start_across_a_kept_reservation_drops_the_plan,
+        test_early_completion_still_replans,
+        test_moldable_job_molds_into_cores_an_on_time_completion_frees,
         test_priority_insert_ahead_of_the_tail_replans_the_whole_shard,
         *(functools.partial(test_qalter_replans_the_shard, *q) for q in _QALTERS),
         test_node_event_drops_retained_profiles,
@@ -1095,6 +1267,29 @@ class TestClusterShardBookkeeping:
         assert cluster.shard_versions == [2, 1]
         cluster.recover_node(3)
         assert cluster.shard_versions == [2, 2]
+
+    def test_foreseen_release_bumps_releases_not_versions(self):
+        cluster = Cluster.homogeneous(4, 8)
+        cluster.install_shard_index({0: 0, 1: 0, 2: 1, 3: 1}, 2)
+        alloc = Allocation({1: 2, 2: 2})
+        cluster.claim(alloc)
+        version = cluster.version
+        cluster.release(alloc, foreseen=True)
+        assert cluster.shard_versions == [1, 1]
+        assert cluster.shard_releases == [1, 1]
+        # the free-map caches and the quiescence check still see it
+        assert cluster.version == version + 1
+
+    def test_server_releases_on_time_exits_as_foreseen(self):
+        system, _ = _plan_system(shards=1)
+        on_time = _submit(system, 0.0, walltime=100.0, cores=4)
+        early = _submit(system, 0.0, walltime=100.0, runtime=50.0, cores=4)
+        system.run(max_events=1_000_000)
+        assert on_time.end_time == 100.0 and early.end_time == 50.0
+        cluster = system.cluster
+        # two starts and the early exit move the version, the on-time exit
+        # the releases only
+        assert (cluster.shard_versions, cluster.shard_releases) == ([3], [1])
 
 
 # ----------------------------------------------------------------------
