@@ -291,16 +291,29 @@ def test_scheduler_iterations_skipped(benchmark):
 def test_profile_maintenance_incremental(benchmark):
     """Availability-profile refresh by incremental advance.
 
-    A refresh advances the previous profile to the current time and
-    applies the active-job footprint delta.  Compare with
+    Before each timed build a fixed set of jobs changes cores (untimed):
+    three running jobs are preempted, and before the next build started
+    again on the same cores, so every build advances the shard's base by
+    three departures or three arrivals.  Compare with
     :func:`test_profile_maintenance_scratch`.
     """
     system = _loaded_system()
     scheduler = system.scheduler
-    scheduler.profiles.build(None)  # seeds the incremental base
+    server = system.server
+    profiles = scheduler.profiles
+    shard = profiles.shard_map.shards[0]
+    churn_jobs = [(job, job.allocation) for job in server.active_jobs()[:3]]
+    profiles.build(shard)  # seeds the shard's base
     advances_before = scheduler.stats["profile_advances"]
 
-    benchmark(scheduler.profiles.build, None)
+    def churn():
+        for job, alloc in churn_jobs:
+            if job.is_active:
+                server.preempt_job(job)
+            else:
+                server.start_job(job, alloc)
+
+    benchmark.pedantic(profiles.build, args=(shard,), setup=churn, rounds=200)
     assert scheduler.stats["profile_advances"] > advances_before
     assert scheduler.stats["profile_advance_fallbacks"] == 0
     record_timed(

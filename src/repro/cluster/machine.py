@@ -28,8 +28,19 @@ class Cluster:
         indices = [n.index for n in nodes]
         if len(set(indices)) != len(indices):
             raise ValueError("duplicate node indices")
+        if min(indices) < 0:
+            raise ValueError("negative node index")
         self.nodes: list[Node] = sorted(nodes, key=lambda n: n.index)
         self._by_index = {n.index: n for n in self.nodes}
+        #: installed cores over all nodes regardless of state (fixed)
+        self.total_cores: int = sum(n.cores for n in self.nodes)
+        #: free cores per node index — ``Node.free``, 0 on a node that is
+        #: not UP and on an index no node has; :meth:`claim`,
+        #: :meth:`release`, :meth:`fail_node` and :meth:`recover_node`
+        #: keep it, so a reader indexes a list instead of asking each node
+        self.node_free: list[int] = [0] * (self.nodes[-1].index + 1)
+        for n in self.nodes:
+            self.node_free[n.index] = n.free
         #: running total of ``Node.used`` — only :meth:`claim` and
         #: :meth:`release` move it, after their checks have passed
         self._used_cores: int = sum(n.used for n in self.nodes)
@@ -98,11 +109,6 @@ class Cluster:
         return self._by_index[index]
 
     @property
-    def total_cores(self) -> int:
-        """Installed cores over all nodes regardless of state."""
-        return sum(n.cores for n in self.nodes)
-
-    @property
     def up_cores(self) -> int:
         """Cores on nodes currently UP."""
         return sum(n.cores for n in self.nodes if n.state is NodeState.UP)
@@ -113,7 +119,7 @@ class Cluster:
 
     @property
     def free_cores(self) -> int:
-        return sum(n.free for n in self.nodes)
+        return sum(self.node_free)
 
     def _cached_free(self, key, build) -> dict[int, int]:
         """Version-keyed memo for free-map scans; returns a private copy."""
@@ -128,10 +134,11 @@ class Cluster:
     def free_by_node(self, *, partitions: Iterable[str] | None = None) -> dict[int, int]:
         """Free cores per UP node, optionally restricted to partitions."""
         wanted = frozenset(partitions) if partitions is not None else None
+        free = self.node_free
 
         def build() -> dict[int, int]:
             return {
-                n.index: n.free
+                n.index: free[n.index]
                 for n in self.nodes
                 if n.state is NodeState.UP
                 and (wanted is None or n.partition in wanted)
@@ -147,10 +154,11 @@ class Cluster:
         :attr:`version` like :meth:`free_by_node`.
         """
         wanted = tuple(node_indices)
+        free = self.node_free
 
         def build() -> dict[int, int]:
             return {
-                idx: self._by_index[idx].free
+                idx: free[idx]
                 for idx in wanted
                 if self._by_index[idx].state is NodeState.UP
             }
@@ -210,18 +218,20 @@ class Cluster:
         Raises ``ValueError`` (leaving the cluster unchanged) if any node
         would be oversubscribed or is not UP.
         """
+        free = self.node_free
         for idx, count in allocation.items():
             node = self._by_index.get(idx)
             if node is None:
                 raise ValueError(f"unknown node index {idx}")
             if node.state is not NodeState.UP:
                 raise ValueError(f"{node.name} is {node.state.value}, cannot allocate")
-            if node.free < count:
+            if free[idx] < count:
                 raise ValueError(
-                    f"{node.name} oversubscribed: {count} requested, {node.free} free"
+                    f"{node.name} oversubscribed: {count} requested, {free[idx]} free"
                 )
         for idx, count in allocation.items():
             self._by_index[idx].used += count
+            free[idx] -= count
             self._used_cores += count
         self.version += 1
         self._bump_shards_for(allocation, self.shard_versions)
@@ -243,8 +253,12 @@ class Cluster:
                 raise ValueError(
                     f"{node.name} releasing {count} cores but only {node.used} used"
                 )
+        free = self.node_free
         for idx, count in allocation.items():
-            self._by_index[idx].used -= count
+            node = self._by_index[idx]
+            node.used -= count
+            if node.state is NodeState.UP:
+                free[idx] += count
             self._used_cores -= count
         self.version += 1
         self._bump_shards_for(
@@ -268,6 +282,7 @@ class Cluster:
         if node.state is NodeState.DOWN:
             return False
         node.state = NodeState.DOWN
+        self.node_free[index] = 0
         self.version += 1
         self.topology_version += 1
         self._bump_shards_for((index,), self.shard_versions)
@@ -280,6 +295,7 @@ class Cluster:
         if node.state is NodeState.UP:
             return False
         node.state = NodeState.UP
+        self.node_free[index] = node.cores - node.used
         self.version += 1
         self.topology_version += 1
         self._bump_shards_for((index,), self.shard_versions)

@@ -126,11 +126,14 @@ class AvailabilityProfile:
         profiles cover disjoint node sets and start at the same time, so
         the merged step function is the union of their breakpoints with
         each shard's rows resampled onto it (``searchsorted`` per shard)
-        and the node columns concatenated in shard order.  Because shards
-        are contiguous runs of the ascending node order, the concatenated
-        node tuple reproduces the global node order — every query on the
-        merged view answers exactly as on a single build of the same
-        state.  Cost: O(B_union · nodes), about one profile copy.
+        and the node columns concatenated in shard order.  Shards are
+        contiguous runs of the ascending node order, so the concatenation
+        is the global node order: the order of a single build of the same
+        state and the tie-breaking order of every pick.  Shards that come
+        out of node order (partitions whose names do not follow it) have
+        their columns put back in it.  Either way every query on the
+        merged view answers exactly as on that single build.  Cost:
+        O(B_union · nodes), about one profile copy.
         """
         if not profiles:
             raise ValueError("merge needs at least one profile")
@@ -162,6 +165,13 @@ class AvailabilityProfile:
             clone._capacity = None
         else:
             clone._capacity = np.concatenate([p._capacity for p in profiles])
+        if nodes != sorted(nodes):
+            order = sorted(range(len(nodes)), key=nodes.__getitem__)
+            clone._mat[:n] = clone._mat[:n, order]
+            if clone._capacity is not None:
+                clone._capacity = clone._capacity[order]
+            clone._nodes = tuple(nodes[i] for i in order)
+            clone._pos = {idx: i for i, idx in enumerate(clone._nodes)}
         clone._gen = 0
         clone._qr_memo = None
         clone._fails = None
@@ -281,6 +291,11 @@ class AvailabilityProfile:
     @property
     def breakpoints(self) -> tuple[float, ...]:
         return tuple(self._times)
+
+    @property
+    def nodes(self) -> tuple[int, ...]:
+        """The profile's nodes, in its column order."""
+        return self._nodes
 
     def free_at(self, time: float) -> dict[int, int]:
         """Free cores per node at the given instant."""

@@ -182,7 +182,15 @@ class MauiScheduler:
             )
         server.on_state_change = self.request_iteration
         server.on_node_event = self.handle_node_event
-        server.on_cores = self.fairshare.hold
+        hold = self.fairshare.hold
+        note = self.profiles.note
+
+        def on_cores(job: Job, cores: int) -> None:
+            # usage accrues, and the shard bases learn what to advance by
+            hold(job, cores)
+            note(job)
+
+        server.on_cores = on_cores
         if self.config.timer_interval is not None:
             self.engine.after(self.config.timer_interval, self._timer_tick)
         for reservation in self.config.admin_reservations:
@@ -526,13 +534,12 @@ class MauiScheduler:
     def _delay_context(
         self, now: float
     ) -> tuple[AvailabilityProfile, list[Job], set[int], StaticPlan | None]:
-        """Inputs for one delay measurement: the availability profile, the
-        eligible static ordering, the static-partition node set and the
+        """Inputs for one delay measurement: the static-partition profile,
+        the eligible static ordering, the profile's node set and the
         *baseline* priority plan the claim's plan is compared against."""
-        partitions = static_partitions(self.config)
-        profile = self.profiles.build(partitions)
+        profile = self.profiles.build_static()
         ordered = self._eligible_static(now)
-        profile_nodes = set(self.cluster.free_by_node(partitions=partitions))
+        profile_nodes = set(profile.nodes)
         baseline = (
             plan_static(ordered, profile.copy(), now, self.config.plan_depth)
             if ordered
@@ -775,7 +782,7 @@ class MauiScheduler:
             info["blocked_by"] = detail
             return info
         info["queue_position"] = eligible.index(job)
-        profile = self.profiles.build(static_partitions(self.config))
+        profile = self.profiles.build_static()
         plan = plan_static(
             eligible, profile, now, depth=max(self.config.plan_depth, len(eligible))
         )

@@ -13,15 +13,16 @@ outlived their pass.
 
 Two invariants make the decomposition exact rather than approximate:
 
-* **Contiguity.**  Every shard is a contiguous run of the ascending node
-  index order, and shards are emitted in that same order.  Concatenating
-  shard node tuples therefore reproduces the global node order, which is
-  the tie-breaking order of ``AvailabilityProfile._fit_from_min`` — a
-  plan computed on a merged view picks the same nodes a plan on the
-  whole partition would.
+* **Contiguity.**  Every shard is a contiguous run of its partition's
+  ascending node index order, and shards are emitted partition by
+  partition.  A merged view (``AvailabilityProfile.merge``) therefore has
+  the global node order — restored by the merge where partition names do
+  not follow node indices — which is the tie-breaking order of
+  ``AvailabilityProfile._fit_from_min``: a plan computed on a merged view
+  picks the same nodes a plan on the whole partition would.
 * **Static membership.**  Shard membership is fixed at construction
-  (DOWN nodes included); availability is rediscovered per pass from the
-  cluster's free map, exactly like a whole-partition profile build.
+  (DOWN nodes included); a shard's profile covers its UP nodes and is
+  rebuilt from scratch when a node fails or recovers.
 
 Jobs whose request no single shard can satisfy (full-machine ESP Z jobs,
 oversized shaped requests) route to ``None`` in :meth:`ShardBook.route`

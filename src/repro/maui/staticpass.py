@@ -18,9 +18,8 @@ from repro.cluster.machine import Cluster
 from repro.cluster.profile import AvailabilityProfile, NoFitError
 from repro.jobs.job import Job
 from repro.maui.config import MauiConfig
-from repro.maui.partition import static_partitions
 from repro.maui.profiles import ViewProfiles
-from repro.maui.shards import ShardBook, ShardMap, ShardPlan
+from repro.maui.shards import ShardBook, ShardPlan
 from repro.obs.perf import timed
 from repro.rms.server import Server
 from repro.sim.events import EventKind
@@ -63,11 +62,8 @@ class StaticPass:
         self.trace = server.trace
         self._ledger = ledger
         self._prof = profiler
-        shard_map = ShardMap.build(
-            cluster, config.scheduler_shards, partitions=static_partitions(config)
-        )
-        #: routing and kept plans
-        self.shards = ShardBook(cluster, server, shard_map)
+        #: routing and kept plans, over the shards the profiles keep
+        self.shards = ShardBook(cluster, server, profiles.shard_map)
         # state of the pass in progress, reset by :meth:`run`
         self._now = 0.0
         self._snapshot: tuple = ()
@@ -325,9 +321,9 @@ class StaticPass:
         # shard nodes ascend and a node that is not UP reads 0 free, which
         # no pick takes: the same answer as ``fit_free`` on the free map
         nodes = self.shards.shard_map.shards[plan.sid].nodes
-        node = self.cluster.node
+        free = self.cluster.node_free
         alloc = AvailabilityProfile._fit_from_min(
-            [node(n).free for n in nodes], job.request, nodes
+            [free[n] for n in nodes], job.request, nodes
         )
         if prof is not None:
             prof.end()

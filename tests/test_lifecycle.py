@@ -256,6 +256,13 @@ class Lifecycle(RuleBasedStateMachine):
         assert cluster.free_cores + cluster.used_cores == cluster.up_cores
 
     @invariant()
+    def free_list_is_each_nodes_free(self) -> None:
+        cluster = self.cluster
+        assert [cluster.node_free[n.index] for n in cluster.nodes] == [
+            n.free for n in cluster.nodes
+        ]
+
+    @invariant()
     def queue_is_the_queued_jobs(self) -> None:
         queued = {j.job_id for j in self.server.jobs.values() if j.state is Q}
         assert {j.job_id for j in self.server.queue} == queued

@@ -334,6 +334,153 @@ def test_incremental_scheduler_profile_matches_scratch_rebuild():
     assert advances > 100
 
 
+def _same_step_function(got: AvailabilityProfile, expected: AvailabilityProfile):
+    assert got.nodes == expected.nodes
+    for t in sorted(set(got.breakpoints) | set(expected.breakpoints)):
+        assert got.free_at(t) == expected.free_at(t), t
+
+
+@pytest.mark.parametrize(
+    "shards, dynamic_nodes, walltime_factor",
+    [(1, 0, 1.0), (2, 0, 1.0), (1, 3, 1.0), (2, 0, 1.5)],
+)
+def test_delay_measurement_plans_on_the_static_partition_view(
+    shards, dynamic_nodes, walltime_factor, monkeypatch
+):
+    """The delay measurement plans on the merge of the shard bases (at one
+    shard, on the base itself): at every measurement of an ESP Dyn-HP run
+    it must have the node order and the step function of a from-scratch
+    build over the static partitions — with two shards, behind a
+    dynamic partition, and with early completions (walltime over-requested
+    by half)."""
+    import dataclasses
+
+    from repro.cluster.machine import Cluster
+    from repro.experiments.configs import configuration
+    from repro.maui.partition import static_partitions
+    from repro.maui.profiles import ViewProfiles
+    from repro.system import BatchSystem
+    from repro.workloads.esp import make_esp_workload
+
+    build_static = ViewProfiles.build_static
+    measured = 0
+
+    def checked(self):
+        nonlocal measured
+        measured += 1
+        profile = build_static(self)
+        _same_step_function(
+            profile, self.build_uncached(static_partitions(self.config))
+        )
+        return profile
+
+    monkeypatch.setattr(ViewProfiles, "build_static", checked)
+    config = configuration("Dyn-HP")
+    maui = dataclasses.replace(
+        config.maui, scheduler_shards=shards,
+        use_dynamic_partition=bool(dynamic_nodes),
+    )
+    cluster = Cluster.homogeneous(15, 8, dynamic_partition_nodes=dynamic_nodes)
+    system = BatchSystem(config=maui, cluster=cluster)
+    make_esp_workload(
+        120, dynamic=config.dynamic_workload, seed=2014,
+        walltime_factor=walltime_factor,
+    ).submit_to(system)
+    system.run(max_events=5_000_000)
+    stats = system.scheduler.stats
+    assert measured > 10
+    assert stats["dyn_granted"] > 0
+    assert stats["profile_advance_fallbacks"] == 0
+
+
+def test_static_view_keeps_node_order_when_partition_names_do_not():
+    """Shards are emitted partition by partition in name order; here the
+    "dynamic" nodes come first, so the merge must put the columns back in
+    node order for the static view to pick as a whole-machine build."""
+    from repro.apps.synthetic import FixedRuntimeApp
+    from repro.cluster.machine import Cluster
+    from repro.cluster.node import Node
+    from repro.jobs.job import Job
+    from repro.maui.config import MauiConfig
+    from repro.system import BatchSystem
+
+    cluster = Cluster(
+        [Node(0, 4, partition="dynamic"), Node(1, 4, partition="dynamic"),
+         Node(2, 4), Node(3, 4)]
+    )
+    system = BatchSystem(config=MauiConfig(), cluster=cluster)
+    profiles = system.scheduler.profiles
+    assert [shard.nodes for shard in profiles.shard_map.shards] == [(2, 3), (0, 1)]
+    system.submit(
+        Job(request=ResourceRequest(cores=6), walltime=1000.0), FixedRuntimeApp(900.0)
+    )
+    system.run(until=0.0)
+    merged = profiles.build_static()
+    _same_step_function(merged, profiles.build_uncached(None))
+    request = ResourceRequest(cores=9)
+    assert merged.earliest_fit(request, 50.0) == (
+        profiles.build_uncached(None).earliest_fit(request, 50.0)
+    )
+
+
+def _based_system():
+    """A 4x8 system whose one shard has a base holding one running job."""
+    from repro.apps.synthetic import FixedRuntimeApp
+    from repro.jobs.job import Job
+    from repro.system import BatchSystem
+
+    system = BatchSystem(4, 8)
+    running = system.submit(
+        Job(request=ResourceRequest(cores=8), walltime=1000.0), FixedRuntimeApp(900.0)
+    )
+    system.run(until=0.0)
+    profiles = system.scheduler.profiles
+    shard = profiles.shard_map.shards[0]
+    profiles.build(shard)
+    return system, profiles, shard, running
+
+
+def test_a_job_that_starts_and_leaves_between_builds_leaves_nothing_pending():
+    from repro.jobs.job import Job
+
+    system, profiles, shard, running = _based_system()
+    server = system.server
+    base = profiles._bases[shard.index]
+    assert set(base.held) == {running.job_id} and not base.pending
+    for cores in (4, 8, 16):
+        job = server.submit(Job(request=ResourceRequest(cores=cores), walltime=500.0))
+        server.start_job(job, Allocation({1: min(cores, 8), 2: max(cores - 8, 0)}))
+        assert job.job_id in base.pending
+        server.complete_job(job)
+        assert job.job_id not in base.pending
+    assert not base.pending
+    # a job the base holds stays pending until the next advance applies it
+    server.complete_job(running)
+    assert set(base.pending) == {running.job_id}
+    before = dict(system.scheduler.stats)
+    _same_step_function(profiles.build(shard), profiles.build_uncached(shard))
+    stats = system.scheduler.stats
+    assert stats["profile_advances"] == before["profile_advances"] + 1
+    assert stats["profile_advance_fallbacks"] == 0
+    assert not base.held and not base.pending
+
+
+def test_reconcile_fails_on_a_node_that_left_up_since_the_base_was_built():
+    """A busy node failing reads 0 free on both sides, so only the node
+    set tells the advanced base from the cluster: the advance falls back
+    to a scratch build over the nodes still UP."""
+    system, profiles, shard, running = _based_system()
+    (node,) = running.allocation.node_indices
+    system.cluster.fail_node(node)  # the caller's requeue is not run here
+    before = dict(system.scheduler.stats)
+    profile = profiles.build(shard)
+    stats = system.scheduler.stats
+    assert stats["profile_advance_fallbacks"] == before["profile_advance_fallbacks"] + 1
+    assert stats["profile_builds"] == before["profile_builds"] + 1
+    assert node not in profile.nodes
+    _same_step_function(profile, profiles.build_uncached(shard))
+
+
 # ----------------------------------------------------------------------
 # the first-feasible scan of earliest_fit: directed cases
 # ----------------------------------------------------------------------
@@ -603,7 +750,10 @@ def test_randomized_reserve_and_claim_rounds_at_shard_shape(batch):
 #: Four work counters and the probes re-recorded when a job ending at its
 #: walltime end stopped voiding its shard's plan (R7; the values before
 #: are in the comments): the plan is replayed up to its last reservation
-#: instead of re-placed.
+#: instead of re-placed.  Two work counters once more when the delay
+#: measurement began to plan on the merge of the shard bases instead of a
+#: static-partition base of its own (the values before are in the
+#: comments): one build fewer, and each measurement advances every shard.
 _PINNED_ESP_DYN_HP = {
     1: (
         "2e2acf886f803557352fa884bf8b2d5b6c02b94418b89f2b00d08bece4d52c26",
@@ -615,8 +765,8 @@ _PINNED_ESP_DYN_HP = {
             "reservations_created": 677,  # 1160 before R7
             "preemptions": 0,
             "malleable_shrinks": 0, "jobs_molded": 0, "total_delay_charged": 0.0,
-            "profile_builds": 2,
-            "profile_advances": 164,  # 291 before R7
+            "profile_builds": 1,  # 2 before the shared bases
+            "profile_advances": 165,  # 164 before the shared bases, 291 before R7
             "profile_advance_fallbacks": 0,
             # 8754 before failed probes screened the requests they imply
             "backfill_quick_rejects": 14551,  # 14874 before R7
@@ -636,8 +786,8 @@ _PINNED_ESP_DYN_HP = {
             "reservations_created": 875,  # 1401 before R7
             "preemptions": 0,
             "malleable_shrinks": 0, "jobs_molded": 0, "total_delay_charged": 0.0,
-            "profile_builds": 3,
-            "profile_advances": 244,  # 379 before R7
+            "profile_builds": 2,  # 3 before the shared bases
+            "profile_advances": 294,  # 244 before the shared bases, 379 before R7
             "profile_advance_fallbacks": 0,
             # 7185 before failed probes screened the requests they imply
             "backfill_quick_rejects": 8369,  # 8787 before R7

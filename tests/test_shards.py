@@ -110,6 +110,10 @@ def _pinned_stats(**moving):
 #: (R7; the values before are in the comments): the plan is replayed up to
 #: its last reservation instead of re-placed, so fewer reservations and
 #: advances, fewer screened probes, and a few more shards skipped outright.
+#: Two work counters once more when the delay measurement began to plan on
+#: the shard's base instead of a static-partition base of its own (the
+#: values before are in the comments): the dynamic configs build one
+#: profile fewer and advance the shared base once more.
 _PINNED_SINGLE_SHARD = {
     "Static": (
         "93e91705555689114c6468661bb1686d9de949b58395668b42a30ebfedbf7306",
@@ -132,8 +136,8 @@ _PINNED_SINGLE_SHARD = {
             dyn_rejected_fairness=0, dyn_rejected_resources=124,
             jobs_started=180, jobs_backfilled=50, total_delay_charged=0.0,
             reservations_created=422,  # 1054 before R7
-            profile_builds=2,
-            profile_advances=70,  # 231 before R7
+            profile_builds=1,  # 2 before the shared base
+            profile_advances=71,  # 70 before the shared base, 231 before R7
             # 7812 before failed probes screened the requests they imply
             backfill_quick_rejects=13172,  # 13589 before R7
             shard_passes_skipped=111,  # 109 before R7
@@ -147,8 +151,8 @@ _PINNED_SINGLE_SHARD = {
             jobs_started=173, jobs_backfilled=57,
             total_delay_charged=2395.499999999999,
             reservations_created=439,  # 1031 before R7
-            profile_builds=2,
-            profile_advances=87,  # 239 before R7
+            profile_builds=1,  # 2 before the shared base
+            profile_advances=88,  # 87 before the shared base, 239 before R7
             # 8290 before failed probes screened the requests they imply
             backfill_quick_rejects=13214,  # 13602 before R7
             shard_passes_skipped=99,  # 97 before R7
@@ -162,8 +166,8 @@ _PINNED_SINGLE_SHARD = {
             jobs_started=173, jobs_backfilled=57,
             total_delay_charged=2770.666666666665,
             reservations_created=440,  # 1032 before R7
-            profile_builds=2,
-            profile_advances=88,  # 240 before R7
+            profile_builds=1,  # 2 before the shared base
+            profile_advances=89,  # 88 before the shared base, 240 before R7
             # 8291 before failed probes screened the requests they imply
             backfill_quick_rejects=13215,  # 13603 before R7
             shard_passes_skipped=99,  # 97 before R7
