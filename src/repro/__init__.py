@@ -2,7 +2,7 @@
 
 A faithful, laptop-scale reproduction of Prabhakaran et al., *"A Batch
 System with Fair Scheduling for Evolving Applications"* (ICPP 2014): a
-Torque/Maui-style batch stack (server, moms, TM interface, scheduler) as a
+Torque/Maui-style batch stack (server, TM interface, scheduler) as a
 deterministic discrete-event simulation, extended with the paper's dynamic
 allocation facilities (``tm_dynget``/``tm_dynfree``), the extended scheduling
 iteration (Algorithm 2) and the dynamic fairness (DFS) policies.

@@ -9,7 +9,6 @@
 """
 
 from repro.baselines.guaranteeing import (
-    guaranteeing_summary,
     make_guaranteeing_esp_workload,
     run_guaranteeing_esp,
 )
@@ -17,7 +16,6 @@ from repro.baselines.slurm_style import SlurmEvolvingApp, make_slurm_esp_workloa
 
 __all__ = [
     "SlurmEvolvingApp",
-    "guaranteeing_summary",
     "make_guaranteeing_esp_workload",
     "make_slurm_esp_workload",
     "run_guaranteeing_esp",

@@ -35,7 +35,6 @@ from repro.workloads.spec import JobSpec, Workload
 __all__ = [
     "make_guaranteeing_esp_workload",
     "run_guaranteeing_esp",
-    "guaranteeing_summary",
     "GuaranteeingResult",
 ]
 
@@ -96,18 +95,3 @@ def run_guaranteeing_esp(
     return GuaranteeingResult(
         metrics=system.metrics(), wasted_reserved_core_seconds=wasted
     )
-
-
-def guaranteeing_summary(seed: int = 2014) -> dict:
-    """Guaranteeing vs the paper's non-guaranteeing Dyn-HP, side by side."""
-    from repro.experiments.runner import run_esp_configuration_cached
-
-    guaranteed = run_guaranteeing_esp(seed=seed)
-    dyn_hp = run_esp_configuration_cached("Dyn-HP", seed=seed)
-    return {
-        "guaranteeing_time_min": guaranteed.metrics.workload_time_minutes,
-        "dyn_hp_time_min": dyn_hp.metrics.workload_time_minutes,
-        "guaranteeing_mean_wait_s": guaranteed.metrics.mean_wait,
-        "dyn_hp_mean_wait_s": dyn_hp.metrics.mean_wait,
-        "wasted_reserved_core_seconds": guaranteed.wasted_reserved_core_seconds,
-    }

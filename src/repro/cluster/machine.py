@@ -1,7 +1,11 @@
 """The cluster: a collection of nodes plus present-time allocation bookkeeping.
 
 The :class:`Cluster` answers "what is free *right now*" and enforces the
-no-oversubscription invariant.  Future availability (for reservations and
+no-oversubscription invariant.  Occupancy has one record here,
+:attr:`Cluster.node_free` (plus the cores still held on nodes that are
+down); which job holds which cores is each job's
+:class:`~repro.cluster.allocation.Allocation`.  A :class:`~repro.cluster.node.Node`
+carries only static facts.  Future availability (for reservations and
 backfill) is handled by :class:`repro.cluster.profile.AvailabilityProfile`.
 """
 
@@ -20,7 +24,12 @@ log = logging.getLogger("repro.cluster.machine")
 
 
 class Cluster:
-    """A set of compute nodes with core-level allocation tracking."""
+    """A set of compute nodes with core-level allocation tracking.
+
+    Free cores per node live in :attr:`node_free`; a node failed while
+    busy keeps its held cores in a side map until the jobs on it release
+    them or it recovers to ``cores - held``.
+    """
 
     def __init__(self, nodes: Sequence[Node]) -> None:
         if not nodes:
@@ -34,28 +43,27 @@ class Cluster:
         self._by_index = {n.index: n for n in self.nodes}
         #: installed cores over all nodes regardless of state (fixed)
         self.total_cores: int = sum(n.cores for n in self.nodes)
-        #: free cores per node index — ``Node.free``, 0 on a node that is
-        #: not UP and on an index no node has; :meth:`claim`,
-        #: :meth:`release`, :meth:`fail_node` and :meth:`recover_node`
-        #: keep it, so a reader indexes a list instead of asking each node
+        #: free cores per node index, 0 on a node that is not UP and on an
+        #: index no node has — with each job's allocation, the one record
+        #: of occupancy: :meth:`claim`, :meth:`release`, :meth:`fail_node`
+        #: and :meth:`recover_node` keep it
         self.node_free: list[int] = [0] * (self.nodes[-1].index + 1)
+        #: cores still held on each node that is not UP: :meth:`fail_node`
+        #: moves a node's used cores here, :meth:`release` drains them and
+        #: :meth:`recover_node` takes what is left as used again
+        self._held_down: dict[int, int] = {}
         for n in self.nodes:
-            self.node_free[n.index] = n.free
-        #: running total of ``Node.used`` — only :meth:`claim` and
-        #: :meth:`release` move it, after their checks have passed
-        self._used_cores: int = sum(n.used for n in self.nodes)
+            if n.state is NodeState.UP:
+                self.node_free[n.index] = n.cores
+        #: running total of cores in use on all nodes — only :meth:`claim`
+        #: and :meth:`release` move it, after their checks have passed
+        self._used_cores: int = 0
         #: told the busy-core count after every claim/release (the
         #: telemetry busy integral); None keeps both uninstrumented
         self._on_busy_change = None
         #: monotone counter bumped on every allocation/state change; lets
         #: callers (the scheduler's quiescence check) detect staleness in O(1)
         self.version: int = 0
-        #: free-map cache: the backfill path asks for the same partition
-        #: (or shard) view many times per scheduling pass, and the answer
-        #: only changes when :attr:`version` does — cache the scan, hand
-        #: out copies (callers like :meth:`find_allocation` mutate theirs)
-        self._free_cache: dict = {}
-        self._free_cache_version: int = -1
         #: per-shard monotone version counters (installed by the scheduler's
         #: :class:`~repro.maui.shards.ShardBook`, one shard included):
         #: ``shard_versions[s]`` bumps whenever a claim, an unforeseen
@@ -121,49 +129,28 @@ class Cluster:
     def free_cores(self) -> int:
         return sum(self.node_free)
 
-    def _cached_free(self, key, build) -> dict[int, int]:
-        """Version-keyed memo for free-map scans; returns a private copy."""
-        if self._free_cache_version != self.version:
-            self._free_cache_version = self.version
-            self._free_cache.clear()
-        cached = self._free_cache.get(key)
-        if cached is None:
-            cached = self._free_cache[key] = build()
-        return dict(cached)
+    def free_by_node(
+        self,
+        *,
+        partitions: Iterable[str] | None = None,
+        nodes: Iterable[int] | None = None,
+    ) -> dict[int, int]:
+        """Free cores per UP node, over the node indices ``nodes`` or else
+        the nodes of ``partitions`` (every node when both are None).
 
-    def free_by_node(self, *, partitions: Iterable[str] | None = None) -> dict[int, int]:
-        """Free cores per UP node, optionally restricted to partitions."""
-        wanted = frozenset(partitions) if partitions is not None else None
-        free = self.node_free
-
-        def build() -> dict[int, int]:
-            return {
-                n.index: free[n.index]
-                for n in self.nodes
-                if n.state is NodeState.UP
-                and (wanted is None or n.partition in wanted)
-            }
-
-        return self._cached_free(("partitions", wanted), build)
-
-    def free_for_nodes(self, node_indices: Iterable[int]) -> dict[int, int]:
-        """Free cores per UP node over an explicit node index set.
-
-        The sharded scheduler's per-shard profile builds go through this
-        instead of scanning all nodes; the answer is cached per
-        :attr:`version` like :meth:`free_by_node`.
+        A fresh dict on each call: callers such as :meth:`find_allocation`
+        mutate theirs.
         """
-        wanted = tuple(node_indices)
         free = self.node_free
-
-        def build() -> dict[int, int]:
-            return {
-                idx: free[idx]
-                for idx in wanted
-                if self._by_index[idx].state is NodeState.UP
-            }
-
-        return self._cached_free(("nodes", wanted), build)
+        if nodes is not None:
+            by_index = self._by_index
+            return {i: free[i] for i in nodes if by_index[i].state is NodeState.UP}
+        wanted = frozenset(partitions) if partitions is not None else None
+        return {
+            n.index: free[n.index]
+            for n in self.nodes
+            if n.state is NodeState.UP and (wanted is None or n.partition in wanted)
+        }
 
     # ------------------------------------------------------------------
     # shard bookkeeping
@@ -230,9 +217,8 @@ class Cluster:
                     f"{node.name} oversubscribed: {count} requested, {free[idx]} free"
                 )
         for idx, count in allocation.items():
-            self._by_index[idx].used += count
             free[idx] -= count
-            self._used_cores += count
+        self._used_cores += allocation.total_cores
         self.version += 1
         self._bump_shards_for(allocation, self.shard_versions)
         if self._on_busy_change is not None:
@@ -245,21 +231,28 @@ class Cluster:
         profiles plan it for, so it bumps :attr:`shard_releases` instead of
         :attr:`shard_versions` (:attr:`version` bumps either way).
         """
+        free, held_down = self.node_free, self._held_down
         for idx, count in allocation.items():
             node = self._by_index.get(idx)
             if node is None:
                 raise ValueError(f"unknown node index {idx}")
-            if node.used < count:
+            used = (
+                node.cores - free[idx]
+                if node.state is NodeState.UP
+                else held_down.get(idx, 0)
+            )
+            if used < count:
                 raise ValueError(
-                    f"{node.name} releasing {count} cores but only {node.used} used"
+                    f"{node.name} releasing {count} cores but only {used} used"
                 )
-        free = self.node_free
         for idx, count in allocation.items():
-            node = self._by_index[idx]
-            node.used -= count
-            if node.state is NodeState.UP:
+            if self._by_index[idx].state is NodeState.UP:
                 free[idx] += count
-            self._used_cores -= count
+            elif held_down[idx] == count:
+                del held_down[idx]
+            else:
+                held_down[idx] -= count
+        self._used_cores -= allocation.total_cores
         self.version += 1
         self._bump_shards_for(
             allocation, self.shard_releases if foreseen else self.shard_versions
@@ -282,6 +275,9 @@ class Cluster:
         if node.state is NodeState.DOWN:
             return False
         node.state = NodeState.DOWN
+        held = node.cores - self.node_free[index]
+        if held:
+            self._held_down[index] = held
         self.node_free[index] = 0
         self.version += 1
         self.topology_version += 1
@@ -295,7 +291,7 @@ class Cluster:
         if node.state is NodeState.UP:
             return False
         node.state = NodeState.UP
-        self.node_free[index] = node.cores - node.used
+        self.node_free[index] = node.cores - self._held_down.pop(index, 0)
         self.version += 1
         self.topology_version += 1
         self._bump_shards_for((index,), self.shard_versions)

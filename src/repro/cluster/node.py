@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class NodeState(enum.Enum):
@@ -11,24 +11,20 @@ class NodeState(enum.Enum):
 
     UP = "up"
     DOWN = "down"
-    #: Drained nodes finish their current jobs but accept no new work
-    #: (used by the failure-injection tests and the spare-partition option).
-    DRAINED = "drained"
 
 
 @dataclass
 class Node:
     """A compute node with a fixed number of cores.
 
-    ``used`` tracks the number of cores currently allocated to running jobs;
-    it is maintained by :class:`repro.cluster.machine.Cluster` and must never
-    exceed ``cores``.
+    Only static facts live here (and the UP/DOWN state the fault path
+    flips); how many cores are free is
+    :attr:`repro.cluster.machine.Cluster.node_free`.
     """
 
     index: int
     cores: int
     state: NodeState = NodeState.UP
-    used: int = field(default=0)
     #: Optional partition label ("batch" by default; the dynamic-partition
     #: option places some nodes in a "dynamic" partition reserved for
     #: evolving-job expansion).
@@ -39,20 +35,8 @@ class Node:
         """Torque-style node name."""
         return f"node{self.index:03d}"
 
-    @property
-    def free(self) -> int:
-        """Cores available for new allocations right now."""
-        if self.state is not NodeState.UP:
-            return 0
-        return self.cores - self.used
-
-    @property
-    def is_idle(self) -> bool:
-        """True when no core of this node is allocated."""
-        return self.used == 0
-
     def __repr__(self) -> str:
         return (
-            f"<Node {self.name} {self.used}/{self.cores} used"
+            f"<Node {self.name} {self.cores} cores"
             f" [{self.state.value}/{self.partition}]>"
         )

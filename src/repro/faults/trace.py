@@ -34,9 +34,6 @@ class FaultEvent:
     kind: str  # FAIL | RECOVER
     node: int
 
-    def as_dict(self) -> dict:
-        return {"time": self.time, "kind": self.kind, "node": self.node}
-
 
 def _sample_tbf(rng: random.Random, model: FaultModel) -> float:
     """Draw one time-between-failures from the model's distribution."""

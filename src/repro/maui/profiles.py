@@ -241,7 +241,7 @@ class ViewProfiles:
         """
         now = self.engine.now
         if isinstance(view, SchedulerShard):
-            free = self.cluster.free_for_nodes(view.nodes)
+            free = self.cluster.free_by_node(nodes=view.nodes)
         else:
             free = self.cluster.free_by_node(partitions=view)
         capacity = {

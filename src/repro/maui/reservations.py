@@ -54,10 +54,6 @@ class AdminReservation:
         """Does the window intersect ``[start, end)``?"""
         return self.start < end and start < self.end
 
-    @property
-    def allocation(self) -> Allocation:
-        return Allocation(self.cores_by_node)
-
 
 @dataclass(frozen=True, slots=True)
 class PlannedJob:

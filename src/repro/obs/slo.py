@@ -347,10 +347,6 @@ class SLOEngine:
             for state in self._states
         ]
 
-    @property
-    def breached(self) -> bool:
-        return bool(self.breaches)
-
     def export_jsonl(self, fp: IO[str]) -> int:
         """Dump meta + per-objective summaries + breaches (deterministic)."""
         lines = [

@@ -28,7 +28,6 @@ from repro.cluster.node import NodeState
 from repro.jobs.job import Job, JobState
 from repro.jobs.queue import DynRequest, JobQueue
 from repro.obs.instruments import mirror_server
-from repro.rms.mom import MomManager
 from repro.rms.tm import TMContext
 from repro.sim.engine import Engine, EventHandle, PRIORITY_LIMIT
 from repro.sim.events import EventKind, TraceLog
@@ -84,7 +83,6 @@ class Server:
         self.trace = trace if trace is not None else TraceLog()
         #: optional :class:`repro.obs.Telemetry`; None = fully uninstrumented
         self.telemetry = telemetry
-        self.moms = MomManager(cluster)
         self.queue = JobQueue()
         #: FIFO of unresolved dynamic requests (paper: prioritised FIFO).
         self.dyn_queue: list[DynRequest] = []
@@ -319,7 +317,7 @@ class Server:
         job.allocation = allocation
         job.backfilled = backfilled
         self.on_cores(job, allocation.total_cores)
-        ms = self.moms.join(job, allocation)
+        ms = min(allocation.node_indices)
         self.trace.record(
             self.engine.now,
             EventKind.BACKFILL_START if backfilled else EventKind.JOB_START,
@@ -337,7 +335,7 @@ class Server:
         limit = self.engine.after(
             job.walltime, self._walltime_expired, job, priority=PRIORITY_LIMIT
         )
-        ctx = self._contexts[job.job_id] = TMContext(self, job, limit)
+        ctx = self._contexts[job.job_id] = TMContext(self, job, limit, ms)
         app = self._apps[job.job_id]
         if app is not None:
             app.launch(ctx)
@@ -417,9 +415,10 @@ class Server:
         ``abort`` or ``requeue``).
 
         Its pending dynamic request or grant retry, walltime limit, TM
-        timers, moms and active-index entry go with it.  A requeued job's
-        request is answered None, so the application sees a rejection; the
-        other two drop it.  Returns the allocation, still claimed.
+        timers and active-index entry (its TM context) go with it.  A
+        requeued job's request is answered None, so the application sees a
+        rejection; the other two drop it.  Returns the allocation, still
+        claimed.
         """
         self._move(job, op)
         dropped = [d for d in self.dyn_queue if d.job is job]
@@ -433,7 +432,6 @@ class Server:
             for dreq in dropped:
                 dreq.resolve(None)
         self._contexts.pop(job.job_id)._cancel_all_timers()
-        self.moms.exit(job)
         assert job.allocation is not None
         self.on_cores(job, -job.allocation.total_cores)
         return job.allocation
@@ -535,7 +533,6 @@ class Server:
         """Actually hand the expanded allocation to the job (may raise)."""
         job = dreq.job
         self._move(job, "answer", claim=allocation)
-        self.moms.dyn_join(job, allocation)
         assert job.allocation is not None
         job.allocation = job.allocation + allocation
         self.on_cores(job, allocation.total_cores)
@@ -643,10 +640,16 @@ class Server:
         dreq.resolve(None)
 
     def dyn_free(self, job: Job, released: Allocation) -> None:
-        """Release part of a running job's allocation (``tm_dynfree``)."""
+        """Release part of a running job's allocation (``tm_dynfree``).
+
+        Any subset may go (unlike SLURM's shrink, paper Section V) but the
+        mother superior's last core (``RuntimeError``) or cores the job
+        does not hold (``ValueError``); a refused release changes nothing.
+        """
         self._move(job, "resize")
-        self.moms.dyn_disjoin(job, released)
-        assert job.allocation is not None
+        ms = self._contexts[job.job_id].mother_superior
+        if released[ms] >= job.allocation[ms]:
+            raise RuntimeError(f"{job.job_id}: cannot strip mother superior node {ms}")
         job.allocation = job.allocation - released
         self.on_cores(job, -released.total_cores)
         self.cluster.release(released)
@@ -717,7 +720,6 @@ class Server:
         # node-side: helper processes exit, parent spans the new nodes;
         # cluster core counts are unchanged: ownership moves, usage doesn't
         transferred = self._leave(stub, "complete")
-        self.moms.dyn_join(parent, transferred)
         assert parent.allocation is not None
         stub.end_time = self.engine.now
         self._finished_unaccounted.append(stub)
@@ -768,11 +770,7 @@ class Server:
         """
         if self.cluster.node(node_index).state is NodeState.DOWN:
             return []
-        affected = [
-            j
-            for j in self.active_jobs()
-            if j.allocation is not None and node_index in j.allocation
-        ]
+        affected = [j for j in self.active_jobs() if node_index in j.allocation]
         self.trace.record(
             self.engine.now,
             EventKind.NODE_FAIL,

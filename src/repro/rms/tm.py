@@ -32,9 +32,15 @@ __all__ = ["TMContext"]
 class TMContext:
     """Per-job runtime handle given to the application model."""
 
-    def __init__(self, server: "Server", job: Job, limit: EventHandle) -> None:
+    def __init__(
+        self, server: "Server", job: Job, limit: EventHandle, mother_superior: int
+    ) -> None:
         self._server = server
         self.job = job
+        #: the node coordinating ``dyn_join`` / ``dyn_disjoin`` for this
+        #: run: the lowest node at start, kept even when a grant later adds
+        #: a lower one, and never stripped of its last core
+        self.mother_superior = mother_superior
         #: the walltime kill switch; None once the job has left its nodes
         self.limit: EventHandle | None = limit
         self._timers: list[EventHandle] = []

@@ -1,6 +1,6 @@
 """Deterministic discrete-event simulation kernel.
 
-The batch system (server, moms, scheduler, application models) runs on top of
+The batch system (server, scheduler, application models) runs on top of
 this engine.  Everything is single-threaded and deterministic: events firing
 at the same timestamp are ordered by an explicit priority and then by
 insertion order, so a given workload + configuration always produces the same

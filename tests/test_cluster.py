@@ -14,14 +14,17 @@ class TestNode:
         assert Node(index=7, cores=8).name == "node007"
 
     def test_free_and_idle(self):
-        node = Node(index=0, cores=8)
-        assert node.free == 8 and node.is_idle
-        node.used = 3
-        assert node.free == 5 and not node.is_idle
+        # a node holds only static facts: its free cores are the cluster's
+        cluster = Cluster([Node(index=0, cores=8)])
+        assert cluster.node_free == [8] and cluster.used_cores == 0
+        cluster.claim(Allocation({0: 3}))
+        assert cluster.node_free == [5] and cluster.used_cores == 3
 
     def test_down_node_has_no_free_cores(self):
-        node = Node(index=0, cores=8, state=NodeState.DOWN)
-        assert node.free == 0
+        cluster = Cluster([Node(index=0, cores=8, state=NodeState.DOWN)])
+        assert cluster.node_free == [0] and cluster.free_by_node() == {}
+        cluster.recover_node(0)
+        assert cluster.node_free == [8]
 
 
 class TestClusterConstruction:
@@ -55,8 +58,7 @@ class TestClaimRelease:
     def test_claim_updates_usage(self, small_cluster):
         small_cluster.claim(Allocation({0: 4, 1: 8}))
         assert small_cluster.used_cores == 12
-        assert small_cluster.node(0).free == 4
-        assert small_cluster.node(1).free == 0
+        assert small_cluster.node_free == [4, 0, 8, 8]
 
     def test_release_returns_cores(self, small_cluster):
         alloc = Allocation({0: 4})
@@ -69,7 +71,7 @@ class TestClaimRelease:
         with pytest.raises(ValueError):
             small_cluster.claim(Allocation({1: 4, 0: 1}))
         # the valid part of the failed claim must not have been applied
-        assert small_cluster.node(1).used == 0
+        assert small_cluster.node_free[1] == 8
 
     def test_claim_unknown_node_rejected(self, small_cluster):
         with pytest.raises(ValueError):
@@ -84,6 +86,19 @@ class TestClaimRelease:
         small_cluster.claim(Allocation({0: 2}))
         with pytest.raises(ValueError):
             small_cluster.release(Allocation({0: 3}))
+
+    def test_busy_node_keeps_its_held_cores_while_down(self, small_cluster):
+        small_cluster.claim(Allocation({0: 6, 1: 2}))
+        small_cluster.fail_node(0)
+        assert small_cluster.node_free[0] == 0 and small_cluster.used_cores == 8
+        # an over-release on the down node is refused with nothing changed
+        with pytest.raises(ValueError):
+            small_cluster.release(Allocation({1: 1, 0: 7}))
+        assert small_cluster.node_free[:2] == [0, 6]
+        small_cluster.release(Allocation({0: 4}))
+        assert small_cluster.node_free[0] == 0 and small_cluster.used_cores == 4
+        small_cluster.recover_node(0)
+        assert small_cluster.node_free[0] == 6
 
 
 class TestFindAllocation:
@@ -229,28 +244,41 @@ class _BusySpy:
     )
 )
 def test_property_used_cores_counter_tracks_the_nodes(ops):
-    """The running ``used_cores`` counter equals the per-node sum after any
-    mix of accepted and rejected operations, a rejected one leaves it
-    untouched, and ``on_busy_change`` is handed exactly that value."""
+    """The cluster's free list and ``used_cores`` counter match a per-node
+    held model kept here after any mix of accepted and rejected
+    operations (releases on DOWN nodes and recoveries of busy ones
+    included), a rejected one leaves both untouched, and
+    ``on_busy_change`` is handed exactly the counter's value."""
     cluster = Cluster.homogeneous(4, 8)
     spy = _BusySpy()
     cluster._on_busy_change = spy.on_busy_change
+    held, up = [0] * 4, [True] * 4
     for op, node, cores, other in ops:
         before, reported = cluster.used_cores, len(spy.seen)
         if op in ("claim", "release"):
             # two-node allocations: a failing second entry must not leave
             # the first one counted
             alloc = Allocation({other: 1, node: cores})
+            if op == "claim":
+                ok = all(i < 4 and up[i] and held[i] + c <= 8 for i, c in alloc.items())
+            else:
+                ok = all(i < 4 and held[i] >= c for i, c in alloc.items())
             try:
                 getattr(cluster, op)(alloc)
             except ValueError:
+                assert not ok
                 assert cluster.used_cores == before
                 assert len(spy.seen) == reported
             else:
-                delta = alloc.total_cores if op == "claim" else -alloc.total_cores
-                assert cluster.used_cores == before + delta
+                assert ok
+                sign = 1 if op == "claim" else -1
+                for i, c in alloc.items():
+                    held[i] += sign * c
+                assert cluster.used_cores == before + sign * alloc.total_cores
                 assert spy.seen[reported:] == [cluster.used_cores]
         elif node < 4:
             (cluster.fail_node if op == "fail" else cluster.recover_node)(node)
+            up[node] = op == "recover"
             assert cluster.used_cores == before
-        assert cluster.used_cores == sum(n.used for n in cluster.nodes)
+        assert cluster.node_free == [8 - h if u else 0 for h, u in zip(held, up)]
+        assert cluster.used_cores == sum(held)

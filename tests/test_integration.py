@@ -1,7 +1,7 @@
 """End-to-end integration tests with system-wide invariants.
 
 Every scenario runs through the full stack and then asserts global
-conservation properties: no core leaked, every mom empty, every job
+conservation properties: no core leaked, every node idle, every job
 accounted for.
 """
 
@@ -9,6 +9,7 @@ import pytest
 
 from repro.apps.synthetic import EvolvingWorkApp, FixedRuntimeApp
 from repro.cluster.allocation import ResourceRequest
+from repro.cluster.node import NodeState
 from repro.jobs.job import JobState
 from repro.maui.config import DFSConfig, DFSPolicy, MauiConfig, PrincipalLimits
 from repro.system import BatchSystem
@@ -21,8 +22,9 @@ def assert_clean_shutdown(system: BatchSystem) -> None:
     assert system.cluster.used_cores == 0, "cores leaked"
     assert len(system.server.queue) == 0, "jobs stuck in queue"
     assert len(system.server.dyn_queue) == 0, "dynamic requests stuck"
-    for mom in system.server.moms.moms.values():
-        assert not mom.jobs, f"mom {mom.node_index} still hosts jobs"
+    for node in system.cluster.nodes:
+        if node.state is NodeState.UP:
+            assert system.cluster.node_free[node.index] == node.cores, node.name
     for job in system.server.jobs.values():
         assert job.is_finished, f"{job.job_id} not finished: {job.state}"
         assert job.end_time is not None

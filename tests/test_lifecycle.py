@@ -6,7 +6,7 @@ starts, completes, aborts, cancels, holds, asks for cores, grants
 (sometimes through a dropped first delivery), rejects, preempts, merges,
 fails and recovers nodes, lets time pass, folds and discards finished jobs,
 and on purpose makes calls the job's state forbids.  After every step the
-server, the cluster, the moms and the trace must agree.  A rot guard keeps
+server, the cluster and the trace must agree.  A rot guard keeps
 every ``job.state`` write inside :meth:`Server._move`.
 """
 
@@ -29,6 +29,7 @@ from hypothesis.stateful import (
 
 from repro.cluster.allocation import Allocation, ResourceRequest
 from repro.cluster.machine import Cluster
+from repro.cluster.node import NodeState
 from repro.jobs.job import Job, JobFlexibility, JobState
 from repro.obs.windows import WindowedMetrics
 from repro.rms.client import qalter
@@ -86,8 +87,8 @@ class Lifecycle(RuleBasedStateMachine):
         return (
             [(j.job_id, j.state, j.allocation, j.hold, j.walltime)
              for j in server.jobs.values()],
-            [n.used for n in self.cluster.nodes],
-            [m.used for m in server.moms.moms.values()],
+            list(self.cluster.node_free),
+            self.cluster.used_cores,
             [j.job_id for j in server.queue],
             list(server.dyn_queue),
             dict(server._pending_deliveries),
@@ -242,13 +243,20 @@ class Lifecycle(RuleBasedStateMachine):
     # -- invariants ----------------------------------------------------------
     @invariant()
     def no_core_held_twice(self) -> None:
-        server = self.server
-        active = server.active_jobs()
-        for node in self.cluster.nodes:
-            held = sum(j.allocation[node.index] for j in active)
-            assert node.used == held == server.moms.moms[node.index].used
-        on_moms = {jid for m in server.moms.moms.values() for jid in m.jobs}
-        assert on_moms <= {j.job_id for j in active}
+        """The active jobs' allocations hold, node by node, exactly the
+        cores the cluster counts as used: none twice, none leaked."""
+        active = self.server.active_jobs()
+        cluster = self.cluster
+        held = [sum(j.allocation[n.index] for j in active) for n in cluster.nodes]
+        assert all(h <= n.cores for h, n in zip(held, cluster.nodes))
+        assert cluster.used_cores == sum(held)
+        down = {}
+        for n, h in zip(cluster.nodes, held):
+            if n.state is NodeState.UP:
+                assert n.cores - cluster.node_free[n.index] == h
+            elif h:
+                down[n.index] = h
+        assert cluster._held_down == down
 
     @invariant()
     def free_plus_used_is_up_capacity(self) -> None:
@@ -257,9 +265,15 @@ class Lifecycle(RuleBasedStateMachine):
 
     @invariant()
     def free_list_is_each_nodes_free(self) -> None:
+        """Each node's free cores are its capacity less what the active
+        allocations hold on it when UP, and 0 when it is not."""
+        active = self.server.active_jobs()
         cluster = self.cluster
         assert [cluster.node_free[n.index] for n in cluster.nodes] == [
-            n.free for n in cluster.nodes
+            n.cores - sum(j.allocation[n.index] for j in active)
+            if n.state is NodeState.UP
+            else 0
+            for n in cluster.nodes
         ]
 
     @invariant()

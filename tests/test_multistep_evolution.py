@@ -71,7 +71,8 @@ class TestTwoStepGrowth:
         system.submit(job, EvolvingWorkApp(1000.0))
         # the job completes exactly at t=500; probe just before
         system.run(until=450.0)
-        assert system.server.moms.cores_held(job) == 16
+        assert job.allocation.total_cores == 16
+        assert system.cluster.used_cores == 16
 
     def test_three_steps_with_retries(self, system):
         job = Job(

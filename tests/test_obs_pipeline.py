@@ -270,7 +270,9 @@ def _assert_metrics_equal_their_sources(system):
     assert value("repro_queue_depth") == len(server.queue)
     assert value("repro_dyn_queue_depth") == len(server.dyn_queue)
     assert value("repro_running_jobs") == server.active_count
-    assert value("repro_busy_cores") == sum(n.used for n in system.cluster.nodes)
+    assert value("repro_busy_cores") == sum(
+        j.allocation.total_cores for j in server.active_jobs()
+    )
 
 
 def _dfs_series(registry):

@@ -108,8 +108,9 @@ def test_property_any_config_drains_cleanly(jobs, config):
     assert system.cluster.used_cores == 0
     assert len(system.server.queue) == 0
     assert len(system.server.dyn_queue) == 0
-    for mom in system.server.moms.moms.values():
-        assert not mom.jobs
+    assert [system.cluster.node_free[n.index] for n in system.cluster.nodes] == [
+        n.cores for n in system.cluster.nodes
+    ]
     for job in submitted:
         assert job.is_finished, f"{job.job_id} stuck in {job.state}"
     assert validate_trace(system.trace, system.cluster) == []

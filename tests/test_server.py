@@ -58,7 +58,7 @@ class TestStartAndComplete:
         server.start_job(job, Allocation({0: 8}))
         assert job.state is JobState.RUNNING
         assert cluster.used_cores == 8
-        assert server.moms.cores_held(job) == 8
+        assert cluster.node_free[0] == 0
         assert job not in server.queue
 
     def test_start_requires_queued(self, bare):
@@ -172,7 +172,7 @@ class TestDynamicPath:
         assert job.dyn_granted == 1
         assert answers == [grant]
         assert cluster.used_cores == 8
-        assert server.moms.cores_held(job) == 8
+        assert cluster.node_free[1] == 4
         assert not server.dyn_queue
 
     def test_reject_keeps_allocation(self, bare):
@@ -263,8 +263,8 @@ class TestMerge:
         assert stub.state is JobState.COMPLETED
         assert parent.dyn_granted == 1
         assert cluster.used_cores == 12
-        assert server.moms.cores_held(parent) == 12
-        assert server.moms.cores_held(stub) == 0
+        assert stub.allocation is None
+        assert cluster.node_free[:2] == [0, 4]
 
     @pytest.mark.parametrize("pending", ["resources", "grant_retry"])
     def test_merge_drops_the_helpers_pending_request(self, bare, pending):
@@ -286,7 +286,7 @@ class TestMerge:
         engine.run(until=20.0)  # past the retry's backoff
         assert answers == []
         assert cluster.used_cores == 12
-        assert server.moms.cores_held(parent) == 12
+        assert parent.allocation.total_cores == 12
 
     def test_merge_into_self_rejected(self, bare):
         engine, cluster, server = bare

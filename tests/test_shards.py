@@ -1250,14 +1250,14 @@ class TestClusterShardBookkeeping:
         a = cluster.free_by_node()
         a.pop(0)
         assert 0 in cluster.free_by_node()
-        b = cluster.free_for_nodes((0, 1))
+        b = cluster.free_by_node(nodes=(0, 1))
         b[0] = 0
-        assert cluster.free_for_nodes((0, 1))[0] == 8
+        assert cluster.free_by_node(nodes=(0, 1))[0] == 8
 
     def test_free_for_nodes_skips_down(self):
         cluster = Cluster.homogeneous(4, 8)
         cluster.fail_node(1)
-        assert set(cluster.free_for_nodes((0, 1, 2))) == {0, 2}
+        assert set(cluster.free_by_node(nodes=(0, 1, 2))) == {0, 2}
 
     def test_shard_versions_bump_only_touched_shard(self):
         cluster = Cluster.homogeneous(4, 8)
