@@ -154,4 +154,9 @@ def run_slurm_esp(
         for j in system.server.jobs.values()
         if "expansion_for" not in j.metadata
     ]
-    return WorkloadMetrics(records, system.cluster.total_cores, system.trace)
+    # a helper holds cores of its own for no time (it is merged into its
+    # parent, or finishes, the moment it starts), so the server's integral
+    # to its latest end is the integral to the records' latest end
+    return WorkloadMetrics(
+        records, system.cluster.total_cores, system.server.busy_at_last_end
+    )

@@ -58,9 +58,6 @@ class Cluster:
         #: running total of cores in use on all nodes — only :meth:`claim`
         #: and :meth:`release` move it, after their checks have passed
         self._used_cores: int = 0
-        #: told the busy-core count after every claim/release (the
-        #: telemetry busy integral); None keeps both uninstrumented
-        self._on_busy_change = None
         #: monotone counter bumped on every allocation/state change; lets
         #: callers (the scheduler's quiescence check) detect staleness in O(1)
         self.version: int = 0
@@ -78,15 +75,6 @@ class Cluster:
         #: routing keys on) never changes on a claim or release, so
         #: capability memos keyed here survive ordinary scheduling churn
         self.topology_version: int = 0
-
-    def attach_telemetry(self, telemetry, clock) -> None:
-        """Report busy-core changes to a telemetry facade.
-
-        ``clock`` is the simulation engine (read for ``.now``); the busy
-        integral is anchored at the current time and usage level.
-        """
-        telemetry.reset_busy_clock(clock.now, self.used_cores)
-        self._on_busy_change = lambda busy: telemetry.on_busy_change(clock.now, busy)
 
     @classmethod
     def homogeneous(
@@ -221,8 +209,6 @@ class Cluster:
         self._used_cores += allocation.total_cores
         self.version += 1
         self._bump_shards_for(allocation, self.shard_versions)
-        if self._on_busy_change is not None:
-            self._on_busy_change(self.used_cores)
 
     def release(self, allocation: Allocation, *, foreseen: bool = False) -> None:
         """Return the allocation's cores to the free pool.
@@ -257,8 +243,6 @@ class Cluster:
         self._bump_shards_for(
             allocation, self.shard_releases if foreseen else self.shard_versions
         )
-        if self._on_busy_change is not None:
-            self._on_busy_change(self.used_cores)
 
     # ------------------------------------------------------------------
     # failures (extension used by fault-tolerance tests/examples)

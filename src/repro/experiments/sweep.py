@@ -55,9 +55,8 @@ def run_seed_sweep(
     """All four configurations over the given seeds (default: 8 seeds).
 
     ``trace_maxlen`` bounds each run's event trace to a ring of that many
-    events (default: unbounded, the historical behaviour); bounded runs get
-    a per-run telemetry facade so utilization stays exact via the live
-    busy-core integral instead of trace replay.
+    events (default: unbounded, the historical behaviour); utilization is
+    exact either way, read from the server's busy-core integral.
 
     ``workers`` fans the (configuration, seed) grid out over worker
     processes through :func:`repro.exec.map_specs`; results come back in
@@ -85,14 +84,7 @@ def run_seed_sweep(
 def _sweep_row(cell: tuple[ESPConfiguration, int], *, trace_maxlen: int | None) -> dict:
     """Simulate one (configuration, seed) cell and return its metric row."""
     configuration, seed = cell
-    telemetry = None
-    if trace_maxlen is not None:
-        from repro.obs import Telemetry
-
-        telemetry = Telemetry(sample_interval=None)
-    m = run_esp_configuration(
-        configuration, seed=seed, telemetry=telemetry, trace_maxlen=trace_maxlen
-    ).metrics
+    m = run_esp_configuration(configuration, seed=seed, trace_maxlen=trace_maxlen).metrics
     return {
         "time_min": m.workload_time_minutes,
         "satisfied": m.satisfied_dyn_jobs,

@@ -5,7 +5,8 @@
 * **workload time** — first submission to last completion (Table II "Time");
 * **satisfied dynamic jobs** — evolving jobs with ≥1 granted request;
 * **utilization** — busy core-seconds over installed core-seconds across the
-  workload time;
+  workload time, the busy core-seconds being the server's integral up to
+  the latest job end (``Server.busy_at_last_end``);
 * **throughput** — completed jobs per minute, plus the relative increase
   against a baseline;
 * per-job **waiting times** in submission order (Figures 8-11) and
@@ -18,7 +19,6 @@ from dataclasses import dataclass
 
 from repro.cluster.machine import Cluster
 from repro.jobs.job import Job, JobState
-from repro.metrics.stats import busy_core_seconds
 from repro.rms.server import Server
 
 __all__ = ["JobRecord", "WorkloadMetrics"]
@@ -80,20 +80,21 @@ class JobRecord:
 
 
 class WorkloadMetrics:
-    """Post-run summary over a server's jobs and trace."""
+    """Summary over a server's jobs and its busy core-seconds.
+
+    ``busy_core_seconds`` is the integral of busy cores up to the latest
+    end among ``records``, taken with them.
+    """
 
     def __init__(
-        self, records: list[JobRecord], total_cores: int, trace, *, telemetry=None
+        self, records: list[JobRecord], total_cores: int, busy_core_seconds: float
     ) -> None:
         self.records = sorted(records, key=lambda r: (r.submit_time, r.seq))
         self.total_cores = total_cores
-        self._trace = trace
-        self._telemetry = telemetry
+        self.busy_core_seconds = busy_core_seconds
 
     @classmethod
-    def from_server(
-        cls, server: Server, cluster: Cluster, *, telemetry=None
-    ) -> "WorkloadMetrics":
+    def from_server(cls, server: Server, cluster: Cluster) -> "WorkloadMetrics":
         if getattr(server, "jobs_discarded", 0):
             raise RuntimeError(
                 f"{server.jobs_discarded} job(s) were folded and discarded "
@@ -101,7 +102,7 @@ class WorkloadMetrics:
                 "read the streaming aggregates from telemetry.windows instead"
             )
         records = [JobRecord.from_job(j) for j in server.jobs.values()]
-        return cls(records, cluster.total_cores, server.trace, telemetry=telemetry)
+        return cls(records, cluster.total_cores, server.busy_at_last_end)
 
     # ------------------------------------------------------------------
     # Table II quantities
@@ -137,27 +138,8 @@ class WorkloadMetrics:
 
     @property
     def utilization(self) -> float:
-        """Busy core-seconds over installed capacity across the workload time.
-
-        Normally reconstructed by replaying the trace; when the trace is a
-        bounded ring that has dropped events, replay would under-count, so
-        the telemetry busy-core integral (maintained live by the cluster
-        hooks, exact regardless of trace retention) is used instead; without
-        a telemetry such a trace has no exact answer, so it raises
-        ``ValueError``.
-        """
-        dropped = getattr(self._trace, "dropped", 0)
-        if dropped and self._telemetry is None:
-            raise ValueError(
-                f"utilization needs the whole run, but the trace ring dropped "
-                f"{dropped} events: pass a Telemetry (its busy-core integral "
-                f"is exact) or use an unbounded trace (trace_maxlen=None)"
-            )
-        if dropped:
-            busy = self._telemetry.busy_core_seconds(upto=self.last_end)
-        else:
-            busy = busy_core_seconds(self._trace, self.first_submit, self.last_end)
-        return busy / (self.total_cores * self.workload_time)
+        """Busy core-seconds over installed capacity across the workload time."""
+        return self.busy_core_seconds / (self.total_cores * self.workload_time)
 
     @property
     def completed_jobs(self) -> int:

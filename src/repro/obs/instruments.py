@@ -10,10 +10,11 @@ text, where it is read from); ``docs/OBSERVABILITY.md`` § Instruments is
 the human-readable catalogue, kept equal to the registry by
 ``tests/test_obs_pipeline.py``.
 
-What is still pushed is what is *measured* rather than mirrored: the
-busy-core integral (``Telemetry.on_busy_change``) and what the ledger,
-profiler, fairness observatory and SLO engine register for themselves —
-those are the hook sites the is-None checks in the core still guard.
+What is still pushed is what is *measured* rather than mirrored: what
+the ledger, profiler, fairness observatory, SLO engine and windows
+register for themselves — those are the hook sites the is-None checks in
+the core still guard.  (Busy core-seconds are kept by the server itself,
+telemetry on or off: ``Server.busy_at_last_end``.)
 """
 
 from __future__ import annotations

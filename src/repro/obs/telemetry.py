@@ -12,19 +12,14 @@ Metrics that mirror a count the components already keep (the trace, a
 ``stats`` dict, a queue) are read out of them when the registry is read
 and cost a run nothing, telemetry on or off
 (:mod:`repro.obs.instruments`).  What is *measured* is still pushed — the
-busy-core integral below and the ledger / profiler / fairness / windows
-hooks: with no telemetry object each of those is a ``None`` sentinel and
-its hook site a single attribute-is-None check, benchmarked to stay
-within 5 % of the uninstrumented scheduler hot path
-(``benchmarks/test_obs_overhead.py``).  Wall-clock time is read by the
-phase profiler alone (``profiling=True``), so an export without it is a
-pure function of the seed.
-
-Besides its sub-systems, the facade maintains the **busy-core
-integral**: every cluster claim/release reports the new busy count, and the
-running integral of busy-cores over sim-time makes utilization computable
-in O(1) at any moment — even when the event trace is a bounded ring that no
-longer holds the start of the run.
+ledger / profiler / fairness / windows hooks: with no telemetry object
+each of those is a ``None`` sentinel and its hook site a single
+attribute-is-None check, benchmarked to stay within 5 % of the
+uninstrumented scheduler hot path (``benchmarks/test_obs_overhead.py``).
+Wall-clock time is read by the phase profiler alone (``profiling=True``),
+so an export without it is a pure function of the seed.  Busy
+core-seconds are not kept here: the server integrates them, telemetry on
+or off (``Server.busy_at_last_end``).
 """
 
 from __future__ import annotations
@@ -39,7 +34,7 @@ DEFAULT_SAMPLE_INTERVAL = 60.0
 
 
 class Telemetry:
-    """Registry + periodic sampler + busy-core accounting + optional hooks."""
+    """Registry + periodic sampler + optional hooks."""
 
     def __init__(
         self,
@@ -119,10 +114,6 @@ class Telemetry:
         self.sample_interval = sample_interval
         self.sampler: PeriodicSampler | None = None
         self._pending_sources: dict[str, object] = {}
-        # busy-core integral: sum of busy_cores * dt since attach
-        self._busy_last_time = 0.0
-        self._busy_last_value = 0
-        self._busy_integral = 0.0
 
     # ------------------------------------------------------------------
     # sampler lifecycle (wired by BatchSystem)
@@ -160,35 +151,14 @@ class Telemetry:
         """All sampled time series (empty when sampling is off)."""
         return self.sampler.series if self.sampler is not None else {}
 
-    # ------------------------------------------------------------------
-    # busy-core integral (fed by the cluster's claim/release hook)
-    # ------------------------------------------------------------------
-    def reset_busy_clock(self, now: float, busy: int) -> None:
-        """(Re)anchor the integral; called when the cluster attaches."""
-        self._busy_last_time = float(now)
-        self._busy_last_value = int(busy)
-        self._busy_integral = 0.0
-        if self.windows is not None:
-            self.windows.reset_busy(now, busy)
-
     def on_busy_change(self, now: float, busy: int) -> None:
-        """The number of busy cores changed at sim-time ``now``."""
-        self._busy_integral += self._busy_last_value * (now - self._busy_last_time)
-        self._busy_last_time = now
-        self._busy_last_value = busy
+        """Show a busy-core count to the windows, when on.
+
+        The server feeds its windows directly (``Server._cores_changed``);
+        this entry point stays while ``bench/spans.py`` still names it.
+        """
         if self.windows is not None:
             self.windows.on_busy_change(now, busy)
-
-    def busy_core_seconds(self, upto: float | None = None) -> float:
-        """Integral of busy cores over sim-time since attach.
-
-        ``upto`` extends the integral to a later timestamp at the current
-        busy level (typically ``engine.now`` at collection time).
-        """
-        total = self._busy_integral
-        if upto is not None and upto > self._busy_last_time:
-            total += self._busy_last_value * (upto - self._busy_last_time)
-        return total
 
     def __repr__(self) -> str:
         return f"<Telemetry registry={len(self.registry)}>"

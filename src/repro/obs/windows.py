@@ -279,10 +279,12 @@ class WindowedMetrics:
         self.wait = Sample()
         self.slowdown = Sample()
         self.turnaround = StreamingStat()
-        # busy-core integral (mirrors Telemetry's, fed from the same hook)
+        # busy-core integral, fed by the server at every change of its
+        # busy cores; taken up to ``last_end`` whenever that moves
         self._busy_t = 0.0
         self._busy_val = 0
         self.busy_core_seconds = 0.0
+        self._busy_at_last_end = 0.0
         # queue-depth integral; ``depth`` is the depth in force since
         # ``_depth_t`` (the server reports changes only)
         self._depth_t = 0.0
@@ -391,13 +393,13 @@ class WindowedMetrics:
     # feeds
     # ------------------------------------------------------------------
     def reset_busy(self, now: float, busy: int) -> None:
-        """(Re)anchor the busy integral; mirrors Telemetry.reset_busy_clock."""
+        """(Re)anchor the busy integral (``Server.attach_windows``)."""
         self._busy_t = float(now)
         self._busy_val = int(busy)
         self.busy_core_seconds = 0.0
 
     def on_busy_change(self, now: float, busy: int) -> None:
-        """Busy-core count changed (fed through Telemetry's cluster hook)."""
+        """Busy-core count changed (fed by the server)."""
         self.busy_core_seconds += self._busy_val * (now - self._busy_t)
         self._accrue_span(self._busy_t, now, "busy_core_seconds", self._busy_val)
         self._busy_t = now
@@ -449,6 +451,10 @@ class WindowedMetrics:
             self.first_submit = submit
         if end > self.last_end:
             self.last_end = end
+            busy = self.busy_core_seconds
+            if end > self._busy_t:
+                busy += self._busy_val * (end - self._busy_t)
+            self._busy_at_last_end = busy
         for frame in frames:
             frame.finished += 1
             if completed:
@@ -504,10 +510,7 @@ class WindowedMetrics:
         """Busy core-seconds over installed capacity across workload time."""
         if not self.total_cores:
             raise ValueError("total_cores unset; call set_capacity() first")
-        busy = self.busy_core_seconds
-        if self._busy_val and self.last_end > self._busy_t:
-            busy += self._busy_val * (self.last_end - self._busy_t)
-        return busy / (self.total_cores * self.workload_time)
+        return self._busy_at_last_end / (self.total_cores * self.workload_time)
 
     @property
     def frames(self) -> list[WindowFrame]:

@@ -124,6 +124,14 @@ class Server:
         #: grant, release, merge and every exit (the scheduler's fairshare
         #: tracker accrues usage there); a no-op by default
         self.on_cores: Callable[[Job, int], None] = lambda job, cores: None
+        #: the busy-core record, kept by :meth:`_cores_changed`: the busy
+        #: cores in force since ``_busy_t``, and the busy core-seconds up to it
+        self._busy = cluster.used_cores
+        self._busy_t = engine.now
+        self._busy_seconds = 0.0
+        #: busy core-seconds from the server's start to the latest job end
+        #: (utilization's numerator), taken wherever ``end_time`` is set
+        self.busy_at_last_end = 0.0
         #: optional transient-failure hooks (:mod:`repro.faults`); None
         #: keeps the grant-delivery path a single attribute-is-None check
         self._faults = None
@@ -150,14 +158,16 @@ class Server:
     def attach_windows(self, windows, *, fold_and_discard: bool = False) -> None:
         """Install streaming windowed aggregation (``repro.obs.windows``).
 
-        Every finishing job is folded into ``windows`` at teardown; with
-        ``fold_and_discard`` it is additionally dropped from the ``jobs``
-        index when the scheduler's next pass drains it
+        The windows' busy integral is anchored now and fed every change
+        of the busy cores.  Every finishing job is folded into ``windows``
+        at teardown; with ``fold_and_discard`` it is additionally dropped
+        from the ``jobs`` index when the scheduler's next pass drains it
         (:meth:`drain_finished_for_stats`), so long replays hold O(windows)
         memory instead of O(jobs).  Note that retained-job reporting
         (:meth:`~repro.metrics.collector.WorkloadMetrics.from_server`)
         is unavailable once jobs have been discarded.
         """
+        windows.reset_busy(self.engine.now, self._busy)
         self._windows = windows
         self._discard_folded = bool(fold_and_discard)
 
@@ -183,6 +193,25 @@ class Server:
         counts[job.state] -= 1
         counts[to] += 1
         job.state = to
+
+    def _cores_changed(self, job: Job, cores: int) -> None:
+        """``job``'s cores changed by ``cores``, which the cluster has
+        already applied: a new busy count is integrated and shown to the
+        windows (a merge moves cores between jobs and changes none), then
+        ``on_cores`` is told."""
+        busy = self.cluster.used_cores
+        if busy != self._busy:
+            now = self.engine.now
+            self._busy_seconds += self._busy * (now - self._busy_t)
+            self._busy, self._busy_t = busy, now
+            if self._windows is not None:
+                self._windows.on_busy_change(now, busy)
+        self.on_cores(job, cores)
+
+    def _ended(self, job: Job) -> None:
+        """``job`` ends now; the busy integral is taken up to its end."""
+        now = job.end_time = self.engine.now
+        self.busy_at_last_end = self._busy_seconds + self._busy * (now - self._busy_t)
 
     def _notify(self) -> None:
         self.state_version += 1
@@ -316,7 +345,7 @@ class Server:
         job.start_time = self.engine.now
         job.allocation = allocation
         job.backfilled = backfilled
-        self.on_cores(job, allocation.total_cores)
+        self._cores_changed(job, allocation.total_cores)
         ms = min(allocation.node_indices)
         self.trace.record(
             self.engine.now,
@@ -397,7 +426,7 @@ class Server:
         """Remove a queued job before it ever starts (``qdel``)."""
         self._move(job, "cancel")
         self.queue.remove(job)
-        job.end_time = self.engine.now
+        self._ended(job)
         self.trace.record(
             self.engine.now,
             EventKind.JOB_ABORT,
@@ -420,8 +449,10 @@ class Server:
         rejection; the other two drop it.  Returns the allocation, still
         claimed.
         """
+        # only a dynqueued job can have a request in the queue
+        asked = job.state is _D
         self._move(job, op)
-        dropped = [d for d in self.dyn_queue if d.job is job]
+        dropped = [d for d in self.dyn_queue if d.job is job] if asked else []
         for dreq in dropped:
             self.dyn_queue.remove(dreq)
         pending = self._pending_deliveries.pop(job.job_id, None)
@@ -433,16 +464,17 @@ class Server:
                 dreq.resolve(None)
         self._contexts.pop(job.job_id)._cancel_all_timers()
         assert job.allocation is not None
-        self.on_cores(job, -job.allocation.total_cores)
         return job.allocation
 
     def _teardown(self, job: Job, op: str, kind: EventKind, **extra) -> None:
+        released = self._leave(job, op)
         # a job leaving at its walltime end frees what every profile
         # already frees then: the kept shard plans survive it (R7)
         self.cluster.release(
-            self._leave(job, op), foreseen=self.engine.now >= job.walltime_end
+            released, foreseen=self.engine.now >= job.walltime_end
         )
-        job.end_time = self.engine.now
+        self._cores_changed(job, -released.total_cores)
+        self._ended(job)
         self._finished_unaccounted.append(job)
         if self._windows is not None:
             self._windows.fold_job(job)
@@ -535,7 +567,7 @@ class Server:
         self._move(job, "answer", claim=allocation)
         assert job.allocation is not None
         job.allocation = job.allocation + allocation
-        self.on_cores(job, allocation.total_cores)
+        self._cores_changed(job, allocation.total_cores)
         job.dyn_granted += 1
         self.trace.record(
             self.engine.now,
@@ -651,8 +683,8 @@ class Server:
         if released[ms] >= job.allocation[ms]:
             raise RuntimeError(f"{job.job_id}: cannot strip mother superior node {ms}")
         job.allocation = job.allocation - released
-        self.on_cores(job, -released.total_cores)
         self.cluster.release(released)
+        self._cores_changed(job, -released.total_cores)
         self.trace.record(
             self.engine.now,
             EventKind.DYN_RELEASE,
@@ -720,14 +752,15 @@ class Server:
         # node-side: helper processes exit, parent spans the new nodes;
         # cluster core counts are unchanged: ownership moves, usage doesn't
         transferred = self._leave(stub, "complete")
+        self._cores_changed(stub, -transferred.total_cores)
         assert parent.allocation is not None
-        stub.end_time = self.engine.now
+        self._ended(stub)
         self._finished_unaccounted.append(stub)
         if self._windows is not None:
             self._windows.fold_job(stub)
         stub.allocation = None
         parent.allocation = parent.allocation + transferred
-        self.on_cores(parent, transferred.total_cores)
+        self._cores_changed(parent, transferred.total_cores)
         parent.dyn_granted += 1
         # cores=0: the busy-core ledger already counts the transferred cores
         # from the stub's start event; the parent's end event releases them.
@@ -845,6 +878,7 @@ class Server:
             log.info("checkpoint %s before preemption", job.job_id)
         released = self._leave(job, "requeue")
         self.cluster.release(released)
+        self._cores_changed(job, -released.total_cores)
         self.trace.record(
             self.engine.now,
             EventKind.PREEMPT,
@@ -853,7 +887,7 @@ class Server:
             cores=released.total_cores,
         )
         # not added to the finished-for-stats drain: the job is queued
-        # again, not finished; its usage up to now was folded by _leave
+        # again, not finished; its usage up to now was folded above
         job.allocation = None
         job.start_time = None
         job.backfilled = False

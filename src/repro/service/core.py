@@ -67,7 +67,6 @@ class PolicyCore:
         self.telemetry = telemetry
         if telemetry is not None:
             telemetry.ensure_sampler(self.engine)
-            self.cluster.attach_telemetry(telemetry, self.engine)
             if telemetry.ledger is not None:
                 # wait timelines follow the lifecycle events; decisions are
                 # mirrored into the trace for JSONL export
@@ -139,9 +138,7 @@ class PolicyCore:
     # ------------------------------------------------------------------
     def metrics(self) -> WorkloadMetrics:
         """Workload metrics over everything submitted so far."""
-        return WorkloadMetrics.from_server(
-            self.server, self.cluster, telemetry=self.telemetry
-        )
+        return WorkloadMetrics.from_server(self.server, self.cluster)
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} t={self.engine.now:.1f} {self.cluster!r}>"

@@ -25,7 +25,7 @@ __all__ = [
 
 #: campaign runs keep a bounded event trace by default: long random
 #: campaigns otherwise accumulate millions of events nobody replays —
-#: utilization stays exact via the telemetry busy-core integral
+#: utilization stays exact, read from the server's busy-core integral
 DEFAULT_CAMPAIGN_TRACE_MAXLEN = 100_000
 
 
@@ -89,18 +89,16 @@ def run_random_campaign(
     workers: int = 1,
     telemetry=None,
 ) -> list[dict]:
-    """Run the random workload over several seeds with bounded telemetry.
+    """Run the random workload over several seeds with bounded traces.
 
-    Each seed gets its own :class:`~repro.obs.Telemetry` and a ring-buffer
-    trace of ``trace_maxlen`` events (pass ``None`` for an unbounded trace).
-    Returns one summary dict per seed — utilization comes from the live
-    busy-core integral, so it is exact even after the ring has dropped the
-    start of the run.
+    Each seed keeps a ring-buffer trace of ``trace_maxlen`` events (pass
+    ``None`` for an unbounded trace).  Returns one summary dict per seed —
+    utilization comes from the server's busy-core integral, so it is exact
+    even after the ring has dropped the start of the run.
 
     ``workers`` fans the seeds out over worker processes (serial and
     parallel runs share one worker function, so the rows are identical);
-    ``telemetry`` is the *parent-side* facade for campaign progress gauges,
-    distinct from the per-seed facades created inside each run.
+    ``telemetry`` is the *parent-side* facade for campaign progress gauges.
     """
     from repro.exec import map_specs
 
@@ -133,16 +131,9 @@ def _campaign_row(
     mean_interarrival: float,
 ) -> dict:
     """Simulate one campaign seed and return its summary row."""
-    from repro.obs import Telemetry
     from repro.system import BatchSystem
 
-    system = BatchSystem(
-        num_nodes,
-        cores_per_node,
-        config,
-        telemetry=Telemetry(),
-        trace_maxlen=trace_maxlen,
-    )
+    system = BatchSystem(num_nodes, cores_per_node, config, trace_maxlen=trace_maxlen)
     make_random_workload(
         num_jobs,
         num_nodes * cores_per_node,

@@ -221,17 +221,6 @@ def test_property_find_allocation_is_claimable_and_exact(used_cores, want):
         assert cluster.used_cores == sum(used_cores[:8]) + want
 
 
-class _BusySpy:
-    """Stands in for the telemetry busy integral behind the cluster's
-    busy-change hook: keeps what ``on_busy_change`` got."""
-
-    def __init__(self):
-        self.seen = []
-
-    def on_busy_change(self, busy):
-        self.seen.append(busy)
-
-
 @given(
     st.lists(
         st.tuples(
@@ -247,14 +236,11 @@ def test_property_used_cores_counter_tracks_the_nodes(ops):
     """The cluster's free list and ``used_cores`` counter match a per-node
     held model kept here after any mix of accepted and rejected
     operations (releases on DOWN nodes and recoveries of busy ones
-    included), a rejected one leaves both untouched, and
-    ``on_busy_change`` is handed exactly the counter's value."""
+    included), and a rejected one leaves both untouched."""
     cluster = Cluster.homogeneous(4, 8)
-    spy = _BusySpy()
-    cluster._on_busy_change = spy.on_busy_change
     held, up = [0] * 4, [True] * 4
     for op, node, cores, other in ops:
-        before, reported = cluster.used_cores, len(spy.seen)
+        before = cluster.used_cores
         if op in ("claim", "release"):
             # two-node allocations: a failing second entry must not leave
             # the first one counted
@@ -268,14 +254,12 @@ def test_property_used_cores_counter_tracks_the_nodes(ops):
             except ValueError:
                 assert not ok
                 assert cluster.used_cores == before
-                assert len(spy.seen) == reported
             else:
                 assert ok
                 sign = 1 if op == "claim" else -1
                 for i, c in alloc.items():
                     held[i] += sign * c
                 assert cluster.used_cores == before + sign * alloc.total_cores
-                assert spy.seen[reported:] == [cluster.used_cores]
         elif node < 4:
             (cluster.fail_node if op == "fail" else cluster.recover_node)(node)
             up[node] = op == "recover"

@@ -6,7 +6,8 @@ starts, completes, aborts, cancels, holds, asks for cores, grants
 (sometimes through a dropped first delivery), rejects, preempts, merges,
 fails and recovers nodes, lets time pass, folds and discards finished jobs,
 and on purpose makes calls the job's state forbids.  After every step the
-server, the cluster and the trace must agree.  A rot guard keeps
+server, the cluster and the trace must agree, down to the server's busy
+core-seconds, which must be the trace's replay bit for bit.  A rot guard keeps
 every ``job.state`` write inside :meth:`Server._move`.
 """
 
@@ -31,6 +32,7 @@ from repro.cluster.allocation import Allocation, ResourceRequest
 from repro.cluster.machine import Cluster
 from repro.cluster.node import NodeState
 from repro.jobs.job import Job, JobFlexibility, JobState
+from repro.metrics.stats import busy_core_seconds
 from repro.obs.windows import WindowedMetrics
 from repro.rms.client import qalter
 from repro.rms.server import Server
@@ -322,6 +324,18 @@ class Lifecycle(RuleBasedStateMachine):
             if e.kind in EXIT_EVENT.values()
         )
         assert recorded == Counter((jid, EXIT_EVENT[s]) for jid, s in ended.items())
+
+    @invariant()
+    def busy_integral_is_the_replay_to_the_latest_end(self) -> None:
+        """The server's busy core-seconds at its latest job end (a merged
+        helper's and a cancelled job's included) equal the trace replay
+        over ``[0, latest end]``, bit for bit."""
+        trace = self.server.trace
+        ends = [e.time for e in trace if e.kind in EXIT_EVENT.values()]
+        if ends:
+            assert self.server.busy_at_last_end == busy_core_seconds(
+                trace, 0.0, max(ends)
+            )
 
 
 TestLifecycle = Lifecycle.TestCase

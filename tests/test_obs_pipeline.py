@@ -12,8 +12,10 @@ from repro.obs import (
     export_jsonl,
     read_jsonl,
 )
+from repro.metrics.stats import busy_core_seconds
 from repro.sim.events import EventKind, TraceLog
 from repro.system import BatchSystem
+from repro.workloads.esp import make_esp_workload
 from repro.workloads.random_workload import make_random_workload
 
 
@@ -118,28 +120,52 @@ class TestRingBuffer:
         assert (len(log), log.dropped, log.total_recorded) == (0, 0, 0)
 
     def test_bounded_utilization_matches_unbounded(self):
-        """The busy-core integral replaces trace replay when the ring drops."""
+        """Utilization reads the server's busy integral, not the ring."""
         full = run_system(telemetry=Telemetry(sample_interval=None))
         bounded = run_system(
             telemetry=Telemetry(sample_interval=None), trace_maxlen=50
         )
         assert bounded.trace.dropped > 0
-        assert bounded.metrics().utilization == pytest.approx(
-            full.metrics().utilization, rel=1e-9
-        )
+        assert bounded.metrics().utilization == full.metrics().utilization
 
-    def test_bounded_utilization_without_telemetry_names_the_drop(self):
-        """A ring that dropped events cannot be replayed; the error says
-        so, with the count and both remedies, instead of blaming the log."""
+    def test_bounded_utilization_without_telemetry_is_exact(self):
+        """A ring that dropped events still gives the exact utilization,
+        with no telemetry attached."""
         bounded = run_system(trace_maxlen=50)
-        dropped = bounded.trace.dropped
-        assert dropped > 0
-        with pytest.raises(ValueError) as info:
-            bounded.metrics().utilization
-        message = str(info.value)
-        assert f"dropped {dropped} events" in message
-        assert "pass a Telemetry" in message
-        assert "unbounded trace" in message
+        assert bounded.trace.dropped > 0
+        assert bounded.metrics().utilization == run_system().metrics().utilization
+
+
+def _esp_to(until, trace_maxlen):
+    system = BatchSystem(
+        15, 8,
+        telemetry=Telemetry(sample_interval=None, windows=3600.0),
+        trace_maxlen=trace_maxlen,
+    )
+    make_esp_workload(120, seed=2014).submit_to(system)
+    system.engine.run(until=until)
+    return system
+
+
+@pytest.fixture(scope="module")
+def esp_whole_trace():
+    return _esp_to(None, None).trace
+
+
+@pytest.mark.parametrize("cut", [500.0, 2000.0, 3000.0, 5750.0, 9250.0, 11500.0])
+def test_mid_run_utilization_is_the_replay_to_the_latest_end(cut, esp_whole_trace):
+    """Cut mid-run with a ring of 50 events, the metrics and the windows
+    each give the replay of the whole trace up to their latest end — not
+    the integral up to the last core change, which lies past it (at these
+    cuts that read up to 121 %)."""
+    system = _esp_to(cut, 50)
+    assert system.trace.dropped > 0
+    m = system.metrics()
+    busy = busy_core_seconds(esp_whole_trace, m.first_submit, m.last_end)
+    assert m.utilization == busy / (m.total_cores * m.workload_time)
+    windows = system.telemetry.windows
+    busy = busy_core_seconds(esp_whole_trace, 0.0, windows.last_end)
+    assert windows.utilization == busy / (windows.total_cores * windows.workload_time)
 
 
 class TestJsonl:
@@ -183,12 +209,11 @@ class TestDisabledPath:
 
     def test_uninstrumented_components_have_no_obs(self):
         """Uninstrumented (``telemetry=None``) = nobody reads the
-        components: no subscriber on the trace, and the one pushed hook
-        that remains (the busy integral) unset."""
+        components: no subscriber on the trace, no windows on the server."""
         system = run_system()
         assert system.telemetry is None
         assert system.trace.subscribers == ()
-        assert system.cluster._on_busy_change is None
+        assert system.server._windows is None
 
 
 def test_export_without_profiling_is_fixed_by_the_seed():
@@ -230,15 +255,49 @@ class TestSampler:
         assert times == sorted(times)
 
     def test_busy_integral_matches_trace_replay(self):
-        from repro.metrics.stats import busy_core_seconds
-
-        telemetry = Telemetry(sample_interval=None)
-        system = run_system(telemetry=telemetry)
-        m = system.metrics()
-        replayed = busy_core_seconds(system.trace, m.first_submit, m.last_end)
-        assert telemetry.busy_core_seconds(upto=m.last_end) == pytest.approx(
-            replayed, rel=1e-9
+        """The server's busy integral is the trace replay to the last end,
+        bit for bit, and so are the windows' and the metrics' utilization:
+        the four Table II configurations with and without faults, and the
+        SLURM-style baseline, whose merges move cores without a change."""
+        from repro.baselines.slurm_style import (
+            make_slurm_esp_workload,
+            run_slurm_esp,
         )
+        from repro.experiments.configs import all_configurations
+        from repro.experiments.resilience import default_fault_model
+        from repro.maui.config import MauiConfig
+
+        def replayed(system):
+            m = system.metrics()
+            busy = busy_core_seconds(system.trace, m.first_submit, m.last_end)
+            assert system.server.busy_at_last_end == busy
+            assert m.busy_core_seconds == busy
+            return m
+
+        for config in all_configurations():
+            for faults in (None, default_fault_model()):
+                system = BatchSystem(
+                    15, 8, config.maui,
+                    telemetry=Telemetry(sample_interval=None, windows=3600.0),
+                    fault_model=faults,
+                )
+                make_esp_workload(
+                    120, dynamic=config.dynamic_workload, seed=2014
+                ).submit_to(system)
+                system.run(max_events=10_000_000)
+                m = replayed(system)
+                assert system.telemetry.windows.utilization == m.utilization
+
+        system = BatchSystem(
+            15, 8, MauiConfig(reservation_depth=5, reservation_delay_depth=5)
+        )
+        make_slurm_esp_workload(system, seed=2014).submit_to(system)
+        system.run(max_events=5_000_000)
+        assert any("merged_from" in e.payload for e in system.trace)
+        m = replayed(system)
+        # the helpers left out of the baseline's records hold no cores of
+        # their own for any time, so leaving them out moves nothing
+        assert run_slurm_esp(seed=2014).busy_core_seconds == m.busy_core_seconds
 
 
 # ----------------------------------------------------------------------
