@@ -76,9 +76,8 @@ def _run_instrumented_config(
     :func:`run_table2_instrumented` maps this over the configurations,
     in-process or in worker processes: one writer is what makes ``-j N``
     dumps byte-identical to serial ones.  The result comes back without
-    its telemetry, and with its trace and the metrics' trace as one plain
-    event list, so it is the same picklable object on either path; the
-    dumps carry the telemetry.
+    its telemetry, and with its trace as a plain event list, so it is the
+    same picklable object on either path; the dumps carry the telemetry.
     """
     from repro.obs import Telemetry, export_jsonl, to_prometheus_text
 
@@ -112,12 +111,9 @@ def _run_instrumented_config(
         if telemetry.slo is not None:
             with open(out / f"{cfg.name}.slo.jsonl", "w") as fp:
                 telemetry.slo.export_jsonl(fp)
-    # the telemetry and the metrics' backrefs hold engine and sampler
-    # closures; the bare event list is all utilization needs to replay
-    events = list(result.trace)
-    result.metrics._telemetry = None
-    result.metrics._trace = events
-    return dataclasses.replace(result, telemetry=None, trace=events)
+    # the telemetry holds engine and sampler closures and does not pickle;
+    # utilization is already in the metrics (the server's busy integral)
+    return dataclasses.replace(result, telemetry=None, trace=list(result.trace))
 
 
 def run_table2_instrumented(

@@ -30,6 +30,10 @@ class JobState(enum.Enum):
     but the server will not accept a second concurrent request from it.
     """
 
+    # members hash by identity, in C: the server's move table and its
+    # state counts key dicts on the state on every transition
+    __hash__ = object.__hash__
+
     QUEUED = "queued"
     RUNNING = "running"
     DYNQUEUED = "dynqueued"

@@ -20,7 +20,8 @@ package makes those observations *live* instead of post-mortem:
   scheduler's fairshare accounting (``Telemetry(fairness=True)``);
 * :class:`~repro.obs.slo.SLOEngine` — declarative per-run objectives
   (``p99_wait < 4h``, ``jain >= 0.9``) evaluated as window frames close,
-  breaching into the trace and decision ledger (``Telemetry(slo=[...])``);
+  each breach kept by the engine and the decision ledger, never the trace
+  (``Telemetry(slo=[...])``);
 * :mod:`~repro.obs.clock` — the single wall-clock shim every instrument
   reads, freezable in tests;
 * :mod:`~repro.obs.exporters` — JSONL trace streaming and the Prometheus

@@ -34,6 +34,7 @@ bit-identical to a disabled one on ``(submit, start, end, state)``.
 from __future__ import annotations
 
 import json
+from functools import partial
 from typing import IO
 
 __all__ = ["FairnessObservatory", "principal_of", "jain_index"]
@@ -109,8 +110,6 @@ class FairnessObservatory:
         #: (sorted users, sorted distinct principals) of ``_principals``;
         #: dropped when a new user appears, so samples do not re-sort
         self._order: tuple[list[str], list[str]] | None = None
-        #: principal -> (share gauge, target gauge), resolved once
-        self._share_gauges: dict[str, tuple] = {}
         #: exact per-principal core-seconds (no decay — the audit number)
         self.core_seconds: dict[str, float] = {}
         self.accruals = 0
@@ -122,22 +121,45 @@ class FairnessObservatory:
         self._tracker = None
         self._windows = None
         self.latest: dict | None = None
-        self._registry = registry
-        self._jain_gauge = None
-        self._error_gauge = None
-        self._samples_counter = None
         if registry is not None:
-            self._jain_gauge = registry.gauge(
-                "repro_fairness_jain_index",
-                "Jain's fairness index over target-normalized account shares",
+            self._expose(registry)
+
+    def _expose(self, registry) -> None:
+        """Read the latest sample into ``registry`` at collect time."""
+        for name, key, help_text in (
+            ("repro_fairness_jain_index", "jain",
+             "Jain's fairness index over target-normalized account shares"),
+            ("repro_fairness_max_share_error", "max_share_error",
+             "Worst |actual - target| share across accounts"),
+        ):
+            registry.gauge(name, help_text, callback=partial(self._latest, key))
+        samples = registry.counter(
+            "repro_fairness_samples_total", "Fairness share samples taken"
+        )
+
+        def refresh() -> None:
+            # each decimation dropped max_points // 2 of the samples taken
+            samples.set_total(
+                len(self.samples) + self.decimations * (self.max_points // 2)
             )
-            self._error_gauge = registry.gauge(
-                "repro_fairness_max_share_error",
-                "Worst |actual - target| share across accounts",
-            )
-            self._samples_counter = registry.counter(
-                "repro_fairness_samples_total", "Fairness share samples taken"
-            )
+            # a principal, once sampled, is in every later sample; its
+            # target is the one that sample measured it against
+            for p in self.latest["shares"] if self.latest is not None else ():
+                labels = {"account": p}
+                registry.gauge(
+                    "repro_fairness_share", "Account share of decayed fairshare usage",
+                    labels=labels, callback=lambda p=p: self.latest["shares"][p],
+                )
+                registry.gauge(
+                    "repro_fairness_share_target", "Normalized target share for the account",
+                    labels=labels,
+                    callback=lambda p=p: self._normalized(self.latest["shares"])[p],
+                )
+
+        registry.on_collect(refresh)
+
+    def _latest(self, key: str) -> float:
+        return self.latest[key] if self.latest is not None else 0.0
 
     # ------------------------------------------------------------------
     # wiring
@@ -173,7 +195,9 @@ class FairnessObservatory:
 
     def targets(self) -> dict[str, float]:
         """Normalized target share per principal seen so far."""
-        principals = self._sorted()[1]
+        return self._normalized(self._sorted()[1])
+
+    def _normalized(self, principals) -> dict[str, float]:
         if not principals:
             return {}
         weights = {p: float(self.share_targets.get(p, 1.0)) for p in principals}
@@ -225,27 +249,6 @@ class FairnessObservatory:
             del self.samples[1::2]
             self.sample_interval *= 2.0
             self.decimations += 1
-        if self._registry is not None:
-            self._jain_gauge.set(jain)
-            self._error_gauge.set(max_error)
-            self._samples_counter.inc()
-            for principal, share in shares.items():
-                gauges = self._share_gauges.get(principal)
-                if gauges is None:
-                    gauges = self._share_gauges[principal] = (
-                        self._registry.gauge(
-                            "repro_fairness_share",
-                            "Account share of decayed fairshare usage",
-                            labels={"account": principal},
-                        ),
-                        self._registry.gauge(
-                            "repro_fairness_share_target",
-                            "Normalized target share for the account",
-                            labels={"account": principal},
-                        ),
-                    )
-                gauges[0].set(share)
-                gauges[1].set(targets[principal])
         return True
 
     def finalize(self, now: float) -> None:

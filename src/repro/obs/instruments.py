@@ -10,11 +10,13 @@ text, where it is read from); ``docs/OBSERVABILITY.md`` § Instruments is
 the human-readable catalogue, kept equal to the registry by
 ``tests/test_obs_pipeline.py``.
 
-What is still pushed is what is *measured* rather than mirrored: what
-the ledger, profiler, fairness observatory, SLO engine and windows
-register for themselves — those are the hook sites the is-None checks in
-the core still guard.  (Busy core-seconds are kept by the server itself,
-telemetry on or off: ``Server.busy_at_last_end``.)
+The optional instruments keep their own records and are read the same
+way: the decision ledger, the SLO engine and the fairness observatory
+register refreshers over their own state (``_expose`` in each module).
+Only two things are still pushed: the phase profiler's wall-clock
+histograms, and the exec engine's progress gauges.  (Busy core-seconds
+are kept by the server itself, telemetry on or off:
+``Server.busy_at_last_end``.)
 """
 
 from __future__ import annotations

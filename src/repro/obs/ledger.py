@@ -27,7 +27,9 @@ Contract (same as the rest of ``repro.obs``): off by default —
 ``Telemetry(decision_ledger=True)`` opts in, every scheduler hook site is
 a single ``self._ledger is not None`` check, and the disabled path stays
 inside the benchmarked 5 % overhead budget
-(``benchmarks/test_obs_overhead.py``).
+(``benchmarks/test_obs_overhead.py``).  The ledger writes nothing into
+the trace it follows, so a run's trace is the same bytes with the ledger
+on or off; it exports through :meth:`DecisionLedger.export_jsonl`.
 """
 
 from __future__ import annotations
@@ -163,9 +165,10 @@ class DecisionLedger:
     Created by ``Telemetry(decision_ledger=True)``; ``BatchSystem`` calls
     :meth:`attach_trace` so wait timelines follow the job lifecycle events
     (submit/start/preempt — including server-initiated preemptions that
-    never pass through the scheduler) and every decision is mirrored as an
-    :class:`~repro.sim.events.EventKind` ``DECISION`` trace event, which
-    makes the existing JSONL exporters carry the ledger for free.
+    never pass through the scheduler).  The ledger is the one record of
+    its decisions: nothing is copied into the trace, and its registry
+    counters read :meth:`summary`, the grant totals and
+    :attr:`waits_closed` when the registry is read.
     """
 
     def __init__(self, *, registry=None) -> None:
@@ -185,25 +188,44 @@ class DecisionLedger:
         #: records NODE_FAIL *before* the per-job PREEMPT events, all at
         #: the same timestamp, so subscription order correlates them.
         self._node_fail: tuple[float, Any, set[str]] | None = None
-        self._registry = registry
-        self._kind_counters: dict[DecisionKind, Any] = {}
-        self._inflicted_counter = None
-        self._closed_counter = None
+        #: wait timelines closed by a start (a requeued job closes twice)
+        self.waits_closed = 0
         if registry is not None:
-            self._inflicted_counter = registry.counter(
-                "repro_ledger_dyn_inflicted_seconds_total",
-                "Delay inflicted on planned queued jobs by dynamic grants [s]",
-            )
-            self._closed_counter = registry.counter(
-                "repro_ledger_waits_closed_total",
-                "Wait timelines closed (jobs started with full attribution)",
-            )
+            self._expose(registry)
+
+    def _expose(self, registry) -> None:
+        """Read the ledger's own counts into ``registry`` at collect time."""
+        inflicted = registry.counter(
+            "repro_ledger_dyn_inflicted_seconds_total",
+            "Delay inflicted on planned queued jobs by dynamic grants [s]",
+        )
+        closed = registry.counter(
+            "repro_ledger_waits_closed_total",
+            "Wait timelines closed (jobs started with full attribution)",
+        )
+
+        def refresh() -> None:
+            for kind, count in self.summary().items():
+                registry.counter(
+                    "repro_ledger_decisions_total",
+                    "Scheduler verdicts recorded in the decision ledger",
+                    labels={"kind": kind},
+                ).set_total(count)
+            # added up in grant order, one float add per grant, as the
+            # delay accrued (``sum`` compensates its rounding on 3.12+)
+            total = 0.0
+            for delay in self._grant_totals.values():
+                total += delay
+            inflicted.set_total(total)
+            closed.set_total(self.waits_closed)
+
+        registry.on_collect(refresh)
 
     # ------------------------------------------------------------------
     # wiring
     # ------------------------------------------------------------------
     def attach_trace(self, trace: TraceLog) -> None:
-        """Subscribe to the trace for lifecycle events and decision mirroring."""
+        """Subscribe to the trace for the job lifecycle events."""
         if self._trace is trace:
             return
         self._trace = trace
@@ -217,8 +239,7 @@ class DecisionLedger:
             timeline = self._timelines.get(event.payload["job_id"])
             if timeline is not None:
                 timeline.close(event.time)
-                if self._closed_counter is not None:
-                    self._closed_counter.inc()
+                self.waits_closed += 1
         elif kind is EventKind.NODE_FAIL:
             affected = event.payload.get("affected") or []
             if affected:
@@ -268,25 +289,6 @@ class DecisionLedger:
         self._decisions.append(decision)
         if job_id is not None:
             self._chain.setdefault(job_id, []).append(decision)
-        if self._registry is not None:
-            counter = self._kind_counters.get(kind)
-            if counter is None:
-                counter = self._registry.counter(
-                    "repro_ledger_decisions_total",
-                    "Scheduler verdicts recorded in the decision ledger",
-                    labels={"kind": kind.value},
-                )
-                self._kind_counters[kind] = counter
-            counter.inc()
-        if self._trace is not None:
-            self._trace.record(
-                time,
-                EventKind.DECISION,
-                decision=kind.value,
-                seq=decision.seq,
-                job_id=job_id,
-                **payload,
-            )
         return decision
 
     def observe_queue(
@@ -450,8 +452,6 @@ class DecisionLedger:
                 (grant_id, victim.delay)
             )
             self._chain.setdefault(victim.job.job_id, []).append(decision)
-        if self._inflicted_counter is not None and total_delay > 0:
-            self._inflicted_counter.inc(total_delay)
         return grant_id
 
     def note_dyn_deny(

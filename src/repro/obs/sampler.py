@@ -61,11 +61,6 @@ class PeriodicSampler:
             return
         self._tick()
 
-    def stop(self) -> None:
-        if self._handle is not None:
-            self._handle.cancel()
-            self._handle = None
-
     # ------------------------------------------------------------------
     def sample_now(self) -> None:
         """Record one sample of every source at the current sim time."""

@@ -9,11 +9,13 @@ Objectives are declared as plain strings per run::
     share_error < 0.1
 
 and evaluated as each :class:`~repro.obs.windows.WindowFrame` closes
-(via ``WindowedMetrics.on_frame_close``).  A failing objective emits an
-:class:`~repro.sim.events.EventKind` ``SLO_BREACH`` trace event and — when
-the decision ledger is attached — a ``slo_breach`` decision anchored to
-the window's worst-wait job, so ``why`` explains a breach through the
-same causal chain that explains a wait.
+(via ``WindowedMetrics.on_frame_close``).  A failing objective appends a
+breach record to :attr:`SLOEngine.breaches` and — when the decision
+ledger is on — a ``slo_breach`` decision anchored to the window's
+worst-wait job, so ``why`` explains a breach through the same causal
+chain that explains a wait.  Nothing is written into the trace, and the
+registry counters read the engine's own tallies when the registry is
+read.
 
 Metric vocabulary (per closed window):
 
@@ -44,10 +46,9 @@ from __future__ import annotations
 import json
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 from typing import IO
-
-from repro.sim.events import EventKind, TraceLog
 
 __all__ = ["SLObjective", "SLOEngine", "parse_slo"]
 
@@ -158,6 +159,7 @@ class SLOEngine:
         *,
         registry=None,
         fairness=None,
+        ledger=None,
     ) -> None:
         parsed = [
             obj if isinstance(obj, SLObjective) else parse_slo(obj)
@@ -168,19 +170,31 @@ class SLOEngine:
         self.objectives = parsed
         self._states = [_ObjectiveState(obj) for obj in parsed]
         self.fairness = fairness
+        #: the decision ledger (when on) records each breach as a decision
+        self._ledger = ledger
         self.breaches: list[dict] = []
         self._windows = None
-        self._trace: TraceLog | None = None
-        self._ledger = None
         self._evaluated: set[int] = set()
-        self._registry = registry
-        self._eval_counter = None
-        self._breach_counters: dict[str, object] = {}
         if registry is not None:
-            self._eval_counter = registry.counter(
-                "repro_slo_evaluations_total",
-                "SLO objective evaluations over closed windows",
-            )
+            self._expose(registry)
+
+    def _expose(self, registry) -> None:
+        """Read the per-objective tallies into ``registry`` at collect time."""
+        evaluations = registry.counter(
+            "repro_slo_evaluations_total",
+            "SLO objective evaluations over closed windows",
+        )
+
+        def refresh() -> None:
+            evaluations.set_total(sum(state.evaluations for state in self._states))
+            for text, count in Counter(b["objective"] for b in self.breaches).items():
+                registry.counter(
+                    "repro_slo_breaches_total",
+                    "SLO breaches per objective",
+                    labels={"objective": text},
+                ).set_total(count)
+
+        registry.on_collect(refresh)
 
     # ------------------------------------------------------------------
     # wiring
@@ -196,10 +210,6 @@ class SLOEngine:
                 )
         self._windows = windows
         windows.on_frame_close = self._on_frame_close
-
-    def attach_trace(self, trace: TraceLog, *, ledger=None) -> None:
-        self._trace = trace
-        self._ledger = ledger
 
     # ------------------------------------------------------------------
     # evaluation
@@ -236,7 +246,7 @@ class SLOEngine:
             return latest["jain"]
         return latest["max_share_error"]
 
-    def _on_frame_close(self, frame, closed_at: float) -> None:
+    def _on_frame_close(self, frame) -> None:
         if frame.index in self._evaluated:
             return
         self._evaluated.add(frame.index)
@@ -246,8 +256,6 @@ class SLOEngine:
             if value is None:
                 continue
             state.observe(value)
-            if self._eval_counter is not None:
-                self._eval_counter.inc()
             if obj.holds(value):
                 continue
             state.breaches += 1
@@ -271,31 +279,6 @@ class SLOEngine:
                 "job_submit": job_submit,
             }
             self.breaches.append(breach)
-            if self._registry is not None:
-                counter = self._breach_counters.get(obj.text)
-                if counter is None:
-                    counter = self._registry.counter(
-                        "repro_slo_breaches_total",
-                        "SLO breaches per objective",
-                        labels={"objective": obj.text},
-                    )
-                    self._breach_counters[obj.text] = counter
-                counter.inc()
-            if self._trace is not None:
-                # dated when the window closed, not at its end: the trace
-                # is in event order, and the closing event lies past the
-                # window's end (the ledger and the export keep ``frame.end``)
-                self._trace.record(
-                    closed_at,
-                    EventKind.SLO_BREACH,
-                    objective=obj.text,
-                    metric=obj.metric,
-                    value=value,
-                    threshold=obj.threshold,
-                    window=frame.index,
-                    window_end=frame.end,
-                    job_id=job_id,
-                )
             if self._ledger is not None:
                 self._ledger.note_slo_breach(
                     frame.end,
@@ -323,10 +306,8 @@ class SLOEngine:
             return
         if self.fairness is not None and now is not None:
             self.fairness.finalize(now)
-        if now is None:
-            now = self._windows._frontier
         for frame in sorted(self._windows._open.values(), key=lambda f: f.index):
-            self._on_frame_close(frame, now)
+            self._on_frame_close(frame)
 
     # ------------------------------------------------------------------
     # queries & export

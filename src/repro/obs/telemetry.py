@@ -11,11 +11,14 @@ telemetry off is ``telemetry=None`` (the default):
 Metrics that mirror a count the components already keep (the trace, a
 ``stats`` dict, a queue) are read out of them when the registry is read
 and cost a run nothing, telemetry on or off
-(:mod:`repro.obs.instruments`).  What is *measured* is still pushed — the
-ledger / profiler / fairness / windows hooks: with no telemetry object
-each of those is a ``None`` sentinel and its hook site a single
-attribute-is-None check, benchmarked to stay within 5 % of the
-uninstrumented scheduler hot path (``benchmarks/test_obs_overhead.py``).
+(:mod:`repro.obs.instruments`).  The optional instruments — ledger,
+profiler, fairness observatory, SLO engine, windows — are fed through
+hooks: with no telemetry object each is a ``None`` sentinel and its hook
+site a single attribute-is-None check, benchmarked to stay within 5 % of
+the uninstrumented scheduler hot path (``benchmarks/test_obs_overhead.py``).
+Each keeps its own record, which the registry reads at collect time
+(only the profiler pushes, its wall-clock histograms); none writes into
+the trace, so a run's trace is the same with telemetry on or off.
 Wall-clock time is read by the phase profiler alone (``profiling=True``),
 so an export without it is a pure function of the seed.  Busy
 core-seconds are not kept here: the server integrates them, telemetry on
@@ -100,7 +103,8 @@ class Telemetry:
                     self.windows.set_group_by(principal_of)
                 self.fairness.attach_windows(self.windows)
         #: optional declarative SLO engine (``slo=["p99_wait < 4h", ...]``);
-        #: evaluated at window-frame close, so windows are required
+        #: evaluated at window-frame close, so windows are required; each
+        #: breach goes to the ledger too (when on), so ``why`` explains it
         self.slo = None
         if slo:
             if self.windows is None:
@@ -108,7 +112,8 @@ class Telemetry:
             from repro.obs.slo import SLOEngine
 
             self.slo = SLOEngine(
-                slo, registry=self.registry, fairness=self.fairness
+                slo, registry=self.registry, fairness=self.fairness,
+                ledger=self.ledger,
             )
             self.slo.attach_windows(self.windows)
         self.sample_interval = sample_interval

@@ -259,8 +259,7 @@ class WindowedMetrics:
             self.set_group_by(group_by)
         self.groups: dict[str, GroupStats] = {}
         #: called with each :class:`WindowFrame` as it closes (sorted by
-        #: window index) and the time of the feed that closed it — the SLO
-        #: engine's evaluation hook
+        #: window index) — the SLO engine's evaluation hook
         self.on_frame_close: Callable | None = None
         #: open frames keyed by window index (window k spans
         #: ``[k*stride, k*stride + width)``)
@@ -387,7 +386,7 @@ class WindowedMetrics:
             frame.close()
             self.closed.append(frame)
             if cb is not None:
-                cb(frame, self._frontier)
+                cb(frame)
 
     # ------------------------------------------------------------------
     # feeds

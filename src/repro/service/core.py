@@ -68,8 +68,7 @@ class PolicyCore:
         if telemetry is not None:
             telemetry.ensure_sampler(self.engine)
             if telemetry.ledger is not None:
-                # wait timelines follow the lifecycle events; decisions are
-                # mirrored into the trace for JSONL export
+                # wait timelines follow the lifecycle events
                 telemetry.ledger.attach_trace(self.trace)
             if telemetry.profiler is not None:
                 # the engine wraps every dispatch; scheduler phases nest
@@ -84,10 +83,6 @@ class PolicyCore:
             self.server.attach_windows(
                 telemetry.windows, fold_and_discard=telemetry.fold_and_discard
             )
-        if telemetry is not None and telemetry.slo is not None:
-            # breaches mirror into the trace, and into the ledger (when on)
-            # so `why` can explain them through the causal chain
-            telemetry.slo.attach_trace(self.trace, ledger=telemetry.ledger)
         self.scheduler = MauiScheduler(self.engine, self.cluster, self.server, config)
         if telemetry is not None and telemetry.fairness is not None:
             # the observatory's core-seconds are the fairshare tracker's folds

@@ -22,7 +22,18 @@ from typing import Any, Callable, Iterator
 
 
 class EventKind(enum.Enum):
-    """Taxonomy of observable events in the batch system."""
+    """Taxonomy of observable events in the batch system.
+
+    Every kind is something the simulation did.  What an observer
+    concludes about it (a ledger verdict, an SLO breach) stays in that
+    observer's own record, so an instrumented run writes the same trace
+    as a bare one.
+    """
+
+    # members hash by identity, in C: every trace subscriber and the
+    # lifecycle counters key dicts on the kind (``Enum.__hash__`` hashes
+    # the member's name in Python on each lookup)
+    __hash__ = object.__hash__
 
     JOB_SUBMIT = "job_submit"
     JOB_START = "job_start"
@@ -49,10 +60,8 @@ class EventKind(enum.Enum):
     # operator job holds (qhold/qrls)
     JOB_HOLD = "job_hold"
     JOB_RELEASE = "job_release"
-    # decision-ledger mirror: every scheduler verdict, when the ledger is on
-    DECISION = "decision"
-    # a declared service-level objective failed for a closed window
-    # (repro.obs.slo); payload carries the objective, value and window
+    # no longer recorded: an SLO breach lives in SLOEngine.breaches and the
+    # decision ledger; the member stays while the benchmark names it
     SLO_BREACH = "slo_breach"
 
 

@@ -77,6 +77,20 @@ class TestMain:
         out = capsys.readouterr().out
         assert "node000" in out
 
+    def test_gantt_ledger_overlays_one_line_per_grant(self, capsys):
+        from repro.experiments.runner import run_esp_configuration_cached
+
+        assert main(["gantt", "--ledger"]) == 0
+        out = capsys.readouterr().out
+        ledger = run_esp_configuration_cached(
+            "Dyn-HP", seed=2014, decision_ledger=True
+        ).telemetry.ledger
+        grants = ledger.grants()
+        assert grants
+        assert "grants   |" in out
+        lines = [line.split()[0] for line in out.splitlines() if line.startswith("  grant.")]
+        assert lines == [d.payload["grant_id"] for d in grants]
+
 
 class TestJobsFlag:
     def test_default_is_serial(self):

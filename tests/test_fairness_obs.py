@@ -98,7 +98,8 @@ class TestObservatory:
         assert latest["max_share_error"] == pytest.approx(0.25)
 
     def test_decimation_halves_series_and_doubles_stride(self):
-        fair = FairnessObservatory(sample_interval=1.0, max_points=8)
+        registry = MetricsRegistry()
+        fair = FairnessObservatory(sample_interval=1.0, max_points=8, registry=registry)
         fair.accrue(_job("a"), 1.0)
         tracker = _Tracker({"a": 1.0})
         for t in range(8):
@@ -106,6 +107,8 @@ class TestObservatory:
         assert fair.decimations == 1
         assert fair.sample_interval == 2.0
         assert len(fair.samples) == 4
+        # the counter still reads every sample taken
+        assert registry.value("repro_fairness_samples_total") == 8
         # every other point survives, oldest first
         assert [s["t"] for s in fair.samples] == [0.0, 2.0, 4.0, 6.0]
 
@@ -150,6 +153,13 @@ class TestObservatory:
         assert values[("repro_fairness_samples_total", None)] == 1
         assert values[("repro_fairness_share", "a")] == pytest.approx(0.75)
         assert values[("repro_fairness_share_target", "b")] == pytest.approx(0.5)
+        # a principal learned after the sample changes no gauge: each reads
+        # the sample, and the newcomer has none until it is sampled
+        fair.accrue(_job("c"), 1.0)
+        assert registry.value(
+            "repro_fairness_share_target", {"account": "b"}
+        ) == pytest.approx(0.5)
+        assert registry.get("repro_fairness_share", {"account": "c"}) is None
 
 
 class TestAccountRows:

@@ -68,6 +68,7 @@ def _command_lines(out: Path) -> list[tuple[str | None, list[str]]]:
         ["ledger", "--ledger-file", o("ledger/Dyn-HP.ledger.jsonl")],
         ["why", "--ledger-file", o("ledger/Dyn-HP.ledger.jsonl")],
         ["metrics", "--windows", o("perf/Dyn-HP.windows.jsonl")],
+        ["gantt", "--ledger"],
     ]
     references = [
         (name, ledger[:2] + [o(f"ledger-{name}")] + ledger[3:])

@@ -2,8 +2,8 @@
 
 The unit layer drives a :class:`WindowedMetrics` by hand and checks that
 objectives evaluate exactly at frame close — breaches anchored to the
-window's worst-wait job, mirrored into the trace and the decision
-ledger.  The end-to-end layer runs a real workload and checks the
+window's worst-wait job and handed to the decision ledger, never written
+into the trace.  The end-to-end layer runs a real workload and checks the
 deterministic export contract.
 """
 
@@ -16,9 +16,9 @@ import pytest
 from repro.maui.config import MauiConfig
 from repro.metrics.validate import validate_trace
 from repro.obs import SLOEngine, Telemetry, parse_slo
-from repro.obs.ledger import DecisionLedger
+from repro.obs.ledger import DecisionKind, DecisionLedger
 from repro.obs.windows import WindowedMetrics
-from repro.sim.events import EventKind, TraceLog
+from repro.sim.events import EventKind
 from repro.system import BatchSystem
 from repro.workloads.esp import make_esp_workload
 from repro.workloads.random_workload import make_random_workload
@@ -82,14 +82,10 @@ def _advance(windows, t):
 
 
 class TestEngine:
-    def _engine(self, objectives, *, trace=None, ledger=None):
+    def _engine(self, objectives, *, ledger=None):
         windows = WindowedMetrics(10.0, total_cores=8)
-        engine = SLOEngine(objectives)
+        engine = SLOEngine(objectives, ledger=ledger)
         engine.attach_windows(windows)
-        if trace is not None or ledger is not None:
-            engine.attach_trace(
-                trace if trace is not None else TraceLog(), ledger=ledger
-            )
         return windows, engine
 
     def test_quantile_must_be_sketched(self):
@@ -155,18 +151,21 @@ class TestEngine:
         assert lower["worst_value"] == pytest.approx(2.0)  # min for >
 
     def test_breach_mirrors_into_trace_and_ledger(self):
-        trace = TraceLog()
+        """The ledger receives each breach, anchored on the worst-wait job
+        and dated at the window's end; the engine holds no trace."""
         ledger = DecisionLedger()
-        windows, engine = self._engine(
-            ["max_wait < 5"], trace=trace, ledger=ledger
-        )
+        windows, engine = self._engine(["max_wait < 5"], ledger=ledger)
         windows.fold_job(_job("job.9", "alice", 0.0, 8.0, 9.0))
         _advance(windows, 20.0)
-        (event,) = [e for e in trace if e.kind == EventKind.SLO_BREACH]
-        assert event.payload["job_id"] == "job.9"
-        assert event.payload["objective"] == "max_wait < 5"
+        (breach,) = engine.breaches
+        (decision,) = ledger.of_kind(DecisionKind.SLO_BREACH)
+        assert decision.job_id == "job.9"
+        assert decision.time == breach["end"] == 10.0
+        assert decision.payload["objective"] == "max_wait < 5"
+        assert decision.payload["value"] == breach["value"]
         chain = ledger.causal_chain("job.9")
-        assert any(d["kind"] == "slo_breach" for d in chain)
+        assert [d["kind"] for d in chain] == ["slo_breach"]
+        assert not hasattr(engine, "attach_trace")
 
     def test_finalize_evaluates_open_frames_once(self):
         windows, engine = self._engine(["max_wait < 5"])
@@ -236,6 +235,19 @@ class TestEndToEnd:
         for row in telemetry.slo.summary():
             assert row["evaluations"] > 0
 
+    def test_registry_reads_the_engine_tallies(self):
+        telemetry = self._run()
+        summary = telemetry.slo.summary()
+        registry = telemetry.registry
+        assert any(row["breaches"] for row in summary)
+        assert registry.value("repro_slo_evaluations_total") == sum(
+            row["evaluations"] for row in summary
+        )
+        for row in summary:
+            assert registry.value(
+                "repro_slo_breaches_total", {"objective": row["objective"]}
+            ) == row["breaches"]
+
     def test_export_round_trip_is_stable(self):
         first, second = (io.StringIO(), io.StringIO())
         self._run().slo.export_jsonl(first)
@@ -244,19 +256,21 @@ class TestEndToEnd:
 
     def test_breach_records_keep_the_trace_in_time_order(self):
         """A breach is known only once a later event closes its window, so
-        the trace record carries that event's time — dated at the window's
-        end it would sit behind its neighbours and ``validate_trace`` would
-        report time going backwards (bench/README.md, defect 4).  The
-        window's end travels in the payload; the export keeps it as is."""
-        telemetry = Telemetry(windows=3600, slo=["max_wait < 1s"])
+        a trace record of it would sit behind its neighbours, and
+        ``validate_trace`` would report time going backwards
+        (bench/README.md, defect 4).  Neither the engine nor the ledger
+        writes one: with both on, the trace stays in time order, and the
+        ledger keeps every breach at its window's end."""
+        telemetry = Telemetry(
+            windows=3600, slo=["max_wait < 1s"], decision_ledger=True
+        )
         system = BatchSystem(15, 8, MauiConfig(), telemetry=telemetry)
         make_esp_workload(system.cluster.total_cores, seed=2014).submit_to(system)
         system.run(max_events=5_000_000)
-        breaches = system.trace.of_kind(EventKind.SLO_BREACH)
-        assert len(breaches) == len(telemetry.slo.breaches) > 1
+        assert system.trace.count(EventKind.SLO_BREACH) == 0
         assert validate_trace(system.trace, system.cluster) == []
-        for event, breach in zip(breaches, telemetry.slo.breaches):
-            assert event.payload["window_end"] == breach["end"]
-        # every window but the trailing partial one closed after its end
-        assert all(e.time >= e.payload["window_end"] for e in breaches[:-1])
-        assert any(e.time > e.payload["window_end"] for e in breaches)
+        decisions = telemetry.ledger.of_kind(DecisionKind.SLO_BREACH)
+        assert len(decisions) == len(telemetry.slo.breaches) > 1
+        for decision, breach in zip(decisions, telemetry.slo.breaches):
+            assert decision.time == breach["end"]
+            assert decision.payload["window"] == breach["window"]
