@@ -8,7 +8,8 @@ the full batch system at 1, 2 and 4 scheduler shards with bounded
 observability (tumbling telemetry windows with ``fold_and_discard``, a
 ring-bounded trace), so memory stays flat across 100k jobs.
 
-Each replay records wall-clock, engine events/s, and the scheduler-only
+Each replay records set-up seconds (``from_swf`` through ``submit_to``),
+wall-clock, engine events/s, and the scheduler-only
 per-iteration cost (the class method is wrapped with a perf counter) into
 the ``replay`` bench group.  The headline claim: at 2+ shards the
 per-iteration scheduler cost stays under the 330 µs single-matrix
@@ -65,10 +66,23 @@ def _synthetic_swf(num_jobs: int, seed: int, *, load: float = 0.7) -> str:
 
 @pytest.fixture(scope="module")
 def replay_workload():
+    """The evolving workload and the seconds ``from_swf`` +
+    ``evolving_ify`` took to build it."""
     text = _synthetic_swf(NUM_JOBS, SEED)
+    t0 = time.perf_counter()
     workload = from_swf(io.StringIO(text), chunk_size=1 << 14)
     assert len(workload) == NUM_JOBS
-    return evolving_ify(workload, 0.05, seed=7)
+    workload = evolving_ify(workload, 0.05, seed=7)
+    return workload, time.perf_counter() - t0
+
+
+def _submit(replay_workload, system) -> float:
+    """Submit the workload; return the set-up seconds, ``from_swf``
+    through ``submit_to``."""
+    workload, build_seconds = replay_workload
+    t0 = time.perf_counter()
+    workload.submit_to(system)
+    return build_seconds + time.perf_counter() - t0
 
 
 @pytest.mark.slow
@@ -101,7 +115,7 @@ def test_swf_replay_streaming(replay_workload, shards):
             telemetry=telemetry,
             trace_maxlen=10_000,
         )
-        replay_workload.submit_to(system)
+        setup = _submit(replay_workload, system)
         t0 = time.perf_counter()
         events = system.run(max_events=100_000_000)
         wall = time.perf_counter() - t0
@@ -123,6 +137,7 @@ def test_swf_replay_streaming(replay_workload, shards):
     record_bench(
         "replay",
         f"swf_replay_{NUM_JOBS // 1000}k_jobs_shards{shards}",
+        setup_seconds=setup,
         wall_seconds=wall,
         events=events,
         events_per_second=events / wall,
@@ -164,7 +179,7 @@ def test_swf_replay_fairness_slo(replay_workload):
         telemetry=telemetry,
         trace_maxlen=10_000,
     )
-    replay_workload.submit_to(system)
+    setup = _submit(replay_workload, system)
     t0 = time.perf_counter()
     events = system.run(max_events=100_000_000)
     wall = time.perf_counter() - t0
@@ -185,6 +200,7 @@ def test_swf_replay_fairness_slo(replay_workload):
     record_bench(
         "replay",
         f"swf_replay_{NUM_JOBS // 1000}k_jobs_fairness_slo",
+        setup_seconds=setup,
         wall_seconds=wall,
         events=events,
         events_per_second=events / wall,

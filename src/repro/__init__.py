@@ -12,8 +12,9 @@ Quickstart
 >>> from repro import BatchSystem, MauiConfig
 >>> from repro.workloads import make_esp_workload
 >>> system = BatchSystem(num_nodes=15, cores_per_node=8, config=MauiConfig())
->>> jobs = make_esp_workload(total_cores=120, dynamic=True).submit_to(system)
+>>> make_esp_workload(total_cores=120, dynamic=True).submit_to(system)
 >>> system.run()
+>>> jobs = list(system.server.jobs.values())
 >>> print(system.metrics())
 """
 

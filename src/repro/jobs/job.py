@@ -48,6 +48,21 @@ def _next_job_seq() -> int:
     return next(_job_counter)
 
 
+def reserve_job_seqs(n: int) -> int:
+    """Take ``n`` consecutive :attr:`Job.seq` values; return the first.
+
+    Jobs built later with ``seq=`` set to one of them get the ids they
+    would have had if built now, and jobs built in between get none of
+    them.
+    """
+    global _job_counter
+    if n < 0:
+        raise ValueError(f"negative reservation: {n}")
+    first = next(_job_counter)
+    _job_counter = itertools.count(first + n)
+    return first
+
+
 @dataclass(eq=False)
 class Job:
     """A batch job.  Identity semantics: two jobs are equal only if they are

@@ -100,11 +100,13 @@ class Backend(Protocol):
 class SimBackend:
     """The discrete-event simulator as a service driver.
 
-    Owns a :class:`PolicyCore` and replicates the exact submission
-    mechanics of ``Workload.submit_to`` + ``BatchSystem.run`` so that a
-    workload pushed through the service schedules bit-identically to the
-    direct path: a spec whose submit time has already passed is submitted
-    immediately, a future one is scheduled on the engine, and telemetry is
+    Owns a :class:`PolicyCore` and reproduces the dispatch order of
+    ``Workload.submit_to`` + ``BatchSystem.run``, not its mechanics, so
+    that a workload pushed through the service schedules bit-identically
+    to the direct path: a spec whose submit time has already passed is
+    submitted immediately, a future one gets its own submit event on the
+    engine (``submit_to`` keeps one pending arrival per workload on
+    reserved sequence numbers, which sort the same), and telemetry is
     armed only once work is queued (see :meth:`PolicyCore.begin_cycle`).
     """
 

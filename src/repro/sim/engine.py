@@ -7,7 +7,9 @@ Design notes
   before the scheduler iteration triggered at *t* so the scheduler sees the
   freed resources); ``seq`` is a monotone counter guaranteeing deterministic
   FIFO order among equal keys.  The dispatch order is the total order of
-  these keys.
+  these keys.  A caller that will push events later can take their
+  ``seq`` values now (:meth:`Engine.reserve`, :meth:`Engine.at_reserved`)
+  and so keep the order it would have had by pushing them now.
 * Callbacks are plain callables.  Cancellation is O(1) via tombstoning the
   :class:`EventHandle` rather than re-heapifying.  Tombstones are purged
   lazily — at the queue head by :meth:`Engine._next_time` (the single
@@ -161,6 +163,39 @@ class Engine:
         if delay < 0:
             raise ValueError(f"negative delay: {delay}")
         return self.at(self.now + delay, callback, *args, priority=priority)
+
+    def reserve(self, n: int) -> int:
+        """Take ``n`` consecutive sequence numbers for later events.
+
+        Returns the first.  An event pushed with :meth:`at_reserved` on one
+        of them sorts exactly where an :meth:`at` call made now would have
+        put it, however late it is pushed.
+        """
+        if n < 0:
+            raise ValueError(f"negative reservation: {n}")
+        first = self._seq
+        self._seq = first + n
+        return first
+
+    def at_reserved(
+        self,
+        time: float,
+        seq: int,
+        callback: Callable[..., None],
+        *args: Any,
+        priority: int = PRIORITY_NORMAL,
+    ) -> EventHandle:
+        """Schedule ``callback(*args)`` at ``time`` on a sequence number
+        taken by :meth:`reserve`."""
+        if time < self.now:
+            raise ValueError(
+                f"cannot schedule event at t={time} before current time t={self.now}"
+            )
+        if not 0 <= seq < self._seq:
+            raise ValueError(f"sequence number {seq} was not reserved")
+        handle = EventHandle(time, priority, seq, callback, args, self)
+        heapq.heappush(self._heap, (time, priority, seq, handle))
+        return handle
 
     # ------------------------------------------------------------------
     # tombstone bookkeeping

@@ -43,7 +43,7 @@ class BatchSystem(PolicyCore):
         return self.server.submit(job, app)
 
     def submit_at(self, time: float, job: Job, app: Application | None = None) -> None:
-        """Schedule a future submission (the workload generators use this)."""
+        """Schedule a future submission of a job built now."""
         self.engine.at(time, self.server.submit, job, app)
 
     def run(self, until: float | None = None, max_events: int | None = None) -> int:

@@ -11,6 +11,7 @@ studies) exercise the dynamic-fairness machinery.
 from __future__ import annotations
 
 import dataclasses
+from functools import partial
 
 import numpy as np
 
@@ -51,8 +52,7 @@ def evolving_ify(
     if not 0.0 <= fraction <= 1.0:
         raise ValueError(f"fraction must be in [0, 1]: {fraction}")
     eligible = [
-        i for i, spec in enumerate(workload.specs)
-        if spec.evolution is None and not spec.evolving
+        i for i, spec in enumerate(workload.specs) if not spec.is_evolving
     ]
     count = round(fraction * len(eligible))
     rng = np.random.default_rng(seed)
@@ -60,6 +60,12 @@ def evolving_ify(
         rng.choice(len(eligible), size=count, replace=False).tolist()
     ) if count else set()
     picked = {eligible[i] for i in chosen}
+    # frozen, so every converted spec shares it
+    profile = EvolutionProfile.single(
+        at_fraction,
+        ResourceRequest(cores=extra_cores),
+        (retry_fraction,),
+    )
 
     specs: list[JobSpec] = []
     for i, spec in enumerate(workload.specs):
@@ -74,16 +80,11 @@ def evolving_ify(
             runtime = getattr(app, "runtime", None) or getattr(
                 app, "static_runtime", spec.walltime
             )
-        profile = EvolutionProfile.single(
-            at_fraction,
-            ResourceRequest(cores=extra_cores),
-            (retry_fraction,),
-        )
         specs.append(
             dataclasses.replace(
                 spec,
                 evolution=profile,
-                app_factory=lambda rt=runtime: EvolvingWorkApp(rt),
+                app_factory=partial(EvolvingWorkApp, runtime),
             )
         )
     return Workload(specs=specs, name=f"{workload.name}+evolving{fraction:g}")

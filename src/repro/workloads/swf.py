@@ -14,6 +14,7 @@ Field reference: http://www.cs.huji.ac.il/labs/parallel/workload/swf.html
 
 from __future__ import annotations
 
+from functools import partial
 from typing import IO, Iterable, Iterator
 
 from repro.apps.synthetic import FixedRuntimeApp
@@ -132,8 +133,14 @@ def from_swf(
     (field 4) and requested time (field 9, falling back to
     ``runtime * walltime_factor``).  Jobs with unusable size or runtime are
     skipped — SWF archives mark missing data with ``-1``.
+
+    Specs of the same size share one :class:`ResourceRequest`, and those of
+    the same user (group) id one user (group) string.
     """
     specs: list[JobSpec] = []
+    requests: dict[int, ResourceRequest] = {}
+    users: dict[int, str] = {}
+    groups: dict[int, str] = {}
     for raw in _iter_lines(source, chunk_size):
         line = raw.split(";", 1)[0].strip()
         if not line:
@@ -165,14 +172,25 @@ def from_swf(
         else:
             walltime = max(runtime * walltime_factor, default_walltime)
         walltime = max(walltime, runtime)  # SWF traces contain overruns
+        request = requests.get(procs)
+        if request is None:
+            request = requests[procs] = ResourceRequest(cores=procs)
+        uid = int(user_id) if user_id > 0 else 0
+        user = users.get(uid)
+        if user is None:
+            user = users[uid] = f"swf_user{uid:03d}"
+        gid = int(group_id) if group_id > 0 else 0
+        group = groups.get(gid)
+        if group is None:
+            group = groups[gid] = f"swf_group{gid:03d}"
         specs.append(
             JobSpec(
-                submit_time=float(submit),
-                request=ResourceRequest(cores=procs),
+                submit_time=submit,
+                request=request,
                 walltime=walltime,
-                user=f"swf_user{int(user_id) if user_id > 0 else 0:03d}",
-                group=f"swf_group{int(group_id) if group_id > 0 else 0:03d}",
-                app_factory=(lambda rt=float(runtime): FixedRuntimeApp(rt)),
+                user=user,
+                group=group,
+                app_factory=partial(FixedRuntimeApp, runtime),
             )
         )
         if max_jobs is not None and len(specs) >= max_jobs:

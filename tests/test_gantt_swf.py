@@ -192,8 +192,9 @@ class TestSWFImport:
 
     def test_replay_through_batch_system(self):
         system = BatchSystem(2, 8, MauiConfig())
-        jobs = from_swf(self.SAMPLE).submit_to(system)
+        from_swf(self.SAMPLE).submit_to(system)
         system.run()
+        jobs = list(system.server.jobs.values())
         assert all(j.state is JobState.COMPLETED for j in jobs)
         # runtimes honoured
         assert jobs[0].end_time - jobs[0].start_time == pytest.approx(100.0)
@@ -203,8 +204,9 @@ class TestSWFImport:
         wl = from_swf(to_swf(system.metrics()))
         assert wl.total_jobs == 2
         replay = BatchSystem(2, 8, MauiConfig())
-        jobs = wl.submit_to(replay)
+        wl.submit_to(replay)
         replay.run()
+        jobs = list(replay.server.jobs.values())
         assert all(j.state is JobState.COMPLETED for j in jobs)
 
 

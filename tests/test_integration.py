@@ -119,8 +119,9 @@ class TestEspEndToEnd:
 
     def test_z_job_lockdown_in_esp(self, paper_system):
         wl = make_esp_workload(120, dynamic=True, seed=2014)
-        jobs = wl.submit_to(paper_system)
+        wl.submit_to(paper_system)
         paper_system.run(max_events=2_000_000)
+        jobs = list(paper_system.server.jobs.values())
         z_jobs = [j for j in jobs if j.esp_type == "Z"]
         assert len(z_jobs) == 2
         for z in z_jobs:
